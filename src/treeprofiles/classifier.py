@@ -12,6 +12,11 @@ All randomness comes from the package's xorshift64* generator (see
 i)``, so training is reproducible bit-for-bit across platforms and is
 independent of any scheduling order.
 
+Trees grow across up to ``min(usable CPUs, n_trees)`` worker processes
+(forked where the platform can fork, else one after another in process) and
+are collected in index order, so the model bytes do not depend on the worker
+count.  A node searches all its candidate features in one vectorised pass.
+
 Model serialization (little-endian throughout)::
 
     magic b"TPFM", u32 version=1, u32 n_classes, u32 n_features,
@@ -23,7 +28,10 @@ Model serialization (little-endian throughout)::
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+import os
 import struct
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,39 +68,38 @@ class ForestModel:
         return len(self.classes)
 
 
-def _best_split(x_node: np.ndarray, y_node: np.ndarray, n_classes: int,
-                feature_ids: list[int]):
-    """Scan candidate features; returns (feature, threshold) or None."""
-    n = len(y_node)
-    onehot = np.equal(y_node[:, None], np.arange(n_classes)[None, :])
-    best_gini = math.inf
-    best = None
-    for f in feature_ids:
-        v = x_node[:, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        splits = np.flatnonzero(vs[:-1] < vs[1:])
-        if len(splits) == 0:
-            continue
-        cum = np.cumsum(onehot[order], axis=0, dtype=np.float64)
-        total = cum[-1]
-        nl = (splits + 1).astype(np.float64)
-        nr = n - nl
-        left = cum[splits]
-        right = total[None, :] - left
-        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-        weighted = (nl * gini_l + nr * gini_r) / n
-        k = int(np.argmin(weighted))  # first minimum
-        if weighted[k] < best_gini:
-            best_gini = weighted[k]
-            pos = splits[k]
-            best = (f, (vs[pos] + vs[pos + 1]) / 2.0)
-    return best
+def _best_split(xs: np.ndarray, y_node: np.ndarray, n_classes: int):
+    """Best Gini split of a node; returns (row of xs, threshold) or None.
+
+    ``xs`` holds the node's values of the candidate features, one row per
+    feature in draw order.  All rows are searched in one pass.  Gini is
+    evaluated only where consecutive sorted values differ, and the first
+    minimum in (row, position) order wins: earlier-drawn features win ties,
+    then lower thresholds.
+    """
+    m = len(y_node)
+    order = np.argsort(xs, axis=1, kind="stable")
+    vs = xs[np.arange(len(xs))[:, None], order]
+    rows, pos = np.nonzero(vs[:, :-1] < vs[:, 1:])
+    if len(rows) == 0:
+        return None
+    onehot = y_node[order][:, :, None] == np.arange(n_classes)
+    cum = np.cumsum(onehot, axis=1, dtype=np.float64)
+    left = cum[rows, pos]
+    right = cum[rows, -1] - left
+    nl = (pos + 1).astype(np.float64)
+    nr = m - nl
+    gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+    gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+    weighted = (nl * gini_l + nr * gini_r) / m
+    k = int(np.argmin(weighted))  # first minimum
+    row, p = rows[k], pos[k]
+    return row, (vs[row, p] + vs[row, p + 1]) / 2.0
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, mtry: int,
+def _grow_tree(xt: np.ndarray, y: np.ndarray, n_classes: int, mtry: int,
                rng: Xorshift64Star) -> DecisionTree:
+    """``xt`` is the (n_features, n_samples) transposed training matrix."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -107,7 +114,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, mtry: int,
         probs.append(np.zeros(n_classes))
         return len(feature) - 1
 
-    n_features = x.shape[1]
+    n_features = len(xt)
     root = new_node()
     # preorder, left subtree first, so PRNG consumption is schedule-free
     stack = [(root, np.arange(len(y)))]
@@ -119,13 +126,14 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, mtry: int,
             probs[node] = counts / counts.sum()
             continue
         candidates = rng.sample_without_replacement(n_features, mtry)
-        split = _best_split(x[idx], y_node, n_classes, candidates)
+        xs = xt[np.array(candidates, dtype=np.intp)[:, None], idx]
+        split = _best_split(xs, y_node, n_classes)
         if split is None:  # all candidate features constant here
             probs[node] = counts / counts.sum()
             continue
-        f, thr = split
-        go_left = x[idx, f] <= thr
-        feature[node] = f
+        row, thr = split
+        go_left = xs[row] <= thr
+        feature[node] = candidates[row]
         threshold[node] = thr
         left_id = new_node()
         right_id = new_node()
@@ -142,12 +150,57 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, mtry: int,
     )
 
 
+@dataclass
+class _TrainingSet:
+    xt: np.ndarray         # (n_features, n_samples): rows gather contiguously
+    y_idx: np.ndarray      # class indices 0..n_classes-1
+    n_classes: int
+    mtry: int
+    seed: int
+
+
+def _grow_indexed(data: _TrainingSet, i: int) -> DecisionTree:
+    """Tree ``i`` of the forest: its own seed stream draws the bootstrap
+    resample, then the candidate features of every node."""
+    rng = Xorshift64Star(derive_seed(data.seed, i))
+    n = len(data.y_idx)
+    boot = np.fromiter((rng.below(n) for _ in range(n)), dtype=np.int64,
+                       count=n)
+    return _grow_tree(data.xt[:, boot], data.y_idx[boot], data.n_classes,
+                      data.mtry, rng)
+
+
+_worker_data: _TrainingSet | None = None  # set in each pool worker only
+
+
+def _init_worker(data: _TrainingSet) -> None:
+    global _worker_data
+    _worker_data = data
+
+
+def _grow_in_worker(i: int) -> DecisionTree:
+    return _grow_indexed(_worker_data, i)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def train_forest(
     x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0
 ) -> ForestModel:
-    """Grow ``n_trees`` CART trees on bootstrap resamples of (x, y)."""
+    """Grow ``n_trees`` CART trees on bootstrap resamples of (x, y).
+
+    Trees grow in up to ``min(usable CPUs, n_trees)`` forked processes; the
+    model does not depend on how many.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
+    if n_trees < 1:
+        raise DataError(f"a forest needs at least one tree, got {n_trees}")
     if x.ndim != 2 or len(x) != len(y) or len(y) == 0:
         raise DataError("training needs matching non-empty x (2-D) and y")
     if np.any(np.isnan(x)):
@@ -155,15 +208,19 @@ def train_forest(
     classes = np.unique(y)
     if len(classes) < 2:
         raise DataError("training needs at least two classes")
-    y_idx = np.searchsorted(classes, y)
-    n = len(y)
-    mtry = math.ceil(math.sqrt(x.shape[1]))
-    trees = []
-    for i in range(n_trees):
-        rng = Xorshift64Star(derive_seed(seed, i))
-        boot = np.fromiter((rng.below(n) for _ in range(n)), dtype=np.int64,
-                           count=n)
-        trees.append(_grow_tree(x[boot], y_idx[boot], len(classes), mtry, rng))
+    data = _TrainingSet(xt=np.ascontiguousarray(x.T),
+                        y_idx=np.searchsorted(classes, y),
+                        n_classes=len(classes),
+                        mtry=math.ceil(math.sqrt(x.shape[1])), seed=seed)
+    workers = min(_usable_cpus(), n_trees)
+    if workers == 1 or "fork" not in mp.get_all_start_methods():
+        trees = [_grow_indexed(data, i) for i in range(n_trees)]
+    else:
+        # forked workers inherit ``data`` through initargs without pickling
+        with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(data,)) as pool:
+            trees = list(pool.map(_grow_in_worker, range(n_trees)))
     return ForestModel(trees=trees, classes=classes, n_features=x.shape[1],
                        seed=seed)
 
@@ -190,6 +247,8 @@ def predict(model: ForestModel, x: np.ndarray) -> np.ndarray:
             f"feature dimension {x.shape[-1] if x.ndim else 0} does not match "
             f"model ({model.n_features})"
         )
+    if np.any(np.isnan(x)):
+        raise DataError("prediction features contain NaN")
     votes = np.zeros((len(x), model.n_classes))
     for tree in model.trees:
         votes += _tree_probs(tree, x)

@@ -457,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
                 if key in ("tree", "attr", "feature"):
                     value = _csv_list(value)
                 setattr(args, key, value)
+        if getattr(args, "rf_trees", 1) < 1:
+            raise FormatError(
+                f"--rf-trees must be at least 1, got {args.rf_trees}")
         return _COMMANDS[args.command](args)
     except (FileNotFoundError, IsADirectoryError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Exception types shared across the library.
 
 The CLI maps these onto exit codes: FormatError (and missing files) mean a
-broken or unreadable input, DataError means the inputs are readable but
-semantically unusable (mismatched dimensions, degenerate training sets, ...).
+broken or unreadable input, such as a malformed file or an out-of-range
+option, DataError means the inputs are readable but semantically unusable
+(mismatched dimensions, degenerate training sets, ...).
 """
 
 

@@ -51,10 +51,6 @@ class Xorshift64Star:
             raise ValueError("below() needs n >= 1")
         return self.next_u64() % n
 
-    def uniform(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) / float(1 << 53)
-
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """First k entries of a partial Fisher-Yates shuffle of range(n)."""
         if k > n:

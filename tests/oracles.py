@@ -220,3 +220,34 @@ def tree_component_pixels(tree) -> list[list[int]]:
     for i in range(tree.node_count - 1, 0, -1):
         comp[tree.parent[i]].extend(comp[i])
     return comp
+
+
+def best_split_per_feature(x_node: np.ndarray, y_node: np.ndarray,
+                           n_classes: int, feature_ids: list[int]):
+    """Forest split search one candidate feature at a time, in draw order:
+    (feature, threshold) of the first minimum weighted Gini, or None."""
+    n = len(y_node)
+    onehot = np.equal(y_node[:, None], np.arange(n_classes)[None, :])
+    best_gini = np.inf
+    best = None
+    for f in feature_ids:
+        v = x_node[:, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        splits = np.flatnonzero(vs[:-1] < vs[1:])
+        if len(splits) == 0:
+            continue
+        cum = np.cumsum(onehot[order], axis=0, dtype=np.float64)
+        nl = (splits + 1).astype(np.float64)
+        nr = n - nl
+        left = cum[splits]
+        right = cum[-1][None, :] - left
+        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+        weighted = (nl * gini_l + nr * gini_r) / n
+        k = int(np.argmin(weighted))
+        if weighted[k] < best_gini:
+            best_gini = weighted[k]
+            pos = splits[k]
+            best = (f, (vs[pos] + vs[pos + 1]) / 2.0)
+    return best

@@ -4,17 +4,30 @@ import numpy as np
 import pytest
 
 from treeprofiles import (
+    Attribute,
     DataError,
+    Feature,
+    FilterSpec,
     ForestModel,
+    ProfileTrees,
+    build_fp,
+    default_area_thresholds,
+    default_moment_thresholds,
     evaluate,
     load_model,
     model_from_bytes,
     model_to_bytes,
     predict,
     save_model,
+    split_labels,
+    synthetic_scene,
     train_forest,
+    tree_bundle,
 )
-from treeprofiles.classifier import DecisionTree
+from treeprofiles import classifier
+from treeprofiles.classifier import DecisionTree, _best_split
+
+from oracles import best_split_per_feature
 
 
 def separable_blobs(rng, n_per_class=50, margin=4.0, radius=1.0):
@@ -23,6 +36,23 @@ def separable_blobs(rng, n_per_class=50, margin=4.0, radius=1.0):
     x = np.vstack([a, b])
     y = np.array([1] * n_per_class + [2] * n_per_class)
     return x, y
+
+
+def fp_training_set():
+    """FP stack of a 64x64 synthetic scene and its 10 % training split: ties,
+    constant columns and deep trees, unlike the tiny hand-made datasets."""
+    img, labels = synthetic_scene(64, 64, seed=5)
+    train, _ = split_labels(labels, 0.10, seed=5)
+    idx, y = train.samples()
+    bundle = tree_bundle(img, ProfileTrees.COMPONENT_PAIR)
+    specs = (FilterSpec(Attribute.AREA, default_area_thresholds(64 * 64)),
+             FilterSpec(Attribute.MOMENT, default_moment_thresholds()))
+    fp = np.concatenate([
+        build_fp(img, ProfileTrees.COMPONENT_PAIR, spec,
+                 [Feature.STD_DEV, Feature.AREA], bundle=bundle).data
+        for spec in specs
+    ], axis=1)
+    return fp[idx], y
 
 
 class TestTraining:
@@ -60,6 +90,40 @@ class TestTraining:
         with pytest.raises(DataError):
             train_forest(x, np.array([1, 1, 2, 2]))
 
+    @pytest.mark.parametrize("n_trees", [0, -3])
+    def test_no_trees_error(self, rng, n_trees):
+        x, y = separable_blobs(rng, n_per_class=5)
+        with pytest.raises(DataError):
+            train_forest(x, y, n_trees=n_trees)
+
+    def test_batched_split_matches_per_feature_scan(self, rng):
+        # exact equality: same Gini floats, same tie-breaking, for class
+        # counts on both sides of numpy's 8-wide pairwise summation
+        for _ in range(300):
+            m = int(rng.integers(2, 120))
+            n_features = int(rng.integers(1, 12))
+            n_classes = int(rng.integers(2, 13))
+            x = rng.integers(0, int(rng.integers(1, 6)), size=(m, n_features))
+            x = x * rng.choice([0.1, 1.0, 3.7])
+            y = rng.integers(0, n_classes, size=m)
+            k = int(rng.integers(1, n_features + 1))
+            cands = list(rng.permutation(n_features)[:k])
+            got = _best_split(x[:, cands].T.copy(), y, n_classes)
+            want = best_split_per_feature(x, y, n_classes, cands)
+            if want is None:
+                assert got is None
+            else:
+                assert (cands[got[0]], got[1]) == want
+
+    def test_in_process_matches_pool(self, monkeypatch):
+        x, y = fp_training_set()
+        blobs = []
+        for cpus in (1, 3):  # 1: grown in process; 3: more workers than cores
+            monkeypatch.setattr(classifier, "_usable_cpus", lambda c=cpus: c)
+            model = train_forest(x, y, n_trees=10, seed=5)
+            blobs.append(model_to_bytes(model))
+        assert blobs[0] == blobs[1]
+
     def test_monotone_transform_invariance(self, rng):
         x, y = separable_blobs(rng, n_per_class=30)
         # rank-preserving integer remap of column 0 over the value universe
@@ -91,6 +155,14 @@ class TestPredict:
         model = train_forest(x, y, n_trees=2, seed=0)
         with pytest.raises(DataError):
             predict(model, np.zeros((3, 5)))
+
+    def test_nan_error(self, rng):
+        x, y = separable_blobs(rng)
+        model = train_forest(x, y, n_trees=2, seed=0)
+        probe = np.zeros((3, 2))
+        probe[2, 1] = np.nan
+        with pytest.raises(DataError):
+            predict(model, probe)
 
     def test_leaf_probabilities_sum_to_one(self, rng):
         x, y = separable_blobs(rng)
@@ -171,6 +243,16 @@ class TestSerialization:
         digest = hashlib.sha256(model_to_bytes(model)).hexdigest()
         assert digest == (
             "bf472e555db671018a213578d0cdc25c44423f3634797f3ade646983432352f2"
+        )
+
+    def test_golden_digest_fp_stack(self):
+        # a realistic stack exercises ties between candidate features and
+        # split positions, which the 8-sample digest above cannot reach
+        x, y = fp_training_set()
+        model = train_forest(x, y, n_trees=10, seed=5)
+        digest = hashlib.sha256(model_to_bytes(model)).hexdigest()
+        assert digest == (
+            "e8ddc58fe8aa5e9dd0fec9343822c322958be1dc5ede817eecbdacb8c963bf4b"
         )
 
     def test_bad_magic(self):

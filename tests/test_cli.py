@@ -116,6 +116,22 @@ class TestClassifyCommand:
         )
         assert out.returncode == 3
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_zero_trees_exit_2(self, scene_dir, tmp_path, where):
+        args = ["classify", "--image", scene_dir / "scene.pgm",
+                "--train", scene_dir / "train.pgm",
+                "--test", scene_dir / "test.pgm",
+                "--mode", "raw", "--out", tmp_path]
+        if where == "flag":
+            args += ["--rf-trees", 0]
+        else:
+            (tmp_path / "run.cfg").write_text("rf_trees = 0\n")
+            args += ["--config", tmp_path / "run.cfg"]
+        out = run_cli(*args)
+        assert out.returncode == 2
+        assert out.stderr.count("\n") == 1 and "rf-trees" in out.stderr
+        assert not (tmp_path / "report.json").exists()
+
     def test_saved_profile_input(self, scene_dir, tmp_path):
         out = run_cli(
             "profile", "--image", scene_dir / "scene.pgm", "--tree", "alpha",
