@@ -72,6 +72,7 @@ from .profiles import (
     build_ap,
     build_extended,
     build_fp,
+    build_tree,
     default_area_thresholds,
     default_moment_thresholds,
     default_rule,

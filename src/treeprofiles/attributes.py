@@ -1,8 +1,9 @@
 """Per-node attributes computed incrementally over any tree.
 
-One bottom-up pass accumulates, for every node, the pixel count, spatial
+Three child-to-parent folds (``Tree.accumulate`` with sum, minimum and
+maximum over stacked columns) give every node the pixel count, spatial
 moment sums, gray-level moment sums, gray extrema and the bounding box of
-the node's full component (direct pixels plus all descendants).  Gray
+its full component (direct pixels plus all descendants).  Gray
 statistics always refer to the source image values, so features read from a
 pruned tree still describe the original pixels inside each component.
 
@@ -49,7 +50,7 @@ class AttributeTable:
 
 
 def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
-    """Accumulate all per-node statistics in a single bottom-up pass."""
+    """Accumulate all per-node statistics bottom-up."""
     if (tree.width, tree.height) != (image.width, image.height):
         raise DataError("tree and image dimensions do not match")
     n = tree.node_count
@@ -59,60 +60,24 @@ def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
     ys = pix // tree.width
     node = tree.pixel_node
 
-    def accum(values) -> np.ndarray:
-        out = np.zeros(n, dtype=np.int64)
-        np.add.at(out, node, values)
-        return out
-
-    area = accum(np.ones_like(pix))
-    sum_x = accum(xs)
-    sum_y = accum(ys)
-    sum_xx = accum(xs * xs)
-    sum_yy = accum(ys * ys)
-    gray_sum = accum(flat)
-    gray_sum_sq = accum(flat * flat)
-
     big = np.iinfo(np.int64).max
-    gray_min = np.full(n, big, dtype=np.int64)
-    gray_max = np.full(n, -big, dtype=np.int64)
-    np.minimum.at(gray_min, node, flat)
-    np.maximum.at(gray_max, node, flat)
-    xmin = np.full(n, big, dtype=np.int64)
-    ymin = np.full(n, big, dtype=np.int64)
-    xmax = np.full(n, -big, dtype=np.int64)
-    ymax = np.full(n, -big, dtype=np.int64)
-    np.minimum.at(xmin, node, xs)
-    np.minimum.at(ymin, node, ys)
-    np.maximum.at(xmax, node, xs)
-    np.maximum.at(ymax, node, ys)
+    sums = np.zeros((n, 7), dtype=np.int64)
+    np.add.at(sums, node, np.stack(
+        [np.ones_like(pix), xs, ys, xs * xs, ys * ys, flat, flat * flat], axis=1))
+    lows = np.full((n, 3), big, dtype=np.int64)
+    np.minimum.at(lows, node, np.stack([flat, xs, ys], axis=1))
+    highs = np.full((n, 3), -big, dtype=np.int64)
+    np.maximum.at(highs, node, np.stack([flat, xs, ys], axis=1))
 
-    parent = tree.parent
-    for i in range(n - 1, 0, -1):
-        p = parent[i]
-        area[p] += area[i]
-        sum_x[p] += sum_x[i]
-        sum_y[p] += sum_y[i]
-        sum_xx[p] += sum_xx[i]
-        sum_yy[p] += sum_yy[i]
-        gray_sum[p] += gray_sum[i]
-        gray_sum_sq[p] += gray_sum_sq[i]
-        if gray_min[i] < gray_min[p]:
-            gray_min[p] = gray_min[i]
-        if gray_max[i] > gray_max[p]:
-            gray_max[p] = gray_max[i]
-        if xmin[i] < xmin[p]:
-            xmin[p] = xmin[i]
-        if ymin[i] < ymin[p]:
-            ymin[p] = ymin[i]
-        if xmax[i] > xmax[p]:
-            xmax[p] = xmax[i]
-        if ymax[i] > ymax[p]:
-            ymax[p] = ymax[i]
-
+    area, sum_x, sum_y, sum_xx, sum_yy, gray_sum, gray_sum_sq = \
+        tree.accumulate(sums, np.add).T
+    gray_min, xmin, ymin = tree.accumulate(lows, np.minimum).T
+    gray_max, xmax, ymax = tree.accumulate(highs, np.maximum).T
     return AttributeTable(
         area=area, sum_x=sum_x, sum_y=sum_y, sum_xx=sum_xx, sum_yy=sum_yy,
         gray_sum=gray_sum, gray_sum_sq=gray_sum_sq,
-        gray_min=gray_min, gray_max=gray_max,
+        # copies: a column view would keep its whole (N, 3) block alive
+        gray_min=gray_min.copy(), gray_max=gray_max.copy(),
         bbox=np.stack([xmin, ymin, xmax, ymax], axis=1),
     )
 

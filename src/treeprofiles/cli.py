@@ -30,12 +30,7 @@ import numpy as np
 from .attributes import compute_attributes, dump_attributes
 from .classifier import evaluate, predict, train_forest
 from .errors import DataError, FormatError
-from .hierarchies import (
-    Connectivity,
-    build_max_tree,
-    build_min_tree,
-    dump_tree,
-)
+from .hierarchies import Connectivity, TreeKind, dump_tree
 from .imagery import (
     LabelMap,
     RasterImage,
@@ -45,8 +40,6 @@ from .imagery import (
     pca_reduce,
     rescale_to_levels,
 )
-from .inclusion import build_tree_of_shapes
-from .partition import build_alpha_tree, build_omega_tree
 from .profiles import (
     Attribute,
     Feature,
@@ -55,6 +48,7 @@ from .profiles import (
     ProfileTrees,
     build_ap,
     build_fp,
+    build_tree,
     default_area_thresholds,
     default_moment_thresholds,
     tree_bundle,
@@ -84,14 +78,20 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _csv_list(value) -> list[str]:
-    """Flatten repeatable/comma-separated flag values."""
+def _parse_choices(value, choices: type, flag: str) -> list[str]:
+    """Flatten repeatable/comma-separated flag values and check each one
+    against an enum's values."""
     if value is None:
         return []
-    out: list[str] = []
+    names: list[str] = []
     for item in value if isinstance(value, list) else [value]:
-        out.extend(p.strip() for p in str(item).split(",") if p.strip())
-    return out
+        names.extend(p.strip() for p in str(item).split(",") if p.strip())
+    valid = [c.value for c in choices]
+    for name in names:
+        if name not in valid:
+            raise FormatError(f"--{flag}: unknown value {name!r}, "
+                              f"expected one of {'|'.join(valid)}")
+    return names
 
 
 def _parse_thresholds(text: str | None) -> tuple[float, ...] | None:
@@ -261,9 +261,9 @@ def _fit_eval(matrix: np.ndarray, train: LabelMap, test: LabelMap,
 
 def cmd_profile(args) -> int:
     bands = _load_bands(args)
-    attrs = tuple(_csv_list(args.attr) or ["area", "moment"])
-    features = tuple(_csv_list(args.feature) or ["stddev", "area"])
-    kinds = _csv_list(args.tree) or ["component"]
+    attrs = tuple(args.attr or ["area", "moment"])
+    features = tuple(args.feature or ["stddev", "area"])
+    kinds = args.tree or ["component"]
     modes = ["ap", "fp"] if args.mode == "both" else [args.mode]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,9 +310,9 @@ def cmd_classify(args) -> int:
         matrix = np.stack([b.values.ravel().astype(np.float64) for b in bands],
                           axis=1)
     else:
-        attrs = tuple(_csv_list(args.attr) or ["area", "moment"])
-        features = tuple(_csv_list(args.feature) or ["stddev", "area"])
-        kinds = _csv_list(args.tree) or ["component"]
+        attrs = tuple(args.attr or ["area", "moment"])
+        features = tuple(args.feature or ["stddev", "area"])
+        kinds = args.tree or ["component"]
         modes = ["ap", "fp"] if args.mode == "both" else [args.mode]
         cache = _StackCache(bands, args)
         matrix = np.concatenate(
@@ -351,8 +351,8 @@ def cmd_compare(args) -> int:
     started = time.perf_counter()
     bands = _load_bands(args)
     train, test = _labels_for(args, bands)
-    features = tuple(_csv_list(args.feature) or ["stddev", "area"])
-    kinds = _csv_list(args.tree) or ["component", "tos", "alpha", "omega"]
+    features = tuple(args.feature or ["stddev", "area"])
+    kinds = args.tree or ["component", "tos", "alpha", "omega"]
     cache = _StackCache(bands, args)
 
     rows = []
@@ -403,23 +403,10 @@ def cmd_compare(args) -> int:
 
 def cmd_tree_dump(args) -> int:
     image = load_grayscale(_require(args, "image"))
-    kinds = _csv_list(args.tree) or ["max"]
+    kinds = args.tree or ["max"]
     if len(kinds) != 1:
         raise DataError("tree-dump takes exactly one tree kind")
-    kind = kinds[0]
-    conn = Connectivity(args.connectivity)
-    if kind == "max":
-        tree = build_max_tree(image, conn)
-    elif kind == "min":
-        tree = build_min_tree(image, conn)
-    elif kind == "tos":
-        tree = build_tree_of_shapes(image)
-    elif kind == "alpha":
-        tree = build_alpha_tree(image, conn)
-    elif kind == "omega":
-        tree = build_omega_tree(build_alpha_tree(image, conn), image)
-    else:
-        raise DataError(f"unknown tree kind {kind!r}")
+    tree = build_tree(image, kinds[0], Connectivity(args.connectivity))
     if args.attributes:
         text = dump_attributes(tree, compute_attributes(tree, image))
     else:
@@ -454,9 +441,13 @@ def main(argv: list[str] | None = None) -> int:
                 flag = "--" + key.replace("_", "-")
                 if flag in given or not hasattr(args, key):
                     continue
-                if key in ("tree", "attr", "feature"):
-                    value = _csv_list(value)
                 setattr(args, key, value)
+        args.tree = _parse_choices(
+            args.tree,
+            TreeKind if args.command == "tree-dump" else ProfileTrees, "tree")
+        if args.command != "tree-dump":
+            args.attr = _parse_choices(args.attr, Attribute, "attr")
+            args.feature = _parse_choices(args.feature, Feature, "feature")
         if getattr(args, "rf_trees", 1) < 1:
             raise FormatError(
                 f"--rf-trees must be at least 1, got {args.rf_trees}")

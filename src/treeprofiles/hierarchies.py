@@ -14,6 +14,14 @@ omega trees) is stored as the same parent-array structure:
   pruned down to node i (the level for component/inclusion trees, the
   rounded component mean for partition trees).
 
+Every per-node pass goes through two kernels, after Higra's
+``accumulate_sequential`` / ``propagate_sequential``: ``accumulate`` folds
+values child to parent (areas, moments, extrema, flags) and ``propagate``
+parent to child (pruning, nearest retained ancestor, preorder ranks).  Both
+run one numpy call per depth layer, so their cost grows with tree depth.
+The layers come from pointer doubling and are cached on each ``Tree``;
+builders that have only a parent array pass them in explicitly.
+
 Component trees are built with union-find over pixels sorted by gray value
 (path compression plus a canonicalization pass), which keeps construction
 near-linear per sorted bucket.
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +67,46 @@ class TreeKind(str, Enum):
     OMEGA_TREE = "omega"
 
 
+def depth_layers(parent: np.ndarray) -> list[np.ndarray]:
+    """Non-root node ids of a root-first parent array grouped by depth,
+    shallowest layer first, each layer in ascending id order.
+
+    Depths come from pointer doubling: every round adds the depth gained by
+    each node's current ancestor and jumps to that ancestor's ancestor.
+    """
+    parent = np.asarray(parent, dtype=np.int64)
+    depth = (parent != np.arange(len(parent))).astype(np.int64)
+    up = parent
+    while np.any(up != 0):
+        depth += depth[up]
+        up = up[up]
+    order = np.argsort(depth, kind="stable")
+    bounds = np.cumsum(np.bincount(depth))
+    return np.split(order, bounds[:-1])[1:]
+
+
+def accumulate(parent: np.ndarray, layers: list[np.ndarray],
+               values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """Fold ``values`` (shape (N,) or (N, k)) from children into parents,
+    deepest layer first: afterwards each node holds ``ufunc`` over its whole
+    subtree.  Returns a new array."""
+    out = np.array(values, copy=True)
+    for layer in reversed(layers):
+        ufunc.at(out, parent[layer], out[layer])
+    return out
+
+
+def propagate(parent: np.ndarray, layers: list[np.ndarray],
+              values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """Fold ``values`` from parents into children, shallowest layer first:
+    afterwards each node holds ``ufunc`` over its root path, root first.
+    Returns a new array."""
+    out = np.array(values, copy=True)
+    for layer in layers:
+        out[layer] = ufunc(out[parent[layer]], out[layer])
+    return out
+
+
 @dataclass
 class Tree:
     """Single-rooted hierarchy over the pixels of one image."""
@@ -89,20 +138,23 @@ class Tree:
     def node_count(self) -> int:
         return len(self.parent)
 
-    @property
-    def root(self) -> int:
-        return 0
-
     def direct_pixels(self, node: int) -> np.ndarray:
         """Flat indices of pixels attached directly to this node."""
         lo, hi = self.attached_offsets[node], self.attached_offsets[node + 1]
         return self.attached_pixels[lo:hi]
 
-    def children_lists(self) -> list[list[int]]:
-        children: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i in range(1, self.node_count):
-            children[self.parent[i]].append(i)
-        return children
+    @cached_property
+    def layers(self) -> list[np.ndarray]:
+        """Non-root node ids grouped by depth, shallowest layer first."""
+        return depth_layers(self.parent)
+
+    def accumulate(self, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+        """Child-to-parent fold; see the module-level ``accumulate``."""
+        return accumulate(self.parent, self.layers, values, ufunc)
+
+    def propagate(self, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+        """Parent-to-child fold; see the module-level ``propagate``."""
+        return propagate(self.parent, self.layers, values, ufunc)
 
     def validate(self) -> None:
         """Cheap structural sanity checks; raises DataError on violation."""
@@ -205,19 +257,25 @@ def _tree_from_pixel_parents(
     )
 
 
+def _component_tree(
+    values_flat: np.ndarray, width: int, height: int, levels: int,
+    connectivity: Connectivity | str, kind: TreeKind,
+) -> Tree:
+    parent, order = _component_tree_arrays(
+        values_flat, width, height, as_connectivity(connectivity),
+        brightest_first=kind is TreeKind.MAX_TREE,
+    )
+    return _tree_from_pixel_parents(
+        values_flat, parent, order, width, height, levels, kind
+    )
+
+
 def build_max_tree(
     image: RasterImage, connectivity: Connectivity | str = Connectivity.C4
 ) -> Tree:
     """Hierarchy of connected components of the upper level sets of the image."""
-    conn = as_connectivity(connectivity)
-    flat = image.values.ravel()
-    parent, order = _component_tree_arrays(
-        flat, image.width, image.height, conn, brightest_first=True
-    )
-    return _tree_from_pixel_parents(
-        flat, parent, order, image.width, image.height, image.levels,
-        TreeKind.MAX_TREE,
-    )
+    return _component_tree(image.values.ravel(), image.width, image.height,
+                           image.levels, connectivity, TreeKind.MAX_TREE)
 
 
 def build_min_tree(
@@ -228,15 +286,20 @@ def build_min_tree(
     Structurally equal to the max-tree of the level-complemented image with
     levels mapped back to the original scale.
     """
-    conn = as_connectivity(connectivity)
-    flat = image.values.ravel()
-    parent, order = _component_tree_arrays(
-        flat, image.width, image.height, conn, brightest_first=False
-    )
-    return _tree_from_pixel_parents(
-        flat, parent, order, image.width, image.height, image.levels,
-        TreeKind.MIN_TREE,
-    )
+    return _component_tree(image.values.ravel(), image.width, image.height,
+                           image.levels, connectivity, TreeKind.MIN_TREE)
+
+
+def nearest_marked(tree: Tree, mask: np.ndarray) -> np.ndarray:
+    """For each node, itself if marked, else its nearest marked ancestor.
+
+    Ids grow along every root-to-leaf path, so that node is the largest
+    marked id on the node's root path.  The root must be marked.
+    """
+    if not mask[0]:
+        raise DataError("the root must be retained")
+    ids = np.arange(tree.node_count)
+    return tree.propagate(np.where(mask, ids, 0), np.maximum)
 
 
 def smallest_node(tree: Tree, pixel: tuple[int, int]) -> int:
@@ -249,10 +312,8 @@ def smallest_node(tree: Tree, pixel: tuple[int, int]) -> int:
 
 def node_areas(tree: Tree) -> np.ndarray:
     """Pixel count per node (direct pixels plus all descendants)."""
-    counts = np.bincount(tree.pixel_node, minlength=tree.node_count).astype(np.int64)
-    for i in range(tree.node_count - 1, 0, -1):
-        counts[tree.parent[i]] += counts[i]
-    return counts
+    counts = np.bincount(tree.pixel_node, minlength=tree.node_count)
+    return tree.accumulate(counts.astype(np.int64), np.add)
 
 
 def _format_level(value: float) -> str:

@@ -30,8 +30,9 @@ from .hierarchies import (
     Connectivity,
     Tree,
     TreeKind,
-    _component_tree_arrays,
-    _tree_from_pixel_parents,
+    _component_tree,
+    accumulate,
+    depth_layers,
 )
 from .imagery import RasterImage
 
@@ -55,43 +56,32 @@ def _border_median_doubled(values: np.ndarray) -> int:
 def _subtree_pixel_slices(tree: Tree):
     """Per-node component pixels as one shared array plus (lo, hi) bounds.
 
-    Pixels are ordered by the preorder rank of their attaching node, so each
-    node's full component is a contiguous slice.
+    Pixels are ordered by the preorder rank of their attaching node
+    (children visited in ascending id order), so each node's full component
+    is a contiguous slice.
     """
     n = tree.node_count
-    children = tree.children_lists()
-    pre = np.empty(n, dtype=np.int64)
-    post = np.empty(n, dtype=np.int64)
-    counter = 0
-    stack: list[tuple[int, bool]] = [(0, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            post[node] = counter
-            continue
-        pre[node] = counter
-        counter += 1
-        stack.append((node, True))
-        for child in reversed(children[node]):
-            stack.append((child, False))
+    size = tree.accumulate(np.ones(n, dtype=np.int64), np.add)
+    # a child's rank is its parent's rank + 1 + the sizes of its lower-id
+    # siblings; children sorted by parent are grouped, ascending within
+    children = np.argsort(tree.parent[1:], kind="stable") + 1
+    before = np.cumsum(size[children]) - size[children]
+    first = np.diff(tree.parent[children], prepend=-1) != 0
+    group_start = np.maximum.accumulate(np.where(first, np.arange(n - 1), 0))
+    step = np.zeros(n, dtype=np.int64)
+    step[children] = 1 + before - before[group_start]
+    pre = tree.propagate(step, np.add)
     keys = pre[tree.pixel_node]
     pix_order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=n)
-    cum = np.concatenate(([0], np.cumsum(counts)))
-    lo = cum[pre]
-    hi = cum[post]
-    return pix_order, lo, hi
+    cum = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+    return pix_order, cum[pre], cum[pre + size]
 
 
 def _frame_containing(tree: Tree, frame_idx: np.ndarray) -> np.ndarray:
     """Boolean mask of nodes whose component includes a frame pixel."""
     flags = np.zeros(tree.node_count, dtype=bool)
     flags[tree.pixel_node[frame_idx]] = True
-    parent = tree.parent
-    for i in range(tree.node_count - 1, 0, -1):
-        if flags[i]:
-            flags[parent[i]] = True
-    return flags
+    return tree.accumulate(flags, np.logical_or)
 
 
 def _collect_shapes(tree: Tree, frame_idx: np.ndarray, upper: bool, registry: dict):
@@ -136,17 +126,10 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     frame_idx = np.flatnonzero(frame_mask.ravel())
 
     registry: dict = {}
-    for brightest_first, kind, upper in (
-        (True, TreeKind.MAX_TREE, True),
-        (False, TreeKind.MIN_TREE, False),
-    ):
-        parent, order = _component_tree_arrays(
-            flat, pw, ph, Connectivity.C4, brightest_first
-        )
-        side_tree = _tree_from_pixel_parents(
-            flat, parent, order, pw, ph, 2, kind
-        )
-        _collect_shapes(side_tree, frame_idx, upper, registry)
+    for kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE):
+        side_tree = _component_tree(flat, pw, ph, 2, Connectivity.C4, kind)
+        _collect_shapes(side_tree, frame_idx, kind is TreeKind.MAX_TREE,
+                        registry)
 
     # order: largest first so painting leaves each pixel in its smallest shape
     entries = []
@@ -174,9 +157,9 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     # was claimed by such crossing shapes would carry an empty component;
     # drop it so attribute accumulation stays well-defined.  Parents of
     # surviving nodes always survive (their subtrees are supersets).
-    subtree = np.bincount(label.ravel(), minlength=n_shapes)
-    for sid in range(n_shapes - 1, 0, -1):
-        subtree[node_parent[sid]] += subtree[sid]
+    subtree = accumulate(node_parent, depth_layers(node_parent),
+                         np.bincount(label.ravel(), minlength=n_shapes),
+                         np.add)
     if not subtree.all():
         alive = subtree > 0
         new_id = np.cumsum(alive) - 1

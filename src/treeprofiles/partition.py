@@ -20,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .hierarchies import Connectivity, Tree, TreeKind, as_connectivity
+from .hierarchies import (
+    Connectivity,
+    Tree,
+    TreeKind,
+    accumulate,
+    as_connectivity,
+    depth_layers,
+    nearest_marked,
+)
 from .imagery import MultibandImage, RasterImage
 
 
@@ -157,12 +165,9 @@ def build_alpha_tree(
     )
 
     # reconstruction representative: rounded component mean gray
-    area = np.bincount(pixel_node, minlength=n_nodes).astype(np.int64)
-    gray_sum = np.zeros(n_nodes, dtype=np.int64)
-    np.add.at(gray_sum, pixel_node, flat)
-    for i in range(n_nodes - 1, 0, -1):
-        area[parent[i]] += area[i]
-        gray_sum[parent[i]] += gray_sum[i]
+    stats = np.zeros((n_nodes, 2), dtype=np.int64)
+    np.add.at(stats, pixel_node, np.stack([np.ones_like(flat), flat], axis=1))
+    area, gray_sum = accumulate(parent, depth_layers(parent), stats, np.add).T
     rep = gray_sum // area + ((gray_sum % area) * 2 >= area)
 
     return Tree(
@@ -193,20 +198,15 @@ def build_omega_tree(alpha_tree: Tree, image: RasterImage) -> Tree:
     gmax = np.full(n_alpha, np.iinfo(np.int64).min, dtype=np.int64)
     np.minimum.at(gmin, alpha_tree.pixel_node, flat)
     np.maximum.at(gmax, alpha_tree.pixel_node, flat)
-    parent = alpha_tree.parent
-    for i in range(n_alpha - 1, 0, -1):
-        gmin[parent[i]] = min(gmin[parent[i]], gmin[i])
-        gmax[parent[i]] = max(gmax[parent[i]], gmax[i])
-    rng = gmax - gmin
+    rng = alpha_tree.accumulate(gmax, np.maximum) \
+        - alpha_tree.accumulate(gmin, np.minimum)
 
+    parent = alpha_tree.parent
     keep = np.zeros(n_alpha, dtype=bool)
     keep[0] = True
     keep[1:] = rng[1:] < rng[parent[1:]]
     new_id = np.cumsum(keep) - 1  # surviving nodes keep topological order
-    omega_of = np.empty(n_alpha, dtype=np.int32)
-    omega_of[0] = 0
-    for i in range(1, n_alpha):
-        omega_of[i] = new_id[i] if keep[i] else omega_of[parent[i]]
+    omega_of = new_id[nearest_marked(alpha_tree, keep)].astype(np.int32)
 
     survivors = np.flatnonzero(keep)
     n_nodes = len(survivors)
@@ -234,11 +234,7 @@ def partition_at(tree: Tree, threshold: float) -> np.ndarray:
     """
     if tree.kind not in (TreeKind.ALPHA_TREE, TreeKind.OMEGA_TREE):
         raise DataError("partition_at applies to partition trees only")
-    n = tree.node_count
-    target = np.arange(n, dtype=np.int32)
-    for i in range(1, n):  # parents first: target[parent] already final
-        p = tree.parent[i]
-        if tree.level[p] <= threshold:
-            target[i] = target[p]
-    labels = target[tree.pixel_node]
+    top = np.ones(tree.node_count, dtype=bool)  # highest node of its block
+    top[1:] = tree.level[tree.parent[1:]] > threshold
+    labels = nearest_marked(tree, top).astype(np.int32)[tree.pixel_node]
     return labels.reshape(tree.height, tree.width)

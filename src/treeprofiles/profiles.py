@@ -23,6 +23,7 @@ the moment of inertia).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -42,6 +43,7 @@ from .hierarchies import (
     TreeKind,
     build_max_tree,
     build_min_tree,
+    nearest_marked,
 )
 from .imagery import MultibandImage, RasterImage, pca_reduce, rescale_to_levels
 from .inclusion import build_tree_of_shapes
@@ -68,10 +70,6 @@ class ProfileTrees(str, Enum):
     TOS = "tos"
     ALPHA = "alpha"
     OMEGA = "omega"
-
-
-# test-only pseudo-feature: the node's reconstruction value
-_LEVEL_FEATURE = "_level"
 
 
 def default_rule(attribute: Attribute | str) -> FilterRule:
@@ -103,6 +101,8 @@ class FilterSpec:
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         if len(self.thresholds) == 0:
             raise DataError("FilterSpec needs at least one threshold")
+        if not all(math.isfinite(t) for t in self.thresholds):
+            raise DataError("thresholds must be finite numbers")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise DataError("thresholds must be strictly ascending")
         rule = default_rule(self.attribute) if self.rule is None \
@@ -131,31 +131,15 @@ def filter_tree(
     keep = values >= threshold
     keep[0] = True
     if rule is FilterRule.MIN:
-        parent = tree.parent
-        for i in range(1, tree.node_count):  # parents resolved first
-            if not keep[parent[i]]:
-                keep[i] = False
+        keep = tree.propagate(keep, np.logical_and)
     return keep
-
-
-def _nearest_retained(tree: Tree, mask: np.ndarray) -> np.ndarray:
-    """For each node, itself if retained else its nearest retained ancestor."""
-    if not mask[0]:
-        raise DataError("the root must be retained")
-    n = tree.node_count
-    resolved = np.empty(n, dtype=np.int64)
-    resolved[0] = 0
-    parent = tree.parent
-    for i in range(1, n):
-        resolved[i] = i if mask[i] else resolved[parent[i]]
-    return resolved
 
 
 def reconstruct(tree: Tree, mask: np.ndarray) -> RasterImage:
     """Image restitution: each pixel takes its smallest retained node's
     representative value (level for component/inclusion trees, rounded mean
     gray for partition trees)."""
-    resolved = _nearest_retained(tree, mask)
+    resolved = nearest_marked(tree, mask)
     values = tree.rep_value[resolved[tree.pixel_node]]
     return RasterImage(values.reshape(tree.height, tree.width), levels=tree.levels)
 
@@ -164,7 +148,7 @@ def _filtered_levels(tree: Tree, mask: np.ndarray) -> np.ndarray:
     """Like reconstruct but as a flat float column, keeping exact node levels
     for component/inclusion trees (the inclusion-tree root may sit at a
     half-integer level, which integer rounding would skew)."""
-    resolved = _nearest_retained(tree, mask)
+    resolved = nearest_marked(tree, mask)
     if tree.kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE,
                      TreeKind.TREE_OF_SHAPES):
         per_node = tree.level
@@ -181,17 +165,11 @@ def feature_map(
 ) -> np.ndarray:
     """Float image: feature of each pixel's smallest retained node, evaluated
     on the unfiltered tree's table."""
-    if feature != _LEVEL_FEATURE:
-        feature = Feature(feature)
-    if feature is Feature.STD_DEV:
+    if Feature(feature) is Feature.STD_DEV:
         per_node = std_dev_all(table)
-    elif feature is Feature.AREA:
-        per_node = table.area.astype(np.float64)
-    elif feature == _LEVEL_FEATURE:
-        per_node = tree.rep_value.astype(np.float64)
     else:
-        raise DataError(f"unknown feature {feature!r}")
-    resolved = _nearest_retained(tree, mask)
+        per_node = table.area.astype(np.float64)
+    resolved = nearest_marked(tree, mask)
     values = per_node[resolved[tree.pixel_node]]
     return values.reshape(tree.height, tree.width)
 
@@ -298,6 +276,29 @@ class TreeBundle:
     image: RasterImage
 
 
+def build_tree(
+    image: RasterImage,
+    kind: TreeKind | str,
+    connectivity: Connectivity | str = Connectivity.C4,
+) -> Tree:
+    """Build one tree of the given kind (max|min|tos|alpha|omega).
+
+    The builders are looked up as this module's globals at call time, so a
+    wrapper bound over one of them here is the one that runs.
+    """
+    kind = TreeKind(kind)
+    if kind is TreeKind.MAX_TREE:
+        return build_max_tree(image, connectivity)
+    if kind is TreeKind.MIN_TREE:
+        return build_min_tree(image, connectivity)
+    if kind is TreeKind.TREE_OF_SHAPES:
+        return build_tree_of_shapes(image)
+    alpha = build_alpha_tree(image, connectivity)
+    if kind is TreeKind.ALPHA_TREE:
+        return alpha
+    return build_omega_tree(alpha, image)
+
+
 def tree_bundle(
     image: RasterImage,
     trees: ProfileTrees,
@@ -306,20 +307,13 @@ def tree_bundle(
     """Build the trees a profile family needs once, for reuse across calls."""
     trees = ProfileTrees(trees)
     if trees is ProfileTrees.COMPONENT_PAIR:
-        tmin = build_min_tree(image, connectivity)
-        tmax = build_max_tree(image, connectivity)
-        pair = [(tmin, compute_attributes(tmin, image)),
-                (tmax, compute_attributes(tmax, image))]
-    elif trees is ProfileTrees.TOS:
-        t = build_tree_of_shapes(image)
-        pair = [(t, compute_attributes(t, image))]
-    elif trees is ProfileTrees.ALPHA:
-        t = build_alpha_tree(image, connectivity)
-        pair = [(t, compute_attributes(t, image))]
+        kinds = (TreeKind.MIN_TREE, TreeKind.MAX_TREE)
     else:
-        alpha = build_alpha_tree(image, connectivity)
-        t = build_omega_tree(alpha, image)
-        pair = [(t, compute_attributes(t, image))]
+        kinds = (TreeKind(trees.value),)
+    pair = []
+    for kind in kinds:
+        tree = build_tree(image, kind, connectivity)
+        pair.append((tree, compute_attributes(tree, image)))
     return TreeBundle(trees=trees, pair=pair, image=image)
 
 

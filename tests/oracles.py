@@ -251,3 +251,76 @@ def best_split_per_feature(x_node: np.ndarray, y_node: np.ndarray,
             pos = splits[k]
             best = (f, (vs[pos] + vs[pos + 1]) / 2.0)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Tree traversal: the per-node loops the depth-layered kernels replaced
+# ---------------------------------------------------------------------------
+
+def accumulate_loop(parent, values, ufunc):
+    """Child-to-parent fold one node at a time, highest id first."""
+    out = np.array(values, copy=True)
+    for i in range(len(parent) - 1, 0, -1):
+        out[parent[i]] = ufunc(out[parent[i]], out[i])
+    return out
+
+
+def propagate_loop(parent, values, ufunc):
+    """Parent-to-child fold one node at a time, lowest id first."""
+    out = np.array(values, copy=True)
+    for i in range(1, len(parent)):
+        out[i] = ufunc(out[parent[i]], out[i])
+    return out
+
+
+def nearest_retained_loop(parent, mask):
+    """Each node itself if retained, else its nearest retained ancestor."""
+    resolved = np.empty(len(parent), dtype=np.int64)
+    resolved[0] = 0
+    for i in range(1, len(parent)):
+        resolved[i] = i if mask[i] else resolved[parent[i]]
+    return resolved
+
+
+def min_rule_loop(parent, keep):
+    """Min pruning rule: a node is dropped when any ancestor is dropped."""
+    keep = np.array(keep, copy=True)
+    for i in range(1, len(parent)):
+        if not keep[parent[i]]:
+            keep[i] = False
+    return keep
+
+
+def partition_labels_loop(tree, threshold):
+    """Per-pixel id of the highest ancestor with level <= threshold."""
+    target = np.arange(tree.node_count, dtype=np.int32)
+    for i in range(1, tree.node_count):
+        p = tree.parent[i]
+        if tree.level[p] <= threshold:
+            target[i] = target[p]
+    return target[tree.pixel_node].reshape(tree.height, tree.width)
+
+
+def preorder_dfs(parent):
+    """(pre, post) ranks of a depth-first walk visiting children in
+    ascending id order; post is the counter value when a node's subtree is
+    done, so a node's subtree ranks are [pre, post)."""
+    n = len(parent)
+    children = [[] for _ in range(n)]
+    for i in range(1, n):
+        children[parent[i]].append(i)
+    pre = np.empty(n, dtype=np.int64)
+    post = np.empty(n, dtype=np.int64)
+    counter = 0
+    stack = [(0, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            post[node] = counter
+            continue
+        pre[node] = counter
+        counter += 1
+        stack.append((node, True))
+        for child in reversed(children[node]):
+            stack.append((child, False))
+    return pre, post

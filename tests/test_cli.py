@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -132,6 +134,25 @@ class TestClassifyCommand:
         assert out.stderr.count("\n") == 1 and "rf-trees" in out.stderr
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command, flags, code, names", [
+        ("classify", ["--tree", "bogus"], 2, "component|tos|alpha|omega"),
+        ("classify", ["--attr", "area,bogus"], 2, "area|moment"),
+        ("classify", ["--feature", "bogus"], 2, "stddev|area"),
+        ("tree-dump", ["--tree", "bogus"], 2, "max|min|tos|alpha|omega"),
+        ("classify", ["--area-thresholds", "nan,5"], 3, "finite"),
+    ])
+    def test_bad_option_value(self, scene_dir, tmp_path, command, flags,
+                              code, names):
+        args = [command, "--image", scene_dir / "scene.pgm", *flags]
+        if command == "classify":
+            args += ["--train", scene_dir / "train.pgm",
+                     "--test", scene_dir / "test.pgm", "--attr", "area",
+                     "--rf-trees", 5, "--out", tmp_path]
+        out = run_cli(*args)
+        assert out.returncode == code
+        assert out.stderr.count("\n") == 1 and names in out.stderr
+        assert not (tmp_path / "report.json").exists()
+
     def test_saved_profile_input(self, scene_dir, tmp_path):
         out = run_cli(
             "profile", "--image", scene_dir / "scene.pgm", "--tree", "alpha",
@@ -229,3 +250,109 @@ class TestMultibandPipeline:
         )
         assert out.returncode == 0, out.stderr
         assert "dim 14" in out.stdout  # 2 bands x (2*3+1)
+
+
+# sha256 digests computed before the tree traversal kernels replaced the
+# per-node loops; every tree kind and profile family must keep these bytes.
+GOLDEN_TREE_DUMP = {
+    "max": "97e792acfa5f0235080e00d9882c6ec160604030bf3a17d64b151e3d240c5994",
+    "min": "de07d1b2546ce978cf56a6318c4250d13ebd961177dd4d616d82055982ead5c7",
+    "tos": "cc5719fd081a078437b0b87c674a3eb953398182b3fb3e59afd9ac3257b30665",
+    "alpha": "271212123f6e7b2daba38dd5e25f83675aa641033e01654242c8339582a1f7cb",
+    "omega": "6e95dd665f291c5e8557661c311e146e7b8d4f2b1b9909efd232a6ffeca48e3e",
+}
+GOLDEN_ATTRIBUTE_DUMP = {
+    "max": "910453fd53d1aa3a54efe24eb1550423dafe4765ec12f41dbc148c03edd220b3",
+    "min": "e5579144d43cc91a5de6ac85efd0c3e697caab7cd74b0ff8863558b32948f685",
+    "tos": "c8ee027b65c60fab808f863f7256472d5418bda1c0e0c0804c9c846f4964543b",
+    "alpha": "2023ccd9adb786f2bbae8d0d03c01fdb3995343c28e4147c15921a00d612bf9a",
+    "omega": "e743646306699b12ec19c5c70d18691bdb21423f23ab14a9d9b31fad1f032507",
+}
+GOLDEN_PROFILE_FILES = {
+    "scene_alpha_ap.json": "eab9cc34d2eaea9d7252aec861bcd80a36466f231161b0d210b754cd79affea8",
+    "scene_alpha_ap.raw": "ff8a200accedbcbf269f8147e9dd1d33e20006632029bc294e8b441cf555d3d9",
+    "scene_alpha_fp.json": "f7cc4ae8a3499f62729d26aeb6c0fe8a4dea926cd3db8b9092f29f2efc237684",
+    "scene_alpha_fp.raw": "797f50ccfdf62f20cec0197e85f26aeb5c1e2b5b8522cf4a5ac1650eda341c3a",
+    "scene_component_ap.json": "b7a44d37968b82859e10d7a48d97c07512515cf69c5c3998a0fa482e2276652e",
+    "scene_component_ap.raw": "8ff6deeff0615ee29301ce622524e5b1e6d151dd2d0a9e71050cae500e2e50ac",
+    "scene_component_fp.json": "aa6d7ebab6055d2dbbd61a442919890e624597a2152677328aad58a97dbb9166",
+    "scene_component_fp.raw": "af17381f25e20ee3435bd9f31eeeafaaf7b3667edc0f0a571aab91c8a22843be",
+    "scene_omega_ap.json": "6d06d960a01528b5feaf5291801c1fec54b504f7ab974ad78da2ae70cda96e7a",
+    "scene_omega_ap.raw": "f08fa3940f1dfc456b068e3cbf2f9e7ed6327c9f1a90e58fc76cd0cc757053c5",
+    "scene_omega_fp.json": "20f4032dd66165125e0d4517756da396cddb406124267311f61a187a6423bbdc",
+    "scene_omega_fp.raw": "a111f03672c27c6d42072e410e182b76bb9895897ae5e1371f105e9c0cca5d22",
+    "scene_tos_ap.json": "666584ce63bb57e5c6857df3ca43ea4c82efdfc47e2e28eb9d8f13b820082acc",
+    "scene_tos_ap.raw": "bf538f266bd966db898a6ce79e56fc9b52c93172a7676f01a6cf6af60ec84f37",
+    "scene_tos_fp.json": "eb5bda78b9a201998aebdc0c683dbd9c89e87e73441a5709abb9d3b4a73cabfb",
+    "scene_tos_fp.raw": "b4c19a48948e11a80fe1bf08178d50b66a59ecdbd00041a0fbee2c337c65f49f",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_scene(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "scene.pgm"
+    save_pgm(synthetic_scene(24, 24, seed=3)[0], path)
+    return path
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenPins:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_TREE_DUMP))
+    def test_tree_dump(self, golden_scene, kind):
+        out = run_cli("tree-dump", "--image", golden_scene, "--tree", kind)
+        assert out.returncode == 0, out.stderr
+        assert _sha256(out.stdout.encode()) == GOLDEN_TREE_DUMP[kind]
+        out = run_cli("tree-dump", "--image", golden_scene, "--tree", kind,
+                      "--attributes")
+        assert out.returncode == 0, out.stderr
+        assert _sha256(out.stdout.encode()) == GOLDEN_ATTRIBUTE_DUMP[kind]
+
+    def test_profile_files(self, golden_scene, tmp_path):
+        out = run_cli("profile", "--image", golden_scene,
+                      "--tree", "component,tos,alpha,omega", "--mode", "both",
+                      "--out", tmp_path)
+        assert out.returncode == 0, out.stderr
+        written = {f.name: _sha256(f.read_bytes()) for f in tmp_path.iterdir()}
+        assert written == GOLDEN_PROFILE_FILES
+
+
+BENCH_WRAPPED = ("build_min_tree", "build_max_tree", "build_tree_of_shapes",
+                 "build_alpha_tree", "build_omega_tree", "compute_attributes",
+                 "filter_tree")
+
+
+class TestBenchCallSites:
+    """The benchmark's tracer swaps these names in ``treeprofiles.profiles``
+    for timing wrappers; every tree build and ladder must run through them."""
+
+    def test_profiles_globals_are_called(self, monkeypatch, tmp_path):
+        from treeprofiles import Feature, FilterSpec, cli, profiles
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in BENCH_WRAPPED:
+            monkeypatch.setattr(profiles, name,
+                                counting(name, getattr(profiles, name)))
+        img = synthetic_scene(12, 12, seed=3, levels=16)[0]
+        spec = FilterSpec("area", (4.0, 16.0))
+        for family in ("component", "tos", "alpha", "omega"):
+            bundle = profiles.tree_bundle(img, family)
+            profiles.build_fp(img, family, spec, [Feature.AREA], bundle=bundle)
+        assert set(calls) == set(BENCH_WRAPPED)
+
+        calls.clear()
+        save_pgm(img, tmp_path / "t.pgm")
+        for kind in ("max", "min", "tos", "alpha", "omega"):
+            assert cli.main(["tree-dump", "--image", str(tmp_path / "t.pgm"),
+                             "--tree", kind, "--out",
+                             str(tmp_path / f"{kind}.txt")]) == 0
+        assert set(calls) == set(BENCH_WRAPPED[:5])

@@ -2,19 +2,41 @@ import numpy as np
 import pytest
 
 from treeprofiles import (
+    Attribute,
     DataError,
+    FilterRule,
     RasterImage,
     TreeKind,
     build_max_tree,
     build_min_tree,
+    build_tree,
+    compute_attributes,
     dump_tree,
+    filter_tree,
     node_areas,
+    partition_at,
     reconstruct,
     smallest_node,
 )
+from treeprofiles.hierarchies import (
+    accumulate,
+    depth_layers,
+    nearest_marked,
+    propagate,
+)
+from treeprofiles.inclusion import _subtree_pixel_slices
 
 from conftest import random_image
-from oracles import component_tree_nodes, tree_component_pixels
+from oracles import (
+    accumulate_loop,
+    component_tree_nodes,
+    min_rule_loop,
+    nearest_retained_loop,
+    partition_labels_loop,
+    preorder_dfs,
+    propagate_loop,
+    tree_component_pixels,
+)
 
 
 def center_spot_image():
@@ -144,3 +166,94 @@ class TestDump:
     def test_format(self):
         tree = build_max_tree(center_spot_image())
         assert dump_tree(tree) == "0 0 1 9\n1 0 3 1\n"
+
+
+def kernel_inputs(rng, n):
+    """(values, ufuncs) cases: int64, bool and stacked (n, 3) int64."""
+    ints = rng.integers(-50, 50, size=n)
+    flags = rng.random(n) < 0.3
+    stacked = rng.integers(-50, 50, size=(n, 3))
+    int_ufuncs = (np.add, np.minimum, np.maximum)
+    return [(ints, int_ufuncs), (stacked, int_ufuncs),
+            (flags, (np.logical_or, np.logical_and, np.minimum, np.maximum))]
+
+
+def hand_built_parents():
+    chain = np.concatenate(([0], np.arange(299))).astype(np.int32)
+    star = np.zeros(40, dtype=np.int32)
+    return {"single": np.zeros(1, dtype=np.int32), "chain": chain, "star": star}
+
+
+@pytest.fixture
+def builder_trees(rng):
+    """(image, kind, tree) for every tree kind on four random images."""
+    images = [random_image(rng, 12, 6, min_side=4) for _ in range(4)]
+    return [(img, kind, build_tree(img, kind))
+            for img in images for kind in TreeKind]
+
+
+class TestTraversalKernels:
+    @pytest.mark.parametrize("shape", ["single", "chain", "star"])
+    def test_hand_built_match_loops(self, rng, shape):
+        parent = hand_built_parents()[shape]
+        layers = depth_layers(parent)
+        assert sum(len(layer) for layer in layers) == len(parent) - 1
+        for values, ufuncs in kernel_inputs(rng, len(parent)):
+            for ufunc in ufuncs:
+                assert np.array_equal(
+                    accumulate(parent, layers, values, ufunc),
+                    accumulate_loop(parent, values, ufunc))
+                assert np.array_equal(
+                    propagate(parent, layers, values, ufunc),
+                    propagate_loop(parent, values, ufunc))
+        assert len(layers) == {"single": 0, "chain": 299, "star": 1}[shape]
+
+    def test_builder_trees_match_loops(self, rng, builder_trees):
+        for _, _, tree in builder_trees:
+            for layer_above, layer in zip(tree.layers, tree.layers[1:]):
+                assert np.isin(tree.parent[layer], layer_above).all()
+            for values, ufuncs in kernel_inputs(rng, tree.node_count):
+                for ufunc in ufuncs:
+                    assert np.array_equal(
+                        tree.accumulate(values, ufunc),
+                        accumulate_loop(tree.parent, values, ufunc))
+                    assert np.array_equal(
+                        tree.propagate(values, ufunc),
+                        propagate_loop(tree.parent, values, ufunc))
+
+    def test_kernels_leave_input_unchanged(self, rng):
+        parent = hand_built_parents()["chain"]
+        values = rng.integers(0, 9, size=len(parent))
+        before = values.copy()
+        accumulate(parent, depth_layers(parent), values, np.add)
+        propagate(parent, depth_layers(parent), values, np.add)
+        assert np.array_equal(values, before)
+
+    def test_tree_passes_match_loops(self, rng, builder_trees):
+        for img, kind, tree in builder_trees:
+            mask = rng.random(tree.node_count) < 0.4
+            mask[0] = True
+            assert np.array_equal(nearest_marked(tree, mask),
+                                  nearest_retained_loop(tree.parent, mask))
+            table = compute_attributes(tree, img)
+            keep = table.area >= 3
+            keep[0] = True
+            assert np.array_equal(
+                filter_tree(tree, table, Attribute.AREA, 3, FilterRule.MIN),
+                min_rule_loop(tree.parent, keep))
+            if kind in (TreeKind.ALPHA_TREE, TreeKind.OMEGA_TREE):
+                for threshold in np.unique(tree.level):
+                    assert np.array_equal(
+                        partition_at(tree, threshold),
+                        partition_labels_loop(tree, threshold))
+
+    def test_subtree_pixel_slices_match_dfs(self, builder_trees):
+        for _, _, tree in builder_trees:
+            pre, post = preorder_dfs(tree.parent)
+            keys = pre[tree.pixel_node]
+            cum = np.concatenate(
+                ([0], np.cumsum(np.bincount(keys, minlength=tree.node_count))))
+            pix_order, lo, hi = _subtree_pixel_slices(tree)
+            assert np.array_equal(pix_order, np.argsort(keys, kind="stable"))
+            assert np.array_equal(lo, cum[pre])
+            assert np.array_equal(hi, cum[post])

@@ -19,6 +19,7 @@ from treeprofiles import (
     build_extended,
     build_fp,
     build_max_tree,
+    build_tree,
     compute_attributes,
     feature_map,
     filter_tree,
@@ -26,7 +27,6 @@ from treeprofiles import (
     reconstruct,
     rescale_to_levels,
 )
-from treeprofiles.profiles import _LEVEL_FEATURE
 
 from conftest import random_image
 from oracles import area_opening
@@ -135,14 +135,24 @@ class TestFeatureMap:
         assert np.all(feature_map(tree, mask, table, Feature.STD_DEV) == 0.0)
 
     def test_level_feature_equals_reconstruct(self, rng):
+        """Each pixel's area feature and reconstructed value come from the
+        first retained node on a walk up ``tree.parent``."""
         for _ in range(10):
             img = random_image(rng, 10, 6)
-            for build in (build_max_tree,):
-                tree = build(img)
+            for kind in TreeKind:
+                tree = build_tree(img, kind)
                 table = compute_attributes(tree, img)
                 mask = filter_tree(tree, table, Attribute.AREA, 3, FilterRule.MIN)
-                fm = feature_map(tree, mask, table, _LEVEL_FEATURE)
-                assert np.array_equal(fm, reconstruct(tree, mask).values.astype(float))
+                retained = []
+                for node in tree.pixel_node.tolist():
+                    while not mask[node]:
+                        node = tree.parent[node]
+                    retained.append(node)
+                retained = np.array(retained).reshape(img.height, img.width)
+                fm = feature_map(tree, mask, table, Feature.AREA)
+                assert np.array_equal(fm, table.area[retained].astype(float))
+                assert np.array_equal(reconstruct(tree, mask).values,
+                                      tree.rep_value[retained])
 
 
 def spec_area(k: int) -> FilterSpec:
@@ -326,3 +336,6 @@ class TestProfileStackIo:
             FilterSpec(Attribute.AREA, ())
         with pytest.raises(DataError):
             FilterSpec(Attribute.AREA, (3.0, 2.0))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DataError):
+                FilterSpec(Attribute.AREA, (bad, 5.0))
