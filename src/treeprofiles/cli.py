@@ -74,7 +74,11 @@ def _read_config(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_TYPES:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _CONFIG_TYPES[key](raw.strip())
+        try:
+            values[key] = _CONFIG_TYPES[key](raw.strip())
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: {key} expects an integer, "
+                              f"got {raw.strip()!r}") from None
     return values
 
 
@@ -305,6 +309,10 @@ def cmd_classify(args) -> int:
     train, test = _labels_for(args, bands)
     if args.profile:
         stack = ProfileStack.load(Path(args.profile))
+        if (stack.width, stack.height) != (bands[0].width, bands[0].height):
+            raise DataError(
+                f"profile stack is {stack.width}x{stack.height}, image is "
+                f"{bands[0].width}x{bands[0].height}")
         matrix = stack.data
     elif args.mode == "raw":
         matrix = np.stack([b.values.ravel().astype(np.float64) for b in bands],

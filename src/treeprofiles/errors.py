@@ -10,14 +10,16 @@ option, DataError means the inputs are readable but semantically unusable
 class FormatError(Exception):
     """A file does not conform to its declared format.
 
-    ``offset`` is the byte position at which parsing failed, when known.
+    ``offset`` is the byte position at which parsing failed, when known;
+    ``reason`` is the message without it.
     """
 
     def __init__(self, message: str, offset: int | None = None):
+        self.reason = message
+        self.offset = offset
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
-        self.offset = offset
 
 
 class DataError(Exception):

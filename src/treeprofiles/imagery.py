@@ -167,7 +167,8 @@ def load_grayscale(path: str | Path) -> RasterImage:
             flat, _ = _read_pgm_tokens(data, pos, npix)
         except FormatError as exc:
             raise FormatError(
-                f"raster truncated or malformed: {exc}", offset=exc.offset
+                f"raster truncated or malformed: {exc.reason}",
+                offset=exc.offset,
             ) from None
         values = np.array(flat, dtype=np.int64)
     else:
@@ -228,24 +229,44 @@ def save_labels(labels: LabelMap, path: str | Path) -> None:
 _DTYPES = {"u8": np.dtype("<u1"), "u16": np.dtype("<u2"), "f32": np.dtype("<f4")}
 
 
+def _read_json_header(path: Path, keys: tuple[str, ...], what: str) -> dict:
+    """A JSON object holding at least ``keys``; FormatError otherwise."""
+    try:
+        header = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid {what}: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in header:
+            raise FormatError(f"{what} missing field {key!r}")
+    return header
+
+
+def _positive_ints(header: dict, keys: tuple[str, ...], what: str) -> list[int]:
+    """The header's values under ``keys``, each a positive integer."""
+    values = [header[key] for key in keys]
+    for key, value in zip(keys, values):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise FormatError(
+                f"{what} field {key!r} must be a positive integer, "
+                f"got {value!r}")
+    return values
+
+
 def load_multiband(header_path: str | Path) -> MultibandImage:
     """Load a band-sequential raster described by its JSON sidecar header."""
     header_path = Path(header_path)
-    try:
-        header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON header: {exc}") from None
-    for key in ("width", "height", "bands", "dtype", "interleave"):
-        if key not in header:
-            raise FormatError(f"header missing field {key!r}")
+    header = _read_json_header(
+        header_path, ("width", "height", "bands", "dtype", "interleave"),
+        "header")
     if header["interleave"] != "bsq":
         raise FormatError(f"unsupported interleave {header['interleave']!r}")
-    dtype = _DTYPES.get(header["dtype"])
+    dtype = _DTYPES.get(str(header["dtype"]))
     if dtype is None:
         raise FormatError(f"unsupported dtype {header['dtype']!r}")
-    width, height, bands = header["width"], header["height"], header["bands"]
-    if width < 1 or height < 1 or bands < 1:
-        raise FormatError("non-positive dimensions in header")
+    width, height, bands = _positive_ints(
+        header, ("width", "height", "bands"), "header")
     blob_path = header_path.with_suffix(".raw")
     blob = blob_path.read_bytes()
     need = width * height * bands * dtype.itemsize

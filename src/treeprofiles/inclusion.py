@@ -15,10 +15,16 @@ half-integer level.
 
 Construction: every upper-set component is a max-tree node of the padded
 image and every lower-set component a min-tree node, so both component trees
-are built once and each node's component is saturated individually.  The
-same pixel set can arise more than once; duplicates collapse to the highest
-level on the upper side and the lowest level on the lower side, which is
-exactly the per-threshold enumeration semantics.
+are built once.  Each node's holes are counted, not filled: a 4-connected
+set with 8-connected background has Euler number pixels - 4-adjacent pairs
++ full 2x2 blocks = 1 - holes (Gray's bit-quad counting), and each pair and
+block is tallied at one node and summed up the tree.  A node without holes
+is its own shape, so its area, corner and pixels come from tree-wide passes;
+only nodes with holes are filled, one by one on their bounding box.  The
+same shape can arise more than once -- a filled node can equal a hole-free
+node or another filled node -- and duplicates collapse to the highest level
+on the upper side and the lowest level on the lower side, which is exactly
+the per-threshold enumeration semantics.
 """
 
 from __future__ import annotations
@@ -84,31 +90,123 @@ def _frame_containing(tree: Tree, frame_idx: np.ndarray) -> np.ndarray:
     return tree.accumulate(flags, np.logical_or)
 
 
-def _collect_shapes(tree: Tree, frame_idx: np.ndarray, upper: bool, registry: dict):
+def _hole_counts(tree: Tree) -> np.ndarray:
+    """Holes (bounded 8-connected background regions) of each node's
+    component, for a max- or min-tree.
+
+    A 4-connected set has Euler number V - E + F = 1 - holes, with V its
+    pixels, E its 4-adjacent pixel pairs and F its full 2x2 blocks.  The
+    most ancestral pixel node of a pair or block -- the smallest id -- holds
+    all of its pixels, so the pair or block lies in a node's component
+    exactly when that pixel node is in the node's subtree: each is tallied
+    there and summed up the tree.
+    """
+    n = tree.node_count
+    nodes = tree.pixel_node.reshape(tree.height, tree.width)
+    pairs_x = np.minimum(nodes[:, :-1], nodes[:, 1:])
+    pairs_y = np.minimum(nodes[:-1], nodes[1:])
+    blocks = np.minimum(pairs_x[:-1], pairs_x[1:])
+
+    def tally(ids):
+        return np.bincount(ids.ravel(), minlength=n)
+
+    euler = tally(nodes) - tally(pairs_x) - tally(pairs_y) + tally(blocks)
+    return 1 - tree.accumulate(euler, np.add)
+
+
+def _corners(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Per node: its component's first pixel in row-major order and its
+    smallest column."""
+    # every component-tree node has pixels of its own, ascending per node
+    pixels = tree.attached_pixels
+    starts = tree.attached_offsets[:-1]
+    direct = np.stack([pixels[starts],
+                       np.minimum.reduceat(pixels % tree.width, starts)],
+                      axis=1)
+    first, x0 = tree.accumulate(direct, np.minimum).T
+    return first, x0
+
+
+def _bbox_mask(pixels: np.ndarray, width: int):
+    """Top-left corner and bounding-box mask of a set of flat pixel ids."""
+    ys, xs = np.divmod(pixels, width)
+    y0, x0 = int(ys.min()), int(xs.min())
+    mask = np.zeros((int(ys.max()) - y0 + 1, int(xs.max()) - x0 + 1),
+                    dtype=bool)
+    mask[ys - y0, xs - x0] = True
+    return y0, x0, mask
+
+
+def _fill_holes(mask: np.ndarray) -> np.ndarray:
+    """The mask plus its holes: background not 8-connected to the outside.
+
+    One labelling pass of the background framed by a one-pixel border, which
+    measured faster than ``ndimage.binary_fill_holes`` (iterated dilation)
+    over the filled components of 88x88 and 256x256 synthetic scenes.
+    """
+    outside = np.ones((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    outside[1:-1, 1:-1] = ~mask
+    regions, _ = ndimage.label(outside, structure=_FILL_STRUCTURE)
+    return regions[1:-1, 1:-1] != regions[0, 0]
+
+
+def _shape_key(y0: int, x0: int, mask: np.ndarray) -> tuple:
+    return (y0, x0, mask.shape, np.packbits(mask).tobytes())
+
+
+def _register(registry: dict, key: tuple, pixels, level2: int, upper: bool,
+              seen: int) -> None:
+    """Record one node's saturation: [upper level, lower level, first visit,
+    pixels], the upper level the highest and the lower level the lowest."""
+    entry = registry.setdefault(key, [None, None, seen, pixels])
+    side, pick = (0, max) if upper else (1, min)
+    entry[side] = level2 if entry[side] is None else pick(entry[side], level2)
+    entry[2] = min(entry[2], seen)
+
+
+def _collect_shapes(tree: Tree, frame_idx: np.ndarray, side: int,
+                    registry: dict):
+    """Register the saturations of the tree's nodes that have holes, fold
+    hole-free nodes equal to one of them into it, and return the other
+    hole-free nodes as shape columns (area, level, y0, x0, visit, first
+    pixel) plus their pixels."""
     pw = tree.width
+    n_pix = tree.width * tree.height
+    upper = side == 0
     pix_order, lo, hi = _subtree_pixel_slices(tree)
-    skip = _frame_containing(tree, frame_idx)
-    level = tree.level
-    for node in range(tree.node_count):
-        if skip[node]:
-            continue
-        pixels = pix_order[lo[node]:hi[node]]
-        ys = pixels // pw
-        xs = pixels % pw
-        y0, y1 = int(ys.min()), int(ys.max())
-        x0, x1 = int(xs.min()), int(xs.max())
-        mask = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
-        mask[ys - y0, xs - x0] = True
-        sat = ndimage.binary_fill_holes(mask, structure=_FILL_STRUCTURE)
-        key = (y0, x0, sat.shape, np.packbits(sat).tobytes())
-        lvl = int(level[node])
-        entry = registry.get(key)
-        if entry is None:
-            registry[key] = [lvl if upper else None, None if upper else lvl, sat]
-        elif upper:
-            entry[0] = lvl if entry[0] is None else max(entry[0], lvl)
-        else:
-            entry[1] = lvl if entry[1] is None else min(entry[1], lvl)
+    area = hi - lo
+    first, x0 = _corners(tree)
+    level2 = tree.level.astype(np.int64)
+    seen = side * n_pix + np.arange(tree.node_count)  # visiting order
+    inside = ~_frame_containing(tree, frame_idx)
+    holed = inside & (_hole_counts(tree) > 0)
+
+    for node in np.flatnonzero(holed).tolist():
+        y, x, mask = _bbox_mask(pix_order[lo[node]:hi[node]], pw)
+        sat = _fill_holes(mask)
+        ys, xs = np.nonzero(sat)
+        _register(registry, _shape_key(y, x, sat), (ys + y) * pw + (xs + x),
+                  int(level2[node]), upper, int(seen[node]))
+
+    # a hole-free component can only equal a saturation with its area and
+    # first pixel; compare masks for those few
+    hole_free = np.flatnonzero(inside & ~holed)
+    probes = [len(e[3]) * n_pix + int(e[3][0]) for e in registry.values()]
+    keep = np.ones(len(hole_free), dtype=bool)
+    hits = np.isin(area[hole_free] * n_pix + first[hole_free], probes)
+    for i in np.flatnonzero(hits).tolist():
+        node = hole_free[i]
+        key = _shape_key(*_bbox_mask(pix_order[lo[node]:hi[node]], pw))
+        if key in registry:
+            _register(registry, key, None, int(level2[node]), upper,
+                      int(seen[node]))
+            keep[i] = False
+    nodes = hole_free[keep]
+    columns = np.stack([area[nodes], level2[nodes], first[nodes] // pw,
+                        x0[nodes], seen[nodes], first[nodes]])
+    pixels = [pix_order[a:b] for a, b in zip(lo[nodes].tolist(),
+                                             hi[nodes].tolist())]
+    return columns, pixels
 
 
 def build_tree_of_shapes(image: RasterImage) -> Tree:
@@ -126,30 +224,45 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     frame_idx = np.flatnonzero(frame_mask.ravel())
 
     registry: dict = {}
-    for kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE):
+    blocks, pixels = [], []
+    for side, kind in enumerate((TreeKind.MAX_TREE, TreeKind.MIN_TREE)):
         side_tree = _component_tree(flat, pw, ph, 2, Connectivity.C4, kind)
-        _collect_shapes(side_tree, frame_idx, kind is TreeKind.MAX_TREE,
-                        registry)
+        columns, side_pixels = _collect_shapes(side_tree, frame_idx, side,
+                                               registry)
+        blocks.append(columns)
+        pixels += side_pixels
+    rows = []
+    for (y, x, _, _), (up, low, seen, px) in registry.items():
+        rows.append((len(px), up if up is not None else low, y, x, seen,
+                     int(px[0])))
+        pixels.append(px)
+    blocks.append(np.array(rows, dtype=np.int64).reshape(-1, 6).T)
+    area, level2, y0, x0, seen, first = np.concatenate(blocks, axis=1)
 
-    # order: largest first so painting leaves each pixel in its smallest shape
-    entries = []
-    for (y0, x0, shape, packed), (up_lvl, low_lvl, sat) in registry.items():
-        level2 = up_lvl if up_lvl is not None else low_lvl
-        entries.append((int(sat.sum()), level2, y0, x0, packed, sat))
-    entries.sort(key=lambda e: (-e[0], e[1], e[2], e[3], e[4]))
+    # order: largest first so painting leaves each pixel in its smallest
+    # shape; ties on (area, level, corner) fall back to the mask bytes, then
+    # to the visiting order
+    order = np.lexsort((seen, x0, y0, level2, -area))
+    ranked = np.stack([area, level2, y0, x0])[:, order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], np.any(ranked[:, 1:] != ranked[:, :-1], axis=0))))
+    sizes = np.diff(np.append(starts, len(order)))
+    order = order.tolist()
+    for s, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        order[s:s + size] = sorted(
+            order[s:s + size],
+            key=lambda i: _shape_key(*_bbox_mask(pixels[i], pw))[3])
 
-    n_shapes = len(entries) + 1
-    label = np.zeros((h, w), dtype=np.int32)  # 0 = root
-    node_parent = np.zeros(n_shapes, dtype=np.int32)
-    node_level2 = np.empty(n_shapes, dtype=np.int64)
-    node_level2[0] = frame2
-    for sid, (_, level2, y0, x0, _, sat) in enumerate(entries, start=1):
-        ys, xs = np.nonzero(sat)
-        gy = ys + (y0 - 1)  # padded -> original coordinates
-        gx = xs + (x0 - 1)
-        node_parent[sid] = label[gy[0], gx[0]]
-        label[gy, gx] = sid
-        node_level2[sid] = level2
+    label = np.zeros(ph * pw, dtype=np.int32)  # 0 = root
+    parents = [0]
+    first = first.tolist()
+    for sid, i in enumerate(order, start=1):
+        parents.append(label.item(first[i]))
+        label[pixels[i]] = sid
+    node_parent = np.array(parents, dtype=np.int32)
+    node_level2 = np.concatenate(([frame2], level2[order])).astype(np.int64)
+    label = label.reshape(ph, pw)[1:-1, 1:-1]
+    n_shapes = len(node_parent)
 
     # Same-level upper and lower shapes can partially overlap through pixels
     # valued exactly at that level (the price of the polarity-symmetric

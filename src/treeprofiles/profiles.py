@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -45,7 +45,14 @@ from .hierarchies import (
     build_min_tree,
     nearest_marked,
 )
-from .imagery import MultibandImage, RasterImage, pca_reduce, rescale_to_levels
+from .imagery import (
+    MultibandImage,
+    RasterImage,
+    _positive_ints,
+    _read_json_header,
+    pca_reduce,
+    rescale_to_levels,
+)
 from .inclusion import build_tree_of_shapes
 from .partition import build_alpha_tree, build_omega_tree
 
@@ -248,22 +255,28 @@ class ProfileStack:
     @staticmethod
     def load(path: str | Path) -> "ProfileStack":
         path = Path(path)
-        try:
-            header = json.loads(path.with_suffix(".json").read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid profile header: {exc}") from None
-        layout = [ColumnDesc(**c) for c in header["columns"]]
+        header = _read_json_header(path.with_suffix(".json"),
+                                   ("width", "height", "dim", "columns"),
+                                   "profile header")
+        width, height, dim = _positive_ints(header, ("width", "height", "dim"),
+                                            "profile header")
+        columns = header["columns"]
+        names = {f.name for f in fields(ColumnDesc)}
+        if not isinstance(columns, list) or len(columns) != dim or not all(
+                isinstance(c, dict) and set(c) == names for c in columns):
+            raise FormatError(
+                f"profile header 'columns' must list {dim} objects with "
+                f"keys {', '.join(sorted(names))}")
         raw = path.with_suffix(".raw").read_bytes()
-        n = header["width"] * header["height"]
-        need = n * header["dim"] * 4
+        need = width * height * dim * 4
         if len(raw) != need:
             raise FormatError(
                 f"profile blob is {len(raw)} bytes, header requires {need}"
             )
         data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         return ProfileStack(
-            width=header["width"], height=header["height"],
-            data=data.reshape(n, header["dim"]), layout=layout,
+            width=width, height=height, data=data.reshape(-1, dim),
+            layout=[ColumnDesc(**c) for c in columns],
         )
 
 

@@ -1,8 +1,10 @@
 """Independent brute-force reference implementations used by the tests.
 
-Everything here works by per-threshold flood fill on plain Python data
-structures; nothing is shared with the library's union-find / scipy code
-paths, so agreement between the two is meaningful.
+The brute-force references work by per-threshold flood fill on plain Python
+data structures; nothing is shared with the library's union-find / scipy
+code paths, so agreement between the two is meaningful.  The sections at
+the end keep paths the library replaced (per-node loops, per-node hole
+filling) as exact references for the faster code.
 """
 
 from collections import deque
@@ -324,3 +326,98 @@ def preorder_dfs(parent):
         for child in reversed(children[node]):
             stack.append((child, False))
     return pre, post
+
+
+# ---------------------------------------------------------------------------
+# Tree of shapes: the per-node saturation path the hole count replaced
+# ---------------------------------------------------------------------------
+
+def tree_of_shapes_per_node(image):
+    """Tree of shapes with every side-tree node saturated individually.
+
+    Reuses the library's side-tree builder and frame conventions; every
+    max-/min-tree node's component is hole-filled on its bounding box and
+    registered under its exact mask, duplicates collapsing to the highest
+    upper / lowest lower level.  Shapes are painted largest first, ordered
+    by (-area, level, y0, x0, mask bytes), ties in first-seen order.
+    """
+    from scipy import ndimage
+
+    from treeprofiles.hierarchies import (
+        Connectivity, Tree, TreeKind, _component_tree, accumulate,
+        depth_layers,
+    )
+    from treeprofiles.inclusion import (
+        _border_median_doubled, _frame_containing, _subtree_pixel_slices,
+    )
+
+    h, w = image.height, image.width
+    frame2 = _border_median_doubled(image.values)
+    padded = np.full((h + 2, w + 2), frame2, dtype=np.int64)
+    padded[1:-1, 1:-1] = 2 * image.values
+    ph, pw = h + 2, w + 2
+    frame_mask = np.zeros((ph, pw), dtype=bool)
+    frame_mask[0, :] = frame_mask[-1, :] = True
+    frame_mask[:, 0] = frame_mask[:, -1] = True
+    frame_idx = np.flatnonzero(frame_mask.ravel())
+
+    registry: dict = {}
+    for kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE):
+        upper = kind is TreeKind.MAX_TREE
+        tree = _component_tree(padded.ravel(), pw, ph, 2, Connectivity.C4, kind)
+        pix_order, lo, hi = _subtree_pixel_slices(tree)
+        skip = _frame_containing(tree, frame_idx)
+        for node in range(tree.node_count):
+            if skip[node]:
+                continue
+            pixels = pix_order[lo[node]:hi[node]]
+            ys, xs = pixels // pw, pixels % pw
+            y0, x0 = int(ys.min()), int(xs.min())
+            mask = np.zeros((int(ys.max()) - y0 + 1, int(xs.max()) - x0 + 1),
+                            dtype=bool)
+            mask[ys - y0, xs - x0] = True
+            sat = ndimage.binary_fill_holes(mask, structure=np.ones((3, 3)))
+            key = (y0, x0, sat.shape, np.packbits(sat).tobytes())
+            lvl = int(tree.level[node])
+            entry = registry.get(key)
+            if entry is None:
+                registry[key] = [lvl if upper else None,
+                                 None if upper else lvl, sat]
+            elif upper:
+                entry[0] = lvl if entry[0] is None else max(entry[0], lvl)
+            else:
+                entry[1] = lvl if entry[1] is None else min(entry[1], lvl)
+
+    entries = []
+    for (y0, x0, _, packed), (up_lvl, low_lvl, sat) in registry.items():
+        level2 = up_lvl if up_lvl is not None else low_lvl
+        entries.append((int(sat.sum()), level2, y0, x0, packed, sat))
+    entries.sort(key=lambda e: (-e[0], e[1], e[2], e[3], e[4]))
+
+    n_shapes = len(entries) + 1
+    label = np.zeros((h, w), dtype=np.int32)
+    node_parent = np.zeros(n_shapes, dtype=np.int32)
+    node_level2 = np.empty(n_shapes, dtype=np.int64)
+    node_level2[0] = frame2
+    for sid, (_, level2, y0, x0, _, sat) in enumerate(entries, start=1):
+        ys, xs = np.nonzero(sat)
+        gy, gx = ys + (y0 - 1), xs + (x0 - 1)
+        node_parent[sid] = label[gy[0], gx[0]]
+        label[gy, gx] = sid
+        node_level2[sid] = level2
+
+    subtree = accumulate(node_parent, depth_layers(node_parent),
+                         np.bincount(label.ravel(), minlength=n_shapes),
+                         np.add)
+    if not subtree.all():
+        alive = subtree > 0
+        new_id = np.cumsum(alive) - 1
+        node_parent = new_id[node_parent[alive]].astype(np.int32)
+        node_level2 = node_level2[alive]
+        label = new_id[label].astype(np.int32)
+
+    return Tree(
+        kind=TreeKind.TREE_OF_SHAPES, width=w, height=h, levels=image.levels,
+        parent=node_parent, level=node_level2.astype(np.float64) / 2.0,
+        pixel_node=label.ravel(), rep_value=(node_level2 + 1) // 2,
+    )

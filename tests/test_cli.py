@@ -169,6 +169,71 @@ class TestClassifyCommand:
         assert out.returncode == 0, out.stderr
 
 
+def _bad_config(path, scene_dir):
+    (path / "run.cfg").write_text("rf_trees = 5\nseed = abc\n")
+    return ["--image", scene_dir / "scene.pgm", "--config", path / "run.cfg"], \
+        "run.cfg:2: seed"
+
+
+def _text_width_cube(path, scene_dir):
+    from treeprofiles import MultibandImage, save_multiband
+    save_multiband(MultibandImage(np.ones((3, 40, 40))), path / "cube.json")
+    header = json.loads((path / "cube.json").read_text())
+    header["width"] = "40"
+    (path / "cube.json").write_text(json.dumps(header))
+    return ["--image", path / "cube.json", "--pca", 2], "'width'"
+
+
+def _profile_without_columns(path, scene_dir):
+    assert run_cli("profile", "--image", scene_dir / "scene.pgm",
+                   "--tree", "alpha", "--mode", "fp", "--attr", "area",
+                   "--out", path).returncode == 0
+    stem = path / "scene_alpha_fp"
+    header = json.loads(stem.with_suffix(".json").read_text())
+    del header["columns"]
+    stem.with_suffix(".json").write_text(json.dumps(header))
+    return ["--image", scene_dir / "scene.pgm", "--profile", stem], "'columns'"
+
+
+def _profile_of_smaller_image(path, scene_dir):
+    img = synthetic_scene(16, 16, seed=11, levels=32)[0]
+    save_pgm(img, path / "small.pgm")
+    assert run_cli("profile", "--image", path / "small.pgm", "--tree", "alpha",
+                   "--mode", "fp", "--attr", "area",
+                   "--out", path).returncode == 0
+    return ["--image", scene_dir / "scene.pgm",
+            "--profile", path / "small_alpha_fp"], "16x16"
+
+
+class TestInputErrors:
+    """Malformed inputs exit 2 (input) or 3 (data) with one line, never 4."""
+
+    @pytest.mark.parametrize("make, code", [
+        (_bad_config, 2),
+        (_text_width_cube, 2),
+        (_profile_without_columns, 2),
+        (_profile_of_smaller_image, 3),
+    ])
+    def test_classify_input(self, scene_dir, tmp_path, make, code):
+        args, names = make(tmp_path, scene_dir)
+        out = run_cli("classify", *args,
+                      "--train", scene_dir / "train.pgm",
+                      "--test", scene_dir / "test.pgm",
+                      "--rf-trees", 5, "--out", tmp_path / "rep")
+        assert out.returncode == code, out.stderr
+        assert out.stderr.count("\n") == 1 and names in out.stderr
+        assert not (tmp_path / "rep" / "report.json").exists()
+
+    def test_truncated_plain_pgm_names_offset_once(self, tmp_path):
+        save_pgm(RasterImage(np.arange(64).reshape(8, 8), levels=64),
+                 tmp_path / "plain.pgm", plain=True)
+        data = (tmp_path / "plain.pgm").read_bytes()
+        (tmp_path / "cut.pgm").write_bytes(data[:len(data) // 2])
+        out = run_cli("tree-dump", "--image", tmp_path / "cut.pgm")
+        assert out.returncode == 2
+        assert out.stderr.count("byte offset") == 1, out.stderr
+
+
 class TestCompareCommand:
     def test_single_kind_two_rows_and_csv_json_agree(self, scene_dir, tmp_path):
         out = run_cli(
@@ -288,6 +353,15 @@ GOLDEN_PROFILE_FILES = {
 }
 
 
+# tree of shapes of a 64x64 scene whose per-pixel noise background gives
+# about 600 side-tree nodes with holes; computed while every side-tree node
+# was still hole-filled one by one
+GOLDEN_NOISY_TOS = {
+    "structure": "edac635eef17149ca7f778e6fc1ab1d2ec7cdff6c5672a723fe30ab83a63049c",
+    "attributes": "bee7b711babf5b53eff0c9f25766a9bff99e1bc6af7bf9da83c18ee9d31faad7",
+}
+
+
 @pytest.fixture(scope="module")
 def golden_scene(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden") / "scene.pgm"
@@ -317,6 +391,15 @@ class TestGoldenPins:
         assert out.returncode == 0, out.stderr
         written = {f.name: _sha256(f.read_bytes()) for f in tmp_path.iterdir()}
         assert written == GOLDEN_PROFILE_FILES
+
+    @pytest.mark.parametrize("dump", sorted(GOLDEN_NOISY_TOS))
+    def test_noisy_tree_of_shapes(self, tmp_path, dump):
+        save_pgm(synthetic_scene(64, 64, seed=3)[0], tmp_path / "noisy.pgm")
+        flags = ["--attributes"] if dump == "attributes" else []
+        out = run_cli("tree-dump", "--image", tmp_path / "noisy.pgm",
+                      "--tree", "tos", *flags)
+        assert out.returncode == 0, out.stderr
+        assert _sha256(out.stdout.encode()) == GOLDEN_NOISY_TOS[dump]
 
 
 BENCH_WRAPPED = ("build_min_tree", "build_max_tree", "build_tree_of_shapes",
