@@ -70,7 +70,6 @@ from .profiles import (
     ProfileTrees,
     TreeBundle,
     build_ap,
-    build_extended,
     build_fp,
     build_tree,
     default_area_thresholds,

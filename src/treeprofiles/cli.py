@@ -83,8 +83,8 @@ def _read_config(path: str) -> dict:
 
 
 def _parse_choices(value, choices: type, flag: str) -> list[str]:
-    """Flatten repeatable/comma-separated flag values and check each one
-    against an enum's values."""
+    """Flatten repeatable/comma-separated flag values, check each one
+    against an enum's values and drop repeats, keeping the first."""
     if value is None:
         return []
     names: list[str] = []
@@ -95,7 +95,7 @@ def _parse_choices(value, choices: type, flag: str) -> list[str]:
         if name not in valid:
             raise FormatError(f"--{flag}: unknown value {name!r}, "
                               f"expected one of {'|'.join(valid)}")
-    return names
+    return list(dict.fromkeys(names))
 
 
 def _parse_thresholds(text: str | None) -> tuple[float, ...] | None:
@@ -185,57 +185,52 @@ def _load_bands(args) -> list[RasterImage]:
     return [load_grayscale(path)]
 
 
-def _specs_for(args, band: RasterImage, attrs: list[str]) -> list[FilterSpec]:
-    specs = []
-    for attr in attrs:
-        attribute = Attribute(attr)
-        if attribute is Attribute.AREA:
-            thresholds = _parse_thresholds(args.area_thresholds) or \
-                default_area_thresholds(band.width * band.height)
-        else:
-            thresholds = _parse_thresholds(args.moment_thresholds) or \
-                default_moment_thresholds()
-        specs.append(FilterSpec(attribute=attribute, thresholds=thresholds))
-    return specs
+def _spec_for(args, band: RasterImage, attr: str) -> FilterSpec:
+    attribute = Attribute(attr)
+    if attribute is Attribute.AREA:
+        thresholds = _parse_thresholds(args.area_thresholds) or \
+            default_area_thresholds(band.width * band.height)
+    else:
+        thresholds = _parse_thresholds(args.moment_thresholds) or \
+            default_moment_thresholds()
+    return FilterSpec(attribute=attribute, thresholds=thresholds)
 
 
 class _StackCache:
-    """Builds profile stacks lazily, sharing trees across modes/attributes."""
+    """Builds profile stacks lazily: one tree bundle per (band, family) and
+    one stack per (band, family, mode, attribute), shared by every command
+    that asks for them again."""
 
     def __init__(self, bands: list[RasterImage], args):
         self.bands = bands
         self.args = args
+        self.features = args.feature or ["stddev", "area"]
         self.bundles: dict = {}
         self.stacks: dict = {}
 
-    def bundle(self, band_i: int, kind: str):
-        key = (band_i, kind)
-        if key not in self.bundles:
-            self.bundles[key] = tree_bundle(
-                self.bands[band_i], ProfileTrees(kind),
-                Connectivity(self.args.connectivity),
-            )
-        return self.bundles[key]
-
-    def stack(self, kind: str, mode: str, attrs: tuple[str, ...],
-              features: tuple[str, ...]) -> ProfileStack:
-        key = (kind, mode, attrs, features)
+    def _stack(self, band_i: int, kind: str, mode: str,
+               attr: str) -> ProfileStack:
+        key = (band_i, kind, mode, attr)
         if key in self.stacks:
             return self.stacks[key]
-        per_band = []
-        for band_i, band in enumerate(self.bands):
-            bundle = self.bundle(band_i, kind)
-            for spec in _specs_for(self.args, band, list(attrs)):
-                if mode == "ap":
-                    per_band.append(build_ap(band, kind, spec, bundle=bundle))
-                else:
-                    per_band.append(build_fp(
-                        band, kind, spec, [Feature(f) for f in features],
-                        bundle=bundle,
-                    ))
-        result = ProfileStack.concat(per_band)
-        self.stacks[key] = result
-        return result
+        band = self.bands[band_i]
+        if (band_i, kind) not in self.bundles:
+            self.bundles[band_i, kind] = tree_bundle(
+                band, ProfileTrees(kind), Connectivity(self.args.connectivity))
+        bundle = self.bundles[band_i, kind]
+        spec = _spec_for(self.args, band, attr)
+        if mode == "ap":
+            stack = build_ap(band, kind, spec, bundle=bundle)
+        else:
+            stack = build_fp(band, kind, spec, self.features, bundle=bundle)
+        self.stacks[key] = stack
+        return stack
+
+    def stacks_for(self, kind: str, mode: str,
+                   attrs: list[str]) -> list[ProfileStack]:
+        """Per-band, per-attribute stacks in column order."""
+        return [self._stack(band_i, kind, mode, attr)
+                for band_i in range(len(self.bands)) for attr in attrs]
 
 
 def _labels_for(args, bands: list[RasterImage]) -> tuple[LabelMap, LabelMap]:
@@ -265,8 +260,7 @@ def _fit_eval(matrix: np.ndarray, train: LabelMap, test: LabelMap,
 
 def cmd_profile(args) -> int:
     bands = _load_bands(args)
-    attrs = tuple(args.attr or ["area", "moment"])
-    features = tuple(args.feature or ["stddev", "area"])
+    attrs = args.attr or ["area", "moment"]
     kinds = args.tree or ["component"]
     modes = ["ap", "fp"] if args.mode == "both" else [args.mode]
     out = Path(args.out)
@@ -275,7 +269,7 @@ def cmd_profile(args) -> int:
     stem = Path(args.image).stem
     for kind in kinds:
         for mode in modes:
-            stack = cache.stack(kind, mode, attrs, features)
+            stack = ProfileStack.concat(cache.stacks_for(kind, mode, attrs))
             target = out / f"{stem}_{kind}_{mode}"
             stack.save(target)
             print(f"{kind} {mode}: dim {stack.dim} -> {target}.json/.raw")
@@ -318,15 +312,13 @@ def cmd_classify(args) -> int:
         matrix = np.stack([b.values.ravel().astype(np.float64) for b in bands],
                           axis=1)
     else:
-        attrs = tuple(args.attr or ["area", "moment"])
-        features = tuple(args.feature or ["stddev", "area"])
+        attrs = args.attr or ["area", "moment"]
         kinds = args.tree or ["component"]
         modes = ["ap", "fp"] if args.mode == "both" else [args.mode]
         cache = _StackCache(bands, args)
-        matrix = np.concatenate(
-            [cache.stack(kind, mode, attrs, features).data
-             for kind in kinds for mode in modes], axis=1,
-        )
+        matrix = ProfileStack.concat(
+            [stack for kind in kinds for mode in modes
+             for stack in cache.stacks_for(kind, mode, attrs)]).data
     _, confusion, oa, kappa = _fit_eval(matrix, train, test,
                                         args.rf_trees, args.seed)
     elapsed = time.perf_counter() - started
@@ -359,7 +351,6 @@ def cmd_compare(args) -> int:
     started = time.perf_counter()
     bands = _load_bands(args)
     train, test = _labels_for(args, bands)
-    features = tuple(args.feature or ["stddev", "area"])
     kinds = args.tree or ["component", "tos", "alpha", "omega"]
     cache = _StackCache(bands, args)
 
@@ -368,8 +359,9 @@ def cmd_compare(args) -> int:
         for mode in ("ap", "fp"):
             cells = {}
             for header, attrs in zip(_COMPARE_HEADERS, _COMPARE_ATTR_SETS):
-                stack = cache.stack(kind, mode, attrs, features)
-                _, _, oa, kappa = _fit_eval(stack.data, train, test,
+                matrix = ProfileStack.concat(
+                    cache.stacks_for(kind, mode, attrs)).data
+                _, _, oa, kappa = _fit_eval(matrix, train, test,
                                             args.rf_trees, args.seed)
                 cells[header] = {"oa": round(float(oa), 6),
                                  "kappa": round(float(kappa), 6)}

@@ -13,6 +13,13 @@ population gray standard deviation or its area), read from the unfiltered
 tree's attribute table; the central column stays the original gray value.
 Several features stack into one profile.
 
+Both are built by one path.  Each (tree, threshold) of the ladder is
+filtered once and resolved once to each pixel's smallest retained node, and
+every column is a gather from a per-node table computed once per call: the
+gray level for an attribute profile, the standard deviation or area for a
+feature profile.  An attribute profile is thus the ladder read through the
+gray-level table.
+
 Pruning rules: the Min rule removes a node when its attribute fails the
 threshold or any ancestor was removed (whole-branch pruning, the natural
 choice for increasing attributes such as area); the Direct rule tests each
@@ -45,14 +52,7 @@ from .hierarchies import (
     build_min_tree,
     nearest_marked,
 )
-from .imagery import (
-    MultibandImage,
-    RasterImage,
-    _positive_ints,
-    _read_json_header,
-    pca_reduce,
-    rescale_to_levels,
-)
+from .imagery import RasterImage, _positive_ints, _read_json_header
 from .inclusion import build_tree_of_shapes
 from .partition import build_alpha_tree, build_omega_tree
 
@@ -142,26 +142,36 @@ def filter_tree(
     return keep
 
 
+def _pixel_owners(tree: Tree, mask: np.ndarray) -> np.ndarray:
+    """Flat per-pixel id of each pixel's smallest retained node."""
+    return nearest_marked(tree, mask)[tree.pixel_node]
+
+
+def _node_values(tree: Tree, table: AttributeTable, feature: str) -> np.ndarray:
+    """Per-node float table a profile column gathers from.
+
+    ``"gray"`` is the attribute-profile value: the exact node level for
+    component/inclusion trees (the inclusion-tree root may sit at a
+    half-integer level, which integer rounding would skew), the rounded mean
+    gray for partition trees.  Otherwise a feature of the unfiltered tree's
+    table: population gray standard deviation or area.
+    """
+    if feature == "gray":
+        if tree.kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE,
+                         TreeKind.TREE_OF_SHAPES):
+            return tree.level
+        return tree.rep_value.astype(np.float64)
+    if Feature(feature) is Feature.STD_DEV:
+        return std_dev_all(table)
+    return table.area.astype(np.float64)
+
+
 def reconstruct(tree: Tree, mask: np.ndarray) -> RasterImage:
     """Image restitution: each pixel takes its smallest retained node's
     representative value (level for component/inclusion trees, rounded mean
     gray for partition trees)."""
-    resolved = nearest_marked(tree, mask)
-    values = tree.rep_value[resolved[tree.pixel_node]]
+    values = tree.rep_value[_pixel_owners(tree, mask)]
     return RasterImage(values.reshape(tree.height, tree.width), levels=tree.levels)
-
-
-def _filtered_levels(tree: Tree, mask: np.ndarray) -> np.ndarray:
-    """Like reconstruct but as a flat float column, keeping exact node levels
-    for component/inclusion trees (the inclusion-tree root may sit at a
-    half-integer level, which integer rounding would skew)."""
-    resolved = nearest_marked(tree, mask)
-    if tree.kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE,
-                     TreeKind.TREE_OF_SHAPES):
-        per_node = tree.level
-    else:
-        per_node = tree.rep_value.astype(np.float64)
-    return per_node[resolved[tree.pixel_node]]
 
 
 def feature_map(
@@ -172,13 +182,8 @@ def feature_map(
 ) -> np.ndarray:
     """Float image: feature of each pixel's smallest retained node, evaluated
     on the unfiltered tree's table."""
-    if Feature(feature) is Feature.STD_DEV:
-        per_node = std_dev_all(table)
-    else:
-        per_node = table.area.astype(np.float64)
-    resolved = nearest_marked(tree, mask)
-    values = per_node[resolved[tree.pixel_node]]
-    return values.reshape(tree.height, tree.width)
+    values = _node_values(tree, table, Feature(feature).value)
+    return values[_pixel_owners(tree, mask)].reshape(tree.height, tree.width)
 
 
 # ---------------------------------------------------------------------------
@@ -330,70 +335,48 @@ def tree_bundle(
     return TreeBundle(trees=trees, pair=pair, image=image)
 
 
-def _profile_columns(bundle: TreeBundle, spec: FilterSpec, features):
-    """Yield (ColumnDesc, flat float column) in final stacking order.
+def _profile(bundle: TreeBundle, spec: FilterSpec,
+             features: list[str]) -> ProfileStack:
+    """One ladder of filters, read through one per-node table per feature.
 
-    ``features`` is None for an attribute profile, else the feature list of a
-    feature profile.
+    ``features`` is ``["gray"]`` for an attribute profile, else the feature
+    names of a feature profile; each gets one attribute-profile-shaped block.
+    Every (tree, threshold) of the ladder is filtered and resolved to pixel
+    owners once, and each column is a gather from its feature's table.
     """
     image = bundle.image
     original = image.values.ravel().astype(np.float64)
-    ladders = []
+    sides = [(tree, table, [_node_values(tree, table, f) for f in features])
+             for tree, table in bundle.pair]
     if bundle.trees is ProfileTrees.COMPONENT_PAIR:
-        (tmin, tabmin), (tmax, tabmax) = bundle.pair
+        lower, upper = sides
         # thickenings at descending thresholds, then X, then thinnings ascending
-        for k in range(len(spec.thresholds) - 1, -1, -1):
-            ladders.append((tmin, tabmin, spec.thresholds[k], "thickening"))
-        ladders.append(None)
-        for k in range(len(spec.thresholds)):
-            ladders.append((tmax, tabmax, spec.thresholds[k], "thinning"))
+        ladder = [(lower, lam, "thickening") for lam in reversed(spec.thresholds)]
+        ladder.append(None)
+        ladder += [(upper, lam, "thinning") for lam in spec.thresholds]
     else:
-        tree, table = bundle.pair[0]
-        ladders.append(None)
-        for k in range(len(spec.thresholds)):
-            ladders.append((tree, table, spec.thresholds[k], "selfdual"))
+        ladder = [None] + [(sides[0], lam, "selfdual") for lam in spec.thresholds]
 
-    masks: dict = {}
-
-    def mask_for(tree, table, lam):
-        key = (id(tree), lam)
-        if key not in masks:
-            masks[key] = filter_tree(tree, table, spec.attribute, lam, spec.rule)
-        return masks[key]
-
-    def column(entry, feature):
+    blocks: list[list] = [[] for _ in features]
+    for entry in ladder:
         if entry is None:
-            return _ORIGINAL_COLUMN, original
-        tree, table, lam, polarity = entry
-        mask = mask_for(tree, table, lam)
-        desc = ColumnDesc(
-            tree=tree.kind.value, attribute=spec.attribute.value,
-            threshold=float(lam), polarity=polarity,
-            feature="gray" if feature is None else Feature(feature).value,
-        )
-        if feature is None:
-            values = _filtered_levels(tree, mask)
-        else:
-            values = feature_map(tree, mask, table, feature).ravel()
-        return desc, values
-
-    if features is None:
-        for entry in ladders:
-            yield column(entry, None)
-    else:
-        for feature in features:
-            for entry in ladders:
-                yield column(entry, Feature(feature) if entry is not None else None)
-
-
-def _assemble(image: RasterImage, columns) -> ProfileStack:
-    descs, arrays = [], []
-    for desc, arr in columns:
-        descs.append(desc)
-        arrays.append(arr)
+            for block in blocks:
+                block.append((_ORIGINAL_COLUMN, original))
+            continue
+        (tree, table, tables), lam, polarity = entry
+        owners = _pixel_owners(
+            tree, filter_tree(tree, table, spec.attribute, lam, spec.rule))
+        for block, feature, values in zip(blocks, features, tables):
+            desc = ColumnDesc(tree=tree.kind.value,
+                              attribute=spec.attribute.value,
+                              threshold=float(lam), polarity=polarity,
+                              feature=feature)
+            block.append((desc, values[owners]))
+    columns = [column for block in blocks for column in block]
     return ProfileStack(
         width=image.width, height=image.height,
-        data=np.stack(arrays, axis=1), layout=descs,
+        data=np.stack([values for _, values in columns], axis=1),
+        layout=[desc for desc, _ in columns],
     )
 
 
@@ -407,7 +390,7 @@ def build_ap(
     """Attribute profile: 2K+1 columns for the component pair, K+1 otherwise."""
     if bundle is None:
         bundle = tree_bundle(image, ProfileTrees(trees), connectivity)
-    return _assemble(image, _profile_columns(bundle, spec, None))
+    return _profile(bundle, spec, ["gray"])
 
 
 def build_fp(
@@ -423,31 +406,4 @@ def build_fp(
         raise DataError("build_fp needs at least one feature")
     if bundle is None:
         bundle = tree_bundle(image, ProfileTrees(trees), connectivity)
-    return _assemble(image, _profile_columns(bundle, spec, list(features)))
-
-
-def build_extended(
-    image: MultibandImage,
-    n_pca: int,
-    trees: ProfileTrees | str,
-    spec: FilterSpec,
-    features: list[Feature | str] | None = None,
-    mode: str = "ap",
-    levels: int = 256,
-    connectivity: Connectivity | str = Connectivity.C4,
-) -> ProfileStack:
-    """Extended profile of a multiband image: PCA, per-component quantization
-    to ``levels`` gray values, one profile per component, columns stacked."""
-    reduced = pca_reduce(image, n_pca)
-    stacks = []
-    for band in range(n_pca):
-        gray = rescale_to_levels(reduced, band, levels)
-        if mode == "ap":
-            stacks.append(build_ap(gray, trees, spec, connectivity))
-        elif mode == "fp":
-            if not features:
-                raise DataError("extended feature profile needs features")
-            stacks.append(build_fp(gray, trees, spec, features, connectivity))
-        else:
-            raise DataError(f"unknown profile mode {mode!r}")
-    return ProfileStack.concat(stacks)
+    return _profile(bundle, spec, [Feature(f).value for f in features])

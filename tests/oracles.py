@@ -4,7 +4,8 @@ The brute-force references work by per-threshold flood fill on plain Python
 data structures; nothing is shared with the library's union-find / scipy
 code paths, so agreement between the two is meaningful.  The sections at
 the end keep paths the library replaced (per-node loops, per-node hole
-filling) as exact references for the faster code.
+filling, per-column profile resolution) as exact references for the faster
+code.
 """
 
 from collections import deque
@@ -421,3 +422,70 @@ def tree_of_shapes_per_node(image):
         parent=node_parent, level=node_level2.astype(np.float64) / 2.0,
         pixel_node=label.ravel(), rep_value=(node_level2 + 1) // 2,
     )
+
+
+# ---------------------------------------------------------------------------
+# Profiles: the per-column path the shared threshold resolution replaced
+# ---------------------------------------------------------------------------
+
+def profile_per_column(bundle, spec, features):
+    """(layout, data) of a profile built one column at a time.
+
+    ``features`` is None for an attribute profile, else the feature list of
+    a feature profile.  Each column resolves its own pixel owners: the gray
+    level (node level for component/inclusion trees, ``rep_value`` for
+    partition trees) or the feature of the unfiltered tree's table.  Masks
+    are shared per (tree, threshold), as the library always did.
+    """
+    from treeprofiles.attributes import std_dev_all
+    from treeprofiles.hierarchies import TreeKind, nearest_marked
+    from treeprofiles.profiles import (
+        ColumnDesc, Feature, ProfileTrees, filter_tree)
+
+    original = bundle.image.values.ravel().astype(np.float64)
+    ladders = []
+    if bundle.trees is ProfileTrees.COMPONENT_PAIR:
+        (tmin, tabmin), (tmax, tabmax) = bundle.pair
+        for k in range(len(spec.thresholds) - 1, -1, -1):
+            ladders.append((tmin, tabmin, spec.thresholds[k], "thickening"))
+        ladders.append(None)
+        for k in range(len(spec.thresholds)):
+            ladders.append((tmax, tabmax, spec.thresholds[k], "thinning"))
+    else:
+        tree, table = bundle.pair[0]
+        ladders.append(None)
+        for k in range(len(spec.thresholds)):
+            ladders.append((tree, table, spec.thresholds[k], "selfdual"))
+
+    masks = {}
+
+    def column(entry, feature):
+        if entry is None:
+            return ColumnDesc(None, None, None, "original", "gray"), original
+        tree, table, lam, polarity = entry
+        key = (id(tree), lam)
+        if key not in masks:
+            masks[key] = filter_tree(tree, table, spec.attribute, lam,
+                                     spec.rule)
+        resolved = nearest_marked(tree, masks[key])
+        if feature is None:
+            if tree.kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE,
+                             TreeKind.TREE_OF_SHAPES):
+                per_node = tree.level
+            else:
+                per_node = tree.rep_value.astype(np.float64)
+        elif feature == "stddev":
+            per_node = std_dev_all(table)
+        else:
+            per_node = table.area.astype(np.float64)
+        desc = ColumnDesc(tree.kind.value, spec.attribute.value, float(lam),
+                          polarity, "gray" if feature is None else feature)
+        return desc, per_node[resolved[tree.pixel_node]]
+
+    if features is None:
+        columns = [column(entry, None) for entry in ladders]
+    else:
+        columns = [column(entry, Feature(f).value)
+                   for f in features for entry in ladders]
+    return ([d for d, _ in columns],
+            np.stack([v for _, v in columns], axis=1))

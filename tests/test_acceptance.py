@@ -32,8 +32,6 @@ from treeprofiles import (
     default_moment_thresholds,
     evaluate,
     filter_tree,
-    load_labels,
-    load_multiband,
     model_to_bytes,
     partition_at,
     predict,
@@ -283,32 +281,28 @@ def test_a7_synthetic_end_to_end():
                  f"{elapsed:.1f} s")
 
 
-def test_a8_optional_hyperspectral_benchmark():
+def test_a8_optional_hyperspectral_benchmark(tmp_path):
     """A8 (optional): component-tree feature profiles on the user-supplied
     Pavia University scene land within 3 OA points of 96.5.
 
     Set PAVIA_IMAGE (BSQ .json header), PAVIA_TRAIN and PAVIA_TEST (PGM
-    label maps) to enable.
+    label maps) to enable.  Four PCA components quantized to 256 levels,
+    area thresholds scaled to the scene, standard deviation and area
+    features, a 100-tree forest seeded with 42.
     """
     paths = [os.environ.get(k) for k in
              ("PAVIA_IMAGE", "PAVIA_TRAIN", "PAVIA_TEST")]
     if not all(paths):
         pytest.skip("[ACCEPT] A8 SKIP  set PAVIA_IMAGE/PAVIA_TRAIN/PAVIA_TEST "
                     "to run the dataset-driven check")
-    cube = load_multiband(paths[0])
-    reduced_bands = 4
-    from treeprofiles import build_extended
-    spec = FilterSpec(Attribute.AREA,
-                      default_area_thresholds(cube.width * cube.height))
-    stack = build_extended(cube, reduced_bands, ProfileTrees.COMPONENT_PAIR,
-                           spec, features=[Feature.STD_DEV, Feature.AREA],
-                           mode="fp")
-    train = load_labels(paths[1], (cube.width, cube.height))
-    test = load_labels(paths[2], (cube.width, cube.height))
-    train_idx, train_y = train.samples()
-    test_idx, test_y = test.samples()
-    model = train_forest(stack.data[train_idx], train_y, n_trees=100, seed=42)
-    _, oa, _ = evaluate(predict(model, stack.data[test_idx]), test_y)
+    from treeprofiles import cli
+    assert cli.main([
+        "classify", "--image", paths[0], "--train", paths[1],
+        "--test", paths[2], "--mode", "fp", "--attr", "area",
+        "--tree", "component", "--pca", "4", "--rf-trees", "100",
+        "--seed", "42", "--out", str(tmp_path),
+    ]) == 0
+    oa = json.loads((tmp_path / "report.json").read_text())["oa"]
     assert abs(oa * 100 - 96.5) <= 3.0, f"OA {oa * 100:.1f} outside 96.5 +/- 3"
     report("A8", f"dataset OA {oa * 100:.1f} within 96.5 +/- 3.0")
 

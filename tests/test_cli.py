@@ -1,8 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,15 @@ class TestProfileCommand:
         assert out.returncode == 2
         assert "absent.pgm" in out.stderr
 
+    def test_repeated_tree_written_once(self, scene_dir, tmp_path):
+        out = run_cli(
+            "profile", "--image", scene_dir / "scene.pgm",
+            "--tree", "component,component", "--tree", "component",
+            "--mode", "ap", "--attr", "area,area", "--out", tmp_path,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.count("component ap: dim 21") == 1
+
     def test_emitted_files_bit_reproducible(self, scene_dir, tmp_path):
         blobs = []
         for run in ("a", "b"):
@@ -93,6 +104,21 @@ class TestClassifyCommand:
         assert reports[0] == reports[1]
         body = json.loads(reports[0])
         assert set(body) >= {"oa", "kappa", "per_class_accuracy", "confusion"}
+
+    def test_repeated_tree_same_dim(self, scene_dir, tmp_path):
+        dims = []
+        for trees in ("tos", "tos,tos"):
+            out = run_cli(
+                "classify", "--image", scene_dir / "scene.pgm",
+                "--train", scene_dir / "train.pgm",
+                "--test", scene_dir / "test.pgm",
+                "--mode", "fp", "--tree", trees, "--attr", "area",
+                "--rf-trees", 5, "--out", tmp_path / trees,
+            )
+            assert out.returncode == 0, out.stderr
+            report = json.loads((tmp_path / trees / "report.json").read_text())
+            dims.append(report["dim"])
+        assert dims[0] == dims[1]
 
     def test_raw_mode(self, scene_dir, tmp_path):
         out = run_cli(
@@ -362,6 +388,39 @@ GOLDEN_NOISY_TOS = {
 }
 
 
+# compare table and multiband classify report, computed while attribute and
+# feature profiles still resolved every column separately and the multiband
+# loop also lived in the library (``build_extended``)
+GOLDEN_COMPARE = {
+    "compare.csv": "302afd5cef6636bc8a3f4f0a1856ba2a7dba549ab3be403b9ac80088f2fd8338",
+    "compare.json": "d9e0a5f5d7889a9ba53c0dcbc040bece296c933a025560394fc37a92d3d2e961",
+    "compare.txt": "d6b352ed11f845013cb9e4fd4f3e7365e901cb03c155ac0d09a76738c54e108e",
+}
+GOLDEN_MULTIBAND_REPORT = \
+    "580da03dd49b52c8ff5d32f89227f747fa9e742f8fa2a75e0ffcdf715ebc87f7"
+
+
+@pytest.fixture(scope="module")
+def golden_labels(tmp_path_factory):
+    """The 24x24 golden scene's labels, split 30 % train / 70 % test."""
+    path = tmp_path_factory.mktemp("golden_labels")
+    train, test = split_labels(synthetic_scene(24, 24, seed=3)[1], 0.3, seed=3)
+    save_labels(train, path / "train.pgm")
+    save_labels(test, path / "test.pgm")
+    return ["--train", path / "train.pgm", "--test", path / "test.pgm"]
+
+
+def six_band_cube(path):
+    """Six integer-valued bands mixing the golden scene with a second scene,
+    so no draw depends on numpy's generators."""
+    from treeprofiles import MultibandImage, save_multiband
+    scene = synthetic_scene(24, 24, seed=3)[0].values
+    other = synthetic_scene(24, 24, seed=5)[0].values
+    cube = np.stack([scene * (1 + b) + other * (6 - b) for b in range(6)])
+    save_multiband(MultibandImage(cube.astype(float)), path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def golden_scene(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden") / "scene.pgm"
@@ -392,6 +451,23 @@ class TestGoldenPins:
         written = {f.name: _sha256(f.read_bytes()) for f in tmp_path.iterdir()}
         assert written == GOLDEN_PROFILE_FILES
 
+    def test_compare_files(self, golden_scene, golden_labels, tmp_path):
+        out = run_cli("compare", "--image", golden_scene, *golden_labels,
+                      "--rf-trees", 5, "--out", tmp_path)
+        assert out.returncode == 0, out.stderr
+        written = {f.name: _sha256(f.read_bytes()) for f in tmp_path.iterdir()}
+        assert written == GOLDEN_COMPARE
+
+    def test_multiband_report(self, golden_labels, tmp_path):
+        cube = six_band_cube(tmp_path / "cube.json")
+        out = run_cli("classify", "--image", cube, *golden_labels,
+                      "--mode", "both", "--tree", "component,alpha",
+                      "--pca", 2, "--levels", 64, "--rf-trees", 5,
+                      "--out", tmp_path / "rep")
+        assert out.returncode == 0, out.stderr
+        report = (tmp_path / "rep" / "report.json").read_bytes()
+        assert _sha256(report) == GOLDEN_MULTIBAND_REPORT
+
     @pytest.mark.parametrize("dump", sorted(GOLDEN_NOISY_TOS))
     def test_noisy_tree_of_shapes(self, tmp_path, dump):
         save_pgm(synthetic_scene(64, 64, seed=3)[0], tmp_path / "noisy.pgm")
@@ -407,24 +483,58 @@ BENCH_WRAPPED = ("build_min_tree", "build_max_tree", "build_tree_of_shapes",
                  "filter_tree")
 
 
+def bench_sites():
+    """``SITES`` of the benchmark's tracer: (module, function, metric, counter)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module.SITES
+
+
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestBenchCallSites:
-    """The benchmark's tracer swaps these names in ``treeprofiles.profiles``
-    for timing wrappers; every tree build and ladder must run through them."""
+    """The benchmark's tracer swaps these names in ``treeprofiles.cli`` and
+    ``treeprofiles.profiles`` for timing wrappers; every load, tree build,
+    ladder and forest call must run through them."""
+
+    def test_cli_globals_are_called(self, monkeypatch, golden_scene,
+                                    golden_labels, tmp_path):
+        from treeprofiles import cli
+
+        sites = bench_sites()
+        assert {fn for mod, fn, *_ in sites if mod == "profiles"} == \
+            set(BENCH_WRAPPED)
+        names = [fn for mod, fn, *_ in sites if mod == "cli"]
+        calls = Counter()
+        for name in names:
+            monkeypatch.setattr(cli, name,
+                                counting(calls, name, getattr(cli, name)))
+        labels = [str(v) for v in golden_labels]
+        cube = six_band_cube(tmp_path / "cube.json")
+        assert cli.main(["classify", "--image", str(cube), *labels,
+                         "--mode", "both", "--tree", "component",
+                         "--attr", "area", "--pca", "2", "--levels", "32",
+                         "--rf-trees", "2", "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["classify", "--image", str(golden_scene), *labels,
+                         "--tree", "alpha", "--attr", "area",
+                         "--rf-trees", "2", "--out", str(tmp_path / "b")]) == 0
+        assert set(calls) == set(names)
 
     def test_profiles_globals_are_called(self, monkeypatch, tmp_path):
         from treeprofiles import Feature, FilterSpec, cli, profiles
 
         calls = Counter()
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         for name in BENCH_WRAPPED:
             monkeypatch.setattr(profiles, name,
-                                counting(name, getattr(profiles, name)))
+                                counting(calls, name, getattr(profiles, name)))
         img = synthetic_scene(12, 12, seed=3, levels=16)[0]
         spec = FilterSpec("area", (4.0, 16.0))
         for family in ("component", "tos", "alpha", "omega"):

@@ -8,7 +8,6 @@ from treeprofiles import (
     Feature,
     FilterRule,
     FilterSpec,
-    MultibandImage,
     ProfileStack,
     ProfileTrees,
     RasterImage,
@@ -16,20 +15,23 @@ from treeprofiles import (
     TreeKind,
     build_alpha_tree,
     build_ap,
-    build_extended,
     build_fp,
     build_max_tree,
     build_tree,
     compute_attributes,
     feature_map,
     filter_tree,
-    pca_reduce,
     reconstruct,
-    rescale_to_levels,
+    tree_bundle,
 )
 
 from conftest import random_image
-from oracles import area_opening
+from oracles import (
+    area_opening,
+    border_median,
+    profile_per_column,
+    two_pass_std,
+)
 
 
 def center_spot():
@@ -287,35 +289,68 @@ class TestLayoutMatrix:
         assert len(stack.layout) == stack.dim
 
 
-class TestExtended:
-    def multiband(self, rng, bands=5, side=10):
-        return MultibandImage(rng.normal(size=(bands, side, side)))
+class TestPerColumnReference:
+    """Each (tree, threshold) is resolved once and shared by every feature;
+    the stacks equal the old one-resolution-per-column path exactly."""
 
-    def test_ap_dim(self, rng):
-        img = self.multiband(rng)
-        spec = FilterSpec(Attribute.AREA,
-                          tuple(float(v) for v in range(2, 12)))
-        stack = build_extended(img, 4, ProfileTrees.COMPONENT_PAIR, spec,
-                               mode="ap")
-        assert stack.dim == 4 * 21
+    @pytest.mark.parametrize("kind", list(ProfileTrees))
+    def test_matches_reference(self, rng, kind):
+        specs = [FilterSpec(Attribute.AREA, (2.0, 3.0, 7.0), rule)
+                 for rule in FilterRule] + \
+                [FilterSpec(Attribute.MOMENT, (0.1, 0.25), rule)
+                 for rule in FilterRule]
+        feature_sets = (None, ["stddev"], ["area"], ["stddev", "area"],
+                        ["area", "stddev"])
+        for _ in range(12):
+            img = random_image(rng, 9, 7)
+            bundle = tree_bundle(img, kind)
+            for spec in specs:
+                for features in feature_sets:
+                    if features is None:
+                        stack = build_ap(img, kind, spec, bundle=bundle)
+                    else:
+                        stack = build_fp(img, kind, spec, features,
+                                         bundle=bundle)
+                    layout, data = profile_per_column(bundle, spec, features)
+                    assert stack.layout == layout
+                    assert stack.data.dtype == data.dtype
+                    assert np.array_equal(stack.data, data)
 
-    def test_fp_dim(self, rng):
-        img = self.multiband(rng)
-        spec = FilterSpec(Attribute.AREA,
-                          tuple(float(v) for v in range(2, 12)))
-        stack = build_extended(img, 4, ProfileTrees.COMPONENT_PAIR, spec,
-                               features=[Feature.STD_DEV, Feature.AREA],
-                               mode="fp")
-        assert stack.dim == 4 * 42
 
-    def test_single_component_equals_manual_pipeline(self, rng):
-        img = self.multiband(rng, bands=3, side=8)
-        spec = FilterSpec(Attribute.AREA, (2.0, 4.0))
-        stack = build_extended(img, 1, ProfileTrees.COMPONENT_PAIR, spec,
-                               mode="ap")
-        pc1 = rescale_to_levels(pca_reduce(img, 1), 0, 256)
-        manual = build_ap(pc1, ProfileTrees.COMPONENT_PAIR, spec)
-        assert np.array_equal(stack.data, manual.data)
+class TestThresholdsBeyondImageArea:
+    """An area threshold above the pixel count removes every node but the
+    root, so every filtered column is the root's value at every pixel."""
+
+    @pytest.mark.parametrize("rule", list(FilterRule))
+    @pytest.mark.parametrize("kind", list(ProfileTrees))
+    def test_columns_take_the_root_value(self, rng, kind, rule):
+        for _ in range(5):
+            img = random_image(rng, 9, 12, min_side=2)
+            values = img.values
+            n = values.size
+            spec = FilterSpec(Attribute.AREA, (n + 1.0, 2.0 * n), rule)
+            if kind is ProfileTrees.COMPONENT_PAIR:
+                gray = {"thickening": values.max(), "thinning": values.min()}
+            elif kind is ProfileTrees.TOS:
+                gray = {"selfdual": border_median(values)}
+            else:  # rounded mean, halves up
+                gray = {"selfdual": (2 * int(values.sum()) + n) // (2 * n)}
+            expected = {"area": float(n),
+                        "stddev": two_pass_std(values.ravel().tolist())}
+            stacks = (build_ap(img, kind, spec),
+                      build_fp(img, kind, spec, [Feature.STD_DEV, Feature.AREA]))
+            for stack in stacks:
+                for col, desc in zip(stack.data.T, stack.layout):
+                    if desc.polarity == "original":
+                        continue
+                    assert np.all(col == col[0])
+                    if desc.feature == "gray":
+                        assert col[0] == gray[desc.polarity]
+                    elif desc.feature == "area":
+                        assert col[0] == expected["area"]
+                    else:
+                        assert col[0] == pytest.approx(expected["stddev"],
+                                                       rel=1e-9, abs=1e-12)
 
 
 class TestProfileStackIo:
