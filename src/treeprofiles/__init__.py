@@ -26,7 +26,7 @@ from .classifier import (
     save_model,
     train_forest,
 )
-from .errors import ConvergenceError, DataError, FormatError
+from .errors import DataError, FormatError
 from .hierarchies import (
     Connectivity,
     Tree,
@@ -41,7 +41,6 @@ from .imagery import (
     LabelMap,
     MultibandImage,
     RasterImage,
-    jacobi_eigh,
     load_grayscale,
     load_labels,
     load_multiband,
@@ -57,7 +56,6 @@ from .partition import (
     build_alpha_tree,
     build_omega_tree,
     edge_list,
-    edge_list_multiband,
     partition_at,
 )
 from .profiles import (

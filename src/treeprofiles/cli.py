@@ -197,16 +197,33 @@ def _spec_for(args, band: RasterImage, attr: str) -> FilterSpec:
 
 
 class _StackCache:
-    """Builds profile stacks lazily: one tree bundle per (band, family) and
-    one stack per (band, family, mode, attribute), shared by every command
-    that asks for them again."""
+    """Builds profile stacks lazily: one alpha-tree per band, shared by the
+    alpha and omega families, one tree bundle per (band, family) and one
+    stack per (band, family, mode, attribute), shared by every command that
+    asks for them again."""
 
     def __init__(self, bands: list[RasterImage], args):
         self.bands = bands
         self.args = args
         self.features = args.feature or ["stddev", "area"]
+        self.alphas: dict = {}
         self.bundles: dict = {}
         self.stacks: dict = {}
+
+    def _bundle(self, band_i: int, kind: str):
+        if (band_i, kind) in self.bundles:
+            return self.bundles[band_i, kind]
+        band = self.bands[band_i]
+        conn = Connectivity(self.args.connectivity)
+        alpha = None
+        if kind in (ProfileTrees.ALPHA, ProfileTrees.OMEGA):
+            if band_i not in self.alphas:
+                self.alphas[band_i] = build_tree(band, TreeKind.ALPHA_TREE,
+                                                 conn)
+            alpha = self.alphas[band_i]
+        bundle = tree_bundle(band, ProfileTrees(kind), conn, alpha)
+        self.bundles[band_i, kind] = bundle
+        return bundle
 
     def _stack(self, band_i: int, kind: str, mode: str,
                attr: str) -> ProfileStack:
@@ -214,10 +231,7 @@ class _StackCache:
         if key in self.stacks:
             return self.stacks[key]
         band = self.bands[band_i]
-        if (band_i, kind) not in self.bundles:
-            self.bundles[band_i, kind] = tree_bundle(
-                band, ProfileTrees(kind), Connectivity(self.args.connectivity))
-        bundle = self.bundles[band_i, kind]
+        bundle = self._bundle(band_i, kind)
         spec = _spec_for(self.args, band, attr)
         if mode == "ap":
             stack = build_ap(band, kind, spec, bundle=bundle)

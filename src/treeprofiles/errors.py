@@ -25,6 +25,3 @@ class FormatError(Exception):
 class DataError(Exception):
     """Inputs are well-formed but semantically invalid for the operation."""
 
-
-class ConvergenceError(Exception):
-    """An iterative numerical routine exhausted its iteration budget."""

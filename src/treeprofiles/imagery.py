@@ -16,13 +16,12 @@ threads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, FormatError
+from .errors import DataError, FormatError
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -72,6 +71,9 @@ class MultibandImage:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 3 or v.size == 0:
             raise DataError("MultibandImage needs a (bands, height, width) array")
+        if not np.isfinite(v).all():
+            raise DataError("MultibandImage samples must be finite "
+                            "(found NaN or infinity)")
         object.__setattr__(self, "values", _freeze(v))
 
     @property
@@ -302,57 +304,6 @@ def save_multiband(
 # PCA on band spectra
 # ---------------------------------------------------------------------------
 
-def jacobi_eigh(
-    matrix: np.ndarray, max_sweeps: int = 100, tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors-as-columns) sorted by descending
-    eigenvalue.  Convergence is declared when the off-diagonal norm drops
-    below tol times the Frobenius norm of the input; exceeding the sweep
-    budget raises ConvergenceError.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DataError("jacobi_eigh needs a square matrix")
-    v = np.eye(n)
-    frob = float(np.linalg.norm(a))
-    if frob == 0.0 or n == 1:
-        return np.diag(a).copy(), v
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        if off < tol * frob:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
-        raise ConvergenceError(
-            f"Jacobi eigensolver did not converge within {max_sweeps} sweeps"
-        )
-    order = np.argsort(-np.diag(a), kind="stable")
-    return np.diag(a)[order].copy(), v[:, order]
-
-
 def pca_reduce(image: MultibandImage, n_components: int) -> MultibandImage:
     """Project mean-centered pixel spectra onto the leading principal axes.
 
@@ -360,6 +311,12 @@ def pca_reduce(image: MultibandImage, n_components: int) -> MultibandImage:
     covariance matrix (eigenvalues descending).  Each eigenvector's sign is
     fixed so that its largest-magnitude coordinate is positive.  Bands are
     centered but not variance-standardized.
+
+    The eigenvectors come from LAPACK (``numpy.linalg.eigh``), ordered by a
+    stable sort of descending eigenvalue.  The output bytes are reproducible
+    on one machine; another LAPACK build may round the last bits differently.
+    Where eigenvalues tie, the basis of their eigenspace is not unique and
+    only the spanned subspace is determined.
     """
     if n_components < 1 or n_components > image.bands:
         raise DataError(
@@ -371,8 +328,8 @@ def pca_reduce(image: MultibandImage, n_components: int) -> MultibandImage:
     spectra = image.values.reshape(image.bands, npix).T  # (pixels, bands)
     centered = spectra - spectra.mean(axis=0)
     cov = centered.T @ centered / npix
-    _, vecs = jacobi_eigh(cov)
-    vecs = vecs[:, :n_components]
+    w, vecs = np.linalg.eigh(cov)
+    vecs = vecs[:, np.argsort(-w, kind="stable")[:n_components]]
     flips = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
     flips[flips == 0] = 1.0
     vecs = vecs * flips

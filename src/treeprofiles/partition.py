@@ -29,7 +29,7 @@ from .hierarchies import (
     depth_layers,
     nearest_marked,
 )
-from .imagery import MultibandImage, RasterImage
+from .imagery import RasterImage
 
 
 @dataclass(frozen=True)
@@ -69,26 +69,12 @@ def edge_list(
     return EdgeList(a=a, b=b, weight=np.abs(flat[a] - flat[b]))
 
 
-def edge_list_multiband(
-    image: MultibandImage, connectivity: Connectivity | str = Connectivity.C4
-) -> EdgeList:
-    """Euclidean spectral distance on adjacent pairs (experimental hook)."""
-    conn = as_connectivity(connectivity)
-    a, b = _adjacent_pairs(image.width, image.height, conn)
-    spectra = image.values.reshape(image.bands, -1)
-    diff = spectra[:, a] - spectra[:, b]
-    return EdgeList(a=a, b=b, weight=np.sqrt(np.sum(diff * diff, axis=0)))
-
-
 def build_alpha_tree(
-    image: RasterImage,
-    connectivity: Connectivity | str = Connectivity.C4,
-    edges: EdgeList | None = None,
+    image: RasterImage, connectivity: Connectivity | str = Connectivity.C4
 ) -> Tree:
     """Quasi-flat-zone hierarchy; an internal node at level a is the maximal
     set of pixels mutually reachable through steps of dissimilarity <= a."""
-    if edges is None:
-        edges = edge_list(image, connectivity)
+    edges = edge_list(image, connectivity)
     n = image.width * image.height
     flat = image.values.ravel()
 

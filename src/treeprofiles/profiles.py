@@ -298,10 +298,13 @@ def build_tree(
     image: RasterImage,
     kind: TreeKind | str,
     connectivity: Connectivity | str = Connectivity.C4,
+    alpha: Tree | None = None,
 ) -> Tree:
     """Build one tree of the given kind (max|min|tos|alpha|omega).
 
-    The builders are looked up as this module's globals at call time, so a
+    ``alpha`` is the image's alpha-tree at the same connectivity; an alpha
+    or omega tree is then taken from it instead of building a new one.  The
+    builders are looked up as this module's globals at call time, so a
     wrapper bound over one of them here is the one that runs.
     """
     kind = TreeKind(kind)
@@ -311,7 +314,11 @@ def build_tree(
         return build_min_tree(image, connectivity)
     if kind is TreeKind.TREE_OF_SHAPES:
         return build_tree_of_shapes(image)
-    alpha = build_alpha_tree(image, connectivity)
+    if alpha is None:
+        alpha = build_alpha_tree(image, connectivity)
+    elif alpha.kind is not TreeKind.ALPHA_TREE or \
+            (alpha.width, alpha.height) != (image.width, image.height):
+        raise DataError("alpha must be an alpha-tree of the same image")
     if kind is TreeKind.ALPHA_TREE:
         return alpha
     return build_omega_tree(alpha, image)
@@ -321,8 +328,13 @@ def tree_bundle(
     image: RasterImage,
     trees: ProfileTrees,
     connectivity: Connectivity | str = Connectivity.C4,
+    alpha: Tree | None = None,
 ) -> TreeBundle:
-    """Build the trees a profile family needs once, for reuse across calls."""
+    """Build the trees a profile family needs once, for reuse across calls.
+
+    The alpha and omega families start from ``alpha`` when it is given (see
+    ``build_tree``), so both can share one alpha-tree per image.
+    """
     trees = ProfileTrees(trees)
     if trees is ProfileTrees.COMPONENT_PAIR:
         kinds = (TreeKind.MIN_TREE, TreeKind.MAX_TREE)
@@ -330,7 +342,7 @@ def tree_bundle(
         kinds = (TreeKind(trees.value),)
     pair = []
     for kind in kinds:
-        tree = build_tree(image, kind, connectivity)
+        tree = build_tree(image, kind, connectivity, alpha)
         pair.append((tree, compute_attributes(tree, image)))
     return TreeBundle(trees=trees, pair=pair, image=image)
 

@@ -250,6 +250,23 @@ class TestInputErrors:
         assert out.stderr.count("\n") == 1 and names in out.stderr
         assert not (tmp_path / "rep" / "report.json").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cube_sample(self, scene_dir, tmp_path, bad):
+        cube = np.ones((3, 40, 40), dtype="<f4")
+        cube[1] = np.arange(1600).reshape(40, 40)
+        cube[2, 7, 9] = bad
+        (tmp_path / "cube.json").write_text(json.dumps({
+            "width": 40, "height": 40, "bands": 3, "dtype": "f32",
+            "interleave": "bsq"}))
+        (tmp_path / "cube.raw").write_bytes(cube.tobytes())
+        out = run_cli("classify", "--image", tmp_path / "cube.json",
+                      "--train", scene_dir / "train.pgm",
+                      "--test", scene_dir / "test.pgm", "--pca", 2,
+                      "--rf-trees", 5, "--out", tmp_path / "rep")
+        assert out.returncode == 3, out.stderr
+        assert out.stderr.count("\n") == 1 and "finite" in out.stderr
+        assert not (tmp_path / "rep" / "report.json").exists()
+
     def test_truncated_plain_pgm_names_offset_once(self, tmp_path):
         save_pgm(RasterImage(np.arange(64).reshape(8, 8), levels=64),
                  tmp_path / "plain.pgm", plain=True)
@@ -399,6 +416,16 @@ GOLDEN_COMPARE = {
 GOLDEN_MULTIBAND_REPORT = \
     "580da03dd49b52c8ff5d32f89227f747fa9e742f8fa2a75e0ffcdf715ebc87f7"
 
+# classify reports of a two-band cube with both partition families, computed
+# while each family still built its own alpha-tree and PCA ran on Jacobi
+# rotations
+GOLDEN_PARTITION_REPORTS = {
+    "alpha,omega":
+        "86b68c9015e28a97081f5c499faac53c2ea65b951d7cb22b92d58deef413689d",
+    "omega,alpha":
+        "5ab5edb3b5dd5d65d4d789a50679d4cf4db4c4075e74cddb0d9891347b257add",
+}
+
 
 @pytest.fixture(scope="module")
 def golden_labels(tmp_path_factory):
@@ -417,6 +444,16 @@ def six_band_cube(path):
     scene = synthetic_scene(24, 24, seed=3)[0].values
     other = synthetic_scene(24, 24, seed=5)[0].values
     cube = np.stack([scene * (1 + b) + other * (6 - b) for b in range(6)])
+    save_multiband(MultibandImage(cube.astype(float)), path)
+    return path
+
+
+def two_band_cube(path):
+    """The golden scene and a second scene mixed into two bands."""
+    from treeprofiles import MultibandImage, save_multiband
+    scene = synthetic_scene(24, 24, seed=3)[0].values
+    other = synthetic_scene(24, 24, seed=5)[0].values
+    cube = np.stack([scene * 2 + other, scene + other * 3])
     save_multiband(MultibandImage(cube.astype(float)), path)
     return path
 
@@ -549,3 +586,51 @@ class TestBenchCallSites:
                              "--tree", kind, "--out",
                              str(tmp_path / f"{kind}.txt")]) == 0
         assert set(calls) == set(BENCH_WRAPPED[:5])
+
+
+class TestSharedAlphaTree:
+    """The alpha and omega families of one band start from one alpha-tree,
+    in either ``--tree`` order, and write the bytes they write alone."""
+
+    @pytest.fixture
+    def alpha_calls(self, monkeypatch):
+        from treeprofiles import profiles
+
+        calls = Counter()
+        monkeypatch.setattr(profiles, "build_alpha_tree", counting(
+            calls, "build_alpha_tree", profiles.build_alpha_tree))
+        return calls
+
+    @pytest.mark.parametrize("order", sorted(GOLDEN_PARTITION_REPORTS))
+    def test_classify_builds_one_alpha_tree_per_band(
+            self, alpha_calls, golden_labels, tmp_path, order):
+        from treeprofiles import cli
+
+        cube = two_band_cube(tmp_path / "cube.json")
+        assert cli.main(["classify", "--image", str(cube),
+                         *map(str, golden_labels), "--mode", "both",
+                         "--tree", order, "--pca", "2", "--levels", "32",
+                         "--rf-trees", "5", "--out", str(tmp_path)]) == 0
+        assert alpha_calls["build_alpha_tree"] == 2
+        report = (tmp_path / "report.json").read_bytes()
+        assert _sha256(report) == GOLDEN_PARTITION_REPORTS[order]
+
+    @pytest.mark.parametrize("order", ["alpha,omega", "omega,alpha"])
+    def test_profile_files_equal_single_family_runs(
+            self, alpha_calls, tmp_path, order):
+        from treeprofiles import cli
+
+        cube = two_band_cube(tmp_path / "cube.json")
+
+        def profile(trees, out):
+            assert cli.main(["profile", "--image", str(cube), "--tree", trees,
+                             "--pca", "2", "--levels", "32",
+                             "--out", str(out)]) == 0
+            return {f.name: f.read_bytes() for f in out.iterdir()}
+
+        both = profile(order, tmp_path / "both")
+        assert alpha_calls["build_alpha_tree"] == 2
+        alone = {**profile("alpha", tmp_path / "alpha"),
+                 **profile("omega", tmp_path / "omega")}
+        assert alpha_calls["build_alpha_tree"] == 6
+        assert both == alone

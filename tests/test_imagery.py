@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from treeprofiles import (
-    ConvergenceError,
     DataError,
     FormatError,
     MultibandImage,
     RasterImage,
-    jacobi_eigh,
     load_grayscale,
     load_labels,
     load_multiband,
@@ -17,7 +15,10 @@ from treeprofiles import (
     rescale_to_levels,
     save_multiband,
     save_pgm,
+    synthetic_scene,
 )
+
+from oracles import band_covariance, jacobi_eigh, pca_reduce_jacobi
 
 
 class TestPgm:
@@ -192,8 +193,98 @@ class TestPca:
 
     def test_jacobi_budget_error(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(RuntimeError, match="did not converge"):
             jacobi_eigh(a, max_sweeps=0)
+
+
+def correlated_cube(rng, bands: int, side: int) -> MultibandImage:
+    """A few latent factors mixed into every band plus band noise, rounded
+    through float32 as a BSQ file stores it."""
+    factors = rng.normal(size=(int(rng.integers(2, 6)), side * side))
+    mixing = rng.normal(size=(bands, len(factors)))
+    cube = mixing @ factors + 0.1 * rng.normal(size=(bands, side * side))
+    return MultibandImage(
+        (cube + 5.0).astype(np.float32).reshape(bands, side, side))
+
+
+def hsi_cube(bands: int = 103, side: int = 48) -> MultibandImage:
+    """A hyperspectral-style cube: a scene's gray texture, a smooth field
+    and a constant, each with a smooth spectrum, plus noise in every band."""
+    gen = np.random.default_rng(701)
+    gray = synthetic_scene(side, side, seed=701)[0].values / 255.0
+    b = np.linspace(0.0, 1.0, bands)[:, None, None]
+    yy, xx = np.mgrid[0:side, 0:side] / side
+    field = 0.5 + 0.5 * np.sin(2 * np.pi * (0.7 * xx + 1.3 * yy))
+    cube = (0.6 * gray * np.exp(-((b - 0.3) / 0.15) ** 2)
+            + 0.3 * field * np.exp(-((b - 0.7) / 0.2) ** 2) + 0.2 * (1.0 + b))
+    cube += gen.normal(0.0, 0.15, size=cube.shape)
+    return MultibandImage(cube.astype(np.float32))
+
+
+def quantized_bands(reduced: MultibandImage) -> list[np.ndarray]:
+    return [rescale_to_levels(reduced, b, 256).values
+            for b in range(reduced.bands)]
+
+
+class TestPcaOracle:
+    """``pca_reduce`` (LAPACK eigh) against the cyclic Jacobi reference."""
+
+    def test_eigenvalues_match_jacobi(self, rng):
+        # each component's variance is its axis's eigenvalue; LAPACK and
+        # Jacobi agree to rtol 1e-9, or 1e-12 of the largest eigenvalue
+        for _ in range(12):
+            bands = int(rng.integers(4, 61))
+            img = correlated_cube(rng, bands, 12)
+            ref, _ = jacobi_eigh(band_covariance(img))
+            got = pca_reduce(img, bands).values.reshape(bands, -1)
+            np.testing.assert_allclose(np.mean(got * got, axis=1), ref,
+                                       rtol=1e-9, atol=1e-12 * ref[0])
+
+    def test_rescaled_bands_equal_random_cubes(self, rng):
+        for _ in range(12):
+            bands = int(rng.integers(4, 61))
+            img = correlated_cube(rng, bands, int(rng.integers(6, 20)))
+            got = quantized_bands(pca_reduce(img, 4))
+            ref = quantized_bands(pca_reduce_jacobi(img, 4))
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r)
+
+    def test_rescaled_bands_equal_hyperspectral_cube(self):
+        img = hsi_cube()
+        got = quantized_bands(pca_reduce(img, 4))
+        ref = quantized_bands(pca_reduce_jacobi(img, 4))
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+
+    def test_constant_cube(self):
+        img = MultibandImage(np.full((5, 4, 4), 2.5))
+        out = pca_reduce(img, 3)
+        assert np.array_equal(out.values, np.zeros((3, 4, 4)))
+        assert np.array_equal(out.values, pca_reduce_jacobi(img, 3).values)
+
+    def test_tied_eigenvalues_pin_the_subspace(self):
+        """Two uncorrelated bands of equal variance: every unit vector is a
+        principal axis, so no basis is pinned, only what is invariant."""
+        walsh = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]).astype(float)
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        img = MultibandImage((rot @ walsh[1:3]).reshape(2, 2, 2) + 3.0)
+        centered = img.values.reshape(2, -1) - 3.0
+        assert np.allclose(band_covariance(img), np.eye(2), atol=1e-15)
+        assert np.allclose(jacobi_eigh(band_covariance(img))[0], [1.0, 1.0])
+
+        both = pca_reduce(img, 2).values.reshape(2, -1)
+        # uncorrelated unit-variance components ...
+        assert np.allclose(both @ both.T / 4, np.eye(2), atol=1e-12)
+        # ... that give back the centered bands by an orthogonal map
+        mix = np.linalg.lstsq(both.T, centered.T, rcond=None)[0].T
+        assert np.allclose(mix @ both, centered, atol=1e-12)
+        assert np.allclose(mix @ mix.T, np.eye(2), atol=1e-12)
+
+        one = pca_reduce(img, 1).values.reshape(-1)
+        # one component: a unit-norm combination of the centered bands
+        coef = np.linalg.lstsq(centered.T, one, rcond=None)[0]
+        assert np.allclose(centered.T @ coef, one, atol=1e-12)
+        assert np.isclose(coef @ coef, 1.0, atol=1e-12)
 
 
 class TestRescale:

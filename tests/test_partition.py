@@ -7,8 +7,6 @@ from treeprofiles import (
     build_alpha_tree,
     build_omega_tree,
     edge_list,
-    edge_list_multiband,
-    MultibandImage,
     node_areas,
     partition_at,
 )
@@ -33,11 +31,6 @@ class TestEdgeList:
         weights = sorted(edges.weight.tolist())
         assert weights == [1, 1, 3, 3]
         assert len(edge_list(img, "c8")) == 6
-
-    def test_multiband_euclidean(self):
-        img = MultibandImage(np.array([[[0.0, 3.0]], [[0.0, 4.0]]]))
-        edges = edge_list_multiband(img, "c4")
-        assert np.allclose(edges.weight, [5.0])
 
 
 class TestAlphaTree:

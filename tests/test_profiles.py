@@ -161,6 +161,28 @@ def spec_area(k: int) -> FilterSpec:
     return FilterSpec(Attribute.AREA, tuple(float(2 + i) for i in range(k)))
 
 
+class TestGivenAlphaTree:
+    def test_partition_trees_from_given_alpha(self, rng):
+        for _ in range(5):
+            img = random_image(rng, 9, 8, min_side=2)
+            alpha = build_alpha_tree(img)
+            assert build_tree(img, "alpha", alpha=alpha) is alpha
+            for kind in ("alpha", "omega"):
+                fresh, given = build_tree(img, kind), \
+                    tree_bundle(img, kind, alpha=alpha).pair[0][0]
+                for field in ("parent", "level", "pixel_node", "rep_value"):
+                    assert np.array_equal(getattr(fresh, field),
+                                          getattr(given, field))
+
+    def test_alpha_must_be_this_images_alpha_tree(self, rng):
+        img = random_image(rng, 6, 8, min_side=6)
+        with pytest.raises(DataError):
+            build_tree(img, "omega", alpha=build_max_tree(img))
+        other = RasterImage(np.zeros((2, 3), int), levels=8)
+        with pytest.raises(DataError):
+            build_tree(img, "alpha", alpha=build_alpha_tree(other))
+
+
 class TestBuildAp:
     def test_component_pair_dim(self, rng):
         img = random_image(rng, 8, 6, min_side=4)
