@@ -26,7 +26,7 @@ from .classifier import (
     save_model,
     train_forest,
 )
-from .errors import DataError, FormatError
+from .errors import BuildError, DataError, FormatError
 from .hierarchies import (
     Connectivity,
     Tree,

@@ -1,0 +1,392 @@
+/* Random-forest kernel of treeprofiles.classifier, loaded through ctypes.
+ *
+ * tp_grow_tree grows one CART tree: it draws the bootstrap resample, then
+ * grows nodes in preorder (left subtree first), drawing each split node's
+ * candidate features with a partial Fisher-Yates shuffle and searching them
+ * for the best Gini split.  tp_forest_votes sums the leaf probabilities of
+ * every tree over a batch of rows.  tp_best_split and tp_xorshift_fill
+ * expose the node search and the generator to the tests.
+ *
+ * The floating-point operations are the numpy reference's, one for one:
+ * class counts are exact integers, each Gini sum of squares follows numpy's
+ * pairwise summation, and nothing may be fused into a multiply-add, so build
+ * with -ffp-contract=off.
+ *
+ * Feature data is feature-major: x[f * n + s] is the value of feature f for
+ * training sample s, rank[f * n + s] its dense rank among the distinct
+ * values of feature f, and level[f * n + r] the value of rank r.
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define TP_CAPACITY (-1)  /* a tree would outgrow its node arrays */
+#define TP_NO_MEMORY (-2)
+
+static uint64_t next_u64(uint64_t *state)
+{
+    uint64_t x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    return x * 0x2545F4914F6CDD1DULL;
+}
+
+void tp_xorshift_fill(uint64_t *state, uint64_t *out, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = next_u64(state);
+}
+
+/* numpy's pairwise summation of a contiguous float64 run */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+static int bit_length(uint64_t v)
+{
+    int bits = 0;
+    while (v) {
+        bits++;
+        v >>= 1;
+    }
+    return bits;
+}
+
+/* Ascending sort of m keys: insertion sort for short runs, else an LSD
+ * radix sort over the low `bits` bits through tmp. */
+static void sort_keys(uint64_t *a, uint64_t *tmp, int64_t m, int bits)
+{
+    if (m <= 32) {
+        for (int64_t i = 1; i < m; i++) {
+            uint64_t v = a[i];
+            int64_t j = i;
+            for (; j > 0 && a[j - 1] > v; j--)
+                a[j] = a[j - 1];
+            a[j] = v;
+        }
+        return;
+    }
+    uint64_t *src = a, *dst = tmp;
+    for (int shift = 0; shift < bits; shift += 8) {
+        int64_t start[257] = {0};
+        for (int64_t i = 0; i < m; i++)
+            start[((src[i] >> shift) & 255) + 1]++;
+        if (start[((src[0] >> shift) & 255) + 1] == m)
+            continue;  /* one digit value: the pass would not move a key */
+        for (int b = 0; b < 256; b++)
+            start[b + 1] += start[b];
+        for (int64_t i = 0; i < m; i++)
+            dst[start[(src[i] >> shift) & 255]++] = src[i];
+        uint64_t *t = src;
+        src = dst;
+        dst = t;
+    }
+    if (src != a)
+        memcpy(a, src, (size_t)m * sizeof *a);
+}
+
+typedef struct {
+    const double *x;
+    const int32_t *rank;
+    const double *level;
+    const int32_t *y;
+    int64_t n;
+    int32_t n_features, n_classes;
+    int class_bits, key_bits;
+} Data;
+
+typedef struct {
+    uint64_t *keys, *tmp;   /* n sort keys each */
+    int64_t *total, *left;  /* class counts of the node and of a left side */
+    double *sq;             /* squared class fractions of one side */
+} Work;
+
+static Data make_data(const double *x, const int32_t *rank,
+                      const double *level, const int32_t *y, int64_t n,
+                      int32_t n_features, int32_t n_classes)
+{
+    Data d = {x, rank, level, y, n, n_features, n_classes, 0, 0};
+    d.class_bits = bit_length((uint64_t)n_classes - 1);
+    d.key_bits = d.class_bits + bit_length((uint64_t)n - 1);
+    return d;
+}
+
+static int work_alloc(Work *w, int64_t n, int32_t n_classes)
+{
+    w->keys = malloc((size_t)n * sizeof *w->keys);
+    w->tmp = malloc((size_t)n * sizeof *w->tmp);
+    w->total = malloc((size_t)n_classes * sizeof *w->total);
+    w->left = malloc((size_t)n_classes * sizeof *w->left);
+    w->sq = malloc((size_t)n_classes * sizeof *w->sq);
+    return w->keys && w->tmp && w->total && w->left && w->sq;
+}
+
+static void work_free(Work *w)
+{
+    free(w->keys);
+    free(w->tmp);
+    free(w->total);
+    free(w->left);
+    free(w->sq);
+}
+
+/* 1 - sum of squared class fractions; counts are total - left when
+ * `total` is given, else left */
+static double gini(const int64_t *left, const int64_t *total, double size,
+                   int32_t n_classes, double *sq)
+{
+    for (int32_t c = 0; c < n_classes; c++) {
+        double q = (double)(total ? total[c] - left[c] : left[c]) / size;
+        sq[c] = q * q;
+    }
+    return 1.0 - pairwise_sum(sq, n_classes);
+}
+
+/* Best Gini split of the node holding samples[0, m), whose class counts are
+ * in w->total.  The first minimum of the weighted Gini in (candidate in draw
+ * order, sorted position) order wins.  Returns the winner's index in cands,
+ * or -1 when every candidate is constant on the node.  The threshold is the
+ * midpoint of the two values around the split, or the lower value when the
+ * midpoint rounds or overflows out of [lower, upper). */
+static int best_split(const Data *d, const int32_t *samples, int64_t m,
+                      const int32_t *cands, int32_t k, Work *w, double *thr)
+{
+    const uint64_t class_mask = ((uint64_t)1 << d->class_bits) - 1;
+    const double size = (double)m;
+    int best = -1;
+    double best_gini = 0.0, lo = 0.0, hi = 0.0;
+    for (int32_t c = 0; c < k; c++) {
+        const int32_t *rank = d->rank + (int64_t)cands[c] * d->n;
+        for (int64_t i = 0; i < m; i++)
+            w->keys[i] = (uint64_t)rank[samples[i]] << d->class_bits
+                         | (uint64_t)d->y[samples[i]];
+        sort_keys(w->keys, w->tmp, m, d->key_bits);
+        memset(w->left, 0, (size_t)d->n_classes * sizeof *w->left);
+        for (int64_t p = 0; p + 1 < m; p++) {
+            w->left[w->keys[p] & class_mask]++;
+            uint64_t r = w->keys[p] >> d->class_bits;
+            uint64_t r_next = w->keys[p + 1] >> d->class_bits;
+            if (r == r_next)
+                continue;
+            double nl = (double)(p + 1);
+            double nr = size - nl;
+            double g_left = gini(w->left, NULL, nl, d->n_classes, w->sq);
+            double g_right = gini(w->left, w->total, nr, d->n_classes, w->sq);
+            double weighted = (nl * g_left + nr * g_right) / size;
+            if (best < 0 || weighted < best_gini) {
+                const double *level = d->level + (int64_t)cands[c] * d->n;
+                best = c;
+                best_gini = weighted;
+                lo = level[r];
+                hi = level[r_next];
+            }
+        }
+    }
+    if (best >= 0) {
+        double mid = (lo + hi) / 2.0;
+        *thr = lo <= mid && mid < hi ? mid : lo;
+    }
+    return best;
+}
+
+static void count_classes(const Data *d, const int32_t *samples, int64_t m,
+                          int64_t *total)
+{
+    memset(total, 0, (size_t)d->n_classes * sizeof *total);
+    for (int64_t i = 0; i < m; i++)
+        total[d->y[samples[i]]]++;
+}
+
+int32_t tp_best_split(const double *x, const int32_t *rank,
+                      const double *level, const int32_t *y, int64_t n,
+                      int32_t n_features, int32_t n_classes,
+                      const int32_t *samples, int64_t m,
+                      const int32_t *cands, int32_t k, double *thr)
+{
+    Data d = make_data(x, rank, level, y, n, n_features, n_classes);
+    Work w;
+    int32_t best = TP_NO_MEMORY;
+    if (work_alloc(&w, m, n_classes)) {
+        count_classes(&d, samples, m, w.total);
+        best = best_split(&d, samples, m, cands, k, &w, thr);
+    }
+    work_free(&w);
+    return best;
+}
+
+typedef struct {
+    int32_t node;
+    int64_t start, end;  /* the node's run of the sample array */
+} Pending;
+
+typedef struct {
+    int32_t *feature, *left, *right;
+    double *threshold, *probs;
+    int32_t n_classes;
+    int64_t count, cap;
+} Nodes;
+
+/* appends a leaf with a zero probability row; returns its id, or -1 when the
+ * arrays are full */
+static int32_t new_node(Nodes *t)
+{
+    if (t->count == t->cap)
+        return -1;
+    int64_t id = t->count++;
+    t->feature[id] = t->left[id] = t->right[id] = -1;
+    t->threshold[id] = 0.0;
+    memset(t->probs + id * t->n_classes, 0,
+           (size_t)t->n_classes * sizeof *t->probs);
+    return (int32_t)id;
+}
+
+static int64_t grow(const Data *d, int32_t mtry, uint64_t *state, Nodes *t,
+                    Work *w, int32_t *samples, int32_t *pool, Pending *stack)
+{
+    const int64_t n = d->n;
+    for (int64_t j = 0; j < n; j++)
+        samples[j] = (int32_t)(next_u64(state) % (uint64_t)n);
+    int64_t depth = 0;
+    stack[depth++] = (Pending){new_node(t), 0, n};
+    while (depth > 0) {
+        Pending node = stack[--depth];
+        int32_t *s = samples + node.start;
+        int64_t m = node.end - node.start;
+        count_classes(d, s, m, w->total);
+        int32_t present = 0;
+        for (int32_t c = 0; c < d->n_classes; c++)
+            present += w->total[c] > 0;
+        int32_t best = -1;
+        double thr = 0.0;
+        if (m > 1 && present > 1) {
+            for (int32_t f = 0; f < d->n_features; f++)
+                pool[f] = f;
+            for (int32_t i = 0; i < mtry; i++) {
+                uint64_t left = (uint64_t)(d->n_features - i);
+                int32_t j = i + (int32_t)(next_u64(state) % left);
+                int32_t swap = pool[i];
+                pool[i] = pool[j];
+                pool[j] = swap;
+            }
+            best = best_split(d, s, m, pool, mtry, w, &thr);
+        }
+        if (best < 0) {
+            double *row = t->probs + (int64_t)node.node * d->n_classes;
+            for (int32_t c = 0; c < d->n_classes; c++)
+                row[c] = (double)w->total[c] / (double)m;
+            continue;
+        }
+        const double *values = d->x + (int64_t)pool[best] * n;
+        int64_t lo = 0, hi = m;
+        while (lo < hi) {  /* samples at or below thr to the front */
+            if (values[s[lo]] <= thr) {
+                lo++;
+            } else {
+                int32_t swap = s[lo];
+                s[lo] = s[--hi];
+                s[hi] = swap;
+            }
+        }
+        int32_t left_id = new_node(t), right_id = new_node(t);
+        if (right_id < 0)
+            return TP_CAPACITY;
+        t->feature[node.node] = pool[best];
+        t->threshold[node.node] = thr;
+        t->left[node.node] = left_id;
+        t->right[node.node] = right_id;
+        stack[depth++] = (Pending){right_id, node.start + lo, node.end};
+        stack[depth++] = (Pending){left_id, node.start, node.start + lo};
+    }
+    return t->count;
+}
+
+/* Grows one tree on n >= 1 samples with the generator state *state
+ * (advanced in place) and mtry candidates per split node, into node arrays
+ * of capacity cap (2n - 1 suffices: every split leaves samples on both
+ * sides).  Returns the node count, TP_CAPACITY or TP_NO_MEMORY. */
+int64_t tp_grow_tree(const double *x, const int32_t *rank,
+                     const double *level, const int32_t *y, int64_t n,
+                     int32_t n_features, int32_t n_classes, int32_t mtry,
+                     uint64_t *state, int32_t *feature, double *threshold,
+                     int32_t *left, int32_t *right, double *probs,
+                     int64_t cap)
+{
+    Data d = make_data(x, rank, level, y, n, n_features, n_classes);
+    Nodes t = {feature, left, right, threshold, probs, n_classes, 0, cap};
+    Work w;
+    int32_t *samples = malloc((size_t)n * sizeof *samples);
+    int32_t *pool = malloc((size_t)n_features * sizeof *pool);
+    Pending *stack = malloc((size_t)n * sizeof *stack);
+    int64_t result = TP_NO_MEMORY;
+    if (work_alloc(&w, n, n_classes) && samples && pool && stack)
+        result = cap < 1 ? TP_CAPACITY
+                         : grow(&d, mtry, state, &t, &w, samples, pool, stack);
+    work_free(&w);
+    free(samples);
+    free(pool);
+    free(stack);
+    return result;
+}
+
+/* votes[r * n_classes + c] += the class-c probability of the leaf that row r
+ * reaches, tree after tree.  Node ids of tree t run from offset[t] to
+ * offset[t + 1]; a child id must exceed its parent's and a feature index
+ * must be in range.  Returns 0, or t + 1 for the first malformed tree t. */
+int32_t tp_forest_votes(const double *x, int64_t rows, int32_t n_features,
+                        int32_t n_classes, int32_t n_trees,
+                        const int64_t *offset, const int32_t *feature,
+                        const double *threshold, const int32_t *left,
+                        const int32_t *right, const double *probs,
+                        double *votes)
+{
+    for (int32_t t = 0; t < n_trees; t++) {
+        const int64_t base = offset[t], size = offset[t + 1] - base;
+        if (size < 1)
+            return t + 1;
+        for (int64_t r = 0; r < rows; r++) {
+            const double *row = x + r * n_features;
+            int64_t node = 0;
+            while (feature[base + node] >= 0) {
+                int32_t f = feature[base + node];
+                if (f >= n_features)
+                    return t + 1;
+                int64_t next = row[f] <= threshold[base + node]
+                               ? left[base + node] : right[base + node];
+                if (next <= node || next >= size)
+                    return t + 1;
+                node = next;
+            }
+            const double *p = probs + (base + node) * n_classes;
+            double *v = votes + r * n_classes;
+            for (int32_t c = 0; c < n_classes; c++)
+                v[c] += p[c];
+        }
+    }
+    return 0;
+}

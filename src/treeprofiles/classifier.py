@@ -3,19 +3,30 @@
 CART trees with Gini impurity splits, bootstrap resamples of the full
 training size, ceil(sqrt(dim)) candidate features drawn without replacement
 per node, grown to purity with minimum node size 1 and no depth cap.  Split
-thresholds sit at the midpoint of consecutive distinct sorted values; among
-equally good splits the first one found wins, scanning candidate features in
-draw order.  Samples route left when ``value <= threshold``.
+thresholds sit at the midpoint of consecutive distinct sorted values, or at
+the lower value when the midpoint rounds up to the upper one or overflows;
+among equally good splits the first one found wins, scanning candidate
+features in draw order.  Samples route left when ``value <= threshold``.
+Features must be finite.
 
 All randomness comes from the package's xorshift64* generator (see
 :mod:`treeprofiles.rng`); tree i uses the derived seed ``derive_seed(seed,
 i)``, so training is reproducible bit-for-bit across platforms and is
 independent of any scheduling order.
 
+The bootstrap, the per-node feature draws, the split search and the vote sum
+of :func:`predict` run in one small C file, ``_forest.c``, loaded through
+:mod:`ctypes`.  It is compiled with ``cc`` on the first train or predict call
+and cached under ``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``),
+named by the sha256 of its source and compiler command; a failed build raises
+:class:`~treeprofiles.errors.BuildError`.  The kernel performs the numpy
+reference's floating-point operations one for one (``tests/oracles.py``), so
+the model bytes are the reference's.
+
 Trees grow across up to ``min(usable CPUs, n_trees)`` worker processes
 (forked where the platform can fork, else one after another in process) and
 are collected in index order, so the model bytes do not depend on the worker
-count.  A node searches all its candidate features in one vectorised pass.
+count.
 
 Model serialization (little-endian throughout)::
 
@@ -27,17 +38,21 @@ Model serialization (little-endian throughout)::
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
 import multiprocessing as mp
 import os
 import struct
+import subprocess
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import BuildError, DataError, FormatError
 from .rng import Xorshift64Star, derive_seed
 
 _MAGIC = b"TPFM"
@@ -68,106 +83,138 @@ class ForestModel:
         return len(self.classes)
 
 
-def _best_split(xs: np.ndarray, y_node: np.ndarray, n_classes: int):
-    """Best Gini split of a node; returns (row of xs, threshold) or None.
+# ---------------------------------------------------------------------------
+# The compiled kernel
+# ---------------------------------------------------------------------------
 
-    ``xs`` holds the node's values of the candidate features, one row per
-    feature in draw order.  All rows are searched in one pass.  Gini is
-    evaluated only where consecutive sorted values differ, and the first
-    minimum in (row, position) order wins: earlier-drawn features win ties,
-    then lower thresholds.
-    """
-    m = len(y_node)
-    order = np.argsort(xs, axis=1, kind="stable")
-    vs = xs[np.arange(len(xs))[:, None], order]
-    rows, pos = np.nonzero(vs[:, :-1] < vs[:, 1:])
-    if len(rows) == 0:
-        return None
-    onehot = y_node[order][:, :, None] == np.arange(n_classes)
-    cum = np.cumsum(onehot, axis=1, dtype=np.float64)
-    left = cum[rows, pos]
-    right = cum[rows, -1] - left
-    nl = (pos + 1).astype(np.float64)
-    nr = m - nl
-    gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-    gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-    weighted = (nl * gini_l + nr * gini_r) / m
-    k = int(np.argmin(weighted))  # first minimum
-    row, p = rows[k], pos[k]
-    return row, (vs[row, p] + vs[row, p + 1]) / 2.0
+_SOURCE = Path(__file__).with_name("_forest.c")
+_COMPILE = ["cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
 
-def _grow_tree(xt: np.ndarray, y: np.ndarray, n_classes: int, mtry: int,
-               rng: Xorshift64Star) -> DecisionTree:
-    """``xt`` is the (n_features, n_samples) transposed training matrix."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    probs: list[np.ndarray] = []
+_F8, _I4, _I8, _U8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                      for t in (np.float64, np.int32, np.int64, np.uint64))
+_N, _K = ctypes.c_int64, ctypes.c_int32
+_SIGNATURES = {
+    "tp_grow_tree": (_N, [_F8, _I4, _F8, _I4, _N, _K, _K, _K, _U8,
+                          _I4, _F8, _I4, _I4, _F8, _N]),
+    "tp_best_split": (_K, [_F8, _I4, _F8, _I4, _N, _K, _K, _I4, _N, _I4, _K,
+                           _F8]),
+    "tp_forest_votes": (_K, [_F8, _N, _K, _K, _K, _I8, _I4, _F8, _I4, _I4,
+                             _F8, _F8]),
+    "tp_xorshift_fill": (None, [_U8, _U8, _N]),
+}
+_lib: ctypes.CDLL | None = None
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        probs.append(np.zeros(n_classes))
-        return len(feature) - 1
 
-    n_features = len(xt)
-    root = new_node()
-    # preorder, left subtree first, so PRNG consumption is schedule-free
-    stack = [(root, np.arange(len(y)))]
-    while stack:
-        node, idx = stack.pop()
-        y_node = y[idx]
-        counts = np.bincount(y_node, minlength=n_classes)
-        if len(idx) == 1 or np.count_nonzero(counts) == 1:
-            probs[node] = counts / counts.sum()
-            continue
-        candidates = rng.sample_without_replacement(n_features, mtry)
-        xs = xt[np.array(candidates, dtype=np.intp)[:, None], idx]
-        split = _best_split(xs, y_node, n_classes)
-        if split is None:  # all candidate features constant here
-            probs[node] = counts / counts.sum()
-            continue
-        row, thr = split
-        go_left = xs[row] <= thr
-        feature[node] = candidates[row]
-        threshold[node] = thr
-        left_id = new_node()
-        right_id = new_node()
-        left[node] = left_id
-        right[node] = right_id
-        stack.append((right_id, idx[~go_left]))
-        stack.append((left_id, idx[go_left]))
-    return DecisionTree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        probs=np.stack(probs),
-    )
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "treeprofiles"
 
+
+def _build() -> Path:
+    """Path of the compiled kernel, compiling it into the cache if absent.
+    The compiler writes a temporary file that is renamed into place, so
+    concurrent builds never expose a partial library."""
+    source = _SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(_COMPILE).encode()).hexdigest()
+    target = _cache_dir() / f"forest-{digest}.so"
+    if target.exists():
+        return target
+    command = " ".join(_COMPILE + ["-o", str(target), str(_SOURCE)])
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
+        os.close(fd)
+        try:
+            done = subprocess.run(_COMPILE + ["-o", tmp, str(_SOURCE)],
+                                  capture_output=True, text=True)
+            if done.returncode != 0:
+                first = (done.stderr.strip().splitlines() or ["no output"])[0]
+                raise BuildError(f"cannot build the forest kernel: `{command}` "
+                                 f"exited {done.returncode}: {first}")
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise BuildError(f"cannot build the forest kernel: `{command}`: "
+                         f"{exc}") from None
+    return target
+
+
+def _kernel() -> ctypes.CDLL:
+    """The forest kernel, built and loaded on first use."""
+    global _lib
+    if _lib is None:
+        path = _build()
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError as exc:
+            raise BuildError(f"cannot load the forest kernel: {exc}") from None
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            func = getattr(lib, name)
+            func.restype, func.argtypes = restype, argtypes
+        _lib = lib
+    return _lib
+
+
+# ---------------------------------------------------------------------------
+# Training
+# ---------------------------------------------------------------------------
 
 @dataclass
 class _TrainingSet:
-    xt: np.ndarray         # (n_features, n_samples): rows gather contiguously
-    y_idx: np.ndarray      # class indices 0..n_classes-1
+    """Feature-major (n_features, n_samples) tables, as ``_forest.c`` reads
+    them: values, the dense rank of each value within its feature, and the
+    value of each rank."""
+
+    xt: np.ndarray         # float64
+    rank: np.ndarray       # int32
+    level: np.ndarray      # float64
+    y_idx: np.ndarray      # int32 class indices 0..n_classes-1
     n_classes: int
     mtry: int
     seed: int
 
 
+def _training_set(x: np.ndarray, y_idx: np.ndarray, n_classes: int,
+                  seed: int) -> _TrainingSet:
+    xt = np.ascontiguousarray(x.T, dtype=np.float64)
+    order = np.argsort(xt, axis=1)
+    ordered = np.take_along_axis(xt, order, axis=1)
+    sorted_rank = np.zeros(xt.shape, dtype=np.int32)
+    np.cumsum(ordered[:, 1:] > ordered[:, :-1], axis=1, out=sorted_rank[:, 1:])
+    rank = np.empty_like(sorted_rank)
+    np.put_along_axis(rank, order, sorted_rank, axis=1)
+    level = np.zeros_like(xt)
+    np.put_along_axis(level, sorted_rank, ordered, axis=1)
+    return _TrainingSet(xt=xt, rank=rank, level=level,
+                        y_idx=np.ascontiguousarray(y_idx, dtype=np.int32),
+                        n_classes=n_classes,
+                        mtry=math.ceil(math.sqrt(len(xt))), seed=seed)
+
+
 def _grow_indexed(data: _TrainingSet, i: int) -> DecisionTree:
     """Tree ``i`` of the forest: its own seed stream draws the bootstrap
     resample, then the candidate features of every node."""
-    rng = Xorshift64Star(derive_seed(data.seed, i))
     n = len(data.y_idx)
-    boot = np.fromiter((rng.below(n) for _ in range(n)), dtype=np.int64,
-                       count=n)
-    return _grow_tree(data.xt[:, boot], data.y_idx[boot], data.n_classes,
-                      data.mtry, rng)
+    cap = 2 * n - 1
+    state = np.array([Xorshift64Star(derive_seed(data.seed, i)).state],
+                     dtype=np.uint64)
+    tree = DecisionTree(feature=np.empty(cap, np.int32),
+                        threshold=np.empty(cap), left=np.empty(cap, np.int32),
+                        right=np.empty(cap, np.int32),
+                        probs=np.empty((cap, data.n_classes)))
+    count = _kernel().tp_grow_tree(
+        data.xt, data.rank, data.level, data.y_idx, n, len(data.xt),
+        data.n_classes, data.mtry, state, tree.feature, tree.threshold,
+        tree.left, tree.right, tree.probs, cap)
+    if count == -2:
+        raise MemoryError("forest kernel: out of memory")
+    if count < 0:
+        raise RuntimeError(f"forest kernel: tree {i} outgrew {cap} nodes")
+    return DecisionTree(*(a[:count].copy() for a in (
+        tree.feature, tree.threshold, tree.left, tree.right, tree.probs)))
 
 
 _worker_data: _TrainingSet | None = None  # set in each pool worker only
@@ -189,6 +236,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _check_finite(x: np.ndarray, what: str) -> None:
+    if not np.isfinite(x).all():
+        raise DataError(f"{what} features contain NaN or infinity")
+
+
 def train_forest(
     x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0
 ) -> ForestModel:
@@ -203,56 +255,68 @@ def train_forest(
         raise DataError(f"a forest needs at least one tree, got {n_trees}")
     if x.ndim != 2 or len(x) != len(y) or len(y) == 0:
         raise DataError("training needs matching non-empty x (2-D) and y")
-    if np.any(np.isnan(x)):
-        raise DataError("training features contain NaN")
+    _check_finite(x, "training")
     classes = np.unique(y)
     if len(classes) < 2:
         raise DataError("training needs at least two classes")
-    data = _TrainingSet(xt=np.ascontiguousarray(x.T),
-                        y_idx=np.searchsorted(classes, y),
-                        n_classes=len(classes),
-                        mtry=math.ceil(math.sqrt(x.shape[1])), seed=seed)
+    data = _training_set(x, np.searchsorted(classes, y), len(classes), seed)
+    _kernel()  # built and loaded before the workers fork
     workers = min(_usable_cpus(), n_trees)
     if workers == 1 or "fork" not in mp.get_all_start_methods():
         trees = [_grow_indexed(data, i) for i in range(n_trees)]
     else:
-        # forked workers inherit ``data`` through initargs without pickling
+        # forked workers inherit ``data`` through initargs without pickling;
+        # one block of consecutive trees per worker keeps the round trips few
         with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
                                  initializer=_init_worker,
                                  initargs=(data,)) as pool:
-            trees = list(pool.map(_grow_in_worker, range(n_trees)))
+            trees = list(pool.map(_grow_in_worker, range(n_trees),
+                                  chunksize=-(-n_trees // workers)))
     return ForestModel(trees=trees, classes=classes, n_features=x.shape[1],
                        seed=seed)
 
 
-def _tree_probs(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
-    node = np.zeros(len(x), dtype=np.int64)
-    while True:
-        internal = tree.feature[node] >= 0
-        if not internal.any():
-            break
-        sel = np.flatnonzero(internal)
-        cur = node[sel]
-        go_left = x[sel, tree.feature[cur]] <= tree.threshold[cur]
-        node[sel] = np.where(go_left, tree.left[cur], tree.right[cur])
-    return tree.probs[node]
+# ---------------------------------------------------------------------------
+# Prediction
+# ---------------------------------------------------------------------------
+
+def _votes(model: ForestModel, x: np.ndarray) -> np.ndarray:
+    """(rows, n_classes) sums of the trees' leaf probabilities, added in
+    tree order."""
+    trees = model.trees
+    offset = np.cumsum([0] + [len(t.feature) for t in trees], dtype=np.int64)
+
+    def flat(name, dtype):
+        parts = [np.ravel(getattr(t, name)) for t in trees]
+        return np.ascontiguousarray(
+            np.concatenate(parts) if parts else np.empty(0), dtype=dtype)
+
+    probs = flat("probs", np.float64)
+    if len(probs) != offset[-1] * model.n_classes or any(
+            len(getattr(t, a)) != len(t.feature)
+            for t in trees for a in ("threshold", "left", "right")):
+        raise DataError("model node arrays disagree in length")
+    votes = np.zeros((len(x), model.n_classes))
+    bad = _kernel().tp_forest_votes(
+        x, len(x), model.n_features, model.n_classes, len(trees), offset,
+        flat("feature", np.int32), flat("threshold", np.float64),
+        flat("left", np.int32), flat("right", np.int32), probs, votes)
+    if bad:
+        raise DataError(f"tree {bad - 1} of the model is malformed")
+    return votes
 
 
 def predict(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Majority vote over summed tree probabilities; ties go to the smaller
     class id."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DataError(
             f"feature dimension {x.shape[-1] if x.ndim else 0} does not match "
             f"model ({model.n_features})"
         )
-    if np.any(np.isnan(x)):
-        raise DataError("prediction features contain NaN")
-    votes = np.zeros((len(x), model.n_classes))
-    for tree in model.trees:
-        votes += _tree_probs(tree, x)
-    return model.classes[np.argmax(votes, axis=1)]
+    _check_finite(x, "prediction")
+    return model.classes[np.argmax(_votes(model, x), axis=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from .attributes import compute_attributes, dump_attributes
 from .classifier import evaluate, predict, train_forest
-from .errors import DataError, FormatError
+from .errors import BuildError, DataError, FormatError
 from .hierarchies import Connectivity, TreeKind, dump_tree
 from .imagery import (
     LabelMap,
@@ -475,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BuildError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except Exception as exc:  # internal invariant violation
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: FormatError (and missing files) mean a
 broken or unreadable input, such as a malformed file or an out-of-range
 option, DataError means the inputs are readable but semantically unusable
-(mismatched dimensions, degenerate training sets, ...).
+(mismatched dimensions, degenerate training sets, ...), and BuildError
+means the forest's C kernel could not be compiled or loaded.
 """
 
 
@@ -25,3 +26,6 @@ class FormatError(Exception):
 class DataError(Exception):
     """Inputs are well-formed but semantically invalid for the operation."""
 
+
+class BuildError(Exception):
+    """The forest's C kernel could not be compiled or loaded."""

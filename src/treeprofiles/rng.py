@@ -36,6 +36,11 @@ class Xorshift64Star:
             state = _splitmix64(_GOLDEN)
         self._state = state
 
+    @property
+    def state(self) -> int:
+        """The current 64-bit state; the next output is derived from it."""
+        return self._state
+
     def next_u64(self) -> int:
         x = self._state
         x ^= (x >> 12)

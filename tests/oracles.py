@@ -4,8 +4,8 @@ The brute-force references work by per-threshold flood fill on plain Python
 data structures; nothing is shared with the library's union-find / scipy
 code paths, so agreement between the two is meaningful.  The sections at
 the end keep paths the library replaced (per-node loops, per-node hole
-filling, per-column profile resolution, the cyclic Jacobi eigensolver) as
-exact references for the faster code.
+filling, per-column profile resolution, the cyclic Jacobi eigensolver, the
+numpy random forest) as exact references for the faster code.
 """
 
 import math
@@ -253,8 +253,121 @@ def best_split_per_feature(x_node: np.ndarray, y_node: np.ndarray,
         if weighted[k] < best_gini:
             best_gini = weighted[k]
             pos = splits[k]
-            best = (f, (vs[pos] + vs[pos + 1]) / 2.0)
+            best = (f, split_threshold(vs[pos], vs[pos + 1]))
     return best
+
+
+def split_threshold(lo, hi):
+    """Midpoint of two consecutive distinct values, or ``lo`` where the
+    midpoint rounds or overflows out of [lo, hi)."""
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return mid if lo <= mid < hi else lo
+
+
+# ---------------------------------------------------------------------------
+# Random forest: the numpy trees the compiled kernel replaced
+# ---------------------------------------------------------------------------
+
+def best_split(xs: np.ndarray, y_node: np.ndarray, n_classes: int):
+    """Best Gini split of a node; returns (row of xs, threshold) or None.
+
+    ``xs`` holds the node's values of the candidate features, one row per
+    feature in draw order.  All rows are searched in one pass.  Gini is
+    evaluated only where consecutive sorted values differ, and the first
+    minimum in (row, position) order wins: earlier-drawn features win ties,
+    then lower thresholds.
+    """
+    m = len(y_node)
+    order = np.argsort(xs, axis=1, kind="stable")
+    vs = xs[np.arange(len(xs))[:, None], order]
+    rows, pos = np.nonzero(vs[:, :-1] < vs[:, 1:])
+    if len(rows) == 0:
+        return None
+    onehot = y_node[order][:, :, None] == np.arange(n_classes)
+    cum = np.cumsum(onehot, axis=1, dtype=np.float64)
+    left = cum[rows, pos]
+    right = cum[rows, -1] - left
+    nl = (pos + 1).astype(np.float64)
+    nr = m - nl
+    gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+    gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+    weighted = (nl * gini_l + nr * gini_r) / m
+    k = int(np.argmin(weighted))  # first minimum
+    row, p = rows[k], pos[k]
+    return row, split_threshold(vs[row, p], vs[row, p + 1])
+
+
+def grow_tree(xt: np.ndarray, y: np.ndarray, n_classes: int, mtry: int,
+              rng):
+    """One CART tree on the (n_features, n_samples) matrix ``xt``, nodes
+    in preorder, left subtree first; returns the five node arrays
+    (feature, threshold, left, right, probs)."""
+    feature, threshold, left, right, probs = [], [], [], [], []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        probs.append(np.zeros(n_classes))
+        return len(feature) - 1
+
+    n_features = len(xt)
+    stack = [(new_node(), np.arange(len(y)))]
+    while stack:
+        node, idx = stack.pop()
+        y_node = y[idx]
+        counts = np.bincount(y_node, minlength=n_classes)
+        if len(idx) == 1 or np.count_nonzero(counts) == 1:
+            probs[node] = counts / counts.sum()
+            continue
+        candidates = rng.sample_without_replacement(n_features, mtry)
+        xs = xt[np.array(candidates, dtype=np.intp)[:, None], idx]
+        split = best_split(xs, y_node, n_classes)
+        if split is None:  # all candidate features constant here
+            probs[node] = counts / counts.sum()
+            continue
+        row, thr = split
+        go_left = xs[row] <= thr
+        feature[node] = candidates[row]
+        threshold[node] = thr
+        left[node] = new_node()
+        right[node] = new_node()
+        stack.append((right[node], idx[~go_left]))
+        stack.append((left[node], idx[go_left]))
+    return (np.array(feature, dtype=np.int32),
+            np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+            np.stack(probs))
+
+
+def grow_indexed_tree(x: np.ndarray, y_idx: np.ndarray, n_classes: int,
+                      seed: int, i: int):
+    """Tree ``i`` of a forest on (x, y_idx): the bootstrap resample, then
+    the tree, both drawn from the stream ``derive_seed(seed, i)``."""
+    from treeprofiles.rng import Xorshift64Star, derive_seed
+
+    rng = Xorshift64Star(derive_seed(seed, i))
+    n = len(y_idx)
+    boot = np.array([rng.below(n) for _ in range(n)], dtype=np.int64)
+    mtry = math.ceil(math.sqrt(x.shape[1]))
+    return grow_tree(np.ascontiguousarray(x.T)[:, boot], y_idx[boot],
+                     n_classes, mtry, rng)
+
+
+def tree_probs(feature, threshold, left, right, probs, x: np.ndarray):
+    """Leaf probability rows reached by the rows of ``x``."""
+    node = np.zeros(len(x), dtype=np.int64)
+    while True:
+        internal = feature[node] >= 0
+        if not internal.any():
+            break
+        sel = np.flatnonzero(internal)
+        cur = node[sel]
+        go_left = x[sel, feature[cur]] <= threshold[cur]
+        node[sel] = np.where(go_left, left[cur], right[cur])
+    return probs[node]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,15 +22,19 @@ from treeprofiles import (
     model_from_bytes,
     model_to_bytes,
     predict,
+    save_labels,
     save_model,
+    save_pgm,
     split_labels,
     synthetic_scene,
     train_forest,
     tree_bundle,
 )
-from treeprofiles import classifier
-from treeprofiles.classifier import DecisionTree, _best_split
+from treeprofiles import cli, classifier
+from treeprofiles.classifier import DecisionTree
+from treeprofiles.rng import Xorshift64Star, derive_seed
 
+import oracles
 from oracles import best_split_per_feature
 
 
@@ -53,6 +61,20 @@ def fp_training_set():
         for spec in specs
     ], axis=1)
     return fp[idx], y
+
+
+def kernel_split(x, y, n_classes, cands):
+    """The kernel's node search over all rows of ``x`` as one node:
+    (feature, threshold) or None."""
+    data = classifier._training_set(x, y, n_classes, seed=0)
+    samples = np.arange(len(y), dtype=np.int32)
+    thr = np.zeros(1)
+    row = classifier._kernel().tp_best_split(
+        data.xt, data.rank, data.level, data.y_idx, len(y), len(data.xt),
+        n_classes, samples, len(samples), np.array(cands, dtype=np.int32),
+        len(cands), thr)
+    assert row >= -1
+    return None if row == -1 else (cands[row], thr[0])
 
 
 class TestTraining:
@@ -108,12 +130,9 @@ class TestTraining:
             y = rng.integers(0, n_classes, size=m)
             k = int(rng.integers(1, n_features + 1))
             cands = list(rng.permutation(n_features)[:k])
-            got = _best_split(x[:, cands].T.copy(), y, n_classes)
+            got = kernel_split(x, y, n_classes, cands)
             want = best_split_per_feature(x, y, n_classes, cands)
-            if want is None:
-                assert got is None
-            else:
-                assert (cands[got[0]], got[1]) == want
+            assert got == want
 
     def test_in_process_matches_pool(self, monkeypatch):
         x, y = fp_training_set()
@@ -258,3 +277,167 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(Exception):
             model_from_bytes(b"XXXX" + bytes(32))
+
+
+def random_training_set(rng, n, n_classes):
+    """x with ties, duplicated rows and constant columns; y_idx may miss
+    classes."""
+    n_features = int(rng.integers(1, 12))
+    x = rng.integers(0, int(rng.integers(1, 8)), size=(n, n_features))
+    x = x * rng.choice([0.1, 1.0, 3.7, -2.5])
+    if rng.random() < 0.3:
+        x = x + rng.normal(size=x.shape) * (rng.random(n_features) < 0.5)
+    if n > 1:
+        dup = rng.integers(0, n, size=n // 3)
+        x[rng.integers(0, n, size=len(dup))] = x[dup]
+    x[:, rng.random(n_features) < 0.2] = 1.5
+    return x, rng.integers(0, n_classes, size=n)
+
+
+class TestKernelMatchesReference:
+    """The compiled kernel against the numpy forest in ``tests/oracles.py``:
+    the same trees and votes, byte for byte."""
+
+    def test_trees(self, rng):
+        for trial in range(60):
+            n = 1 if trial == 0 else int(rng.integers(2, 301))
+            n_classes = int(rng.integers(2, 13))
+            x, y_idx = random_training_set(rng, n, n_classes)
+            seed = int(rng.integers(0, 2**63))
+            data = classifier._training_set(x, y_idx, n_classes, seed)
+            for i in range(2):
+                got = classifier._grow_indexed(data, i)
+                want = oracles.grow_indexed_tree(x, y_idx, n_classes, seed, i)
+                got = (got.feature, got.threshold, got.left, got.right,
+                       got.probs)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+
+    def test_votes(self, rng):
+        for _ in range(12):
+            n_classes = int(rng.integers(2, 13))
+            x, y = random_training_set(rng, int(rng.integers(20, 200)),
+                                       n_classes)
+            y[:2] = [0, 1]  # at least two classes
+            model = train_forest(x, y, n_trees=7, seed=int(rng.integers(99)))
+            probe = np.vstack([x, x + rng.normal(size=x.shape)])
+            want = np.zeros((len(probe), model.n_classes))
+            for t in model.trees:
+                want += oracles.tree_probs(t.feature, t.threshold, t.left,
+                                           t.right, t.probs, probe)
+            assert classifier._votes(model, probe).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1,
+                                      derive_seed(5, 3)])
+    def test_prng_stream(self, seed):
+        rng = Xorshift64Star(seed)
+        state = np.array([rng.state], dtype=np.uint64)
+        out = np.zeros(500, dtype=np.uint64)
+        classifier._kernel().tp_xorshift_fill(state, out, len(out))
+        assert out.tolist() == [rng.next_u64() for _ in range(len(out))]
+        assert int(state[0]) == rng.state
+
+
+class TestDegenerateSplits:
+    """Inputs whose midpoint threshold once sent every sample to one child,
+    so the same node split forever."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_feature_rejected(self, bad):
+        x = np.array([[0.0, 1.0], [bad, 2.0], [1.0, 3.0], [2.0, 4.0]])
+        y = np.array([1, 2, 1, 2])
+        with pytest.raises(DataError, match="infinity"):
+            train_forest(x, y, n_trees=3)
+        x[1, 0] = 0.5
+        model = train_forest(x, y, n_trees=3)
+        x[1, 0] = bad
+        with pytest.raises(DataError, match="infinity"):
+            predict(model, x)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (np.nextafter(1.0, 0.0), 1.0),    # midpoint rounds up to hi
+        (1e308, 1.5e308),                 # midpoint overflows to inf
+        (-1.5e308, -1e308),               # ... and to -inf
+        (5e-324, 1e-323),                 # subnormals: rounds up to hi
+    ])
+    def test_threshold_falls_back_to_lower_value(self, lo, hi):
+        x = np.array([[lo], [hi]] * 4)
+        y = np.array([1, 2] * 4)
+        model = train_forest(x, y, n_trees=4, seed=1)
+        for tree in model.trees:
+            assert np.all(tree.threshold[tree.feature >= 0] == lo)
+        assert np.array_equal(predict(model, x), y)
+        assert model_to_bytes(model) == model_to_bytes(ForestModel(
+            trees=[DecisionTree(*oracles.grow_indexed_tree(x, y - 1, 2, 1, i))
+                   for i in range(4)],
+            classes=model.classes, n_features=1, seed=1))
+
+    def test_node_capacity_refused(self):
+        x = np.array([[0.0], [1.0]] * 3)
+        data = classifier._training_set(x, np.array([0, 1] * 3), 2, 0)
+        arrays = [np.empty(2, np.int32), np.empty(2), np.empty(2, np.int32),
+                  np.empty(2, np.int32), np.empty((2, 2))]
+        state = np.array([Xorshift64Star(7).state], dtype=np.uint64)
+        count = classifier._kernel().tp_grow_tree(
+            data.xt, data.rank, data.level, data.y_idx, 6, 1, 2, 1, state,
+            *arrays, 2)
+        assert count == -1  # a split needs 3 nodes; the arrays hold 2
+
+
+def tiny_scene(path):
+    img, labels = synthetic_scene(24, 24, seed=3, levels=16)
+    train, test = split_labels(labels, 0.3, seed=3)
+    save_pgm(img, path / "scene.pgm")
+    save_labels(train, path / "train.pgm")
+    save_labels(test, path / "test.pgm")
+    return ["classify", "--image", str(path / "scene.pgm"),
+            "--train", str(path / "train.pgm"),
+            "--test", str(path / "test.pgm"), "--tree", "component",
+            "--mode", "fp", "--rf-trees", "2", "--out", str(path / "out")]
+
+
+class TestKernelBuild:
+    def test_source_compiles_without_warnings(self, tmp_path):
+        done = subprocess.run(
+            classifier._COMPILE + ["-Wall", "-Wextra", "-Werror", "-o",
+                                   str(tmp_path / "k.so"),
+                                   str(classifier._SOURCE)],
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_fresh_cache_same_model_bytes(self, tmp_path):
+        x, y = fp_training_set()
+        want = hashlib.sha256(model_to_bytes(
+            train_forest(x, y, n_trees=4, seed=9))).hexdigest()
+        script = (
+            "import hashlib, sys; sys.path.insert(0, 'tests')\n"
+            "from test_classifier import fp_training_set\n"
+            "from treeprofiles import model_to_bytes, train_forest\n"
+            "x, y = fp_training_set()\n"
+            "m = train_forest(x, y, n_trees=4, seed=9)\n"
+            "print(hashlib.sha256(model_to_bytes(m)).hexdigest())\n")
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-c", script], cwd=root,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == want
+        assert len(list((tmp_path / "treeprofiles").glob("forest-*.so"))) == 1
+
+    @pytest.mark.parametrize("compiler", [
+        [sys.executable, "-c", "import sys; sys.exit('cc: fatal error')"],
+        ["no-such-compiler-here"],
+    ])
+    def test_failed_build_is_one_line_cli_error(self, tmp_path, monkeypatch,
+                                                capsys, compiler):
+        argv = tiny_scene(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(classifier, "_lib", None)
+        monkeypatch.setattr(classifier, "_COMPILE", compiler)
+        assert cli.main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: cannot build the forest kernel")
+        assert " ".join(compiler) in err
+        assert not (tmp_path / "out" / "report.json").exists()

@@ -231,6 +231,18 @@ def _profile_of_smaller_image(path, scene_dir):
             "--profile", path / "small_alpha_fp"], "16x16"
 
 
+def _profile_with_infinity(path, scene_dir):
+    assert run_cli("profile", "--image", scene_dir / "scene.pgm",
+                   "--tree", "alpha", "--mode", "fp", "--attr", "area",
+                   "--out", path).returncode == 0
+    stem = path / "scene_alpha_fp"
+    dim = json.loads(stem.with_suffix(".json").read_text())["dim"]
+    values = np.fromfile(stem.with_suffix(".raw"), dtype="<f4")
+    values[::dim] = np.inf  # the first column of every pixel
+    values.tofile(stem.with_suffix(".raw"))
+    return ["--image", scene_dir / "scene.pgm", "--profile", stem], "infinity"
+
+
 class TestInputErrors:
     """Malformed inputs exit 2 (input) or 3 (data) with one line, never 4."""
 
@@ -239,6 +251,7 @@ class TestInputErrors:
         (_text_width_cube, 2),
         (_profile_without_columns, 2),
         (_profile_of_smaller_image, 3),
+        (_profile_with_infinity, 3),
     ])
     def test_classify_input(self, scene_dir, tmp_path, make, code):
         args, names = make(tmp_path, scene_dir)
