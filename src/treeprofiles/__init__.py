@@ -9,11 +9,8 @@ and classifies those profiles with a deterministic random forest.
 
 from .attributes import (
     AttributeTable,
-    attr_area,
-    attr_moment_of_inertia,
     compute_attributes,
     dump_attributes,
-    feat_std_dev,
 )
 from .classifier import (
     ConfusionMatrix,

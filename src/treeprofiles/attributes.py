@@ -7,9 +7,8 @@ its full component (direct pixels plus all descendants).  Gray
 statistics always refer to the source image values, so features read from a
 pruned tree still describe the original pixels inside each component.
 
-Moments are accumulated in 64-bit integers and the final moment-of-inertia
-arithmetic runs on exact Python integers, which avoids the catastrophic
-cancellation of the naive float formula.
+Moments are accumulated in 64-bit integers; ``moment_of_inertia_all`` and
+``std_dev_all`` turn them into per-node float vectors.
 """
 
 from __future__ import annotations
@@ -41,12 +40,6 @@ class AttributeTable:
     @property
     def node_count(self) -> int:
         return len(self.area)
-
-    def _check(self, node: int) -> int:
-        node = int(node)
-        if node < 0 or node >= self.node_count:
-            raise DataError(f"node id {node} outside [0, {self.node_count})")
-        return node
 
 
 def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
@@ -82,31 +75,8 @@ def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
     )
 
 
-def attr_area(table: AttributeTable, node: int) -> int:
-    return int(table.area[table._check(node)])
-
-
-def attr_moment_of_inertia(table: AttributeTable, node: int) -> float:
-    """(mu20 + mu02) / area^2 with exact integer central moments."""
-    node = table._check(node)
-    a = int(table.area[node])
-    sx, sy = int(table.sum_x[node]), int(table.sum_y[node])
-    sxx, syy = int(table.sum_xx[node]), int(table.sum_yy[node])
-    numerator = a * (sxx + syy) - sx * sx - sy * sy  # exact: area * (mu20+mu02)
-    return numerator / float(a) ** 3
-
-
-def feat_std_dev(table: AttributeTable, node: int) -> float:
-    """Population standard deviation of the node's source gray values."""
-    node = table._check(node)
-    a = int(table.area[node])
-    mean = table.gray_sum[node] / a
-    var = table.gray_sum_sq[node] / a - mean * mean
-    return float(np.sqrt(max(var, 0.0)))
-
-
 def moment_of_inertia_all(table: AttributeTable) -> np.ndarray:
-    """Vectorized moment of inertia for every node (float arithmetic)."""
+    """(mu20 + mu02) / area^2 for every node (float arithmetic)."""
     a = table.area.astype(np.float64)
     num = a * (table.sum_xx + table.sum_yy).astype(np.float64)
     num -= table.sum_x.astype(np.float64) ** 2
@@ -115,7 +85,7 @@ def moment_of_inertia_all(table: AttributeTable) -> np.ndarray:
 
 
 def std_dev_all(table: AttributeTable) -> np.ndarray:
-    """Vectorized population standard deviation for every node."""
+    """Population standard deviation of each node's source gray values."""
     a = table.area.astype(np.float64)
     mean = table.gray_sum / a
     var = table.gray_sum_sq / a - mean * mean

@@ -139,6 +139,12 @@ def _build() -> Path:
     except OSError as exc:
         raise BuildError(f"cannot build the forest kernel: `{command}`: "
                          f"{exc}") from None
+    for stale in target.parent.glob("forest-*.so"):  # older sources or flags
+        if stale != target:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
     return target
 
 

@@ -14,7 +14,7 @@ file holds ``key = value`` pairs using the long flag names; explicit flags
 win over the file.  All randomness flows from ``--seed``.
 
 Exit codes: 0 success, 2 input error, 3 data/semantic error, 4 internal
-error.
+error, 5 the forest kernel could not be built or loaded.
 """
 
 from __future__ import annotations
@@ -466,10 +466,7 @@ def main(argv: list[str] | None = None) -> int:
             raise FormatError(
                 f"--rf-trees must be at least 1, got {args.rf_trees}")
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, IsADirectoryError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

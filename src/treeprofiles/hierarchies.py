@@ -1,4 +1,5 @@
-"""Unified tree container plus max-tree / min-tree construction.
+"""Unified tree container plus the Kruskal builder of max-, min- and
+alpha-trees.
 
 Every hierarchy in the package (component trees, tree of shapes, alpha and
 omega trees) is stored as the same parent-array structure:
@@ -22,9 +23,11 @@ run one numpy call per depth layer, so their cost grows with tree depth.
 The layers come from pointer doubling and are cached on each ``Tree``;
 builders that have only a parent array pass them in explicitly.
 
-Component trees are built with union-find over pixels sorted by gray value
-(path compression plus a canonicalization pass), which keeps construction
-near-linear per sorted bucket.
+Component trees and alpha-trees come from one Kruskal union-find over the
+adjacent pixel pairs (Najman, Cousty & Perret, *Playing with Kruskal*, ISMM
+2013): a max-tree merges pairs weighted min(f(p), f(q)) in descending order
+with each pixel entering at f(p), a min-tree mirrors it, and an alpha-tree
+merges pairs weighted |f(p) - f(q)| in ascending order from level 0.
 """
 
 from __future__ import annotations
@@ -42,15 +45,6 @@ from .imagery import RasterImage
 class Connectivity(str, Enum):
     C4 = "c4"
     C8 = "c8"
-
-    @property
-    def offsets(self) -> tuple[tuple[int, int], ...]:
-        if self is Connectivity.C4:
-            return ((0, 1), (1, 0), (0, -1), (-1, 0))
-        return (
-            (0, 1), (1, 0), (0, -1), (-1, 0),
-            (1, 1), (1, -1), (-1, 1), (-1, -1),
-        )
 
 
 def as_connectivity(value) -> Connectivity:
@@ -179,94 +173,117 @@ class Tree:
 
 
 # ---------------------------------------------------------------------------
-# Component tree construction (union-find on sorted pixels)
+# Kruskal construction: one union-find for component and partition trees
 # ---------------------------------------------------------------------------
 
-def _sorted_pixel_order(values: np.ndarray, brightest_first: bool) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    return order[::-1] if brightest_first else order
+def adjacent_pairs(width: int, height: int, connectivity: Connectivity):
+    """Flat indices (a, b) of every unordered adjacent pixel pair: right,
+    down, then for c8 down-right and down-left neighbours."""
+    idx = np.arange(width * height).reshape(height, width)
+    pairs = [(idx[:, :-1], idx[:, 1:]), (idx[:-1, :], idx[1:, :])]
+    if connectivity is Connectivity.C8:
+        pairs += [(idx[:-1, :-1], idx[1:, 1:]), (idx[:-1, 1:], idx[1:, :-1])]
+    return (np.concatenate([a.ravel() for a, _ in pairs]),
+            np.concatenate([b.ravel() for _, b in pairs]))
 
 
-def _component_tree_arrays(
-    values_flat, width: int, height: int,
-    connectivity: Connectivity, brightest_first: bool,
-):
-    """Berger-style union-find pass. Returns (pixel_parent, processing order)."""
-    n = width * height
-    order = _sorted_pixel_order(values_flat, brightest_first)
-    parent = [-1] * n
-    zpar = [-1] * n
-    offsets = connectivity.offsets
+# Edges turned into Python ints at a time: all of them at once would hold
+# two int objects per edge for the whole loop.
+_EDGE_CHUNK = 4096
 
-    def find(p: int) -> int:
-        root = p
-        while zpar[root] != root:
-            root = zpar[root]
-        while zpar[p] != root:  # path compression
-            zpar[p], p = root, zpar[p]
-        return root
 
-    for p in order.tolist():
-        parent[p] = p
-        zpar[p] = p
-        x, y = p % width, p // width
-        for dy, dx in offsets:
-            nx, ny = x + dx, y + dy
-            if nx < 0 or ny < 0 or nx >= width or ny >= height:
+def kruskal(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
+            order: np.ndarray, leaf_level: np.ndarray):
+    """Merge the edges (a, b) in ``order`` into a hierarchy of records.
+
+    Records 0..n-1 are the pixels at ``leaf_level``.  An edge joining two
+    components at weight w aliases their top records when both sit at w,
+    lets a top at w absorb the other, and otherwise makes a new record at w
+    above both.  Returns ``(records, parent, level, pixel_record)``: the
+    ids of the un-aliased records in ascending order, then each record's
+    parent and level and each pixel's record, all with aliases resolved.
+    """
+    n = len(leaf_level)
+    ids = list(range(n))  # the copies share these int objects
+    root, top, parent, alias = ids[:], ids[:], ids[:], ids
+    size = [1] * n
+    level = leaf_level.tolist()
+    for lo in range(0, len(order), _EDGE_CHUNK):
+        chunk = order[lo:lo + _EDGE_CHUNK]
+        for p, q, w in zip(a[chunk].tolist(), b[chunk].tolist(),
+                           weight[chunk].tolist()):
+            while p != root[p]:
+                root[p] = p = root[root[p]]
+            while q != root[q]:
+                root[q] = q = root[root[q]]
+            if p == q:
                 continue
-            q = ny * width + nx
-            if zpar[q] < 0:
-                continue
-            r = find(q)
-            if r != p:
-                parent[r] = p
-                zpar[r] = p
-    # canonicalization: walk root-side first so ancestors are already flat
-    vals = values_flat.tolist() if isinstance(values_flat, np.ndarray) else values_flat
-    for p in order[::-1].tolist():
-        q = parent[p]
-        if vals[parent[q]] == vals[q]:
-            parent[p] = parent[q]
-    return parent, order
+            ta, tb = top[p], top[q]  # a live top is never aliased
+            if level[ta] == w:
+                if level[tb] == w:
+                    alias[tb] = ta
+                else:
+                    parent[tb] = ta
+                survivor = ta
+            elif level[tb] == w:
+                parent[ta] = survivor = tb
+            else:
+                survivor = len(level)
+                level.append(w)
+                parent.append(survivor)
+                alias.append(survivor)
+                parent[ta] = parent[tb] = survivor
+            if size[p] < size[q]:
+                p, q = q, p
+            root[q] = p
+            size[p] += size[q]
+            top[p] = survivor
+
+    alias = np.array(alias)
+    while True:
+        hop = alias[alias]
+        if np.array_equal(hop, alias):
+            break
+        alias = hop
+    records = np.flatnonzero(alias == np.arange(len(alias)))
+    return (records, alias[np.array(parent)],
+            np.array(level, dtype=np.float64), alias[:n])
 
 
-def _tree_from_pixel_parents(
-    values_flat: np.ndarray, parent: list[int], order: np.ndarray,
-    width: int, height: int, levels: int, kind: TreeKind,
-) -> Tree:
-    n = width * height
-    vals = values_flat.tolist()
-    node_of = [-1] * n
-    canonical: list[int] = []
-    for p in order[::-1].tolist():  # root first
-        if parent[p] == p or vals[parent[p]] != vals[p]:
-            node_of[p] = len(canonical)
-            canonical.append(p)
-        else:
-            node_of[p] = node_of[parent[p]]
-    node_parent = np.empty(len(canonical), dtype=np.int32)
-    node_level = np.empty(len(canonical), dtype=np.float64)
-    for i, c in enumerate(canonical):
-        node_parent[i] = node_of[parent[c]]
-        node_level[i] = vals[c]
-    pixel_node = np.array(node_of, dtype=np.int32)
-    return Tree(
-        kind=kind, width=width, height=height, levels=levels,
-        parent=node_parent, level=node_level, pixel_node=pixel_node,
-        rep_value=node_level.astype(np.int64),
-    )
+def number_nodes(nodes: np.ndarray, parent: np.ndarray, level: np.ndarray,
+                 pixel_record: np.ndarray):
+    """Renumber the records ``nodes`` (root first) as nodes 0..N-1; returns
+    the node ``parent``, ``level`` and ``pixel_node`` arrays."""
+    new_id = np.empty(len(parent), dtype=np.int32)
+    new_id[nodes] = np.arange(len(nodes), dtype=np.int32)
+    return new_id[parent[nodes]], level[nodes], new_id[pixel_record]
 
 
 def _component_tree(
     values_flat: np.ndarray, width: int, height: int, levels: int,
     connectivity: Connectivity | str, kind: TreeKind,
 ) -> Tree:
-    parent, order = _component_tree_arrays(
-        values_flat, width, height, as_connectivity(connectivity),
-        brightest_first=kind is TreeKind.MAX_TREE,
-    )
-    return _tree_from_pixel_parents(
-        values_flat, parent, order, width, height, levels, kind
+    """Max-tree: Kruskal over edges weighted min(f(p), f(q)) in descending
+    order, each pixel entering at f(p); the min-tree mirrors it.  Nodes are
+    numbered by level from the root side, ties by the node's first direct
+    pixel in that direction (smallest index for a max-tree, largest for a
+    min-tree)."""
+    a, b = adjacent_pairs(width, height, as_connectivity(connectivity))
+    upper = kind is TreeKind.MAX_TREE
+    sign = 1 if upper else -1
+    weight = (np.minimum if upper else np.maximum)(values_flat[a],
+                                                   values_flat[b])
+    records, parent, level, pixel_record = kruskal(
+        a, b, weight, np.argsort(-sign * weight), values_flat)
+    first = np.full(len(parent), width * height, dtype=np.int64)
+    np.minimum.at(first, pixel_record, sign * np.arange(width * height))
+    nodes = records[np.lexsort((first[records], sign * level[records]))]
+    node_parent, node_level, pixel_node = number_nodes(
+        nodes, parent, level, pixel_record)
+    return Tree(
+        kind=kind, width=width, height=height, levels=levels,
+        parent=node_parent, level=node_level, pixel_node=pixel_node,
+        rep_value=node_level.astype(np.int64),
     )
 
 

@@ -1,10 +1,10 @@
 """Alpha-tree (quasi-flat-zone hierarchy) and omega-tree construction.
 
-The alpha-tree is built Kruskal-style: 4-adjacent pixel pairs weighted by
-absolute gray difference are merged in ascending weight order with
-union-find, collapsing chains of equal-weight merges so that child level <
-parent level strictly.  Leaves of the canonical tree are 0-flat zones, not
-individual pixels.
+The alpha-tree comes from ``hierarchies.kruskal``: adjacent pixel pairs
+weighted by absolute gray difference are merged in ascending weight order,
+collapsing chains of equal-weight merges so that child level < parent level
+strictly.  Leaves of the canonical tree are 0-flat zones, not individual
+pixels; nodes are numbered in descending record id, which is root first.
 
 The omega-tree is derived from the alpha-tree: a node survives when its
 global gray range is strictly below its parent's, its level becomes that
@@ -25,9 +25,12 @@ from .hierarchies import (
     Tree,
     TreeKind,
     accumulate,
+    adjacent_pairs,
     as_connectivity,
     depth_layers,
+    kruskal,
     nearest_marked,
+    number_nodes,
 )
 from .imagery import RasterImage
 
@@ -44,27 +47,12 @@ class EdgeList:
         return len(self.weight)
 
 
-def _adjacent_pairs(width: int, height: int, conn: Connectivity):
-    idx = np.arange(width * height).reshape(height, width)
-    pairs_a, pairs_b = [], []
-    pairs_a.append(idx[:, :-1].ravel())  # right
-    pairs_b.append(idx[:, 1:].ravel())
-    pairs_a.append(idx[:-1, :].ravel())  # down
-    pairs_b.append(idx[1:, :].ravel())
-    if conn is Connectivity.C8:
-        pairs_a.append(idx[:-1, :-1].ravel())  # down-right
-        pairs_b.append(idx[1:, 1:].ravel())
-        pairs_a.append(idx[:-1, 1:].ravel())  # down-left
-        pairs_b.append(idx[1:, :-1].ravel())
-    return np.concatenate(pairs_a), np.concatenate(pairs_b)
-
-
 def edge_list(
     image: RasterImage, connectivity: Connectivity | str = Connectivity.C4
 ) -> EdgeList:
     """One edge per unordered adjacent pair, weight |X(a) - X(b)|."""
-    conn = as_connectivity(connectivity)
-    a, b = _adjacent_pairs(image.width, image.height, conn)
+    a, b = adjacent_pairs(image.width, image.height,
+                          as_connectivity(connectivity))
     flat = image.values.ravel()
     return EdgeList(a=a, b=b, weight=np.abs(flat[a] - flat[b]))
 
@@ -77,81 +65,15 @@ def build_alpha_tree(
     edges = edge_list(image, connectivity)
     n = image.width * image.height
     flat = image.values.ravel()
-
-    # pixel union-find
-    pix_parent = list(range(n))
-
-    def pix_find(p: int) -> int:
-        root = p
-        while pix_parent[root] != root:
-            root = pix_parent[root]
-        while pix_parent[p] != root:
-            pix_parent[p], p = root, pix_parent[p]
-        return root
-
-    # node records; ids 0..n-1 are per-pixel singletons at level 0
-    node_level: list[float] = [0.0] * n
-    node_parent: list[int] = list(range(n))
-    node_alias: list[int] = list(range(n))
-    top_of = list(range(n))  # valid at pixel-UF roots only
-
-    def node_find(i: int) -> int:
-        root = i
-        while node_alias[root] != root:
-            root = node_alias[root]
-        while node_alias[i] != root:
-            node_alias[i], i = root, node_alias[i]
-        return root
-
-    order = np.argsort(edges.weight, kind="stable")
-    ea = edges.a.tolist()
-    eb = edges.b.tolist()
-    ew = edges.weight.tolist()
-    for e in order.tolist():
-        ra, rb = pix_find(ea[e]), pix_find(eb[e])
-        if ra == rb:
-            continue
-        w = float(ew[e])
-        ta, tb = node_find(top_of[ra]), node_find(top_of[rb])
-        la, lb = node_level[ta], node_level[tb]
-        if la == w and lb == w:
-            node_alias[tb] = ta
-            survivor = ta
-        elif la == w:
-            node_parent[tb] = ta
-            survivor = ta
-        elif lb == w:
-            node_parent[ta] = tb
-            survivor = tb
-        else:
-            survivor = len(node_level)
-            node_level.append(w)
-            node_parent.append(survivor)
-            node_alias.append(survivor)
-            node_parent[ta] = survivor
-            node_parent[tb] = survivor
-        pix_parent[rb] = ra
-        top_of[ra] = survivor
-
-    # compact: drop aliased nodes, renumber so parents come first
-    total = len(node_level)
-    keep = [i for i in range(total) if node_find(i) == i]
-    new_id = [-1] * total
-    for rank, i in enumerate(reversed(keep)):
-        new_id[i] = rank
-    n_nodes = len(keep)
-    parent = np.empty(n_nodes, dtype=np.int32)
-    level = np.empty(n_nodes, dtype=np.float64)
-    for i in keep:
-        nid = new_id[i]
-        parent[nid] = new_id[node_find(node_parent[node_find(i)])]
-        level[nid] = node_level[i]
-    pixel_node = np.fromiter(
-        (new_id[node_find(p)] for p in range(n)), dtype=np.int32, count=n
-    )
+    records, parent, level, pixel_record = kruskal(
+        edges.a, edges.b, edges.weight,
+        np.argsort(edges.weight, kind="stable"), np.zeros(n))
+    # records are made after the ones they cover: descending id is root first
+    parent, level, pixel_node = number_nodes(
+        records[::-1], parent, level, pixel_record)
 
     # reconstruction representative: rounded component mean gray
-    stats = np.zeros((n_nodes, 2), dtype=np.int64)
+    stats = np.zeros((len(parent), 2), dtype=np.int64)
     np.add.at(stats, pixel_node, np.stack([np.ones_like(flat), flat], axis=1))
     area, gray_sum = accumulate(parent, depth_layers(parent), stats, np.add).T
     rep = gray_sum // area + ((gray_sum % area) * 2 >= area)

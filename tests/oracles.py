@@ -5,7 +5,8 @@ data structures; nothing is shared with the library's union-find / scipy
 code paths, so agreement between the two is meaningful.  The sections at
 the end keep paths the library replaced (per-node loops, per-node hole
 filling, per-column profile resolution, the cyclic Jacobi eigensolver, the
-numpy random forest) as exact references for the faster code.
+numpy random forest, the pixel-sorted and alpha union-find builders) as
+exact references for the faster code.
 """
 
 import math
@@ -450,17 +451,17 @@ def preorder_dfs(parent):
 def tree_of_shapes_per_node(image):
     """Tree of shapes with every side-tree node saturated individually.
 
-    Reuses the library's side-tree builder and frame conventions; every
-    max-/min-tree node's component is hole-filled on its bounding box and
-    registered under its exact mask, duplicates collapsing to the highest
-    upper / lowest lower level.  Shapes are painted largest first, ordered
-    by (-area, level, y0, x0, mask bytes), ties in first-seen order.
+    Builds its side trees with the union-find oracle below and reuses the
+    library's frame conventions; every max-/min-tree node's component is
+    hole-filled on its bounding box and registered under its exact mask,
+    duplicates collapsing to the highest upper / lowest lower level.
+    Shapes are painted largest first, ordered by (-area, level, y0, x0,
+    mask bytes), ties in first-seen order.
     """
     from scipy import ndimage
 
     from treeprofiles.hierarchies import (
-        Connectivity, Tree, TreeKind, _component_tree, accumulate,
-        depth_layers,
+        Tree, TreeKind, accumulate, depth_layers,
     )
     from treeprofiles.inclusion import (
         _border_median_doubled, _frame_containing, _subtree_pixel_slices,
@@ -479,7 +480,10 @@ def tree_of_shapes_per_node(image):
     registry: dict = {}
     for kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE):
         upper = kind is TreeKind.MAX_TREE
-        tree = _component_tree(padded.ravel(), pw, ph, 2, Connectivity.C4, kind)
+        parent, order = component_tree_arrays(padded.ravel(), pw, ph, "c4",
+                                              brightest_first=upper)
+        tree = tree_from_pixel_parents(padded.ravel(), parent, order, pw, ph,
+                                       2, kind)
         pix_order, lo, hi = _subtree_pixel_slices(tree)
         skip = _frame_containing(tree, frame_idx)
         for node in range(tree.node_count):
@@ -680,3 +684,193 @@ def pca_reduce_jacobi(image, n_components: int):
     projected = centered @ (vecs * flips)
     return MultibandImage(
         projected.T.reshape(n_components, image.height, image.width))
+
+
+# ---------------------------------------------------------------------------
+# Hierarchies: the two union-find builders the Kruskal routine replaced
+# ---------------------------------------------------------------------------
+
+def component_tree_arrays(values_flat, width: int, height: int,
+                          connectivity: str, brightest_first: bool):
+    """Berger-style union-find pass. Returns (pixel_parent, processing order)."""
+    n = width * height
+    order = np.argsort(values_flat, kind="stable")
+    if brightest_first:
+        order = order[::-1]
+    parent = [-1] * n
+    zpar = [-1] * n
+    offsets = _offsets(connectivity)
+
+    def find(p: int) -> int:
+        root = p
+        while zpar[root] != root:
+            root = zpar[root]
+        while zpar[p] != root:  # path compression
+            zpar[p], p = root, zpar[p]
+        return root
+
+    for p in order.tolist():
+        parent[p] = p
+        zpar[p] = p
+        x, y = p % width, p // width
+        for dy, dx in offsets:
+            nx, ny = x + dx, y + dy
+            if nx < 0 or ny < 0 or nx >= width or ny >= height:
+                continue
+            q = ny * width + nx
+            if zpar[q] < 0:
+                continue
+            r = find(q)
+            if r != p:
+                parent[r] = p
+                zpar[r] = p
+    # canonicalization: walk root-side first so ancestors are already flat
+    vals = values_flat.tolist()
+    for p in order[::-1].tolist():
+        q = parent[p]
+        if vals[parent[q]] == vals[q]:
+            parent[p] = parent[q]
+    return parent, order
+
+
+def tree_from_pixel_parents(values_flat, parent, order, width: int,
+                            height: int, levels: int, kind):
+    """Number the canonical pixels root first into a ``Tree``."""
+    from treeprofiles.hierarchies import Tree
+
+    n = width * height
+    vals = values_flat.tolist()
+    node_of = [-1] * n
+    canonical: list[int] = []
+    for p in order[::-1].tolist():  # root first
+        if parent[p] == p or vals[parent[p]] != vals[p]:
+            node_of[p] = len(canonical)
+            canonical.append(p)
+        else:
+            node_of[p] = node_of[parent[p]]
+    node_parent = np.empty(len(canonical), dtype=np.int32)
+    node_level = np.empty(len(canonical), dtype=np.float64)
+    for i, c in enumerate(canonical):
+        node_parent[i] = node_of[parent[c]]
+        node_level[i] = vals[c]
+    pixel_node = np.array(node_of, dtype=np.int32)
+    return Tree(
+        kind=kind, width=width, height=height, levels=levels,
+        parent=node_parent, level=node_level, pixel_node=pixel_node,
+        rep_value=node_level.astype(np.int64),
+    )
+
+
+def component_tree_union_find(image, connectivity: str, upper: bool):
+    """Max-tree (upper) or min-tree of the image through the pixel-sorted
+    union-find and per-pixel renumbering."""
+    from treeprofiles.hierarchies import TreeKind
+
+    flat = image.values.ravel()
+    kind = TreeKind.MAX_TREE if upper else TreeKind.MIN_TREE
+    parent, order = component_tree_arrays(flat, image.width, image.height,
+                                          connectivity, brightest_first=upper)
+    return tree_from_pixel_parents(flat, parent, order, image.width,
+                                   image.height, image.levels, kind)
+
+
+def alpha_tree_union_find(image, connectivity: str = "c4"):
+    """Alpha-tree through a pixel union-find plus a node-record union-find,
+    compacted by a per-node loop."""
+    from treeprofiles.hierarchies import (
+        Tree, TreeKind, accumulate, depth_layers,
+    )
+    from treeprofiles.partition import edge_list
+
+    edges = edge_list(image, connectivity)
+    n = image.width * image.height
+    flat = image.values.ravel()
+
+    # pixel union-find
+    pix_parent = list(range(n))
+
+    def pix_find(p: int) -> int:
+        root = p
+        while pix_parent[root] != root:
+            root = pix_parent[root]
+        while pix_parent[p] != root:
+            pix_parent[p], p = root, pix_parent[p]
+        return root
+
+    # node records; ids 0..n-1 are per-pixel singletons at level 0
+    node_level: list[float] = [0.0] * n
+    node_parent: list[int] = list(range(n))
+    node_alias: list[int] = list(range(n))
+    top_of = list(range(n))  # valid at pixel-UF roots only
+
+    def node_find(i: int) -> int:
+        root = i
+        while node_alias[root] != root:
+            root = node_alias[root]
+        while node_alias[i] != root:
+            node_alias[i], i = root, node_alias[i]
+        return root
+
+    order = np.argsort(edges.weight, kind="stable")
+    ea = edges.a.tolist()
+    eb = edges.b.tolist()
+    ew = edges.weight.tolist()
+    for e in order.tolist():
+        ra, rb = pix_find(ea[e]), pix_find(eb[e])
+        if ra == rb:
+            continue
+        w = float(ew[e])
+        ta, tb = node_find(top_of[ra]), node_find(top_of[rb])
+        la, lb = node_level[ta], node_level[tb]
+        if la == w and lb == w:
+            node_alias[tb] = ta
+            survivor = ta
+        elif la == w:
+            node_parent[tb] = ta
+            survivor = ta
+        elif lb == w:
+            node_parent[ta] = tb
+            survivor = tb
+        else:
+            survivor = len(node_level)
+            node_level.append(w)
+            node_parent.append(survivor)
+            node_alias.append(survivor)
+            node_parent[ta] = survivor
+            node_parent[tb] = survivor
+        pix_parent[rb] = ra
+        top_of[ra] = survivor
+
+    # compact: drop aliased nodes, renumber so parents come first
+    total = len(node_level)
+    keep = [i for i in range(total) if node_find(i) == i]
+    new_id = [-1] * total
+    for rank, i in enumerate(reversed(keep)):
+        new_id[i] = rank
+    n_nodes = len(keep)
+    parent = np.empty(n_nodes, dtype=np.int32)
+    level = np.empty(n_nodes, dtype=np.float64)
+    for i in keep:
+        nid = new_id[i]
+        parent[nid] = new_id[node_find(node_parent[node_find(i)])]
+        level[nid] = node_level[i]
+    pixel_node = np.fromiter(
+        (new_id[node_find(p)] for p in range(n)), dtype=np.int32, count=n
+    )
+
+    # reconstruction representative: rounded component mean gray
+    stats = np.zeros((n_nodes, 2), dtype=np.int64)
+    np.add.at(stats, pixel_node, np.stack([np.ones_like(flat), flat], axis=1))
+    area, gray_sum = accumulate(parent, depth_layers(parent), stats, np.add).T
+    rep = gray_sum // area + ((gray_sum % area) * 2 >= area)
+
+    return Tree(
+        kind=TreeKind.ALPHA_TREE,
+        width=image.width,
+        height=image.height,
+        levels=image.levels,
+        parent=parent,
+        level=level,
+        pixel_node=pixel_node,
+        rep_value=rep.astype(np.int64),
+    )

@@ -43,7 +43,7 @@ from treeprofiles import (
     train_forest,
     tree_bundle,
 )
-from treeprofiles.attributes import attr_moment_of_inertia, std_dev_all
+from treeprofiles.attributes import moment_of_inertia_all, std_dev_all
 from treeprofiles.imagery import RasterImage
 
 from conftest import random_image
@@ -173,12 +173,12 @@ def test_a4_attribute_oracle():
     img = RasterImage(np.array([[1, 1, 0]]), levels=2)
     table = compute_attributes(build_max_tree(img), img)
     domino = int(np.argwhere(table.area == 2)[0, 0])
-    assert attr_moment_of_inertia(table, domino) == 0.125
+    assert moment_of_inertia_all(table)[domino] == 0.125
     img = RasterImage(np.array([[1, 1, 1, 0]]), levels=2)
     table = compute_attributes(build_max_tree(img), img)
     seg = int(np.argwhere(table.area == 3)[0, 0])
-    assert attr_moment_of_inertia(table, seg) == pytest.approx(2.0 / 9.0,
-                                                               abs=1e-15)
+    assert moment_of_inertia_all(table)[seg] == pytest.approx(2.0 / 9.0,
+                                                            abs=1e-15)
     report("A4", f"{trees_checked} trees recomputed exactly; "
                  "domino I=0.125 and 3x1 I=2/9 confirmed")
 

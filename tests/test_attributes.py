@@ -4,8 +4,6 @@ import pytest
 from treeprofiles import (
     DataError,
     RasterImage,
-    attr_area,
-    attr_moment_of_inertia,
     build_alpha_tree,
     build_max_tree,
     build_min_tree,
@@ -13,7 +11,6 @@ from treeprofiles import (
     build_tree_of_shapes,
     compute_attributes,
     dump_attributes,
-    feat_std_dev,
 )
 from treeprofiles.attributes import moment_of_inertia_all, std_dev_all
 
@@ -89,52 +86,41 @@ class TestAttrAccessors:
     def test_area_examples(self):
         img = center_spot()
         table = compute_attributes(build_max_tree(img), img)
-        assert attr_area(table, 1) == 1
-        assert attr_area(table, 0) == 9
+        assert table.area[1] == 1
+        assert table.area[0] == 9
 
     def test_root_area_full_scene_dims(self):
         img = RasterImage(np.zeros((700, 628), int), levels=2)
         table = compute_attributes(build_max_tree(img), img)
-        assert attr_area(table, 0) == 439600
+        assert table.area[0] == 439600
 
     def test_moment_examples(self):
         # single pixel
         img = center_spot()
         table = compute_attributes(build_max_tree(img), img)
-        assert attr_moment_of_inertia(table, 1) == 0.0
+        assert moment_of_inertia_all(table)[1] == 0.0
         # 2x1 horizontal domino
         img = RasterImage(np.array([[1, 1, 0]]), levels=2)
         table = compute_attributes(build_max_tree(img), img)
         domino = int(np.argwhere(table.area == 2)[0, 0])
-        assert attr_moment_of_inertia(table, domino) == pytest.approx(0.125)
+        assert moment_of_inertia_all(table)[domino] == pytest.approx(0.125)
         # 3x1 segment
         img = RasterImage(np.array([[1, 1, 1, 0]]), levels=2)
         table = compute_attributes(build_max_tree(img), img)
         seg = int(np.argwhere(table.area == 3)[0, 0])
-        assert attr_moment_of_inertia(table, seg) == pytest.approx(2.0 / 9.0)
+        assert moment_of_inertia_all(table)[seg] == pytest.approx(2.0 / 9.0)
 
     def test_std_examples(self):
         img = RasterImage(np.array([[1, 3]]), levels=4)
         table = compute_attributes(build_alpha_tree(img), img)
         root = 0
-        assert feat_std_dev(table, root) == pytest.approx(1.0)
+        assert std_dev_all(table)[root] == pytest.approx(1.0)
         img = RasterImage(np.array([[0, 0, 0, 4]]), levels=8)
         table = compute_attributes(build_alpha_tree(img), img)
-        assert feat_std_dev(table, 0) == pytest.approx(np.sqrt(3.0))
+        assert std_dev_all(table)[0] == pytest.approx(np.sqrt(3.0))
         img = RasterImage(np.full((2, 2), 7, int), levels=8)
         table = compute_attributes(build_max_tree(img), img)
-        assert feat_std_dev(table, 0) == 0.0
-
-    def test_invalid_node(self):
-        img = center_spot()
-        table = compute_attributes(build_max_tree(img), img)
-        for bad in (-1, 2):
-            with pytest.raises(DataError):
-                attr_area(table, bad)
-            with pytest.raises(DataError):
-                attr_moment_of_inertia(table, bad)
-            with pytest.raises(DataError):
-                feat_std_dev(table, bad)
+        assert std_dev_all(table)[0] == 0.0
 
 
 class TestProperties:

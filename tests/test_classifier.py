@@ -425,6 +425,16 @@ class TestKernelBuild:
         assert done.stdout.strip() == want
         assert len(list((tmp_path / "treeprofiles").glob("forest-*.so"))) == 1
 
+    def test_build_removes_stale_kernels(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "treeprofiles"
+        cache.mkdir()
+        (cache / f"forest-{'0' * 64}.so").write_bytes(b"stale")
+        (cache / "other.so").write_bytes(b"kept")
+        target = classifier._build()
+        assert sorted(p.name for p in cache.iterdir()) == \
+            sorted([target.name, "other.so"])
+
     @pytest.mark.parametrize("compiler", [
         [sys.executable, "-c", "import sys; sys.exit('cc: fatal error')"],
         ["no-such-compiler-here"],

@@ -389,6 +389,18 @@ GOLDEN_ATTRIBUTE_DUMP = {
     "alpha": "2023ccd9adb786f2bbae8d0d03c01fdb3995343c28e4147c15921a00d612bf9a",
     "omega": "e743646306699b12ec19c5c70d18691bdb21423f23ab14a9d9b31fad1f032507",
 }
+GOLDEN_TREE_DUMP_C8 = {
+    "max": "d883935fb4900200f811816849fc39c199c6ff875852def83ae6f87207308487",
+    "min": "720154707f1503d543acacd636b7e1679df3a5cac4781be27d540bc57d3f75ee",
+    "alpha": "00394cde31e2504bc2d37c3e82031cd14197dd4e5362932970a6af911d95a0e3",
+    "omega": "b5c28c1377aa442bbae736b526bb70307a6f5034776120fb8243ec2cd8f4048a",
+}
+GOLDEN_ATTRIBUTE_DUMP_C8 = {
+    "max": "21acfeca2b57bba3bfa4a0b63fdd0ed3f2b2698363ad2786b3b9140d2bd30c03",
+    "min": "c526fb04166934f398c63532433d4883063b75550ac98aaef7c1a3f559c650fe",
+    "alpha": "8601847a16d4181ffeeddf7e70f8b44b6695309e263c6965fefefe18be649434",
+    "omega": "b1be56f77490f08923ff12b3704cadcdceda4cf17f259fe707d7ae1c2faa549b",
+}
 GOLDEN_PROFILE_FILES = {
     "scene_alpha_ap.json": "eab9cc34d2eaea9d7252aec861bcd80a36466f231161b0d210b754cd79affea8",
     "scene_alpha_ap.raw": "ff8a200accedbcbf269f8147e9dd1d33e20006632029bc294e8b441cf555d3d9",
@@ -492,6 +504,15 @@ class TestGoldenPins:
                       "--attributes")
         assert out.returncode == 0, out.stderr
         assert _sha256(out.stdout.encode()) == GOLDEN_ATTRIBUTE_DUMP[kind]
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_TREE_DUMP_C8))
+    def test_tree_dump_c8(self, golden_scene, kind):
+        for flags, pins in (([], GOLDEN_TREE_DUMP_C8),
+                            (["--attributes"], GOLDEN_ATTRIBUTE_DUMP_C8)):
+            out = run_cli("tree-dump", "--image", golden_scene, "--tree", kind,
+                          "--connectivity", "c8", *flags)
+            assert out.returncode == 0, out.stderr
+            assert _sha256(out.stdout.encode()) == pins[kind]
 
     def test_profile_files(self, golden_scene, tmp_path):
         out = run_cli("profile", "--image", golden_scene,

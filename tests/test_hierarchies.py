@@ -7,9 +7,11 @@ from treeprofiles import (
     FilterRule,
     RasterImage,
     TreeKind,
+    build_alpha_tree,
     build_max_tree,
     build_min_tree,
     build_tree,
+    build_tree_of_shapes,
     compute_attributes,
     dump_tree,
     filter_tree,
@@ -29,13 +31,16 @@ from treeprofiles.inclusion import _subtree_pixel_slices
 from conftest import random_image
 from oracles import (
     accumulate_loop,
+    alpha_tree_union_find,
     component_tree_nodes,
+    component_tree_union_find,
     min_rule_loop,
     nearest_retained_loop,
     partition_labels_loop,
     preorder_dfs,
     propagate_loop,
     tree_component_pixels,
+    tree_of_shapes_per_node,
 )
 
 
@@ -257,3 +262,63 @@ class TestTraversalKernels:
             assert np.array_equal(pix_order, np.argsort(keys, kind="stable"))
             assert np.array_equal(lo, cum[pre])
             assert np.array_equal(hi, cum[post])
+
+
+TREE_ARRAYS = ("parent", "level", "pixel_node", "rep_value",
+               "attached_pixels", "attached_offsets")
+
+
+def assert_same_tree(tree, ref):
+    assert (tree.kind, tree.width, tree.height, tree.levels) == \
+        (ref.kind, ref.width, ref.height, ref.levels)
+    for name in TREE_ARRAYS:
+        got, want = getattr(tree, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def edge_case_images(rng):
+    return [
+        RasterImage(np.array([[5]]), levels=8),
+        RasterImage(np.full((4, 6), 3, int), levels=8),
+        RasterImage(rng.integers(0, 6, size=(1, 23)), levels=6),
+        RasterImage(rng.integers(0, 6, size=(23, 1)), levels=6),
+    ]
+
+
+class TestKruskalMatchesUnionFind:
+    """The Kruskal builders reproduce the pixel-sorted union-find (max/min)
+    and the record union-find (alpha) exactly: arrays, dtypes and ids."""
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        rng = np.random.default_rng(8)
+        return ([random_image(rng, 13, 8) for _ in range(300)]
+                + edge_case_images(rng))
+
+    @pytest.mark.parametrize("connectivity", ["c4", "c8"])
+    def test_component_and_alpha_trees(self, images, connectivity):
+        for img in images:
+            assert_same_tree(build_max_tree(img, connectivity),
+                             component_tree_union_find(img, connectivity, True))
+            assert_same_tree(build_min_tree(img, connectivity),
+                             component_tree_union_find(img, connectivity,
+                                                       False))
+            assert_same_tree(build_alpha_tree(img, connectivity),
+                             alpha_tree_union_find(img, connectivity))
+
+    @pytest.mark.parametrize("connectivity", ["c4", "c8"])
+    def test_sixteen_bit_ramp(self, connectivity):
+        ramp = RasterImage(np.arange(256 * 256).reshape(256, 256),
+                           levels=256 * 256)
+        assert_same_tree(build_max_tree(ramp, connectivity),
+                         component_tree_union_find(ramp, connectivity, True))
+        assert_same_tree(build_min_tree(ramp, connectivity),
+                         component_tree_union_find(ramp, connectivity, False))
+        assert_same_tree(build_alpha_tree(ramp, connectivity),
+                         alpha_tree_union_find(ramp, connectivity))
+
+    def test_tree_of_shapes(self, images):
+        for img in images:
+            assert_same_tree(build_tree_of_shapes(img),
+                             tree_of_shapes_per_node(img))
