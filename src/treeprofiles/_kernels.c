@@ -1,16 +1,22 @@
-/* Random-forest kernel of treeprofiles.classifier, loaded through ctypes.
+/* Compiled kernels of treeprofiles, loaded through ctypes by
+ * treeprofiles._native.
  *
- * tp_grow_tree grows one CART tree: it draws the bootstrap resample, then
- * grows nodes in preorder (left subtree first), drawing each split node's
- * candidate features with a partial Fisher-Yates shuffle and searching them
- * for the best Gini split.  tp_forest_votes sums the leaf probabilities of
- * every tree over a batch of rows.  tp_best_split and tp_xorshift_fill
- * expose the node search and the generator to the tests.
+ * Tree building.  tp_kruskal merges adjacent pixel pairs into the records
+ * of a max-, min- or alpha-tree (hierarchies.kruskal); tp_fill_holes fills
+ * the holes of a component's bounding-box mask (inclusion._fill_holes).
  *
- * The floating-point operations are the numpy reference's, one for one:
- * class counts are exact integers, each Gini sum of squares follows numpy's
- * pairwise summation, and nothing may be fused into a multiply-add, so build
- * with -ffp-contract=off.
+ * Random forest (classifier).  tp_grow_tree grows one CART tree: it draws
+ * the bootstrap resample, then grows nodes in preorder (left subtree
+ * first), drawing each split node's candidate features with a partial
+ * Fisher-Yates shuffle and searching them for the best Gini split.
+ * tp_forest_votes sums the leaf probabilities of every tree over a batch of
+ * rows.  tp_best_split and tp_xorshift_fill expose the node search and the
+ * generator to the tests.
+ *
+ * The forest's floating-point operations are the numpy reference's, one for
+ * one: class counts are exact integers, each Gini sum of squares follows
+ * numpy's pairwise summation, and nothing may be fused into a multiply-add,
+ * so build with -ffp-contract=off.
  *
  * Feature data is feature-major: x[f * n + s] is the value of feature f for
  * training sample s, rank[f * n + s] its dense rank among the distinct
@@ -23,6 +29,130 @@
 
 #define TP_CAPACITY (-1)  /* a tree would outgrow its node arrays */
 #define TP_NO_MEMORY (-2)
+#define TP_BAD_INDEX (-3) /* an edge order entry or endpoint out of range */
+
+/* ---- Tree building ---- */
+
+static int64_t find_root(int64_t *root, int64_t p)
+{
+    while (p != root[p]) {
+        root[p] = root[root[p]];  /* path halving */
+        p = root[p];
+    }
+    return p;
+}
+
+/* Merges the edges (a[e], b[e]) at weight[e] for e = order[0], ...,
+ * order[m - 1] (each below n_edges) over n pixel records at leaf_level.
+ * An edge joining two components aliases their top records when both sit
+ * at its weight, lets a top at its weight absorb the other, and otherwise
+ * makes a new record at its weight above both.  A live top is never
+ * aliased, so tops need no find; pixel roots are joined by size with path
+ * halving.  At most n - 1 joins make at most n - 1 new records, so parent,
+ * level and alias hold 2n - 1 records; new records are their own parent
+ * and alias.  Returns the record count, TP_BAD_INDEX or TP_NO_MEMORY. */
+int64_t tp_kruskal(const int64_t *a, const int64_t *b, const double *weight,
+                   int64_t n_edges, const int64_t *order, int64_t m,
+                   const double *leaf_level, int64_t n, int64_t *parent,
+                   double *level, int64_t *alias)
+{
+    int64_t *root = malloc((size_t)(3 * n + 1) * sizeof *root);
+    if (!root)
+        return TP_NO_MEMORY;
+    int64_t *top = root + n, *size = top + n;
+    for (int64_t i = 0; i < n; i++) {
+        root[i] = top[i] = parent[i] = alias[i] = i;
+        size[i] = 1;
+        level[i] = leaf_level[i];
+    }
+    int64_t count = n;
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t e = order[i];
+        if (e < 0 || e >= n_edges || a[e] < 0 || a[e] >= n || b[e] < 0 ||
+            b[e] >= n) {
+            count = TP_BAD_INDEX;
+            break;
+        }
+        int64_t p = find_root(root, a[e]), q = find_root(root, b[e]);
+        if (p == q)
+            continue;
+        const double w = weight[e];
+        const int64_t ta = top[p], tb = top[q];
+        int64_t survivor;
+        if (level[ta] == w) {
+            if (level[tb] == w)
+                alias[tb] = ta;
+            else
+                parent[tb] = ta;
+            survivor = ta;
+        } else if (level[tb] == w) {
+            parent[ta] = survivor = tb;
+        } else {
+            survivor = count++;
+            level[survivor] = w;
+            parent[survivor] = alias[survivor] = survivor;
+            parent[ta] = parent[tb] = survivor;
+        }
+        if (size[p] < size[q]) {
+            const int64_t t = p;
+            p = q;
+            q = t;
+        }
+        root[q] = p;
+        size[p] += size[q];
+        top[p] = survivor;
+    }
+    free(root);
+    return count;
+}
+
+enum { OPEN, WALL, REACHED };
+
+/* out = the h x w mask plus its holes: every cell that an 8-connected flood
+ * of the background from the one-pixel frame around the mask does not
+ * reach.  The flood runs on an (h + 4) x (w + 4) grid whose outer ring is
+ * wall, so no neighbour needs a bounds check, and pushes each open cell
+ * once, so the stack holds at most (h + 2)(w + 2) entries.  Returns 0 or
+ * TP_NO_MEMORY. */
+int32_t tp_fill_holes(const uint8_t *mask, int64_t h, int64_t w, uint8_t *out)
+{
+    const int64_t gw = w + 4;
+    uint8_t *grid = malloc((size_t)((h + 4) * gw));
+    int64_t *stack = malloc((size_t)((h + 2) * (w + 2)) * sizeof *stack);
+    if (!grid || !stack) {
+        free(grid);
+        free(stack);
+        return TP_NO_MEMORY;
+    }
+    memset(grid, WALL, (size_t)((h + 4) * gw));
+    for (int64_t y = 1; y < h + 3; y++)
+        memset(grid + y * gw + 1, OPEN, (size_t)(w + 2));
+    for (int64_t y = 0; y < h; y++)
+        for (int64_t x = 0; x < w; x++)
+            if (mask[y * w + x])
+                grid[(y + 2) * gw + x + 2] = WALL;
+    const int64_t step[8] = {-gw - 1, -gw, -gw + 1, -1, 1,
+                             gw - 1, gw, gw + 1};
+    int64_t depth = 0;
+    grid[gw + 1] = REACHED;
+    stack[depth++] = gw + 1;
+    while (depth) {
+        const int64_t cell = stack[--depth];
+        for (int k = 0; k < 8; k++)
+            if (grid[cell + step[k]] == OPEN) {
+                grid[cell + step[k]] = REACHED;
+                stack[depth++] = cell + step[k];
+            }
+    }
+    for (int64_t y = 0; y < h; y++)
+        for (int64_t x = 0; x < w; x++)
+            out[y * w + x] = grid[(y + 2) * gw + x + 2] != REACHED;
+    free(grid);
+    free(stack);
+    return 0;
+}
+
+/* ---- Random forest ---- */
 
 static uint64_t next_u64(uint64_t *state)
 {

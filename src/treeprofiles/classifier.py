@@ -15,13 +15,10 @@ i)``, so training is reproducible bit-for-bit across platforms and is
 independent of any scheduling order.
 
 The bootstrap, the per-node feature draws, the split search and the vote sum
-of :func:`predict` run in one small C file, ``_forest.c``, loaded through
-:mod:`ctypes`.  It is compiled with ``cc`` on the first train or predict call
-and cached under ``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``),
-named by the sha256 of its source and compiler command; a failed build raises
-:class:`~treeprofiles.errors.BuildError`.  The kernel performs the numpy
-reference's floating-point operations one for one (``tests/oracles.py``), so
-the model bytes are the reference's.
+of :func:`predict` run in the package's native kernel (see
+:mod:`treeprofiles._native`), which performs the numpy reference's
+floating-point operations one for one (``tests/oracles.py``), so the model
+bytes are the reference's.
 
 Trees grow across up to ``min(usable CPUs, n_trees)`` worker processes
 (forked where the platform can fork, else one after another in process) and
@@ -38,21 +35,18 @@ Model serialization (little-endian throughout)::
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import math
 import multiprocessing as mp
 import os
 import struct
-import subprocess
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BuildError, DataError, FormatError
+from ._native import _kernel
+from .errors import DataError, FormatError
 from .rng import Xorshift64Star, derive_seed
 
 _MAGIC = b"TPFM"
@@ -84,93 +78,12 @@ class ForestModel:
 
 
 # ---------------------------------------------------------------------------
-# The compiled kernel
-# ---------------------------------------------------------------------------
-
-_SOURCE = Path(__file__).with_name("_forest.c")
-_COMPILE = ["cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
-
-
-_F8, _I4, _I8, _U8 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-                      for t in (np.float64, np.int32, np.int64, np.uint64))
-_N, _K = ctypes.c_int64, ctypes.c_int32
-_SIGNATURES = {
-    "tp_grow_tree": (_N, [_F8, _I4, _F8, _I4, _N, _K, _K, _K, _U8,
-                          _I4, _F8, _I4, _I4, _F8, _N]),
-    "tp_best_split": (_K, [_F8, _I4, _F8, _I4, _N, _K, _K, _I4, _N, _I4, _K,
-                           _F8]),
-    "tp_forest_votes": (_K, [_F8, _N, _K, _K, _K, _I8, _I4, _F8, _I4, _I4,
-                             _F8, _F8]),
-    "tp_xorshift_fill": (None, [_U8, _U8, _N]),
-}
-_lib: ctypes.CDLL | None = None
-
-
-def _cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(base) / "treeprofiles"
-
-
-def _build() -> Path:
-    """Path of the compiled kernel, compiling it into the cache if absent.
-    The compiler writes a temporary file that is renamed into place, so
-    concurrent builds never expose a partial library."""
-    source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(_COMPILE).encode()).hexdigest()
-    target = _cache_dir() / f"forest-{digest}.so"
-    if target.exists():
-        return target
-    command = " ".join(_COMPILE + ["-o", str(target), str(_SOURCE)])
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
-        os.close(fd)
-        try:
-            done = subprocess.run(_COMPILE + ["-o", tmp, str(_SOURCE)],
-                                  capture_output=True, text=True)
-            if done.returncode != 0:
-                first = (done.stderr.strip().splitlines() or ["no output"])[0]
-                raise BuildError(f"cannot build the forest kernel: `{command}` "
-                                 f"exited {done.returncode}: {first}")
-            os.replace(tmp, target)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError as exc:
-        raise BuildError(f"cannot build the forest kernel: `{command}`: "
-                         f"{exc}") from None
-    for stale in target.parent.glob("forest-*.so"):  # older sources or flags
-        if stale != target:
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-    return target
-
-
-def _kernel() -> ctypes.CDLL:
-    """The forest kernel, built and loaded on first use."""
-    global _lib
-    if _lib is None:
-        path = _build()
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError as exc:
-            raise BuildError(f"cannot load the forest kernel: {exc}") from None
-        for name, (restype, argtypes) in _SIGNATURES.items():
-            func = getattr(lib, name)
-            func.restype, func.argtypes = restype, argtypes
-        _lib = lib
-    return _lib
-
-
-# ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _TrainingSet:
-    """Feature-major (n_features, n_samples) tables, as ``_forest.c`` reads
+    """Feature-major (n_features, n_samples) tables, as ``tp_grow_tree`` reads
     them: values, the dense rank of each value within its feature, and the
     value of each rank."""
 

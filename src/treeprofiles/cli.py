@@ -14,7 +14,7 @@ file holds ``key = value`` pairs using the long flag names; explicit flags
 win over the file.  All randomness flows from ``--seed``.
 
 Exit codes: 0 success, 2 input error, 3 data/semantic error, 4 internal
-error, 5 the forest kernel could not be built or loaded.
+error, 5 the native kernel could not be built or loaded.
 """
 
 from __future__ import annotations

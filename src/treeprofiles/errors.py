@@ -4,7 +4,7 @@ The CLI maps these onto exit codes: FormatError (and missing files) mean a
 broken or unreadable input, such as a malformed file or an out-of-range
 option, DataError means the inputs are readable but semantically unusable
 (mismatched dimensions, degenerate training sets, ...), and BuildError
-means the forest's C kernel could not be compiled or loaded.
+means the package's native C kernel could not be compiled or loaded.
 """
 
 
@@ -28,4 +28,4 @@ class DataError(Exception):
 
 
 class BuildError(Exception):
-    """The forest's C kernel could not be compiled or loaded."""
+    """The package's native C kernel could not be compiled or loaded."""

@@ -27,7 +27,10 @@ Component trees and alpha-trees come from one Kruskal union-find over the
 adjacent pixel pairs (Najman, Cousty & Perret, *Playing with Kruskal*, ISMM
 2013): a max-tree merges pairs weighted min(f(p), f(q)) in descending order
 with each pixel entering at f(p), a min-tree mirrors it, and an alpha-tree
-merges pairs weighted |f(p) - f(q)| in ascending order from level 0.
+merges pairs weighted |f(p) - f(q)| in ascending order from level 0.  The
+merge loop runs in the package's native kernel (:mod:`treeprofiles._native`),
+with union by size and path halving over at most 2n - 1 records; numpy then
+resolves the aliases and numbers the nodes.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._native import _kernel
 from .errors import DataError
 from .imagery import RasterImage
 
@@ -187,11 +191,6 @@ def adjacent_pairs(width: int, height: int, connectivity: Connectivity):
             np.concatenate([b.ravel() for _, b in pairs]))
 
 
-# Edges turned into Python ints at a time: all of them at once would hold
-# two int objects per edge for the whole loop.
-_EDGE_CHUNK = 4096
-
-
 def kruskal(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
             order: np.ndarray, leaf_level: np.ndarray):
     """Merge the edges (a, b) in ``order`` into a hierarchy of records.
@@ -202,52 +201,34 @@ def kruskal(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
     above both.  Returns ``(records, parent, level, pixel_record)``: the
     ids of the un-aliased records in ascending order, then each record's
     parent and level and each pixel's record, all with aliases resolved.
+    The merge loop is the native kernel's ``tp_kruskal``; levels and
+    weights are float64, exact for every integer level up to 2**53.
     """
+    a, b, order = (np.ascontiguousarray(v, dtype=np.int64)
+                   for v in (a, b, order))
+    weight = np.ascontiguousarray(weight, dtype=np.float64)
+    leaf_level = np.ascontiguousarray(leaf_level, dtype=np.float64)
+    if not len(a) == len(b) == len(weight):
+        raise ValueError("kruskal needs one endpoint pair per edge weight")
     n = len(leaf_level)
-    ids = list(range(n))  # the copies share these int objects
-    root, top, parent, alias = ids[:], ids[:], ids[:], ids
-    size = [1] * n
-    level = leaf_level.tolist()
-    for lo in range(0, len(order), _EDGE_CHUNK):
-        chunk = order[lo:lo + _EDGE_CHUNK]
-        for p, q, w in zip(a[chunk].tolist(), b[chunk].tolist(),
-                           weight[chunk].tolist()):
-            while p != root[p]:
-                root[p] = p = root[root[p]]
-            while q != root[q]:
-                root[q] = q = root[root[q]]
-            if p == q:
-                continue
-            ta, tb = top[p], top[q]  # a live top is never aliased
-            if level[ta] == w:
-                if level[tb] == w:
-                    alias[tb] = ta
-                else:
-                    parent[tb] = ta
-                survivor = ta
-            elif level[tb] == w:
-                parent[ta] = survivor = tb
-            else:
-                survivor = len(level)
-                level.append(w)
-                parent.append(survivor)
-                alias.append(survivor)
-                parent[ta] = parent[tb] = survivor
-            if size[p] < size[q]:
-                p, q = q, p
-            root[q] = p
-            size[p] += size[q]
-            top[p] = survivor
-
-    alias = np.array(alias)
+    cap = max(2 * n - 1, 0)
+    parent, alias = np.empty(cap, np.int64), np.empty(cap, np.int64)
+    level = np.empty(cap)
+    count = _kernel().tp_kruskal(a, b, weight, len(weight), order, len(order),
+                                 leaf_level, n, parent, level, alias)
+    if count == -2:
+        raise MemoryError("tp_kruskal: out of memory")
+    if count < 0:
+        raise IndexError("kruskal: an edge order entry or endpoint is out "
+                         "of range")
+    alias = alias[:count]
     while True:
         hop = alias[alias]
         if np.array_equal(hop, alias):
             break
         alias = hop
-    records = np.flatnonzero(alias == np.arange(len(alias)))
-    return (records, alias[np.array(parent)],
-            np.array(level, dtype=np.float64), alias[:n])
+    records = np.flatnonzero(alias == np.arange(count))
+    return records, alias[parent[:count]], level[:count], alias[:n]
 
 
 def number_nodes(nodes: np.ndarray, parent: np.ndarray, level: np.ndarray,

@@ -1,11 +1,12 @@
 """Independent brute-force reference implementations used by the tests.
 
 The brute-force references work by per-threshold flood fill on plain Python
-data structures; nothing is shared with the library's union-find / scipy
-code paths, so agreement between the two is meaningful.  The sections at
-the end keep paths the library replaced (per-node loops, per-node hole
-filling, per-column profile resolution, the cyclic Jacobi eigensolver, the
-numpy random forest, the pixel-sorted and alpha union-find builders) as
+data structures; nothing is shared with the library's union-find or
+hole-filling code paths, so agreement between the two is meaningful.  The
+sections at the end keep paths the library replaced (per-node loops,
+per-node hole filling, per-column profile resolution, the cyclic Jacobi
+eigensolver, the numpy random forest, the pixel-sorted and alpha union-find
+builders, the Python Kruskal loop and the ``ndimage.label`` hole fill) as
 exact references for the faster code.
 """
 
@@ -874,3 +875,82 @@ def alpha_tree_union_find(image, connectivity: str = "c4"):
         pixel_node=pixel_node,
         rep_value=rep.astype(np.int64),
     )
+
+
+# ---------------------------------------------------------------------------
+# Tree building: the Python loops the native kernel replaced
+# ---------------------------------------------------------------------------
+
+# Edges turned into Python ints at a time: all of them at once would hold
+# two int objects per edge for the whole loop.
+_EDGE_CHUNK = 4096
+
+
+def kruskal_loop(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
+                 order: np.ndarray, leaf_level: np.ndarray):
+    """Merge the edges (a, b) in ``order`` into a hierarchy of records.
+
+    Records 0..n-1 are the pixels at ``leaf_level``.  An edge joining two
+    components at weight w aliases their top records when both sit at w,
+    lets a top at w absorb the other, and otherwise makes a new record at w
+    above both.  Returns ``(records, parent, level, pixel_record)``: the
+    ids of the un-aliased records in ascending order, then each record's
+    parent and level and each pixel's record, all with aliases resolved.
+    """
+    n = len(leaf_level)
+    ids = list(range(n))  # the copies share these int objects
+    root, top, parent, alias = ids[:], ids[:], ids[:], ids
+    size = [1] * n
+    level = leaf_level.tolist()
+    for lo in range(0, len(order), _EDGE_CHUNK):
+        chunk = order[lo:lo + _EDGE_CHUNK]
+        for p, q, w in zip(a[chunk].tolist(), b[chunk].tolist(),
+                           weight[chunk].tolist()):
+            while p != root[p]:
+                root[p] = p = root[root[p]]
+            while q != root[q]:
+                root[q] = q = root[root[q]]
+            if p == q:
+                continue
+            ta, tb = top[p], top[q]  # a live top is never aliased
+            if level[ta] == w:
+                if level[tb] == w:
+                    alias[tb] = ta
+                else:
+                    parent[tb] = ta
+                survivor = ta
+            elif level[tb] == w:
+                parent[ta] = survivor = tb
+            else:
+                survivor = len(level)
+                level.append(w)
+                parent.append(survivor)
+                alias.append(survivor)
+                parent[ta] = parent[tb] = survivor
+            if size[p] < size[q]:
+                p, q = q, p
+            root[q] = p
+            size[p] += size[q]
+            top[p] = survivor
+
+    alias = np.array(alias)
+    while True:
+        hop = alias[alias]
+        if np.array_equal(hop, alias):
+            break
+        alias = hop
+    records = np.flatnonzero(alias == np.arange(len(alias)))
+    return (records, alias[np.array(parent)],
+            np.array(level, dtype=np.float64), alias[:n])
+
+
+def fill_holes_label(mask: np.ndarray) -> np.ndarray:
+    """The mask plus its holes: background not 8-connected to the outside,
+    from one ``ndimage.label`` pass of the background framed by a one-pixel
+    border."""
+    from scipy import ndimage
+
+    outside = np.ones((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    outside[1:-1, 1:-1] = ~mask
+    regions, _ = ndimage.label(outside, structure=np.ones((3, 3), dtype=bool))
+    return regions[1:-1, 1:-1] != regions[0, 0]

@@ -30,7 +30,7 @@ from treeprofiles import (
     train_forest,
     tree_bundle,
 )
-from treeprofiles import cli, classifier
+from treeprofiles import _native, cli, classifier
 from treeprofiles.classifier import DecisionTree
 from treeprofiles.rng import Xorshift64Star, derive_seed
 
@@ -69,7 +69,7 @@ def kernel_split(x, y, n_classes, cands):
     data = classifier._training_set(x, y, n_classes, seed=0)
     samples = np.arange(len(y), dtype=np.int32)
     thr = np.zeros(1)
-    row = classifier._kernel().tp_best_split(
+    row = _native._kernel().tp_best_split(
         data.xt, data.rank, data.level, data.y_idx, len(y), len(data.xt),
         n_classes, samples, len(samples), np.array(cands, dtype=np.int32),
         len(cands), thr)
@@ -334,7 +334,7 @@ class TestKernelMatchesReference:
         rng = Xorshift64Star(seed)
         state = np.array([rng.state], dtype=np.uint64)
         out = np.zeros(500, dtype=np.uint64)
-        classifier._kernel().tp_xorshift_fill(state, out, len(out))
+        _native._kernel().tp_xorshift_fill(state, out, len(out))
         assert out.tolist() == [rng.next_u64() for _ in range(len(out))]
         assert int(state[0]) == rng.state
 
@@ -379,7 +379,7 @@ class TestDegenerateSplits:
         arrays = [np.empty(2, np.int32), np.empty(2), np.empty(2, np.int32),
                   np.empty(2, np.int32), np.empty((2, 2))]
         state = np.array([Xorshift64Star(7).state], dtype=np.uint64)
-        count = classifier._kernel().tp_grow_tree(
+        count = _native._kernel().tp_grow_tree(
             data.xt, data.rank, data.level, data.y_idx, 6, 1, 2, 1, state,
             *arrays, 2)
         assert count == -1  # a split needs 3 nodes; the arrays hold 2
@@ -400,9 +400,9 @@ def tiny_scene(path):
 class TestKernelBuild:
     def test_source_compiles_without_warnings(self, tmp_path):
         done = subprocess.run(
-            classifier._COMPILE + ["-Wall", "-Wextra", "-Werror", "-o",
-                                   str(tmp_path / "k.so"),
-                                   str(classifier._SOURCE)],
+            _native._COMPILE + ["-Wall", "-Wextra", "-Werror", "-o",
+                                str(tmp_path / "k.so"),
+                                str(_native._SOURCE)],
             capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
@@ -423,15 +423,16 @@ class TestKernelBuild:
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == want
-        assert len(list((tmp_path / "treeprofiles").glob("forest-*.so"))) == 1
+        assert len(list((tmp_path / "treeprofiles").glob("kernels-*.so"))) == 1
 
     def test_build_removes_stale_kernels(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         cache = tmp_path / "treeprofiles"
         cache.mkdir()
-        (cache / f"forest-{'0' * 64}.so").write_bytes(b"stale")
+        (cache / f"kernels-{'0' * 64}.so").write_bytes(b"stale")
+        (cache / f"forest-{'1' * 64}.so").write_bytes(b"retired name")
         (cache / "other.so").write_bytes(b"kept")
-        target = classifier._build()
+        target = _native._build()
         assert sorted(p.name for p in cache.iterdir()) == \
             sorted([target.name, "other.so"])
 
@@ -443,11 +444,11 @@ class TestKernelBuild:
                                                 capsys, compiler):
         argv = tiny_scene(tmp_path)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        monkeypatch.setattr(classifier, "_lib", None)
-        monkeypatch.setattr(classifier, "_COMPILE", compiler)
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_COMPILE", compiler)
         assert cli.main(argv) == 5
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert err.startswith("error: cannot build the forest kernel")
+        assert err.startswith("error: cannot build the native kernel")
         assert " ".join(compiler) in err
         assert not (tmp_path / "out" / "report.json").exists()

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -668,3 +669,37 @@ class TestSharedAlphaTree:
                  **profile("omega", tmp_path / "omega")}
         assert alpha_calls["build_alpha_tree"] == 6
         assert both == alone
+
+
+class TestNoScipy:
+    """The package imports no scipy, not even lazily: importing it builds and
+    loads no kernel, and a tree-of-shapes, alpha and omega classify run
+    leaves no ``scipy*`` module in ``sys.modules``."""
+
+    SCRIPT = (
+        "import sys\n"
+        "import treeprofiles, treeprofiles.cli\n"
+        "from treeprofiles import _native\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert _native._lib is None, 'kernel loaded at import'\n"
+        "assert not _native._cache_dir().exists(), 'kernel built at import'\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "assert treeprofiles.cli.main(sys.argv[1:]) == 0\n"
+        "assert _native._lib is not None\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+    )
+
+    def test_import_and_classify_without_scipy(self, golden_labels,
+                                                tmp_path):
+        cube = two_band_cube(tmp_path / "cube.json")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+               "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, "classify", "--image", cube,
+             *map(str, golden_labels), "--tree", "tos,alpha,omega",
+             "--pca", "2", "--rf-trees", "3", "--out", tmp_path / "out"],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "report.json").exists()

@@ -22,7 +22,10 @@ from treeprofiles import (
 )
 from treeprofiles.hierarchies import (
     accumulate,
+    adjacent_pairs,
+    as_connectivity,
     depth_layers,
+    kruskal,
     nearest_marked,
     propagate,
 )
@@ -34,6 +37,7 @@ from oracles import (
     alpha_tree_union_find,
     component_tree_nodes,
     component_tree_union_find,
+    kruskal_loop,
     min_rule_loop,
     nearest_retained_loop,
     partition_labels_loop,
@@ -286,6 +290,26 @@ def edge_case_images(rng):
     ]
 
 
+def kruskal_inputs(image, connectivity):
+    """``kruskal``'s (a, b, weight, order, leaf_level) for the max-, min- and
+    alpha-tree edge orders, as their builders pass them."""
+    flat = image.values.ravel()
+    a, b = adjacent_pairs(image.width, image.height,
+                          as_connectivity(connectivity))
+    low, high = np.minimum(flat[a], flat[b]), np.maximum(flat[a], flat[b])
+    diff = np.abs(flat[a] - flat[b])
+    return [(a, b, low, np.argsort(-low), flat),
+            (a, b, high, np.argsort(high), flat),
+            (a, b, diff, np.argsort(diff, kind="stable"), np.zeros(len(flat)))]
+
+
+def assert_same_records(got, want):
+    for name, g, w in zip(("records", "parent", "level", "pixel_record"),
+                          got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
 class TestKruskalMatchesUnionFind:
     """The Kruskal builders reproduce the pixel-sorted union-find (max/min)
     and the record union-find (alpha) exactly: arrays, dtypes and ids."""
@@ -322,3 +346,27 @@ class TestKruskalMatchesUnionFind:
         for img in images:
             assert_same_tree(build_tree_of_shapes(img),
                              tree_of_shapes_per_node(img))
+
+    @pytest.mark.parametrize("connectivity", ["c4", "c8"])
+    def test_kernel_matches_python_loop(self, images, connectivity):
+        assert images[-4].values.shape == (1, 1)  # a pixel, no edges
+        for img in images:
+            for args in kruskal_inputs(img, connectivity):
+                assert_same_records(kruskal(*args), kruskal_loop(*args))
+
+    @pytest.mark.parametrize("connectivity", ["c4", "c8"])
+    def test_kernel_matches_python_loop_on_ramp(self, connectivity):
+        ramp = RasterImage(np.arange(256 * 256).reshape(256, 256),
+                           levels=256 * 256)
+        for args in kruskal_inputs(ramp, connectivity):
+            assert_same_records(kruskal(*args), kruskal_loop(*args))
+
+    def test_kernel_rejects_out_of_range_indices(self):
+        image = RasterImage(np.arange(6).reshape(2, 3), levels=6)
+        a, b, weight, order, leaf = kruskal_inputs(image, "c4")[0]
+        for bad in ((a, b + 6, weight, order, leaf),
+                    (a - 1 - a.max(), b, weight, order, leaf),
+                    (a, b, weight, order + len(order), leaf),
+                    (a, b, weight, order - len(order), leaf)):
+            with pytest.raises(IndexError):
+                kruskal(*bad)

@@ -8,8 +8,14 @@ from treeprofiles import (
     node_areas,
 )
 
+from treeprofiles.inclusion import _fill_holes
+
 from conftest import random_image
-from oracles import tree_component_pixels, tree_of_shapes_shapes
+from oracles import (
+    fill_holes_label,
+    tree_component_pixels,
+    tree_of_shapes_shapes,
+)
 
 
 def shape_set(tree):
@@ -132,3 +138,30 @@ class TestTreeOfShapes:
         flipped = build_tree_of_shapes(img.complement())
         assert sorted(tree.level.tolist()) == \
             sorted(float(img.levels - 1 - l) for l in flipped.level)
+
+
+class TestFillHoles:
+    """The native flood fill equals the ``ndimage.label`` fill it replaced."""
+
+    def test_matches_label_fill(self):
+        rng = np.random.default_rng(19)
+        masks = [rng.random(rng.integers(1, 41, size=2)) < rng.uniform(0.2, 0.95)
+                 for _ in range(500)]
+        masks += [rng.random((1, 37)) < 0.5, rng.random((37, 1)) < 0.5,
+                  np.ones((1, 40), bool), np.ones((40, 1), bool),
+                  np.ones((40, 40), bool), np.ones((1, 1), bool),
+                  np.zeros((1, 1), bool), np.pad([[True]], 3)]
+        for mask in masks:
+            filled = _fill_holes(mask)
+            assert filled.dtype == bool and filled.shape == mask.shape
+            assert np.array_equal(filled, fill_holes_label(mask))
+
+    def test_diagonal_ring_has_no_hole(self):
+        # the centre's background reaches the outside through the corners
+        ring = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+        assert np.array_equal(_fill_holes(ring), ring)
+
+    def test_four_closed_ring_has_one_hole(self):
+        ring = np.ones((3, 3), dtype=bool)
+        ring[1, 1] = False
+        assert np.array_equal(_fill_holes(ring), np.ones((3, 3), bool))
