@@ -3,7 +3,13 @@
  *
  * Tree building.  tp_kruskal merges adjacent pixel pairs into the records
  * of a max-, min- or alpha-tree (hierarchies.kruskal); tp_fill_holes fills
- * the holes of a component's bounding-box mask (inclusion._fill_holes).
+ * the holes of a component's bounding-box mask (inclusion._fill_holes);
+ * tp_paint_shapes paints the shapes of a tree of shapes largest first and
+ * reads off their parents (inclusion.build_tree_of_shapes).
+ *
+ * Tree traversal.  tp_accumulate folds per-node values child to parent and
+ * tp_propagate parent to child (hierarchies.accumulate and propagate), each
+ * in one sweep over the node ids of a root-first parent array.
  *
  * Random forest (classifier).  tp_grow_tree grows one CART tree: it draws
  * the bootstrap resample, then grows nodes in preorder (left subtree
@@ -29,7 +35,7 @@
 
 #define TP_CAPACITY (-1)  /* a tree would outgrow its node arrays */
 #define TP_NO_MEMORY (-2)
-#define TP_BAD_INDEX (-3) /* an edge order entry or endpoint out of range */
+#define TP_BAD_INDEX (-3) /* an index argument out of range */
 
 /* ---- Tree building ---- */
 
@@ -149,6 +155,82 @@ int32_t tp_fill_holes(const uint8_t *mask, int64_t h, int64_t w, uint8_t *out)
             out[y * w + x] = grid[(y + 2) * gw + x + 2] != REACHED;
     free(grid);
     free(stack);
+    return 0;
+}
+
+/* Paints shapes s = 0, ..., n_shapes - 1 in turn onto label (n_label
+ * pixels, all 0 = the root beforehand): shape s is the pixel ids
+ * pixels[start[s]], ..., pixels[end[s] - 1] of the n_pixels concatenated
+ * ones, and gets label s + 1.  Before painting, parent[s + 1] is set to the
+ * label at first[s]; parent[0] = 0.  Returns 0, or TP_BAD_INDEX for a run
+ * or pixel id out of range. */
+int32_t tp_paint_shapes(const int64_t *pixels, int64_t n_pixels,
+                        const int64_t *start, const int64_t *end,
+                        const int64_t *first, int64_t n_shapes,
+                        int32_t *label, int64_t n_label, int32_t *parent)
+{
+    parent[0] = 0;
+    for (int64_t s = 0; s < n_shapes; s++) {
+        if (start[s] < 0 || end[s] < start[s] || end[s] > n_pixels ||
+            first[s] < 0 || first[s] >= n_label)
+            return TP_BAD_INDEX;
+        parent[s + 1] = label[first[s]];
+        for (int64_t j = start[s]; j < end[s]; j++) {
+            if (pixels[j] < 0 || pixels[j] >= n_label)
+                return TP_BAD_INDEX;
+            label[pixels[j]] = (int32_t)(s + 1);
+        }
+    }
+    return 0;
+}
+
+/* ---- Tree traversal ---- */
+
+enum { TP_ADD, TP_MIN, TP_MAX };
+
+/* to[j] = op(to[j], from[j]) for j < k; the sum wraps like numpy's */
+static void fold(int64_t *to, const int64_t *from, int64_t k, int32_t op)
+{
+    for (int64_t j = 0; j < k; j++) {
+        const int64_t a = to[j], b = from[j];
+        if (op == TP_ADD)
+            to[j] = (int64_t)((uint64_t)a + (uint64_t)b);
+        else if (op == TP_MIN)
+            to[j] = b < a ? b : a;
+        else
+            to[j] = b > a ? b : a;
+    }
+}
+
+/* Row i of values (k entries, row-major) folds into row parent[i] for
+ * i = n - 1, ..., 1: afterwards each row holds op over its node's subtree.
+ * Returns 0; or TP_BAD_INDEX, before any write out of bounds, when
+ * parent[0] != 0 or some node i has parent[i] outside [0, i). */
+int32_t tp_accumulate(const int64_t *parent, int64_t n, int64_t *values,
+                      int64_t k, int32_t op)
+{
+    if (n > 0 && parent[0] != 0)
+        return TP_BAD_INDEX;
+    for (int64_t i = n - 1; i > 0; i--) {
+        if (parent[i] < 0 || parent[i] >= i)
+            return TP_BAD_INDEX;
+        fold(values + parent[i] * k, values + i * k, k, op);
+    }
+    return 0;
+}
+
+/* Row parent[i] folds into row i for i = 1, ..., n - 1: afterwards each row
+ * holds op over its node's root path.  Same checks as tp_accumulate. */
+int32_t tp_propagate(const int64_t *parent, int64_t n, int64_t *values,
+                     int64_t k, int32_t op)
+{
+    if (n > 0 && parent[0] != 0)
+        return TP_BAD_INDEX;
+    for (int64_t i = 1; i < n; i++) {
+        if (parent[i] < 0 || parent[i] >= i)
+            return TP_BAD_INDEX;
+        fold(values + i * k, values + parent[i] * k, k, op);
+    }
     return 0;
 }
 

@@ -1,14 +1,15 @@
 """The package's compiled kernels: one C file, ``_kernels.c``, loaded through
 :mod:`ctypes`.
 
-It holds the Kruskal union-find and the hole filling of tree building and
-the random forest's tree growth and vote sum.  ``ctypes`` needs no Python
-headers and no extra package, but the file is compiled with ``cc`` on the
-first call that needs it, never at import, and cached under
-``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``), named by the
-sha256 of its source and compiler command.  A new build removes the
-library's older builds, and those of the retired ``_forest.c``, from that
-directory.  A failed build or load raises
+It holds tree building (the Kruskal union-find, hole filling and the
+painting of shapes, ``tp_paint_shapes``), the tree folds ``tp_accumulate``
+and ``tp_propagate``, and the random forest's tree growth and vote sum.
+``ctypes`` needs no Python headers and no extra package, but the file is
+compiled with ``cc`` on the first call that needs it, never at import, and
+cached under ``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``),
+named by the sha256 of its source and compiler command.  A new build
+removes the library's older builds, and those of the retired
+``_forest.c``, from that directory.  A failed build or load raises
 :class:`~treeprofiles.errors.BuildError`.
 
 Every entry point is declared in ``_SIGNATURES``: ``ndpointer`` argument
@@ -38,6 +39,9 @@ _N, _K = ctypes.c_int64, ctypes.c_int32
 _SIGNATURES = {
     "tp_kruskal": (_N, [_I8, _I8, _F8, _N, _I8, _N, _F8, _N, _I8, _F8, _I8]),
     "tp_fill_holes": (_K, [_B1, _N, _N, _B1]),
+    "tp_paint_shapes": (_K, [_I8, _N, _I8, _I8, _I8, _N, _I4, _N, _I4]),
+    "tp_accumulate": (_K, [_I8, _N, _I8, _N, _K]),
+    "tp_propagate": (_K, [_I8, _N, _I8, _N, _K]),
     "tp_grow_tree": (_N, [_F8, _I4, _F8, _I4, _N, _K, _K, _K, _U8,
                           _I4, _F8, _I4, _I4, _F8, _N]),
     "tp_best_split": (_K, [_F8, _I4, _F8, _I4, _N, _K, _K, _I4, _N, _I4, _K,

@@ -18,10 +18,10 @@ omega trees) is stored as the same parent-array structure:
 Every per-node pass goes through two kernels, after Higra's
 ``accumulate_sequential`` / ``propagate_sequential``: ``accumulate`` folds
 values child to parent (areas, moments, extrema, flags) and ``propagate``
-parent to child (pruning, nearest retained ancestor, preorder ranks).  Both
-run one numpy call per depth layer, so their cost grows with tree depth.
-The layers come from pointer doubling and are cached on each ``Tree``;
-builders that have only a parent array pass them in explicitly.
+parent to child (pruning, nearest retained ancestor, preorder ranks).
+Because ``parent[i] < i``, each is one linear sweep over the node ids in the
+native kernel, whatever the tree's depth.  Folds of int64 or bool values by
+sum, min, max, logical and or logical or are exact in any fold order.
 
 Component trees and alpha-trees come from one Kruskal union-find over the
 adjacent pixel pairs (Najman, Cousty & Perret, *Playing with Kruskal*, ISMM
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -65,44 +64,48 @@ class TreeKind(str, Enum):
     OMEGA_TREE = "omega"
 
 
-def depth_layers(parent: np.ndarray) -> list[np.ndarray]:
-    """Non-root node ids of a root-first parent array grouped by depth,
-    shallowest layer first, each layer in ascending id order.
-
-    Depths come from pointer doubling: every round adds the depth gained by
-    each node's current ancestor and jumps to that ancestor's ancestor.
-    """
-    parent = np.asarray(parent, dtype=np.int64)
-    depth = (parent != np.arange(len(parent))).astype(np.int64)
-    up = parent
-    while np.any(up != 0):
-        depth += depth[up]
-        up = up[up]
-    order = np.argsort(depth, kind="stable")
-    bounds = np.cumsum(np.bincount(depth))
-    return np.split(order, bounds[:-1])[1:]
+# native fold op codes (0 add, 1 minimum, 2 maximum) of the value dtypes and
+# ufuncs the folds accept; any other raises TypeError
+_FOLD_OPS = {
+    np.dtype(np.int64): {np.add: 0, np.minimum: 1, np.maximum: 2},
+    np.dtype(np.bool_): {np.minimum: 1, np.maximum: 2, np.logical_and: 1,
+                         np.logical_or: 2},
+}
 
 
-def accumulate(parent: np.ndarray, layers: list[np.ndarray],
-               values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
-    """Fold ``values`` (shape (N,) or (N, k)) from children into parents,
-    deepest layer first: afterwards each node holds ``ufunc`` over its whole
+def _fold(entry: str, parent: np.ndarray, values: np.ndarray,
+          ufunc: np.ufunc) -> np.ndarray:
+    """Run the native fold ``entry`` on a copy of ``values``."""
+    values = np.asarray(values)
+    op = _FOLD_OPS.get(values.dtype, {}).get(ufunc)
+    if op is None:
+        raise TypeError(f"cannot fold {values.dtype} values exactly with "
+                        f"{getattr(ufunc, '__name__', ufunc)}")
+    parent = np.ascontiguousarray(parent, dtype=np.int64)
+    if values.ndim not in (1, 2) or len(values) != len(parent):
+        raise ValueError("fold values must be (N,) or (N, k) for N nodes")
+    out = np.array(values, dtype=np.int64, order="C")
+    k = out.shape[1] if out.ndim == 2 else 1
+    if getattr(_kernel(), entry)(parent, len(parent), out, k, op):
+        raise DataError("parent array is not root-first topological")
+    return out.astype(values.dtype, copy=False)
+
+
+def accumulate(parent: np.ndarray, values: np.ndarray,
+               ufunc: np.ufunc) -> np.ndarray:
+    """Fold int64 or bool ``values`` of shape (N,) or (N, k) from children
+    into parents, highest id first: afterwards each node holds ``ufunc``
+    (add, minimum, maximum, or logical and/or on bool) over its whole
     subtree.  Returns a new array."""
-    out = np.array(values, copy=True)
-    for layer in reversed(layers):
-        ufunc.at(out, parent[layer], out[layer])
-    return out
+    return _fold("tp_accumulate", parent, values, ufunc)
 
 
-def propagate(parent: np.ndarray, layers: list[np.ndarray],
-              values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
-    """Fold ``values`` from parents into children, shallowest layer first:
+def propagate(parent: np.ndarray, values: np.ndarray,
+              ufunc: np.ufunc) -> np.ndarray:
+    """Fold ``values`` from parents into children, lowest id first:
     afterwards each node holds ``ufunc`` over its root path, root first.
-    Returns a new array."""
-    out = np.array(values, copy=True)
-    for layer in layers:
-        out[layer] = ufunc(out[parent[layer]], out[layer])
-    return out
+    Values and ufuncs as for ``accumulate``.  Returns a new array."""
+    return _fold("tp_propagate", parent, values, ufunc)
 
 
 @dataclass
@@ -141,18 +144,13 @@ class Tree:
         lo, hi = self.attached_offsets[node], self.attached_offsets[node + 1]
         return self.attached_pixels[lo:hi]
 
-    @cached_property
-    def layers(self) -> list[np.ndarray]:
-        """Non-root node ids grouped by depth, shallowest layer first."""
-        return depth_layers(self.parent)
-
     def accumulate(self, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
         """Child-to-parent fold; see the module-level ``accumulate``."""
-        return accumulate(self.parent, self.layers, values, ufunc)
+        return accumulate(self.parent, values, ufunc)
 
     def propagate(self, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
         """Parent-to-child fold; see the module-level ``propagate``."""
-        return propagate(self.parent, self.layers, values, ufunc)
+        return propagate(self.parent, values, ufunc)
 
     def validate(self) -> None:
         """Cheap structural sanity checks; raises DataError on violation."""

@@ -41,7 +41,6 @@ from .hierarchies import (
     TreeKind,
     _component_tree,
     accumulate,
-    depth_layers,
 )
 from .imagery import RasterImage
 
@@ -167,9 +166,10 @@ def _register(registry: dict, key: tuple, pixels, level2: int, upper: bool,
 def _collect_shapes(tree: Tree, frame_idx: np.ndarray, side: int,
                     registry: dict):
     """Register the saturations of the tree's nodes that have holes, fold
-    hole-free nodes equal to one of them into it, and return the other
-    hole-free nodes as shape columns (area, level, y0, x0, visit, first
-    pixel) plus their pixels."""
+    hole-free nodes equal to one of them into it, and return the pixels in
+    preorder plus the other hole-free nodes as shape columns (area, level,
+    y0, x0, visit, first pixel, start of the node's run of those pixels:
+    a hole-free shape is its side-tree node's component)."""
     pw = tree.width
     n_pix = tree.width * tree.height
     upper = side == 0
@@ -203,10 +203,8 @@ def _collect_shapes(tree: Tree, frame_idx: np.ndarray, side: int,
             keep[i] = False
     nodes = hole_free[keep]
     columns = np.stack([area[nodes], level2[nodes], first[nodes] // pw,
-                        x0[nodes], seen[nodes], first[nodes]])
-    pixels = [pix_order[a:b] for a, b in zip(lo[nodes].tolist(),
-                                             hi[nodes].tolist())]
-    return columns, pixels
+                        x0[nodes], seen[nodes], first[nodes], lo[nodes]])
+    return pix_order, columns
 
 
 def build_tree_of_shapes(image: RasterImage) -> Tree:
@@ -224,20 +222,24 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     frame_idx = np.flatnonzero(frame_mask.ravel())
 
     registry: dict = {}
-    blocks, pixels = [], []
+    blocks, runs, offset = [], [], 0
     for side, kind in enumerate((TreeKind.MAX_TREE, TreeKind.MIN_TREE)):
         side_tree = _component_tree(flat, pw, ph, 2, Connectivity.C4, kind)
-        columns, side_pixels = _collect_shapes(side_tree, frame_idx, side,
-                                               registry)
+        pix_order, columns = _collect_shapes(side_tree, frame_idx, side,
+                                             registry)
+        columns[6] += offset
         blocks.append(columns)
-        pixels += side_pixels
+        runs.append(pix_order)
+        offset += len(pix_order)
     rows = []
     for (y, x, _, _), (up, low, seen, px) in registry.items():
         rows.append((len(px), up if up is not None else low, y, x, seen,
-                     int(px[0])))
-        pixels.append(px)
-    blocks.append(np.array(rows, dtype=np.int64).reshape(-1, 6).T)
-    area, level2, y0, x0, seen, first = np.concatenate(blocks, axis=1)
+                     int(px[0]), offset))
+        runs.append(px)
+        offset += len(px)
+    blocks.append(np.array(rows, dtype=np.int64).reshape(-1, 7).T)
+    area, level2, y0, x0, seen, first, start = np.concatenate(blocks, axis=1)
+    pixels = np.concatenate(runs)
 
     # order: largest first so painting leaves each pixel in its smallest
     # shape; ties on (area, level, corner) fall back to the mask bytes, then
@@ -247,22 +249,20 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     starts = np.flatnonzero(np.concatenate(
         ([True], np.any(ranked[:, 1:] != ranked[:, :-1], axis=0))))
     sizes = np.diff(np.append(starts, len(order)))
-    order = order.tolist()
     for s, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
         order[s:s + size] = sorted(
             order[s:s + size],
-            key=lambda i: _shape_key(*_bbox_mask(pixels[i], pw))[3])
+            key=lambda i: _shape_key(*_bbox_mask(
+                pixels[start[i]:start[i] + area[i]], pw))[3])
 
     label = np.zeros(ph * pw, dtype=np.int32)  # 0 = root
-    parents = [0]
-    first = first.tolist()
-    for sid, i in enumerate(order, start=1):
-        parents.append(label.item(first[i]))
-        label[pixels[i]] = sid
-    node_parent = np.array(parents, dtype=np.int32)
+    node_parent = np.empty(len(order) + 1, dtype=np.int32)
+    if _kernel().tp_paint_shapes(pixels, len(pixels), start[order],
+                                 start[order] + area[order], first[order],
+                                 len(order), label, len(label), node_parent):
+        raise IndexError("tp_paint_shapes: a shape pixel is out of range")
     node_level2 = np.concatenate(([frame2], level2[order])).astype(np.int64)
     label = label.reshape(ph, pw)[1:-1, 1:-1]
-    n_shapes = len(node_parent)
 
     # Same-level upper and lower shapes can partially overlap through pixels
     # valued exactly at that level (the price of the polarity-symmetric
@@ -270,9 +270,8 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     # was claimed by such crossing shapes would carry an empty component;
     # drop it so attribute accumulation stays well-defined.  Parents of
     # surviving nodes always survive (their subtrees are supersets).
-    subtree = accumulate(node_parent, depth_layers(node_parent),
-                         np.bincount(label.ravel(), minlength=n_shapes),
-                         np.add)
+    subtree = accumulate(node_parent, np.bincount(
+        label.ravel(), minlength=len(node_parent)), np.add)
     if not subtree.all():
         alive = subtree > 0
         new_id = np.cumsum(alive) - 1

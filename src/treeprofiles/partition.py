@@ -27,7 +27,6 @@ from .hierarchies import (
     accumulate,
     adjacent_pairs,
     as_connectivity,
-    depth_layers,
     kruskal,
     nearest_marked,
     number_nodes,
@@ -75,7 +74,7 @@ def build_alpha_tree(
     # reconstruction representative: rounded component mean gray
     stats = np.zeros((len(parent), 2), dtype=np.int64)
     np.add.at(stats, pixel_node, np.stack([np.ones_like(flat), flat], axis=1))
-    area, gray_sum = accumulate(parent, depth_layers(parent), stats, np.add).T
+    area, gray_sum = accumulate(parent, stats, np.add).T
     rep = gray_sum // area + ((gray_sum % area) * 2 >= area)
 
     return Tree(

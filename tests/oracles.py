@@ -373,7 +373,7 @@ def tree_probs(feature, threshold, left, right, probs, x: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Tree traversal: the per-node loops the depth-layered kernels replaced
+# Tree traversal: per-node loops, and numpy folds one depth layer at a time
 # ---------------------------------------------------------------------------
 
 def accumulate_loop(parent, values, ufunc):
@@ -389,6 +389,46 @@ def propagate_loop(parent, values, ufunc):
     out = np.array(values, copy=True)
     for i in range(1, len(parent)):
         out[i] = ufunc(out[parent[i]], out[i])
+    return out
+
+
+def depth_layers(parent: np.ndarray) -> list[np.ndarray]:
+    """Non-root node ids of a root-first parent array grouped by depth,
+    shallowest layer first, each layer in ascending id order.
+
+    Depths come from pointer doubling: every round adds the depth gained by
+    each node's current ancestor and jumps to that ancestor's ancestor.
+    """
+    parent = np.asarray(parent, dtype=np.int64)
+    depth = (parent != np.arange(len(parent))).astype(np.int64)
+    up = parent
+    while np.any(up != 0):
+        depth += depth[up]
+        up = up[up]
+    order = np.argsort(depth, kind="stable")
+    bounds = np.cumsum(np.bincount(depth))
+    return np.split(order, bounds[:-1])[1:]
+
+
+def accumulate_layered(parent: np.ndarray, layers: list[np.ndarray],
+                       values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """Fold ``values`` (shape (N,) or (N, k)) from children into parents,
+    deepest layer first: afterwards each node holds ``ufunc`` over its whole
+    subtree.  Returns a new array."""
+    out = np.array(values, copy=True)
+    for layer in reversed(layers):
+        ufunc.at(out, parent[layer], out[layer])
+    return out
+
+
+def propagate_layered(parent: np.ndarray, layers: list[np.ndarray],
+                      values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """Fold ``values`` from parents into children, shallowest layer first:
+    afterwards each node holds ``ufunc`` over its root path, root first.
+    Returns a new array."""
+    out = np.array(values, copy=True)
+    for layer in layers:
+        out[layer] = ufunc(out[parent[layer]], out[layer])
     return out
 
 
@@ -461,9 +501,7 @@ def tree_of_shapes_per_node(image):
     """
     from scipy import ndimage
 
-    from treeprofiles.hierarchies import (
-        Tree, TreeKind, accumulate, depth_layers,
-    )
+    from treeprofiles.hierarchies import Tree, TreeKind
     from treeprofiles.inclusion import (
         _border_median_doubled, _frame_containing, _subtree_pixel_slices,
     )
@@ -526,9 +564,10 @@ def tree_of_shapes_per_node(image):
         label[gy, gx] = sid
         node_level2[sid] = level2
 
-    subtree = accumulate(node_parent, depth_layers(node_parent),
-                         np.bincount(label.ravel(), minlength=n_shapes),
-                         np.add)
+    subtree = accumulate_layered(node_parent, depth_layers(node_parent),
+                                 np.bincount(label.ravel(),
+                                             minlength=n_shapes),
+                                 np.add)
     if not subtree.all():
         alive = subtree > 0
         new_id = np.cumsum(alive) - 1
@@ -778,9 +817,7 @@ def component_tree_union_find(image, connectivity: str, upper: bool):
 def alpha_tree_union_find(image, connectivity: str = "c4"):
     """Alpha-tree through a pixel union-find plus a node-record union-find,
     compacted by a per-node loop."""
-    from treeprofiles.hierarchies import (
-        Tree, TreeKind, accumulate, depth_layers,
-    )
+    from treeprofiles.hierarchies import Tree, TreeKind
     from treeprofiles.partition import edge_list
 
     edges = edge_list(image, connectivity)
@@ -862,7 +899,8 @@ def alpha_tree_union_find(image, connectivity: str = "c4"):
     # reconstruction representative: rounded component mean gray
     stats = np.zeros((n_nodes, 2), dtype=np.int64)
     np.add.at(stats, pixel_node, np.stack([np.ones_like(flat), flat], axis=1))
-    area, gray_sum = accumulate(parent, depth_layers(parent), stats, np.add).T
+    area, gray_sum = accumulate_layered(parent, depth_layers(parent), stats,
+                                        np.add).T
     rep = gray_sum // area + ((gray_sum % area) * 2 >= area)
 
     return Tree(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeprofiles import (
     Attribute,
@@ -24,7 +26,6 @@ from treeprofiles.hierarchies import (
     accumulate,
     adjacent_pairs,
     as_connectivity,
-    depth_layers,
     kruskal,
     nearest_marked,
     propagate,
@@ -33,15 +34,18 @@ from treeprofiles.inclusion import _subtree_pixel_slices
 
 from conftest import random_image
 from oracles import (
+    accumulate_layered,
     accumulate_loop,
     alpha_tree_union_find,
     component_tree_nodes,
     component_tree_union_find,
+    depth_layers,
     kruskal_loop,
     min_rule_loop,
     nearest_retained_loop,
     partition_labels_loop,
     preorder_dfs,
+    propagate_layered,
     propagate_loop,
     tree_component_pixels,
     tree_of_shapes_per_node,
@@ -182,9 +186,47 @@ def kernel_inputs(rng, n):
     ints = rng.integers(-50, 50, size=n)
     flags = rng.random(n) < 0.3
     stacked = rng.integers(-50, 50, size=(n, 3))
-    int_ufuncs = (np.add, np.minimum, np.maximum)
-    return [(ints, int_ufuncs), (stacked, int_ufuncs),
-            (flags, (np.logical_or, np.logical_and, np.minimum, np.maximum))]
+    return [(ints, INT_UFUNCS), (stacked, INT_UFUNCS), (flags, BOOL_UFUNCS)]
+
+
+INT_UFUNCS = (np.add, np.minimum, np.maximum)
+BOOL_UFUNCS = (np.logical_or, np.logical_and, np.minimum, np.maximum)
+FOLD_FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+
+def assert_folds_match_references(parent, values, ufunc):
+    """The native folds equal the per-node loops and the layered folds."""
+    layers = depth_layers(parent)
+    cases = [
+        (accumulate(parent, values, ufunc),
+         accumulate_loop(parent, values, ufunc),
+         accumulate_layered(parent, layers, values, ufunc)),
+        (propagate(parent, values, ufunc),
+         propagate_loop(parent, values, ufunc),
+         propagate_layered(parent, layers, values, ufunc)),
+    ]
+    for got, loop, layered in cases:
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, loop)
+        assert np.array_equal(got, layered)
+
+
+@st.composite
+def random_folds(draw):
+    """(parent, values): parent[i] drawn from [0, i), values (N,) or (N, k)
+    int64 or bool."""
+    n = draw(st.integers(1, 40))
+    parent = np.array([0] + [draw(st.integers(0, i - 1))
+                             for i in range(1, n)], dtype=np.int32)
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 4)))
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        items = st.booleans()
+    else:
+        items = st.integers(-2**40, 2**40)
+    values = np.array(draw(st.lists(items, min_size=size, max_size=size)))
+    return parent, values.reshape(shape)
 
 
 def hand_built_parents():
@@ -207,36 +249,84 @@ class TestTraversalKernels:
         parent = hand_built_parents()[shape]
         layers = depth_layers(parent)
         assert sum(len(layer) for layer in layers) == len(parent) - 1
+        assert len(layers) == {"single": 0, "chain": 299, "star": 1}[shape]
         for values, ufuncs in kernel_inputs(rng, len(parent)):
             for ufunc in ufuncs:
-                assert np.array_equal(
-                    accumulate(parent, layers, values, ufunc),
-                    accumulate_loop(parent, values, ufunc))
-                assert np.array_equal(
-                    propagate(parent, layers, values, ufunc),
-                    propagate_loop(parent, values, ufunc))
-        assert len(layers) == {"single": 0, "chain": 299, "star": 1}[shape]
+                assert_folds_match_references(parent, values, ufunc)
 
     def test_builder_trees_match_loops(self, rng, builder_trees):
         for _, _, tree in builder_trees:
-            for layer_above, layer in zip(tree.layers, tree.layers[1:]):
+            layers = depth_layers(tree.parent)
+            for layer_above, layer in zip(layers, layers[1:]):
                 assert np.isin(tree.parent[layer], layer_above).all()
             for values, ufuncs in kernel_inputs(rng, tree.node_count):
                 for ufunc in ufuncs:
-                    assert np.array_equal(
-                        tree.accumulate(values, ufunc),
-                        accumulate_loop(tree.parent, values, ufunc))
-                    assert np.array_equal(
-                        tree.propagate(values, ufunc),
-                        propagate_loop(tree.parent, values, ufunc))
+                    assert_folds_match_references(tree.parent, values, ufunc)
+                    assert np.array_equal(tree.accumulate(values, ufunc),
+                                          accumulate(tree.parent, values,
+                                                     ufunc))
+                    assert np.array_equal(tree.propagate(values, ufunc),
+                                          propagate(tree.parent, values,
+                                                    ufunc))
+
+    def test_deep_ramp_chain_matches_loops(self):
+        """A 16-bit ramp's max-tree is one chain of 65,536 nodes."""
+        ramp = RasterImage(np.arange(256 * 256).reshape(256, 256),
+                           levels=256 * 256)
+        tree = build_max_tree(ramp)
+        assert tree.node_count == 256 * 256
+        assert np.array_equal(node_areas(tree),
+                              256 * 256 - np.arange(256 * 256))
+        marks = np.zeros(tree.node_count, dtype=bool)
+        marks[::1000] = True
+        for values, ufunc in ((np.arange(tree.node_count) % 7, np.add),
+                              (marks, np.logical_or)):
+            assert_folds_match_references(tree.parent, values, ufunc)
+
+    @given(random_folds())
+    @FOLD_FUZZ
+    def test_random_parents_match_loops(self, fold):
+        parent, values = fold
+        ufuncs = BOOL_UFUNCS if values.dtype == bool else INT_UFUNCS
+        for ufunc in ufuncs:
+            assert_folds_match_references(parent, values, ufunc)
 
     def test_kernels_leave_input_unchanged(self, rng):
         parent = hand_built_parents()["chain"]
         values = rng.integers(0, 9, size=len(parent))
         before = values.copy()
-        accumulate(parent, depth_layers(parent), values, np.add)
-        propagate(parent, depth_layers(parent), values, np.add)
+        accumulate(parent, values, np.add)
+        propagate(parent, values, np.add)
         assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("parent", [
+        [1, 0], [0, 1], [0, 0, 2], [0, -1, 0], [0, 0, 5], [0, 2**40]])
+    def test_bad_parent_refused(self, parent):
+        values = np.arange(len(parent))
+        for fold in (accumulate, propagate):
+            with pytest.raises(DataError, match="not root-first topological"):
+                fold(np.array(parent), values, np.add)
+
+    @pytest.mark.parametrize("values, ufunc", [
+        (np.arange(3.0), np.add),
+        (np.arange(3, dtype=np.float32), np.maximum),
+        (np.arange(3).astype(object), np.add),
+        (np.arange(3, dtype=np.int32), np.add),
+        (np.arange(3), np.multiply),
+        (np.arange(3), np.logical_or),
+        (np.ones(3, dtype=bool), np.add),
+    ])
+    def test_inexact_fold_refused(self, values, ufunc):
+        for fold in (accumulate, propagate):
+            with pytest.raises(TypeError, match="cannot fold"):
+                fold(np.zeros(3, dtype=np.int32), values, ufunc)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 2, 1), ()])
+    def test_values_not_one_row_per_node_refused(self, shape):
+        for fold in (accumulate, propagate):
+            with pytest.raises(ValueError):
+                fold(np.zeros(3, dtype=np.int32),
+                     np.zeros(shape, dtype=np.int64), np.add)
 
     def test_tree_passes_match_loops(self, rng, builder_trees):
         for img, kind, tree in builder_trees:

@@ -8,6 +8,7 @@ from treeprofiles import (
     node_areas,
 )
 
+from treeprofiles._native import _kernel
 from treeprofiles.inclusion import _fill_holes
 
 from conftest import random_image
@@ -165,3 +166,35 @@ class TestFillHoles:
         ring = np.ones((3, 3), dtype=bool)
         ring[1, 1] = False
         assert np.array_equal(_fill_holes(ring), np.ones((3, 3), bool))
+
+
+def paint(pixels, start, end, first, n_label=9):
+    """(status, parent, label) of one native ``tp_paint_shapes`` call."""
+    pixels, start, end, first = (np.array(v, dtype=np.int64)
+                                 for v in (pixels, start, end, first))
+    label = np.zeros(n_label, dtype=np.int32)
+    parent = np.full(len(start) + 1, -7, dtype=np.int32)
+    status = _kernel().tp_paint_shapes(pixels, len(pixels), start, end, first,
+                                       len(start), label, n_label, parent)
+    return status, parent, label
+
+
+class TestPaintShapes:
+    def test_parent_is_label_at_first_pixel(self):
+        # the whole 3x3 grid, then its centre, then its top-left pair
+        status, parent, label = paint(
+            list(range(9)) + [4, 0, 1], [0, 9, 10], [9, 10, 12], [0, 4, 0])
+        assert status == 0
+        assert parent.tolist() == [0, 0, 1, 1]
+        assert label.tolist() == [3, 3, 1, 1, 2, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("pixels, start, end, first", [
+        ([9], [0], [1], [0]),
+        ([-1], [0], [1], [0]),
+        ([0], [0], [2], [0]),
+        ([0], [1], [0], [0]),
+        ([0], [-1], [1], [0]),
+        ([0], [0], [1], [9]),
+    ])
+    def test_out_of_range_refused(self, pixels, start, end, first):
+        assert paint(pixels, start, end, first)[0] == -3
