@@ -1,11 +1,13 @@
 """Per-node attributes computed incrementally over any tree.
 
-Three child-to-parent folds (``Tree.accumulate`` with sum, minimum and
-maximum over stacked columns) give every node the pixel count, spatial
-moment sums, gray-level moment sums, gray extrema and the bounding box of
-its full component (direct pixels plus all descendants).  Gray
-statistics always refer to the source image values, so features read from a
-pruned tree still describe the original pixels inside each component.
+Each node's direct pixels are reduced along their run of
+``Tree.attached_pixels``; then three child-to-parent folds
+(``Tree.accumulate`` with sum, minimum and maximum over stacked columns)
+give every node the pixel count, spatial moment sums, gray-level moment
+sums, gray extrema and the bounding box of its full component (direct
+pixels plus all descendants).  Gray statistics always refer to the source
+image values, so features read from a pruned tree still describe the
+original pixels inside each component.
 
 Moments are accumulated in 64-bit integers; ``moment_of_inertia_all`` and
 ``std_dev_all`` turn them into per-node float vectors.
@@ -47,20 +49,24 @@ def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
     if (tree.width, tree.height) != (image.width, image.height):
         raise DataError("tree and image dimensions do not match")
     n = tree.node_count
-    flat = image.values.ravel()
-    pix = np.arange(tree.width * tree.height, dtype=np.int64)
+    pix = tree.attached_pixels  # grouped by node, one run per node
+    flat = image.values.ravel()[pix]
     xs = pix % tree.width
     ys = pix // tree.width
-    node = tree.pixel_node
+    # a node without direct pixels has an empty run: it keeps the identity
+    held = np.diff(tree.attached_offsets) > 0
+    starts = tree.attached_offsets[:-1][held]
+
+    def scatter(ufunc, identity, columns):
+        out = np.full((n, len(columns)), identity, dtype=np.int64)
+        out[held] = ufunc.reduceat(np.stack(columns, axis=1), starts, axis=0)
+        return out
 
     big = np.iinfo(np.int64).max
-    sums = np.zeros((n, 7), dtype=np.int64)
-    np.add.at(sums, node, np.stack(
-        [np.ones_like(pix), xs, ys, xs * xs, ys * ys, flat, flat * flat], axis=1))
-    lows = np.full((n, 3), big, dtype=np.int64)
-    np.minimum.at(lows, node, np.stack([flat, xs, ys], axis=1))
-    highs = np.full((n, 3), -big, dtype=np.int64)
-    np.maximum.at(highs, node, np.stack([flat, xs, ys], axis=1))
+    sums = scatter(np.add, 0, [np.ones_like(pix), xs, ys, xs * xs, ys * ys,
+                               flat, flat * flat])
+    lows = scatter(np.minimum, big, [flat, xs, ys])
+    highs = scatter(np.maximum, -big, [flat, xs, ys])
 
     area, sum_x, sum_y, sum_xx, sum_yy, gray_sum, gray_sum_sq = \
         tree.accumulate(sums, np.add).T

@@ -20,10 +20,11 @@ of :func:`predict` run in the package's native kernel (see
 floating-point operations one for one (``tests/oracles.py``), so the model
 bytes are the reference's.
 
-Trees grow across up to ``min(usable CPUs, n_trees)`` worker processes
-(forked where the platform can fork, else one after another in process) and
-are collected in index order, so the model bytes do not depend on the worker
-count.
+Both kernel calls release the GIL, so the forest runs on threads: trees grow
+on up to ``min(usable CPUs, n_trees)`` threads and are collected in index
+order, and :func:`predict` splits the rows into up to one contiguous block
+per usable CPU, each row summing its votes in tree order.  Neither the model
+bytes nor the predictions depend on the thread or block count.
 
 Model serialization (little-endian throughout)::
 
@@ -36,10 +37,9 @@ Model serialization (little-endian throughout)::
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,18 +136,6 @@ def _grow_indexed(data: _TrainingSet, i: int) -> DecisionTree:
         tree.feature, tree.threshold, tree.left, tree.right, tree.probs)))
 
 
-_worker_data: _TrainingSet | None = None  # set in each pool worker only
-
-
-def _init_worker(data: _TrainingSet) -> None:
-    global _worker_data
-    _worker_data = data
-
-
-def _grow_in_worker(i: int) -> DecisionTree:
-    return _grow_indexed(_worker_data, i)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -165,8 +153,8 @@ def train_forest(
 ) -> ForestModel:
     """Grow ``n_trees`` CART trees on bootstrap resamples of (x, y).
 
-    Trees grow in up to ``min(usable CPUs, n_trees)`` forked processes; the
-    model does not depend on how many.
+    Trees grow on up to ``min(usable CPUs, n_trees)`` threads; the model
+    does not depend on how many.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -179,18 +167,10 @@ def train_forest(
     if len(classes) < 2:
         raise DataError("training needs at least two classes")
     data = _training_set(x, np.searchsorted(classes, y), len(classes), seed)
-    _kernel()  # built and loaded before the workers fork
-    workers = min(_usable_cpus(), n_trees)
-    if workers == 1 or "fork" not in mp.get_all_start_methods():
-        trees = [_grow_indexed(data, i) for i in range(n_trees)]
-    else:
-        # forked workers inherit ``data`` through initargs without pickling;
-        # one block of consecutive trees per worker keeps the round trips few
-        with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
-                                 initializer=_init_worker,
-                                 initargs=(data,)) as pool:
-            trees = list(pool.map(_grow_in_worker, range(n_trees),
-                                  chunksize=-(-n_trees // workers)))
+    _kernel()  # loaded here, so no worker thread builds it
+    with ThreadPoolExecutor(min(_usable_cpus(), n_trees)) as pool:
+        trees = list(pool.map(lambda i: _grow_indexed(data, i),
+                              range(n_trees)))
     return ForestModel(trees=trees, classes=classes, n_features=x.shape[1],
                        seed=seed)
 
@@ -201,7 +181,7 @@ def train_forest(
 
 def _votes(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """(rows, n_classes) sums of the trees' leaf probabilities, added in
-    tree order."""
+    tree order, one thread per block of rows."""
     trees = model.trees
     offset = np.cumsum([0] + [len(t.feature) for t in trees], dtype=np.int64)
 
@@ -215,13 +195,22 @@ def _votes(model: ForestModel, x: np.ndarray) -> np.ndarray:
             len(getattr(t, a)) != len(t.feature)
             for t in trees for a in ("threshold", "left", "right")):
         raise DataError("model node arrays disagree in length")
+    kernel = _kernel()  # loaded here, so no worker thread builds it
+    arrays = (offset, flat("feature", np.int32), flat("threshold", np.float64),
+              flat("left", np.int32), flat("right", np.int32), probs)
     votes = np.zeros((len(x), model.n_classes))
-    bad = _kernel().tp_forest_votes(
-        x, len(x), model.n_features, model.n_classes, len(trees), offset,
-        flat("feature", np.int32), flat("threshold", np.float64),
-        flat("left", np.int32), flat("right", np.int32), probs, votes)
-    if bad:
-        raise DataError(f"tree {bad - 1} of the model is malformed")
+    blocks = max(1, min(_usable_cpus(), len(x)))
+
+    def block(k: int) -> int:
+        lo, hi = len(x) * k // blocks, len(x) * (k + 1) // blocks
+        return kernel.tp_forest_votes(
+            x[lo:hi], hi - lo, model.n_features, model.n_classes, len(trees),
+            *arrays, votes[lo:hi])
+
+    with ThreadPoolExecutor(blocks) as pool:
+        bad = [b for b in pool.map(block, range(blocks)) if b]
+    if bad:  # the first tree a row fails on, as one whole-batch call reports
+        raise DataError(f"tree {min(bad) - 1} of the model is malformed")
     return votes
 
 

@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -128,14 +131,38 @@ class TestTraining:
             want = best_split_per_feature(x, y, n_classes, cands)
             assert got == want
 
-    def test_in_process_matches_pool(self, monkeypatch):
+    def test_one_and_three_threads_same_bytes(self, monkeypatch):
         x, y = fp_training_set()
         blobs = []
-        for cpus in (1, 3):  # 1: grown in process; 3: more workers than cores
+        for cpus in (1, 3):  # 3: more threads than this host may have cores
             monkeypatch.setattr(classifier, "_usable_cpus", lambda c=cpus: c)
             model = train_forest(x, y, n_trees=10, seed=5)
             blobs.append(model_to_bytes(model))
         assert blobs[0] == blobs[1]
+
+    def test_concurrent_calls_match_serial(self, monkeypatch):
+        # two forests growing at once on 3 threads each share the kernel but
+        # no buffers; a short switch interval interleaves them finely
+        monkeypatch.setattr(classifier, "_usable_cpus", lambda: 3)
+        x, y = fp_training_set()
+        seeds = (5, 6)
+        serial = [model_to_bytes(train_forest(x, y, n_trees=10, seed=s))
+                  for s in seeds]
+        start = threading.Barrier(len(seeds))
+
+        def train(seed):
+            start.wait(timeout=60)
+            return model_to_bytes(train_forest(x, y, n_trees=10, seed=seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                concurrent = list(pool.map(train, seeds, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial
+        assert serial[0] != serial[1]
 
     def test_monotone_transform_invariance(self, rng):
         x, y = separable_blobs(rng, n_per_class=30)
@@ -176,6 +203,40 @@ class TestPredict:
         probe[2, 1] = np.nan
         with pytest.raises(DataError):
             predict(model, probe)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 257])
+    def test_votes_independent_of_block_count(self, rng, monkeypatch, rows):
+        # 2 rows against 3 CPUs: fewer rows than CPUs, so one block per row
+        x, y = separable_blobs(rng, n_per_class=30)
+        model = train_forest(x, y, n_trees=7, seed=3)
+        probe = rng.normal(size=(rows, 2)) * 4
+        votes, labels = [], []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(classifier, "_usable_cpus", lambda c=cpus: c)
+            votes.append(classifier._votes(model, probe).tobytes())
+            labels.append(predict(model, probe))
+        assert votes[0] == votes[1] == votes[2]
+        assert all(np.array_equal(labels[0], got) for got in labels[1:])
+        assert labels[0].shape == (rows,)
+
+    def test_malformed_tree_named_alike_for_any_block_count(self,
+                                                           monkeypatch):
+        # tree 0 breaks on rows routed right, tree 1 on rows routed left: a
+        # block of left rows alone would name tree 1, the whole batch tree 0
+        def stump(left, right):
+            return DecisionTree(
+                feature=np.array([0, -1], dtype=np.int32),
+                threshold=np.zeros(2),
+                left=np.array([left, -1], dtype=np.int32),
+                right=np.array([right, -1], dtype=np.int32),
+                probs=np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+        model = ForestModel(trees=[stump(1, 7), stump(7, 1)],
+                            classes=np.array([1, 2]), n_features=1, seed=0)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(classifier, "_usable_cpus", lambda c=cpus: c)
+            with pytest.raises(DataError, match="tree 0 of the model"):
+                predict(model, np.array([[-1.0], [-1.0], [1.0], [1.0]]))
 
     def test_leaf_probabilities_sum_to_one(self, rng):
         x, y = separable_blobs(rng)

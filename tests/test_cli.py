@@ -674,7 +674,8 @@ class TestSharedAlphaTree:
 class TestNoScipy:
     """The package imports no scipy, not even lazily: importing it builds and
     loads no kernel, and a tree-of-shapes, alpha and omega classify run
-    leaves no ``scipy*`` module in ``sys.modules``."""
+    leaves no ``scipy*`` module in ``sys.modules``.  Nor does the run import
+    ``multiprocessing``: the forest runs on threads, not a process pool."""
 
     SCRIPT = (
         "import sys\n"
@@ -688,6 +689,7 @@ class TestNoScipy:
         "assert treeprofiles.cli.main(sys.argv[1:]) == 0\n"
         "assert _native._lib is not None\n"
         "assert not scipy_modules(), scipy_modules()\n"
+        "assert 'multiprocessing' not in sys.modules, 'process pool imported'\n"
     )
 
     def test_import_and_classify_without_scipy(self, golden_labels,
