@@ -2,10 +2,10 @@
  * treeprofiles._native.
  *
  * Tree building.  tp_kruskal merges adjacent pixel pairs into the records
- * of a max-, min- or alpha-tree (hierarchies.kruskal); tp_fill_holes fills
- * the holes of a component's bounding-box mask (inclusion._fill_holes);
- * tp_paint_shapes paints the shapes of a tree of shapes largest first and
- * reads off their parents (inclusion.build_tree_of_shapes).
+ * of a max-, min- or alpha-tree (hierarchies.kruskal); tp_saturate fills
+ * the holes of every holed node of a tree-of-shapes side tree in one call,
+ * and tp_paint_shapes paints the shapes of a tree of shapes largest first
+ * and reads off their parents (inclusion.build_tree_of_shapes).
  *
  * Tree traversal.  tp_accumulate folds per-node values child to parent and
  * tp_propagate parent to child (hierarchies.accumulate and propagate), each
@@ -114,45 +114,82 @@ int64_t tp_kruskal(const int64_t *a, const int64_t *b, const double *weight,
 
 enum { OPEN, WALL, REACHED };
 
-/* out = the h x w mask plus its holes: every cell that an 8-connected flood
- * of the background from the one-pixel frame around the mask does not
- * reach.  The flood runs on an (h + 4) x (w + 4) grid whose outer ring is
- * wall, so no neighbour needs a bounds check, and pushes each open cell
- * once, so the stack holds at most (h + 2)(w + 2) entries.  Returns 0 or
- * TP_NO_MEMORY. */
-int32_t tp_fill_holes(const uint8_t *mask, int64_t h, int64_t w, uint8_t *out)
+/* Saturates n_nodes pixel sets of a width x height grid: set i is the pixel
+ * ids pix_order[lo[i]], ..., pix_order[hi[i] - 1], inside the box
+ * box[4i .. 4i + 3] = (y0, x0, y1, x1), corners included.  Its saturation
+ * is the set plus its holes: every box cell that an 8-connected flood of
+ * the background from the one-pixel frame around the box does not reach.
+ * The flood runs on a (bh + 4) x (bw + 4) grid whose outer ring is wall,
+ * so no neighbour needs a bounds check, and pushes each open cell once.
+ * Set i's saturation is written to out[offsets[i]], ...,
+ * out[offsets[i + 1] - 1] as ascending row-major pixel ids; n_out must be
+ * at least the summed box area.  Returns 0; TP_BAD_INDEX, before any
+ * write, for a run outside pix_order, a box outside the grid or a pixel
+ * outside its box; TP_CAPACITY when n_out is too small; or TP_NO_MEMORY. */
+int32_t tp_saturate(const int64_t *pix_order, int64_t n_pix,
+                    const int64_t *lo, const int64_t *hi, const int64_t *box,
+                    int64_t n_nodes, int64_t width, int64_t height,
+                    int64_t *out, int64_t n_out, int64_t *offsets)
 {
-    const int64_t gw = w + 4;
-    uint8_t *grid = malloc((size_t)((h + 4) * gw));
-    int64_t *stack = malloc((size_t)((h + 2) * (w + 2)) * sizeof *stack);
+    int64_t cells = 0, grid_cells = 0;
+    for (int64_t i = 0; i < n_nodes; i++) {
+        const int64_t *b = box + 4 * i;
+        if (lo[i] < 0 || hi[i] < lo[i] || hi[i] > n_pix || b[0] < 0 ||
+            b[2] < b[0] || b[2] >= height || b[1] < 0 || b[3] < b[1] ||
+            b[3] >= width)
+            return TP_BAD_INDEX;
+        for (int64_t j = lo[i]; j < hi[i]; j++) {
+            const int64_t p = pix_order[j];
+            if (p < 0 || p / width < b[0] || p / width > b[2] ||
+                p % width < b[1] || p % width > b[3])
+                return TP_BAD_INDEX;
+        }
+        const int64_t bh = b[2] - b[0] + 1, bw = b[3] - b[1] + 1;
+        cells += bh * bw;
+        if ((bh + 4) * (bw + 4) > grid_cells)
+            grid_cells = (bh + 4) * (bw + 4);
+    }
+    if (cells > n_out)
+        return TP_CAPACITY;
+    uint8_t *grid = malloc((size_t)grid_cells + 1);
+    int64_t *stack = malloc((size_t)grid_cells * sizeof *stack + 1);
     if (!grid || !stack) {
         free(grid);
         free(stack);
         return TP_NO_MEMORY;
     }
-    memset(grid, WALL, (size_t)((h + 4) * gw));
-    for (int64_t y = 1; y < h + 3; y++)
-        memset(grid + y * gw + 1, OPEN, (size_t)(w + 2));
-    for (int64_t y = 0; y < h; y++)
-        for (int64_t x = 0; x < w; x++)
-            if (mask[y * w + x])
-                grid[(y + 2) * gw + x + 2] = WALL;
-    const int64_t step[8] = {-gw - 1, -gw, -gw + 1, -1, 1,
-                             gw - 1, gw, gw + 1};
-    int64_t depth = 0;
-    grid[gw + 1] = REACHED;
-    stack[depth++] = gw + 1;
-    while (depth) {
-        const int64_t cell = stack[--depth];
-        for (int k = 0; k < 8; k++)
-            if (grid[cell + step[k]] == OPEN) {
-                grid[cell + step[k]] = REACHED;
-                stack[depth++] = cell + step[k];
-            }
+    int64_t count = 0;
+    offsets[0] = 0;
+    for (int64_t i = 0; i < n_nodes; i++) {
+        const int64_t y0 = box[4 * i], x0 = box[4 * i + 1];
+        const int64_t bh = box[4 * i + 2] - y0 + 1;
+        const int64_t bw = box[4 * i + 3] - x0 + 1, gw = bw + 4;
+        memset(grid, WALL, (size_t)((bh + 4) * gw));
+        for (int64_t y = 1; y < bh + 3; y++)
+            memset(grid + y * gw + 1, OPEN, (size_t)(bw + 2));
+        for (int64_t j = lo[i]; j < hi[i]; j++) {
+            const int64_t p = pix_order[j];
+            grid[(p / width - y0 + 2) * gw + p % width - x0 + 2] = WALL;
+        }
+        const int64_t step[8] = {-gw - 1, -gw, -gw + 1, -1, 1,
+                                 gw - 1, gw, gw + 1};
+        int64_t depth = 0;
+        grid[gw + 1] = REACHED;
+        stack[depth++] = gw + 1;
+        while (depth) {
+            const int64_t cell = stack[--depth];
+            for (int k = 0; k < 8; k++)
+                if (grid[cell + step[k]] == OPEN) {
+                    grid[cell + step[k]] = REACHED;
+                    stack[depth++] = cell + step[k];
+                }
+        }
+        for (int64_t y = 0; y < bh; y++)
+            for (int64_t x = 0; x < bw; x++)
+                if (grid[(y + 2) * gw + x + 2] != REACHED)
+                    out[count++] = (y0 + y) * width + x0 + x;
+        offsets[i + 1] = count;
     }
-    for (int64_t y = 0; y < h; y++)
-        for (int64_t x = 0; x < w; x++)
-            out[y * w + x] = grid[(y + 2) * gw + x + 2] != REACHED;
     free(grid);
     free(stack);
     return 0;

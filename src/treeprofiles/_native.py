@@ -1,9 +1,11 @@
 """The package's compiled kernels: one C file, ``_kernels.c``, loaded through
 :mod:`ctypes`.
 
-It holds tree building (the Kruskal union-find, hole filling and the
-painting of shapes, ``tp_paint_shapes``), the tree folds ``tp_accumulate``
-and ``tp_propagate``, and the random forest's tree growth and vote sum.
+It holds tree building (the Kruskal union-find, the saturation of every
+holed side-tree node of a tree of shapes in one call, ``tp_saturate``, and
+the painting of shapes, ``tp_paint_shapes``), the tree folds
+``tp_accumulate`` and ``tp_propagate``, and the random forest's tree growth
+and vote sum.
 ``ctypes`` needs no Python headers and no extra package, but the file is
 compiled with ``cc`` on the first call that needs it, never at import, and
 cached under ``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``),
@@ -32,13 +34,13 @@ from .errors import BuildError
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _COMPILE = ["cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
-_F8, _I4, _I8, _U8, _B1 = (
+_F8, _I4, _I8, _U8 = (
     np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-    for t in (np.float64, np.int32, np.int64, np.uint64, np.bool_))
+    for t in (np.float64, np.int32, np.int64, np.uint64))
 _N, _K = ctypes.c_int64, ctypes.c_int32
 _SIGNATURES = {
     "tp_kruskal": (_N, [_I8, _I8, _F8, _N, _I8, _N, _F8, _N, _I8, _F8, _I8]),
-    "tp_fill_holes": (_K, [_B1, _N, _N, _B1]),
+    "tp_saturate": (_K, [_I8, _N, _I8, _I8, _I8, _N, _N, _N, _I8, _N, _I8]),
     "tp_paint_shapes": (_K, [_I8, _N, _I8, _I8, _I8, _N, _I4, _N, _I4]),
     "tp_accumulate": (_K, [_I8, _N, _I8, _N, _K]),
     "tp_propagate": (_K, [_I8, _N, _I8, _N, _K]),

@@ -60,11 +60,18 @@ _CONFIG_TYPES = {
     "pca": int, "levels": int, "rf_trees": int, "seed": int,
     "tree": str, "attr": str, "feature": str, "profile": str,
 }
+_CONNECTIVITIES = ["c4", "c8"]
+_MODES = {"profile": ["ap", "fp", "both"],
+          "classify": ["ap", "fp", "both", "raw"], "compare": ["both"]}
 
 
 def _read_config(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8", offset=exc.start) from None
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -127,7 +134,7 @@ def _add_common(p: argparse.ArgumentParser, labels: bool) -> None:
                    help="PCA components for multiband input (default 4)")
     p.add_argument("--levels", type=int, default=256,
                    help="quantization levels for PCA components (default 256)")
-    p.add_argument("--connectivity", default="c4", choices=["c4", "c8"])
+    p.add_argument("--connectivity", default="c4", choices=_CONNECTIVITIES)
     p.add_argument("--rf-trees", dest="rf_trees", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
@@ -142,16 +149,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="build and save profile stacks")
     _add_common(p, labels=False)
-    p.add_argument("--mode", default="both", choices=["ap", "fp", "both"])
+    p.add_argument("--mode", default="both", choices=_MODES["profile"])
 
     p = sub.add_parser("classify", help="train and evaluate a random forest")
     _add_common(p, labels=True)
-    p.add_argument("--mode", default="fp", choices=["ap", "fp", "both", "raw"])
+    p.add_argument("--mode", default="fp", choices=_MODES["classify"])
     p.add_argument("--profile", help="use a saved profile stack instead of building")
 
     p = sub.add_parser("compare", help="AP vs FP comparison table")
     _add_common(p, labels=True)
-    p.add_argument("--mode", default="both", choices=["both"],
+    p.add_argument("--mode", default="both", choices=_MODES["compare"],
                    help=argparse.SUPPRESS)
 
     p = sub.add_parser("tree-dump", help="dump one tree as text")
@@ -159,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=False)
     p.add_argument("--tree", action="append",
                    help="tree kind: max|min|tos|alpha|omega")
-    p.add_argument("--connectivity", default="c4", choices=["c4", "c8"])
+    p.add_argument("--connectivity", default="c4", choices=_CONNECTIVITIES)
     p.add_argument("--attributes", action="store_true",
                    help="dump 'id area inertia stddev' instead of structure")
     p.add_argument("--out", help="output file (default stdout)")
@@ -455,6 +462,11 @@ def main(argv: list[str] | None = None) -> int:
                 flag = "--" + key.replace("_", "-")
                 if flag in given or not hasattr(args, key):
                     continue
+                choices = {"connectivity": _CONNECTIVITIES,
+                           "mode": _MODES.get(args.command)}.get(key)
+                if choices and value not in choices:
+                    raise FormatError(f"{args.config}: {key} must be one of "
+                                      f"{'|'.join(choices)}, got {value!r}")
                 setattr(args, key, value)
         args.tree = _parse_choices(
             args.tree,

@@ -234,8 +234,10 @@ _DTYPES = {"u8": np.dtype("<u1"), "u16": np.dtype("<u2"), "f32": np.dtype("<f4")
 def _read_json_header(path: Path, keys: tuple[str, ...], what: str) -> dict:
     """A JSON object holding at least ``keys``; FormatError otherwise."""
     try:
-        header = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        header = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not UTF-8", offset=exc.start) from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid {what}: {exc}") from None
     if not isinstance(header, dict):
         raise FormatError(f"{what} is not a JSON object")

@@ -21,12 +21,12 @@ not filled: a 4-connected set with 8-connected background has Euler number
 pixels - 4-adjacent pairs + full 2x2 blocks = 1 - holes (Gray's bit-quad
 counting), and each pair and block is tallied at one node and summed up the
 tree.  A node without holes is its own shape, so its area, corner and pixels
-come from tree-wide passes; only nodes with holes are filled, one by one on
-their bounding box, by the native kernel's 8-connected flood of the
-background from a one-pixel frame around the box.  The same shape can arise
-more than once -- a filled node can equal a hole-free node or another filled
-node -- and duplicates collapse to the highest level on the upper side and
-the lowest level on the lower side, which is exactly the per-threshold
+come from tree-wide passes; the nodes with holes of each side tree are
+filled in one native call, ``tp_saturate``, by an 8-connected flood of the
+background from a one-pixel frame around each node's bounding box.  The
+same shape can arise more than once -- nodes on one root path can share a
+saturation -- and duplicates collapse to the highest level on the upper side
+and the lowest level on the lower side, which is exactly the per-threshold
 enumeration semantics.
 """
 
@@ -41,6 +41,7 @@ from .hierarchies import (
     TreeKind,
     _component_tree,
     accumulate,
+    nearest_marked,
 )
 from .imagery import RasterImage
 
@@ -114,97 +115,73 @@ def _hole_counts(tree: Tree) -> np.ndarray:
     return 1 - tree.accumulate(euler, np.add)
 
 
-def _corners(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+def _boxes(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
     """Per node: its component's first pixel in row-major order and its
-    smallest column."""
+    bounding box (y0, x0, y1, x1) as an (N, 4) array."""
     # every component-tree node has pixels of its own, ascending per node
     pixels = tree.attached_pixels
-    starts = tree.attached_offsets[:-1]
-    direct = np.stack([pixels[starts],
-                       np.minimum.reduceat(pixels % tree.width, starts)],
+    starts, ends = tree.attached_offsets[:-1], tree.attached_offsets[1:]
+    xs = pixels % tree.width
+    direct = np.stack([pixels[starts], np.minimum.reduceat(xs, starts),
+                       -pixels[ends - 1], -np.maximum.reduceat(xs, starts)],
                       axis=1)
-    first, x0 = tree.accumulate(direct, np.minimum).T
-    return first, x0
+    first, x0, neg_last, neg_x1 = tree.accumulate(direct, np.minimum).T
+    return first, np.stack([first // tree.width, x0,
+                            -neg_last // tree.width, -neg_x1], axis=1)
 
 
-def _bbox_mask(pixels: np.ndarray, width: int):
-    """Top-left corner and bounding-box mask of a set of flat pixel ids."""
+def _mask_bytes(pixels: np.ndarray, width: int) -> bytes:
+    """Packed bits of a pixel set's mask on its bounding box."""
     ys, xs = np.divmod(pixels, width)
-    y0, x0 = int(ys.min()), int(xs.min())
-    mask = np.zeros((int(ys.max()) - y0 + 1, int(xs.max()) - x0 + 1),
-                    dtype=bool)
+    y0, x0 = ys.min(), xs.min()
+    mask = np.zeros((ys.max() - y0 + 1, xs.max() - x0 + 1), dtype=bool)
     mask[ys - y0, xs - x0] = True
-    return y0, x0, mask
+    return np.packbits(mask).tobytes()
 
 
-def _fill_holes(mask: np.ndarray) -> np.ndarray:
-    """The mask plus its holes: background not 8-connected to the outside.
+def _collect_shapes(tree: Tree, frame_idx: np.ndarray, side: int):
+    """The shapes of one side tree: their pixel runs -- the pixels in
+    preorder, then the saturations of the nodes with holes -- and their
+    columns (area, level, y0, x0, visit, first pixel, start of the run).
 
-    The native kernel's ``tp_fill_holes`` floods the background framed by a
-    one-pixel border from that frame; what it does not reach is filled.
-    """
-    filled = np.empty_like(mask)
-    if _kernel().tp_fill_holes(mask, *mask.shape, filled):
-        raise MemoryError("tp_fill_holes: out of memory")
-    return filled
-
-
-def _shape_key(y0: int, x0: int, mask: np.ndarray) -> tuple:
-    return (y0, x0, mask.shape, np.packbits(mask).tobytes())
-
-
-def _register(registry: dict, key: tuple, pixels, level2: int, upper: bool,
-              seen: int) -> None:
-    """Record one node's saturation: [upper level, lower level, first visit,
-    pixels], the upper level the highest and the lower level the lowest."""
-    entry = registry.setdefault(key, [None, None, seen, pixels])
-    side, pick = (0, max) if upper else (1, min)
-    entry[side] = level2 if entry[side] is None else pick(entry[side], level2)
-    entry[2] = min(entry[2], seen)
-
-
-def _collect_shapes(tree: Tree, frame_idx: np.ndarray, side: int,
-                    registry: dict):
-    """Register the saturations of the tree's nodes that have holes, fold
-    hole-free nodes equal to one of them into it, and return the pixels in
-    preorder plus the other hole-free nodes as shape columns (area, level,
-    y0, x0, visit, first pixel, start of the node's run of those pixels:
-    a hole-free shape is its side-tree node's component)."""
-    pw = tree.width
+    Saturation is monotone, and two nodes with one saturation are nested (a
+    component inside another's hole saturates inside that hole), so the
+    nodes sharing a saturation form a chain, each linked to its parent by
+    an equal saturated area.  A chain is one shape, visited at its top and
+    levelled at its bottom: the highest level on the upper side, the lowest
+    on the lower.  A hole-free node is its own saturation, so it can only
+    top a chain.  An upper and a lower shape never coincide -- the outer
+    neighbours of one lie below its level, of the other above -- so the two
+    side trees need no matching."""
     n_pix = tree.width * tree.height
-    upper = side == 0
     pix_order, lo, hi = _subtree_pixel_slices(tree)
-    area = hi - lo
-    first, x0 = _corners(tree)
-    level2 = tree.level.astype(np.int64)
-    seen = side * n_pix + np.arange(tree.node_count)  # visiting order
+    first, box = _boxes(tree)
     inside = ~_frame_containing(tree, frame_idx)
-    holed = inside & (_hole_counts(tree) > 0)
+    holed = np.flatnonzero(inside & (_hole_counts(tree) > 0))
+    cells = np.prod(box[holed, 2:] - box[holed, :2] + 1, axis=1).sum()
+    sat = np.empty(int(cells), dtype=np.int64)
+    offsets = np.empty(len(holed) + 1, dtype=np.int64)
+    status = _kernel().tp_saturate(pix_order, n_pix, lo[holed], hi[holed],
+                                   box[holed], len(holed), tree.width,
+                                   tree.height, sat, len(sat), offsets)
+    if status:
+        raise MemoryError(f"tp_saturate: status {status}")
+    area, start = hi - lo, lo.copy()
+    area[holed] = np.diff(offsets)
+    start[holed] = n_pix + offsets[:-1]
 
-    for node in np.flatnonzero(holed).tolist():
-        y, x, mask = _bbox_mask(pix_order[lo[node]:hi[node]], pw)
-        sat = _fill_holes(mask)
-        ys, xs = np.nonzero(sat)
-        _register(registry, _shape_key(y, x, sat), (ys + y) * pw + (xs + x),
-                  int(level2[node]), upper, int(seen[node]))
-
-    # a hole-free component can only equal a saturation with its area and
-    # first pixel; compare masks for those few
-    hole_free = np.flatnonzero(inside & ~holed)
-    probes = [len(e[3]) * n_pix + int(e[3][0]) for e in registry.values()]
-    keep = np.ones(len(hole_free), dtype=bool)
-    hits = np.isin(area[hole_free] * n_pix + first[hole_free], probes)
-    for i in np.flatnonzero(hits).tolist():
-        node = hole_free[i]
-        key = _shape_key(*_bbox_mask(pix_order[lo[node]:hi[node]], pw))
-        if key in registry:
-            _register(registry, key, None, int(level2[node]), upper,
-                      int(seen[node]))
-            keep[i] = False
-    nodes = hole_free[keep]
-    columns = np.stack([area[nodes], level2[nodes], first[nodes] // pw,
-                        x0[nodes], seen[nodes], first[nodes], lo[nodes]])
-    return pix_order, columns
+    parent = tree.parent
+    joins = inside & inside[parent] & (area == area[parent])
+    top = nearest_marked(tree, ~joins)
+    has_joining_child = np.zeros(tree.node_count, dtype=bool)
+    has_joining_child[parent[joins]] = True
+    bottom = np.flatnonzero(inside & ~has_joining_child)
+    level2 = tree.level.astype(np.int64)
+    level2[top[bottom]] = level2[bottom]
+    tops = np.flatnonzero(inside & ~joins)
+    columns = np.stack([area[tops], level2[tops], box[tops, 0], box[tops, 1],
+                        side * n_pix + tops, first[tops], start[tops]])
+    return np.concatenate([pix_order, sat[:offsets[-1]]]), columns
 
 
 def build_tree_of_shapes(image: RasterImage) -> Tree:
@@ -221,23 +198,14 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     frame_mask[:, 0] = frame_mask[:, -1] = True
     frame_idx = np.flatnonzero(frame_mask.ravel())
 
-    registry: dict = {}
     blocks, runs, offset = [], [], 0
     for side, kind in enumerate((TreeKind.MAX_TREE, TreeKind.MIN_TREE)):
         side_tree = _component_tree(flat, pw, ph, 2, Connectivity.C4, kind)
-        pix_order, columns = _collect_shapes(side_tree, frame_idx, side,
-                                             registry)
+        pixels, columns = _collect_shapes(side_tree, frame_idx, side)
         columns[6] += offset
         blocks.append(columns)
-        runs.append(pix_order)
-        offset += len(pix_order)
-    rows = []
-    for (y, x, _, _), (up, low, seen, px) in registry.items():
-        rows.append((len(px), up if up is not None else low, y, x, seen,
-                     int(px[0]), offset))
-        runs.append(px)
-        offset += len(px)
-    blocks.append(np.array(rows, dtype=np.int64).reshape(-1, 7).T)
+        runs.append(pixels)
+        offset += len(pixels)
     area, level2, y0, x0, seen, first, start = np.concatenate(blocks, axis=1)
     pixels = np.concatenate(runs)
 
@@ -252,8 +220,8 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     for s, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
         order[s:s + size] = sorted(
             order[s:s + size],
-            key=lambda i: _shape_key(*_bbox_mask(
-                pixels[start[i]:start[i] + area[i]], pw))[3])
+            key=lambda i: _mask_bytes(pixels[start[i]:start[i] + area[i]],
+                                      pw))
 
     label = np.zeros(ph * pw, dtype=np.int32)  # 0 = root
     node_parent = np.empty(len(order) + 1, dtype=np.int32)

@@ -202,6 +202,31 @@ def _bad_config(path, scene_dir):
         "run.cfg:2: seed"
 
 
+def _bad_config_choice(path, scene_dir):
+    (path / "run.cfg").write_text("connectivity = c5\n")
+    return ["--image", scene_dir / "scene.pgm", "--config", path / "run.cfg"], \
+        "run.cfg: connectivity must be one of c4|c8, got 'c5'"
+
+
+def _non_utf8_config(path, scene_dir):
+    (path / "run.cfg").write_bytes(b"seed = 1\n\xff\n")
+    return ["--image", scene_dir / "scene.pgm", "--config", path / "run.cfg"], \
+        "run.cfg: not UTF-8 (byte offset 9)"
+
+
+def _non_utf8_cube_header(path, scene_dir):
+    from treeprofiles import MultibandImage, save_multiband
+    save_multiband(MultibandImage(np.ones((3, 40, 40))), path / "cube.json")
+    (path / "cube.json").write_bytes(
+        (path / "cube.json").read_bytes()[:-1] + b', "note": "\xe9"}')
+    return ["--image", path / "cube.json", "--pca", 2], "header is not UTF-8"
+
+
+def _deeply_nested_cube_header(path, scene_dir):
+    (path / "cube.json").write_text("[" * 100_000)
+    return ["--image", path / "cube.json", "--pca", 2], "invalid header"
+
+
 def _text_width_cube(path, scene_dir):
     from treeprofiles import MultibandImage, save_multiband
     save_multiband(MultibandImage(np.ones((3, 40, 40))), path / "cube.json")
@@ -220,6 +245,17 @@ def _profile_without_columns(path, scene_dir):
     del header["columns"]
     stem.with_suffix(".json").write_text(json.dumps(header))
     return ["--image", scene_dir / "scene.pgm", "--profile", stem], "'columns'"
+
+
+def _non_utf8_profile_header(path, scene_dir):
+    assert run_cli("profile", "--image", scene_dir / "scene.pgm",
+                   "--tree", "alpha", "--mode", "fp", "--attr", "area",
+                   "--out", path).returncode == 0
+    stem = path / "scene_alpha_fp"
+    header = stem.with_suffix(".json")
+    header.write_bytes(header.read_bytes().replace(b'"dim"', b'"\xffdim"', 1))
+    return ["--image", scene_dir / "scene.pgm", "--profile", stem], \
+        "profile header is not UTF-8"
 
 
 def _profile_of_smaller_image(path, scene_dir):
@@ -249,8 +285,13 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("make, code", [
         (_bad_config, 2),
+        (_bad_config_choice, 2),
+        (_non_utf8_config, 2),
+        (_non_utf8_cube_header, 2),
+        (_deeply_nested_cube_header, 2),
         (_text_width_cube, 2),
         (_profile_without_columns, 2),
+        (_non_utf8_profile_header, 2),
         (_profile_of_smaller_image, 3),
         (_profile_with_infinity, 3),
     ])

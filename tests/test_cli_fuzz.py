@@ -1,4 +1,6 @@
-"""Property-based fuzzing of ``tree-dump`` on generated PGM files.
+"""Property-based fuzzing of the CLI's input readers: ``tree-dump`` on
+generated PGM files, and ``profile`` on generated multiband cubes and
+``--config`` files.
 
 Tree building indexes pixels in C, where a bad index crashes the process
 instead of raising, so every generated input must end in exit 0 with a
@@ -7,6 +9,7 @@ clean stderr, or in exit 2 or 3 with one line and no traceback.
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -40,18 +43,71 @@ def pgm_files(draw):
     return f"{magic}\n{width} {height}\n{maxval}\n".encode(), raster
 
 
+@st.composite
+def cubes(draw):
+    """(header, blob) bytes of a valid band-sequential cube: 2-4 bands,
+    2-6 px per side, u8, u16 or f32 samples."""
+    bands = draw(st.integers(2, 4))
+    height, width = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    dtype = draw(st.sampled_from(["u8", "u16", "f32"]))
+    size = bands * height * width
+    values = draw(st.lists(st.integers(0, 255), min_size=size, max_size=size))
+    header = json.dumps({"width": width, "height": height, "bands": bands,
+                         "dtype": dtype, "interleave": "bsq"}, sort_keys=True)
+    blob = np.array(values, dtype={"u8": "<u1", "u16": "<u2",
+                                   "f32": "<f4"}[dtype]).tobytes()
+    return header.encode(), blob
+
+
+@st.composite
+def configs(draw):
+    """Bytes of a valid ``profile`` config file for a two-band cube."""
+    lines = ["# fuzzed profile run",
+             f"pca = {draw(st.integers(1, 2))}",
+             f"levels = {draw(st.integers(2, 64))}",
+             f"tree = {draw(st.sampled_from(['component', 'tos', 'alpha']))}",
+             f"attr = {draw(st.sampled_from(['area', 'moment']))}",
+             f"feature = {draw(st.sampled_from(['stddev', 'area']))}",
+             f"mode = {draw(st.sampled_from(['ap', 'fp', 'both']))}",
+             f"connectivity = {draw(st.sampled_from(['c4', 'c8']))}",
+             "area_thresholds = 2,5",
+             "moment_thresholds = 0.2,0.5",
+             f"seed = {draw(st.integers(0, 99))}"]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def run(argv: list[str]):
+    """Exit code and stderr of an in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
 def tree_dump(data: bytes, kind: str, connectivity: str, attributes: bool):
     """Exit code and stderr of an in-process ``tree-dump`` of ``data``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.pgm"
         path.write_bytes(data)
-        argv = ["tree-dump", "--image", str(path), "--tree", kind,
-                "--connectivity", connectivity]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = cli.main(argv + ["--attributes"] * attributes)
-    return code, err.getvalue()
+        return run(["tree-dump", "--image", str(path), "--tree", kind,
+                    "--connectivity", connectivity]
+                   + ["--attributes"] * attributes)
+
+
+def profile(header: bytes, blob: bytes, config: bytes | None = None,
+            args: tuple = ()):
+    """Exit code and stderr of an in-process ``profile`` of a cube, with the
+    config file given or none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "cube.json").write_bytes(header)
+        (Path(tmp) / "cube.raw").write_bytes(blob)
+        argv = ["profile", "--image", str(Path(tmp) / "cube.json"),
+                "--out", str(Path(tmp) / "out"), *args]
+        if config is not None:
+            (Path(tmp) / "run.cfg").write_bytes(config)
+            argv += ["--config", str(Path(tmp) / "run.cfg")]
+        return run(argv)
 
 
 def assert_clean_exit(code: int, err: str):
@@ -83,3 +139,37 @@ def test_header_byte_mutations_exit_cleanly(pgm, data, kind, connectivity):
                                       st.sampled_from(b"0123456789 \n#")))
     assert_clean_exit(*tree_dump(bytes(mutated) + raster, kind, connectivity,
                                  False))
+
+
+def mutate(data: bytes, draw) -> bytes:
+    """``data`` with one byte replaced by any byte or a likely token byte."""
+    mutated = bytearray(data)
+    at = draw(st.integers(0, len(data) - 1))
+    mutated[at] = draw(st.one_of(st.integers(0, 255),
+                                 st.sampled_from(b"0123456789 \n#,=\"{}")))
+    return bytes(mutated)
+
+
+CUBE_ARGS = ("--pca", "2", "--levels", "16", "--tree", "alpha",
+             "--attr", "area", "--mode", "fp")
+
+
+@settings(FUZZ, max_examples=10)
+@given(cube=cubes(), config=configs())
+def test_valid_cubes_and_configs_profile(cube, config):
+    assert profile(*cube, args=CUBE_ARGS) == (0, "")
+    assert profile(*cube, config=config) == (0, "")
+
+
+@settings(FUZZ, max_examples=200)
+@given(cube=cubes(), data=st.data())
+def test_cube_header_byte_mutations_exit_cleanly(cube, data):
+    header, blob = cube
+    assert_clean_exit(*profile(mutate(header, data.draw), blob,
+                               args=CUBE_ARGS))
+
+
+@settings(FUZZ, max_examples=200)
+@given(cube=cubes(), config=configs(), data=st.data())
+def test_config_byte_mutations_exit_cleanly(cube, config, data):
+    assert_clean_exit(*profile(*cube, config=mutate(config, data.draw)))

@@ -8,13 +8,14 @@ from treeprofiles import (
     node_areas,
 )
 
+from treeprofiles import inclusion
 from treeprofiles._native import _kernel
-from treeprofiles.inclusion import _fill_holes
 
 from conftest import random_image
 from oracles import (
     fill_holes_label,
     tree_component_pixels,
+    tree_of_shapes_per_node,
     tree_of_shapes_shapes,
 )
 
@@ -141,31 +142,140 @@ class TestTreeOfShapes:
             sorted(float(img.levels - 1 - l) for l in flipped.level)
 
 
-class TestFillHoles:
-    """The native flood fill equals the ``ndimage.label`` fill it replaced."""
+def two_holed_shapes() -> np.ndarray:
+    """Two disjoint 24-pixel components at one level, each with a one-pixel
+    hole, whose 25-pixel saturations share the box corner (1, 1): a 5x5
+    block and a hooked line whose box wraps around it."""
+    values = np.zeros((11, 15), dtype=int)
+    values[1:6, 1:6] = 1
+    values[3, 3] = 0
+    values[1:8, 7] = values[7, 1:8] = values[7:10, 5:8] = 1
+    values[8, 6] = 0
+    values[1, 8:14] = 1
+    return values
 
-    def test_matches_label_fill(self):
+
+class TestTieOrder:
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_saturations_tied_on_area_level_and_corner(self, monkeypatch,
+                                                       complement):
+        img = RasterImage(two_holed_shapes(), levels=2)
+        img = img.complement() if complement else img
+        tied, mask_bytes = [], inclusion._mask_bytes
+
+        def spy(pixels, width):
+            tied.append(len(pixels))
+            return mask_bytes(pixels, width)
+
+        monkeypatch.setattr(inclusion, "_mask_bytes", spy)
+        got, want = build_tree_of_shapes(img), tree_of_shapes_per_node(img)
+        assert tied == [25, 25]
+        for name in ("parent", "level", "pixel_node", "rep_value"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+# a 3x3 ring on a 5x5 grid, in the box (1, 1)-(3, 3)
+RING = [6, 7, 8, 11, 13, 16, 17, 18]
+
+
+def saturate(pix_order, lo, hi, box, width, height, n_out):
+    """(status, out, offsets) of one native ``tp_saturate`` call; out and
+    offsets start as -7 so that refused calls can be seen to write
+    nothing."""
+    pix_order, lo, hi, box = (np.array(v, dtype=np.int64).reshape(shape)
+                              for v, shape in ((pix_order, -1), (lo, -1),
+                                               (hi, -1), (box, (-1, 4))))
+    out = np.full(n_out, -7, dtype=np.int64)
+    offsets = np.full(len(lo) + 1, -7, dtype=np.int64)
+    status = _kernel().tp_saturate(pix_order, len(pix_order), lo, hi, box,
+                                   len(lo), width, height, out, n_out,
+                                   offsets)
+    return status, out, offsets
+
+
+def saturate_masks(masks, width=48):
+    """Each mask's saturation from one batched ``tp_saturate`` call, the
+    masks laid on a width x width grid at staggered corners with their
+    array extent as the box and their pixels in reverse order."""
+    runs, boxes, expected, lo = [], [], [], [0]
+    for k, mask in enumerate(masks):
+        y, x = k % 5, k % 7
+        h, w = mask.shape
+        ys, xs = np.nonzero(mask)
+        runs.append(((ys + y) * width + xs + x)[::-1])
+        lo.append(lo[-1] + len(ys))
+        boxes.append((y, x, y + h - 1, x + w - 1))
+        fy, fx = np.nonzero(fill_holes_label(mask))
+        expected.append((fy + y) * width + fx + x)
+    n_out = sum(m.size for m in masks)
+    status, out, offsets = saturate(
+        np.concatenate(runs), lo[:-1], lo[1:], boxes, width, width, n_out)
+    assert status == 0 and offsets[0] == 0
+    got = [out[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    return got, expected
+
+
+class TestFillHoles:
+    """``tp_saturate``'s flood fill equals the ``ndimage.label`` fill."""
+
+    @staticmethod
+    def masks():
         rng = np.random.default_rng(19)
         masks = [rng.random(rng.integers(1, 41, size=2)) < rng.uniform(0.2, 0.95)
                  for _ in range(500)]
-        masks += [rng.random((1, 37)) < 0.5, rng.random((37, 1)) < 0.5,
-                  np.ones((1, 40), bool), np.ones((40, 1), bool),
-                  np.ones((40, 40), bool), np.ones((1, 1), bool),
-                  np.zeros((1, 1), bool), np.pad([[True]], 3)]
-        for mask in masks:
-            filled = _fill_holes(mask)
-            assert filled.dtype == bool and filled.shape == mask.shape
-            assert np.array_equal(filled, fill_holes_label(mask))
+        return masks + [rng.random((1, 37)) < 0.5, rng.random((37, 1)) < 0.5,
+                        np.ones((1, 40), bool), np.ones((40, 1), bool),
+                        np.ones((40, 40), bool), np.ones((1, 1), bool),
+                        np.zeros((1, 1), bool), np.pad([[True]], 3)]
+
+    def test_matches_label_fill(self):
+        for mask in self.masks():
+            (got,), (want,) = saturate_masks([mask])
+            assert np.array_equal(got, want)
+
+    def test_matches_label_fill_batched(self):
+        masks = self.masks()
+        got, want = saturate_masks(masks)
+        assert len(got) == len(want) == 508
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_diagonal_ring_has_no_hole(self):
         # the centre's background reaches the outside through the corners
         ring = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
-        assert np.array_equal(_fill_holes(ring), ring)
+        (got,), _ = saturate_masks([ring], width=3)
+        assert got.tolist() == [1, 3, 5, 7]
 
     def test_four_closed_ring_has_one_hole(self):
         ring = np.ones((3, 3), dtype=bool)
         ring[1, 1] = False
-        assert np.array_equal(_fill_holes(ring), np.ones((3, 3), bool))
+        (got,), _ = saturate_masks([ring], width=3)
+        assert got.tolist() == list(range(9))
+
+    @pytest.mark.parametrize("pixels, lo, hi, box", [
+        (RING[:-1] + [25], 8, 16, [1, 1, 3, 3]),    # pixel id too large
+        (RING[:-1] + [-1], 8, 16, [1, 1, 3, 3]),    # negative pixel id
+        (RING, 13, 12, [1, 1, 3, 3]),               # lo > hi
+        (RING, 8, 17, [1, 1, 3, 3]),                # run past pix_order
+        (RING, -1, 16, [1, 1, 3, 3]),               # run before it
+        (RING, 8, 16, [1, 1, 3, 2]),                # pixel outside its box
+        (RING, 8, 16, [1, 1, 5, 3]),                # box outside the grid
+        (RING, 8, 16, [2, 1, 1, 3]),                # y1 < y0
+    ])
+    def test_bad_index_refused(self, pixels, lo, hi, box):
+        # a valid ring comes first: it would be written if checks came late
+        status, out, offsets = saturate(RING + pixels, [0, lo], [8, hi],
+                                        [[1, 1, 3, 3], box], 5, 5, 18)
+        assert status == -3
+        assert (out == -7).all() and (offsets == -7).all()
+
+    def test_small_output_refused(self):
+        status, out, offsets = saturate(RING, [0], [8], [1, 1, 3, 3], 5, 5, 8)
+        assert status == -1
+        assert (out == -7).all() and (offsets == -7).all()
+        status, out, offsets = saturate(RING, [0], [8], [1, 1, 3, 3], 5, 5, 9)
+        assert status == 0 and offsets.tolist() == [0, 9]
 
 
 def paint(pixels, start, end, first, n_label=9):
