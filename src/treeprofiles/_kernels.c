@@ -19,6 +19,15 @@
  * rows.  tp_best_split and tp_xorshift_fill expose the node search and the
  * generator to the tests.
  *
+ * A node's search gathers each candidate's ranks over the node's samples
+ * and skips a candidate constant there.  When the node holds more than
+ * DENSE_MIN samples whose ranks span at most DENSE_SPAN ranks per sample,
+ * it counts the samples per (rank, class) and walks the ranks upward, with
+ * no sort; otherwise it sorts (rank, class) keys.  Either way it scores the
+ * boundaries between consecutive distinct ranks in ascending order with the
+ * same left class counts, so which way a node goes changes no float and no
+ * model byte.
+ *
  * The forest's floating-point operations are the numpy reference's, one for
  * one: class counts are exact integers, each Gini sum of squares follows
  * numpy's pairwise summation, and nothing may be fused into a multiply-add,
@@ -371,10 +380,17 @@ typedef struct {
 } Data;
 
 typedef struct {
-    uint64_t *keys, *tmp;   /* n sort keys each */
+    uint64_t *keys, *tmp;   /* m sort keys each */
+    int32_t *count;         /* n * n_classes: per (rank - rmin, class) */
+    int32_t *at_rank;       /* n: samples per rank - rmin */
     int64_t *total, *left;  /* class counts of the node and of a left side */
     double *sq;             /* squared class fractions of one side */
 } Work;
+
+typedef struct {
+    int cand;               /* index in cands, -1 before any boundary */
+    double gini, lo, hi;    /* its weighted Gini and the values around it */
+} Best;
 
 static Data make_data(const double *x, const int32_t *rank,
                       const double *level, const int32_t *y, int64_t n,
@@ -386,20 +402,27 @@ static Data make_data(const double *x, const int32_t *rank,
     return d;
 }
 
-static int work_alloc(Work *w, int64_t n, int32_t n_classes)
+/* buffers for nodes of up to m of the n samples; the count tables start
+ * zeroed and every search leaves them so */
+static int work_alloc(Work *w, int64_t m, int64_t n, int32_t n_classes)
 {
-    w->keys = malloc((size_t)n * sizeof *w->keys);
-    w->tmp = malloc((size_t)n * sizeof *w->tmp);
+    w->keys = malloc((size_t)m * sizeof *w->keys);
+    w->tmp = malloc((size_t)m * sizeof *w->tmp);
+    w->count = calloc((size_t)n * (size_t)n_classes, sizeof *w->count);
+    w->at_rank = calloc((size_t)n, sizeof *w->at_rank);
     w->total = malloc((size_t)n_classes * sizeof *w->total);
     w->left = malloc((size_t)n_classes * sizeof *w->left);
     w->sq = malloc((size_t)n_classes * sizeof *w->sq);
-    return w->keys && w->tmp && w->total && w->left && w->sq;
+    return w->keys && w->tmp && w->count && w->at_rank && w->total &&
+           w->left && w->sq;
 }
 
 static void work_free(Work *w)
 {
     free(w->keys);
     free(w->tmp);
+    free(w->count);
+    free(w->at_rank);
     free(w->total);
     free(w->left);
     free(w->sq);
@@ -417,51 +440,99 @@ static double gini(const int64_t *left, const int64_t *total, double size,
     return 1.0 - pairwise_sum(sq, n_classes);
 }
 
+/* Scores candidate c's boundary between ranks r and r_next, with nl of the
+ * node's m samples, class counts w->left, at or below rank r; it becomes
+ * the best when its weighted Gini is strictly below the best so far. */
+static void score(const Data *d, Work *w, int64_t nl_count, int64_t m,
+                  int c, const double *level, uint64_t r, uint64_t r_next,
+                  Best *best)
+{
+    const double size = (double)m, nl = (double)nl_count, nr = size - nl;
+    double g_left = gini(w->left, NULL, nl, d->n_classes, w->sq);
+    double g_right = gini(w->left, w->total, nr, d->n_classes, w->sq);
+    double weighted = (nl * g_left + nr * g_right) / size;
+    if (best->cand < 0 || weighted < best->gini) {
+        best->cand = c;
+        best->gini = weighted;
+        best->lo = level[r];
+        best->hi = level[r_next];
+    }
+}
+
+/* ranks are counted, in O(m + span), on nodes of more than DENSE_MIN
+ * samples whose ranks span at most DENSE_SPAN ranks per sample, and sorted
+ * on all others */
+#define DENSE_MIN 16
+#define DENSE_SPAN 4
+
 /* Best Gini split of the node holding samples[0, m), whose class counts are
- * in w->total.  The first minimum of the weighted Gini in (candidate in draw
- * order, sorted position) order wins.  Returns the winner's index in cands,
- * or -1 when every candidate is constant on the node.  The threshold is the
- * midpoint of the two values around the split, or the lower value when the
- * midpoint rounds or overflows out of [lower, upper). */
+ * in w->total.  Each candidate's boundaries between consecutive distinct
+ * ranks are scored in ascending rank order, counted or sorted; the first
+ * minimum of the weighted Gini in (candidate in draw order, rank) order
+ * wins.  Returns the winner's index in cands, or -1 when every candidate is
+ * constant on the node.  The threshold is the midpoint of the two values
+ * around the split, or the lower value when the midpoint rounds or
+ * overflows out of [lower, upper). */
 static int best_split(const Data *d, const int32_t *samples, int64_t m,
                       const int32_t *cands, int32_t k, Work *w, double *thr)
 {
-    const uint64_t class_mask = ((uint64_t)1 << d->class_bits) - 1;
-    const double size = (double)m;
-    int best = -1;
-    double best_gini = 0.0, lo = 0.0, hi = 0.0;
+    const int cb = d->class_bits;
+    const uint64_t class_mask = ((uint64_t)1 << cb) - 1;
+    const int32_t n_classes = d->n_classes;
+    Best best = {-1, 0.0, 0.0, 0.0};
     for (int32_t c = 0; c < k; c++) {
         const int32_t *rank = d->rank + (int64_t)cands[c] * d->n;
-        for (int64_t i = 0; i < m; i++)
-            w->keys[i] = (uint64_t)rank[samples[i]] << d->class_bits
-                         | (uint64_t)d->y[samples[i]];
+        const double *level = d->level + (int64_t)cands[c] * d->n;
+        uint64_t kmin = UINT64_MAX, kmax = 0;
+        for (int64_t i = 0; i < m; i++) {
+            const uint64_t key = (uint64_t)rank[samples[i]] << cb
+                                 | (uint64_t)d->y[samples[i]];
+            w->keys[i] = key;
+            kmin = key < kmin ? key : kmin;
+            kmax = key > kmax ? key : kmax;
+        }
+        const uint64_t rmin = kmin >> cb, rmax = kmax >> cb;
+        if (rmin >= rmax)
+            continue;  /* constant on the node (or no samples): no boundary */
+        memset(w->left, 0, (size_t)n_classes * sizeof *w->left);
+        const uint64_t span = rmax - rmin + 1;
+        if (m > DENSE_MIN && span <= DENSE_SPAN * (uint64_t)m) {
+            for (int64_t i = 0; i < m; i++) {
+                const uint64_t r = (w->keys[i] >> cb) - rmin;
+                w->count[r * (uint64_t)n_classes + (w->keys[i] & class_mask)]++;
+                w->at_rank[r]++;
+            }
+            int64_t nl = 0;
+            uint64_t prev = 0;
+            for (uint64_t r = 0; r < span; r++) {
+                if (!w->at_rank[r])
+                    continue;
+                if (nl)
+                    score(d, w, nl, m, c, level, rmin + prev, rmin + r, &best);
+                int32_t *row = w->count + r * (uint64_t)n_classes;
+                for (int32_t j = 0; j < n_classes; j++) {
+                    w->left[j] += row[j];
+                    row[j] = 0;
+                }
+                nl += w->at_rank[r];
+                w->at_rank[r] = 0;
+                prev = r;
+            }
+            continue;
+        }
         sort_keys(w->keys, w->tmp, m, d->key_bits);
-        memset(w->left, 0, (size_t)d->n_classes * sizeof *w->left);
         for (int64_t p = 0; p + 1 < m; p++) {
             w->left[w->keys[p] & class_mask]++;
-            uint64_t r = w->keys[p] >> d->class_bits;
-            uint64_t r_next = w->keys[p + 1] >> d->class_bits;
-            if (r == r_next)
-                continue;
-            double nl = (double)(p + 1);
-            double nr = size - nl;
-            double g_left = gini(w->left, NULL, nl, d->n_classes, w->sq);
-            double g_right = gini(w->left, w->total, nr, d->n_classes, w->sq);
-            double weighted = (nl * g_left + nr * g_right) / size;
-            if (best < 0 || weighted < best_gini) {
-                const double *level = d->level + (int64_t)cands[c] * d->n;
-                best = c;
-                best_gini = weighted;
-                lo = level[r];
-                hi = level[r_next];
-            }
+            uint64_t r = w->keys[p] >> cb, r_next = w->keys[p + 1] >> cb;
+            if (r != r_next)
+                score(d, w, p + 1, m, c, level, r, r_next, &best);
         }
     }
-    if (best >= 0) {
-        double mid = (lo + hi) / 2.0;
-        *thr = lo <= mid && mid < hi ? mid : lo;
+    if (best.cand >= 0) {
+        double mid = (best.lo + best.hi) / 2.0;
+        *thr = best.lo <= mid && mid < best.hi ? mid : best.lo;
     }
-    return best;
+    return best.cand;
 }
 
 static void count_classes(const Data *d, const int32_t *samples, int64_t m,
@@ -481,7 +552,7 @@ int32_t tp_best_split(const double *x, const int32_t *rank,
     Data d = make_data(x, rank, level, y, n, n_features, n_classes);
     Work w;
     int32_t best = TP_NO_MEMORY;
-    if (work_alloc(&w, m, n_classes)) {
+    if (work_alloc(&w, m, n, n_classes)) {
         count_classes(&d, samples, m, w.total);
         best = best_split(&d, samples, m, cands, k, &w, thr);
     }
@@ -593,7 +664,7 @@ int64_t tp_grow_tree(const double *x, const int32_t *rank,
     int32_t *pool = malloc((size_t)n_features * sizeof *pool);
     Pending *stack = malloc((size_t)n * sizeof *stack);
     int64_t result = TP_NO_MEMORY;
-    if (work_alloc(&w, n, n_classes) && samples && pool && stack)
+    if (work_alloc(&w, n, n, n_classes) && samples && pool && stack)
         result = cap < 1 ? TP_CAPACITY
                          : grow(&d, mtry, state, &t, &w, samples, pool, stack);
     work_free(&w);

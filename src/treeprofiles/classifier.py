@@ -18,7 +18,12 @@ The bootstrap, the per-node feature draws, the split search and the vote sum
 of :func:`predict` run in the package's native kernel (see
 :mod:`treeprofiles._native`), which performs the numpy reference's
 floating-point operations one for one (``tests/oracles.py``), so the model
-bytes are the reference's.
+bytes are the reference's.  Each feature is ranked once per forest; a node
+searches a candidate by counting its samples per (rank, class) when their
+ranks are dense on the node (more than 16 samples, at most four ranks per
+sample), and by sorting them otherwise.  Both visit the same boundaries in
+ascending order with the same class counts, so the Gini values, the
+first-minimum tie rule and the model bytes do not depend on the branch.
 
 Both kernel calls release the GIL, so the forest runs on threads: trees grow
 on up to ``min(usable CPUs, n_trees)`` threads and are collected in index

@@ -344,10 +344,11 @@ def rescale_to_levels(
 ) -> RasterImage:
     """Affine min-max rescale of one band to integers in [0, levels - 1].
 
-    Rounding is half-up; a constant band maps to all zeros.
+    Rounding is half-up; a constant band maps to all zeros.  The level count
+    is checked against :class:`RasterImage`'s range before any arithmetic.
     """
-    if levels < 2:
-        raise DataError("levels must be >= 2")
+    if levels < 2 or levels > 65536:
+        raise DataError("level count must be in [2, 65536]")
     if band < 0 or band >= image.bands:
         raise DataError(f"band {band} outside [0, {image.bands})")
     values = image.band(band)

@@ -60,11 +60,14 @@ def fp_training_set():
     return fp[idx], y
 
 
-def kernel_split(x, y, n_classes, cands):
-    """The kernel's node search over all rows of ``x`` as one node:
-    (feature, threshold) or None."""
+def kernel_split(x, y, n_classes, cands, samples=None):
+    """The kernel's search of the node holding rows ``samples`` (default:
+    all rows) of a training set on all of ``x``: (feature, threshold) or
+    None."""
     data = classifier._training_set(x, y, n_classes, seed=0)
-    samples = np.arange(len(y), dtype=np.int32)
+    if samples is None:
+        samples = np.arange(len(y))
+    samples = np.asarray(samples, dtype=np.int32)
     thr = np.zeros(1)
     row = _native._kernel().tp_best_split(
         data.xt, data.rank, data.level, data.y_idx, len(y), len(data.xt),
@@ -174,6 +177,78 @@ class TestTraining:
         m_orig = train_forest(x, y, n_trees=10, seed=11)
         m_remap = train_forest(remapped, y, n_trees=10, seed=11)
         assert np.array_equal(predict(m_orig, x), predict(m_remap, remapped))
+
+
+class TestSplitSearchBranches:
+    """A node's ranks are counted when they span at most 4 ranks per sample
+    of a node of more than 16, and sorted otherwise; both give the per-feature
+    scan's split.  Nodes here are subsets of a larger training set, so their
+    ranks are sparse or dense on the node."""
+
+    @staticmethod
+    def check(x, y, n_classes, samples, cands):
+        got = kernel_split(x, y, n_classes, cands, samples)
+        want = best_split_per_feature(x[samples], y[samples], n_classes, cands)
+        assert got == want
+
+    @pytest.mark.parametrize("m", [2, 15, 16, 17, 31, 33, 64, 300])
+    @pytest.mark.parametrize("distinct", [3, 40, 2000])
+    def test_subset_nodes(self, rng, m, distinct):
+        n = 1000
+        for _ in range(15):
+            n_features = int(rng.integers(1, 8))
+            n_classes = int(rng.integers(2, 13))
+            x = rng.integers(0, distinct, size=(n, n_features))
+            x = x * rng.choice([0.1, 1.0, -3.7])
+            y = rng.integers(0, n_classes, size=n)
+            # with replacement, as a bootstrap draws them, or without
+            samples = rng.choice(n, m, replace=bool(rng.random() < 0.5))
+            cands = list(rng.permutation(n_features)[:int(
+                rng.integers(1, n_features + 1))])
+            self.check(x, y, n_classes, samples, cands)
+
+    @pytest.mark.parametrize("m", [16, 17, 20, 40])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_span_at_the_dense_edge(self, rng, m, extra):
+        # feature 0's ranks on the node span exactly 4m + extra
+        n, span = 400, 4 * m + extra
+        for _ in range(20):
+            n_classes = int(rng.integers(2, 13))
+            x = np.stack([rng.permutation(n) for _ in range(3)], axis=1)
+            x = x * rng.choice([0.5, 1.0, -2.0])
+            y = rng.integers(0, n_classes, size=n)
+            low = int(rng.integers(0, n - span + 1))
+            ranks = np.concatenate([
+                [low, low + span - 1],
+                rng.integers(low, low + span, size=m - 2)])
+            samples = np.argsort(x[:, 0])[ranks]  # the row of each rank
+            self.check(x, y, n_classes, samples, [0, 1, 2])
+            self.check(x, y, n_classes, samples, [2, 0])
+
+    @pytest.mark.parametrize("m", [17, 40])
+    @pytest.mark.parametrize("step", [1, 50])  # ranks counted, then sorted
+    @pytest.mark.parametrize("alone, next_to", [(0, 1), (-1, -2)])
+    def test_split_isolating_one_sample(self, m, step, alone, next_to):
+        # the only pure split leaves the lowest or the highest sample alone
+        x = np.arange(50.0 * m)[:, None]
+        y = np.zeros(len(x), dtype=int)
+        samples = np.arange(m) * step
+        y[samples[alone]] = 1
+        lo, hi = sorted(x[samples[[alone, next_to]], 0])
+        assert kernel_split(x, y, 2, [0], samples) == (0, (lo + hi) / 2)
+        self.check(x, y, 2, samples, [0])
+
+    @pytest.mark.parametrize("m", [10, 17, 100])
+    def test_candidates_constant_on_the_node(self, rng, m):
+        # features 0 and 1 vary over the set but not over the node's rows
+        n = 400
+        x = np.stack([np.arange(n) // 100, np.arange(n) % 100 < 50,
+                      rng.integers(0, 5, size=n)], axis=1) * 1.0
+        y = rng.integers(0, 12, size=n)
+        samples = rng.integers(0, 50, size=m)
+        assert kernel_split(x, y, 12, [0, 1], samples) is None
+        self.check(x, y, 12, samples, [0, 1])
+        self.check(x, y, 12, samples, [1, 2, 0])
 
 
 class TestPredict:
@@ -354,10 +429,16 @@ class TestKernelMatchesReference:
     the same trees and votes, byte for byte."""
 
     def test_trees(self, rng):
-        for trial in range(60):
-            n = 1 if trial == 0 else int(rng.integers(2, 301))
-            n_classes = int(rng.integers(2, 13))
-            x, y_idx = random_training_set(rng, n, n_classes)
+        for trial in range(62):
+            if trial < 60:
+                n = 1 if trial == 0 else int(rng.integers(2, 301))
+                n_classes = int(rng.integers(2, 13))
+                x, y_idx = random_training_set(rng, n, n_classes)
+            else:  # large nodes, continuous then coarse: ranks are both
+                n_classes = 3  # counted and sorted on the way down
+                x = rng.normal(size=(2000, 8))
+                x = x if trial == 60 else np.round(x * 4)
+                y_idx = rng.integers(0, n_classes, size=len(x))
             seed = int(rng.integers(0, 2**63))
             data = classifier._training_set(x, y_idx, n_classes, seed)
             for i in range(2):

@@ -322,6 +322,22 @@ class TestInputErrors:
         assert out.stderr.count("\n") == 1 and "finite" in out.stderr
         assert not (tmp_path / "rep" / "report.json").exists()
 
+    @pytest.mark.parametrize("levels", [1, 65537, 99999999999999999999])
+    def test_level_count_out_of_range(self, scene_dir, tmp_path, levels):
+        # checked before the band is scaled: no cast warning precedes it
+        from treeprofiles import MultibandImage, save_multiband
+        cube = np.stack([np.arange(1600.0).reshape(40, 40), np.ones((40, 40)),
+                         np.arange(1600.0).reshape(40, 40) % 7])
+        save_multiband(MultibandImage(cube), tmp_path / "cube.json")
+        out = run_cli("classify", "--image", tmp_path / "cube.json",
+                      "--train", scene_dir / "train.pgm",
+                      "--test", scene_dir / "test.pgm", "--pca", 2,
+                      "--levels", levels, "--rf-trees", 5,
+                      "--out", tmp_path / "rep")
+        assert out.returncode == 3, out.stderr
+        assert out.stderr == "error: level count must be in [2, 65536]\n"
+        assert not (tmp_path / "rep" / "report.json").exists()
+
     def test_truncated_plain_pgm_names_offset_once(self, tmp_path):
         save_pgm(RasterImage(np.arange(64).reshape(8, 8), levels=64),
                  tmp_path / "plain.pgm", plain=True)
