@@ -4,8 +4,9 @@
 It holds tree building (the Kruskal union-find, the saturation of every
 holed side-tree node of a tree of shapes in one call, ``tp_saturate``, and
 the painting of shapes, ``tp_paint_shapes``), the tree folds
-``tp_accumulate`` and ``tp_propagate``, and the random forest's tree growth
-and vote sum.
+``tp_accumulate`` and ``tp_propagate``, the one-sweep attribute table
+``tp_attributes`` and filter ladder ``tp_ladder``, and the random forest's
+tree growth and vote sum.
 ``ctypes`` needs no Python headers and no extra package, but the file is
 compiled with ``cc`` on the first call that needs it, never at import, and
 cached under ``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``),
@@ -16,6 +17,8 @@ removes the library's older builds, and those of the retired
 
 Every entry point is declared in ``_SIGNATURES``: ``ndpointer`` argument
 types check each array's dtype and C contiguity before a pointer is passed.
+The one raw pointer, ``tp_ladder``'s output matrix, may be a column slice;
+its caller checks dtype, shape and strides first.
 """
 
 from __future__ import annotations
@@ -34,22 +37,24 @@ from .errors import BuildError
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _COMPILE = ["cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
-_F8, _I4, _I8, _U8 = (
+_F8, _I4, _I8, _U8, _B1 = (
     np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-    for t in (np.float64, np.int32, np.int64, np.uint64))
-_N, _K = ctypes.c_int64, ctypes.c_int32
+    for t in (np.float64, np.int32, np.int64, np.uint64, np.uint8))
+_N, _K, _P = ctypes.c_int64, ctypes.c_int32, ctypes.c_void_p
 _SIGNATURES = {
     "tp_kruskal": (_N, [_I8, _I8, _F8, _N, _I8, _N, _F8, _N, _I8, _F8, _I8]),
     "tp_saturate": (_K, [_I8, _N, _I8, _I8, _I8, _N, _N, _N, _I8, _N, _I8]),
     "tp_paint_shapes": (_K, [_I8, _N, _I8, _I8, _I8, _N, _I4, _N, _I4]),
     "tp_accumulate": (_K, [_I8, _N, _I8, _N, _K]),
     "tp_propagate": (_K, [_I8, _N, _I8, _N, _K]),
-    "tp_grow_tree": (_N, [_F8, _I4, _F8, _I4, _N, _K, _K, _K, _U8,
+    "tp_attributes": (_K, [_I8, _N, _I8, _N, _I8, _I8, _N, _N, _I8]),
+    "tp_ladder": (_K, [_I8, _N, _B1, _N, _I4, _N, _F8, _N, _I8, _P, _N, _N]),
+    "tp_grow_tree": (_N, [_F8, _I4, _F8, _I4, _I4, _N, _K, _K, _K, _U8,
                           _I4, _F8, _I4, _I4, _F8, _N]),
-    "tp_best_split": (_K, [_F8, _I4, _F8, _I4, _N, _K, _K, _I4, _N, _I4, _K,
-                           _F8]),
+    "tp_best_split": (_K, [_F8, _I4, _F8, _I4, _I4, _N, _K, _K, _I4, _N, _I4,
+                           _K, _F8]),
     "tp_forest_votes": (_K, [_F8, _N, _K, _K, _K, _I8, _I4, _F8, _I4, _I4,
-                             _F8, _F8]),
+                             _F8, _F8, _I4]),
     "tp_xorshift_fill": (None, [_U8, _U8, _N]),
 }
 _lib: ctypes.CDLL | None = None

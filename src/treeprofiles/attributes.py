@@ -1,16 +1,18 @@
 """Per-node attributes computed incrementally over any tree.
 
-Each node's direct pixels are reduced along their run of
-``Tree.attached_pixels``; then three child-to-parent folds
-(``Tree.accumulate`` with sum, minimum and maximum over stacked columns)
-give every node the pixel count, spatial moment sums, gray-level moment
-sums, gray extrema and the bounding box of its full component (direct
-pixels plus all descendants).  Gray statistics always refer to the source
-image values, so features read from a pruned tree still describe the
+One native sweep per tree (``tp_attributes``) reduces each node's run of
+``Tree.attached_pixels``, then folds every node into its parent, highest id
+first: each node gets the pixel count, spatial moment sums, gray-level
+moment sums, gray extrema and the bounding box of its full component
+(direct pixels plus all descendants).  Gray statistics always refer to the
+source image values, so features read from a pruned tree still describe the
 original pixels inside each component.
 
-Moments are accumulated in 64-bit integers; ``moment_of_inertia_all`` and
-``std_dev_all`` turn them into per-node float vectors.
+Moments are accumulated in 64-bit integers, wrapping as numpy's int64 does;
+integer sums, minima and maxima are exact in any order, so the table is the
+one per-node ``reduceat`` runs and three ``accumulate`` folds give, to the
+byte.  ``moment_of_inertia_all`` and ``std_dev_all`` turn the table into
+per-node float vectors.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._native import _kernel
 from .errors import DataError
 from .hierarchies import Tree
 from .imagery import RasterImage
@@ -49,35 +52,25 @@ def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
     if (tree.width, tree.height) != (image.width, image.height):
         raise DataError("tree and image dimensions do not match")
     n = tree.node_count
-    pix = tree.attached_pixels  # grouped by node, one run per node
-    flat = image.values.ravel()[pix]
-    xs = pix % tree.width
-    ys = pix // tree.width
-    # a node without direct pixels has an empty run: it keeps the identity
-    held = np.diff(tree.attached_offsets) > 0
-    starts = tree.attached_offsets[:-1][held]
-
-    def scatter(ufunc, identity, columns):
-        out = np.full((n, len(columns)), identity, dtype=np.int64)
-        out[held] = ufunc.reduceat(np.stack(columns, axis=1), starts, axis=0)
-        return out
-
-    big = np.iinfo(np.int64).max
-    sums = scatter(np.add, 0, [np.ones_like(pix), xs, ys, xs * xs, ys * ys,
-                               flat, flat * flat])
-    lows = scatter(np.minimum, big, [flat, xs, ys])
-    highs = scatter(np.maximum, -big, [flat, xs, ys])
-
-    area, sum_x, sum_y, sum_xx, sum_yy, gray_sum, gray_sum_sq = \
-        tree.accumulate(sums, np.add).T
-    gray_min, xmin, ymin = tree.accumulate(lows, np.minimum).T
-    gray_max, xmax, ymax = tree.accumulate(highs, np.maximum).T
+    parent = np.ascontiguousarray(tree.parent, dtype=np.int64)
+    pixels = np.ascontiguousarray(tree.attached_pixels, dtype=np.int64)
+    offsets = np.ascontiguousarray(tree.attached_offsets, dtype=np.int64)
+    gray = np.ascontiguousarray(image.values.ravel(), dtype=np.int64)
+    if len(offsets) != n + 1:
+        raise DataError("attached pixel offsets do not match the tree")
+    # rows: area, sums of x, y, x*x, y*y, g, g*g, then the minima and the
+    # maxima of g, x and y
+    rows = np.empty((13, n), dtype=np.int64)
+    if _kernel().tp_attributes(parent, n, pixels, len(pixels), offsets, gray,
+                               len(gray), tree.width, rows):
+        raise DataError("tree is not root-first or its attached pixels "
+                        "are out of range")
+    (area, sum_x, sum_y, sum_xx, sum_yy, gray_sum, gray_sum_sq,
+     gray_min, xmin, ymin, gray_max, xmax, ymax) = rows
     return AttributeTable(
         area=area, sum_x=sum_x, sum_y=sum_y, sum_xx=sum_xx, sum_yy=sum_yy,
-        gray_sum=gray_sum, gray_sum_sq=gray_sum_sq,
-        # copies: a column view would keep its whole (N, 3) block alive
-        gray_min=gray_min.copy(), gray_max=gray_max.copy(),
-        bbox=np.stack([xmin, ymin, xmax, ymax], axis=1),
+        gray_sum=gray_sum, gray_sum_sq=gray_sum_sq, gray_min=gray_min,
+        gray_max=gray_max, bbox=np.stack([xmin, ymin, xmax, ymax], axis=1),
     )
 
 

@@ -18,9 +18,14 @@ The bootstrap, the per-node feature draws, the split search and the vote sum
 of :func:`predict` run in the package's native kernel (see
 :mod:`treeprofiles._native`), which performs the numpy reference's
 floating-point operations one for one (``tests/oracles.py``), so the model
-bytes are the reference's.  Each feature is ranked once per forest; a node
-searches a candidate by counting its samples per (rank, class) when their
-ranks are dense on the node (more than 16 samples, at most four ranks per
+bytes are the reference's.  The bootstrap is held as a draw count per
+sample: a node holds each drawn sample once, and its class counts, split
+scans and leaf probabilities add the counts, exact integers, so each count
+and float is the one the copies would give.  Each feature is ranked once
+per forest, and a feature with one value on the whole training set is
+skipped without a look at the node's samples.  A node searches a candidate
+by counting its samples per (rank, class) when their ranks are dense on
+the node (more than 16 distinct samples, at most four ranks per distinct
 sample), and by sorting them otherwise.  Both visit the same boundaries in
 ascending order with the same class counts, so the Gini values, the
 first-minimum tie rule and the model bytes do not depend on the branch.
@@ -28,8 +33,9 @@ first-minimum tie rule and the model bytes do not depend on the branch.
 Both kernel calls release the GIL, so the forest runs on threads: trees grow
 on up to ``min(usable CPUs, n_trees)`` threads and are collected in index
 order, and :func:`predict` splits the rows into up to one contiguous block
-per usable CPU, each row summing its votes in tree order.  Neither the model
-bytes nor the predictions depend on the thread or block count.
+per usable CPU, each row summing its votes in tree order until its label is
+settled (see :func:`predict`).  Neither the model bytes nor the predictions
+depend on the thread or block count.
 
 Model serialization (little-endian throughout)::
 
@@ -90,11 +96,12 @@ class ForestModel:
 class _TrainingSet:
     """Feature-major (n_features, n_samples) tables, as ``tp_grow_tree`` reads
     them: values, the dense rank of each value within its feature, and the
-    value of each rank."""
+    value of each rank; and each feature's count of distinct values."""
 
     xt: np.ndarray         # float64
     rank: np.ndarray       # int32
     level: np.ndarray      # float64
+    n_levels: np.ndarray   # int32 (n_features,)
     y_idx: np.ndarray      # int32 class indices 0..n_classes-1
     n_classes: int
     mtry: int
@@ -113,6 +120,7 @@ def _training_set(x: np.ndarray, y_idx: np.ndarray, n_classes: int,
     level = np.zeros_like(xt)
     np.put_along_axis(level, sorted_rank, ordered, axis=1)
     return _TrainingSet(xt=xt, rank=rank, level=level,
+                        n_levels=sorted_rank[:, -1] + 1,
                         y_idx=np.ascontiguousarray(y_idx, dtype=np.int32),
                         n_classes=n_classes,
                         mtry=math.ceil(math.sqrt(len(xt))), seed=seed)
@@ -130,9 +138,9 @@ def _grow_indexed(data: _TrainingSet, i: int) -> DecisionTree:
                         right=np.empty(cap, np.int32),
                         probs=np.empty((cap, data.n_classes)))
     count = _kernel().tp_grow_tree(
-        data.xt, data.rank, data.level, data.y_idx, n, len(data.xt),
-        data.n_classes, data.mtry, state, tree.feature, tree.threshold,
-        tree.left, tree.right, tree.probs, cap)
+        data.xt, data.rank, data.level, data.n_levels, data.y_idx, n,
+        len(data.xt), data.n_classes, data.mtry, state, tree.feature,
+        tree.threshold, tree.left, tree.right, tree.probs, cap)
     if count == -2:
         raise MemoryError("forest kernel: out of memory")
     if count < 0:
@@ -184,9 +192,13 @@ def train_forest(
 # Prediction
 # ---------------------------------------------------------------------------
 
-def _votes(model: ForestModel, x: np.ndarray) -> np.ndarray:
+def _votes(model: ForestModel, x: np.ndarray,
+           summed: np.ndarray | None = None) -> np.ndarray:
     """(rows, n_classes) sums of the trees' leaf probabilities, added in
-    tree order, one thread per block of rows."""
+    tree order, one thread per block of rows.  A row stops once its vote is
+    settled (see ``predict``), so its sum covers the forest's first trees
+    only; with ``summed``, an int32 array of one entry per row, the kernel
+    writes there how many."""
     trees = model.trees
     offset = np.cumsum([0] + [len(t.feature) for t in trees], dtype=np.int64)
 
@@ -204,24 +216,39 @@ def _votes(model: ForestModel, x: np.ndarray) -> np.ndarray:
     arrays = (offset, flat("feature", np.int32), flat("threshold", np.float64),
               flat("left", np.int32), flat("right", np.int32), probs)
     votes = np.zeros((len(x), model.n_classes))
+    if summed is None:
+        summed = np.empty(len(x), dtype=np.int32)
+    elif summed.shape != (len(x),):
+        raise ValueError(f"summed must hold one entry per row ({len(x)})")
     blocks = max(1, min(_usable_cpus(), len(x)))
 
     def block(k: int) -> int:
         lo, hi = len(x) * k // blocks, len(x) * (k + 1) // blocks
         return kernel.tp_forest_votes(
             x[lo:hi], hi - lo, model.n_features, model.n_classes, len(trees),
-            *arrays, votes[lo:hi])
+            *arrays, votes[lo:hi], summed[lo:hi])
 
     with ThreadPoolExecutor(blocks) as pool:
-        bad = [b for b in pool.map(block, range(blocks)) if b]
-    if bad:  # the first tree a row fails on, as one whole-batch call reports
-        raise DataError(f"tree {min(bad) - 1} of the model is malformed")
+        status = list(pool.map(block, range(blocks)))
+    if -2 in status:
+        raise MemoryError("forest kernel: out of memory")
+    if any(status):  # every block checks every tree, so all name the first
+        raise DataError(f"tree {min(status) - 1} of the model is malformed")
     return votes
 
 
 def predict(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Majority vote over summed tree probabilities; ties go to the smaller
-    class id."""
+    class id.
+
+    A row stops summing once no remaining tree can change its leader: its
+    lead over every other class exceeds the sum, over the remaining trees,
+    of each tree's largest leaf probability minus its smallest, plus an
+    allowance for float rounding (derived in ``_kernels.c``).  Such a
+    row's full sum would keep the same strict leader, so the labels are the
+    full sums' labels; rows still tied or close sum every tree in tree
+    order, as before.  A model with a malformed tree, or a NaN or infinite
+    probability, raises DataError before any row is read."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DataError(

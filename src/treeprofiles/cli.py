@@ -51,6 +51,7 @@ from .profiles import (
     build_tree,
     default_area_thresholds,
     default_moment_thresholds,
+    profile_dim,
     tree_bundle,
 )
 
@@ -207,7 +208,8 @@ class _StackCache:
     """Builds profile stacks lazily: one alpha-tree per band, shared by the
     alpha and omega families, one tree bundle per (band, family) and one
     stack per (band, family, mode, attribute), shared by every command that
-    asks for them again."""
+    asks for them again.  ``matrix`` builds stacks straight into the column
+    slices of one matrix, so the stacks it keeps are views of it."""
 
     def __init__(self, bands: list[RasterImage], args):
         self.bands = bands
@@ -232,26 +234,55 @@ class _StackCache:
         self.bundles[band_i, kind] = bundle
         return bundle
 
-    def _stack(self, band_i: int, kind: str, mode: str,
-               attr: str) -> ProfileStack:
+    def _stack(self, band_i: int, kind: str, mode: str, attr: str,
+               out: np.ndarray | None = None) -> ProfileStack:
+        """The stack of one key, built into ``out`` if given (a cached
+        stack is copied there)."""
         key = (band_i, kind, mode, attr)
         if key in self.stacks:
+            if out is not None:
+                out[...] = self.stacks[key].data
             return self.stacks[key]
         band = self.bands[band_i]
         bundle = self._bundle(band_i, kind)
         spec = _spec_for(self.args, band, attr)
         if mode == "ap":
-            stack = build_ap(band, kind, spec, bundle=bundle)
+            stack = build_ap(band, kind, spec, bundle=bundle, out=out)
         else:
-            stack = build_fp(band, kind, spec, self.features, bundle=bundle)
+            stack = build_fp(band, kind, spec, self.features, bundle=bundle,
+                             out=out)
         self.stacks[key] = stack
         return stack
+
+    def _keys(self, kind: str, mode: str, attrs) -> list[tuple]:
+        """Per-band, per-attribute stack keys in column order."""
+        return [(band_i, kind, mode, attr)
+                for band_i in range(len(self.bands)) for attr in attrs]
 
     def stacks_for(self, kind: str, mode: str,
                    attrs: list[str]) -> list[ProfileStack]:
         """Per-band, per-attribute stacks in column order."""
-        return [self._stack(band_i, kind, mode, attr)
-                for band_i in range(len(self.bands)) for attr in attrs]
+        return [self._stack(*key) for key in self._keys(kind, mode, attrs)]
+
+    def matrix(self, kinds: list[str], modes: list[str],
+               attrs: list[str]) -> ProfileStack:
+        """The stacks of every (family, mode) side by side, in the column
+        order of ``stacks_for``, each written into its own column slice of
+        one preallocated matrix."""
+        keys = [key for kind in kinds for mode in modes
+                for key in self._keys(kind, mode, attrs)]
+        dims = [profile_dim(kind, _spec_for(self.args, self.bands[band_i],
+                                            attr),
+                            1 if mode == "ap" else len(self.features))
+                for band_i, kind, mode, attr in keys]
+        band = self.bands[0]
+        data = np.empty((band.width * band.height, sum(dims)))
+        layout, start = [], 0
+        for key, dim in zip(keys, dims):
+            layout += self._stack(*key, out=data[:, start:start + dim]).layout
+            start += dim
+        return ProfileStack(width=band.width, height=band.height, data=data,
+                            layout=layout)
 
 
 def _labels_for(args, bands: list[RasterImage]) -> tuple[LabelMap, LabelMap]:
@@ -290,7 +321,7 @@ def cmd_profile(args) -> int:
     stem = Path(args.image).stem
     for kind in kinds:
         for mode in modes:
-            stack = ProfileStack.concat(cache.stacks_for(kind, mode, attrs))
+            stack = cache.matrix([kind], [mode], attrs)
             target = out / f"{stem}_{kind}_{mode}"
             stack.save(target)
             print(f"{kind} {mode}: dim {stack.dim} -> {target}.json/.raw")
@@ -336,10 +367,7 @@ def cmd_classify(args) -> int:
         attrs = args.attr or ["area", "moment"]
         kinds = args.tree or ["component"]
         modes = ["ap", "fp"] if args.mode == "both" else [args.mode]
-        cache = _StackCache(bands, args)
-        matrix = ProfileStack.concat(
-            [stack for kind in kinds for mode in modes
-             for stack in cache.stacks_for(kind, mode, attrs)]).data
+        matrix = _StackCache(bands, args).matrix(kinds, modes, attrs).data
     _, confusion, oa, kappa = _fit_eval(matrix, train, test,
                                         args.rf_trees, args.seed)
     elapsed = time.perf_counter() - started

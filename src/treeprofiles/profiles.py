@@ -18,7 +18,11 @@ filtered once and resolved once to each pixel's smallest retained node, and
 every column is a gather from a per-node table computed once per call: the
 gray level for an attribute profile, the standard deviation or area for a
 feature profile.  An attribute profile is thus the ladder read through the
-gray-level table.
+gray-level table.  The resolution and the gathers of one tree's whole
+ladder are one native call (``tp_ladder``), which copies each table value
+into its column as it is, so the bytes are those of a gather per column.
+The columns can be written into a slice of a caller's matrix (``out``), so
+stacks built side by side need no concatenation.
 
 Pruning rules: the Min rule removes a node when its attribute fails the
 threshold or any ancestor was removed (whole-branch pruning, the natural
@@ -37,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._native import _kernel
 from .attributes import (
     AttributeTable,
     compute_attributes,
@@ -347,49 +352,91 @@ def tree_bundle(
     return TreeBundle(trees=trees, pair=pair, image=image)
 
 
-def _profile(bundle: TreeBundle, spec: FilterSpec,
-             features: list[str]) -> ProfileStack:
+def _ladder(trees: ProfileTrees, spec: FilterSpec) -> list:
+    """The columns of one feature block, in order: ``None`` for the
+    original image, else (side, threshold, polarity) with side the index in
+    ``TreeBundle.pair``."""
+    if trees is ProfileTrees.COMPONENT_PAIR:
+        # thickenings at descending thresholds, then X, then thinnings ascending
+        return [(0, lam, "thickening") for lam in reversed(spec.thresholds)] \
+            + [None] + [(1, lam, "thinning") for lam in spec.thresholds]
+    return [None] + [(0, lam, "selfdual") for lam in spec.thresholds]
+
+
+def profile_dim(trees: ProfileTrees | str, spec: FilterSpec,
+                n_features: int = 1) -> int:
+    """Column count of an attribute profile (``n_features`` = 1) or of a
+    feature profile of ``n_features`` features."""
+    return len(_ladder(ProfileTrees(trees), spec)) * n_features
+
+
+def _columns(out: np.ndarray | None, rows: int, dim: int) -> np.ndarray:
+    """``out``, checked to be a writeable (rows, dim) float64 matrix whose
+    columns are adjacent doubles (a column slice of a C-ordered matrix
+    will do), or a new one."""
+    if out is None:
+        return np.empty((rows, dim))
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or \
+            out.shape != (rows, dim) or out.strides[1] != 8 or \
+            out.strides[0] < 8 * dim or out.strides[0] % 8 or \
+            not out.flags.writeable or not out.flags.aligned:
+        raise ValueError(f"out must be a writeable ({rows}, {dim}) float64 "
+                         f"matrix with adjacent columns")
+    return out
+
+
+def _profile(bundle: TreeBundle, spec: FilterSpec, features: list[str],
+             out: np.ndarray | None = None) -> ProfileStack:
     """One ladder of filters, read through one per-node table per feature.
 
     ``features`` is ``["gray"]`` for an attribute profile, else the feature
     names of a feature profile; each gets one attribute-profile-shaped block.
-    Every (tree, threshold) of the ladder is filtered and resolved to pixel
-    owners once, and each column is a gather from its feature's table.
+    ``filter_tree`` gives one retain mask per (tree, threshold); then one
+    native call per tree (``tp_ladder``) resolves every mask to each
+    pixel's smallest retained node in one root-first sweep and writes each
+    feature table's value there straight into the columns of ``out``.  Each
+    value is the table's float64 copied as it is, so the stack is the one a
+    gather per column gives, to the byte.
     """
     image = bundle.image
-    original = image.values.ravel().astype(np.float64)
-    sides = [(tree, table, [_node_values(tree, table, f) for f in features])
-             for tree, table in bundle.pair]
-    if bundle.trees is ProfileTrees.COMPONENT_PAIR:
-        lower, upper = sides
-        # thickenings at descending thresholds, then X, then thinnings ascending
-        ladder = [(lower, lam, "thickening") for lam in reversed(spec.thresholds)]
-        ladder.append(None)
-        ladder += [(upper, lam, "thinning") for lam in spec.thresholds]
-    else:
-        ladder = [None] + [(sides[0], lam, "selfdual") for lam in spec.thresholds]
-
-    blocks: list[list] = [[] for _ in features]
-    for entry in ladder:
-        if entry is None:
-            for block in blocks:
-                block.append((_ORIGINAL_COLUMN, original))
-            continue
-        (tree, table, tables), lam, polarity = entry
-        owners = _pixel_owners(
-            tree, filter_tree(tree, table, spec.attribute, lam, spec.rule))
-        for block, feature, values in zip(blocks, features, tables):
-            desc = ColumnDesc(tree=tree.kind.value,
-                              attribute=spec.attribute.value,
-                              threshold=float(lam), polarity=polarity,
-                              feature=feature)
-            block.append((desc, values[owners]))
-    columns = [column for block in blocks for column in block]
-    return ProfileStack(
-        width=image.width, height=image.height,
-        data=np.stack([values for _, values in columns], axis=1),
-        layout=[desc for desc, _ in columns],
-    )
+    ladder = _ladder(bundle.trees, spec)
+    width = len(ladder)
+    out = _columns(out, image.width * image.height, width * len(features))
+    layout = []
+    for feature in features:
+        for entry in ladder:
+            if entry is None:
+                layout.append(_ORIGINAL_COLUMN)
+                continue
+            side, lam, polarity = entry
+            layout.append(ColumnDesc(
+                tree=bundle.pair[side][0].kind.value,
+                attribute=spec.attribute.value, threshold=float(lam),
+                polarity=polarity, feature=feature))
+    out[:, ladder.index(None)::width] = image.values.reshape(-1, 1)
+    for side, (tree, table) in enumerate(bundle.pair):
+        at = [p for p, entry in enumerate(ladder)
+              if entry is not None and entry[0] == side]
+        masks = np.stack([
+            filter_tree(tree, table, spec.attribute, ladder[p][1], spec.rule)
+            for p in at]).view(np.uint8)
+        tables = np.stack([_node_values(tree, table, f) for f in features])
+        cols = np.array([[j * width + p for p in at]
+                         for j in range(len(features))], dtype=np.int64)
+        status = _kernel().tp_ladder(
+            np.ascontiguousarray(tree.parent, dtype=np.int64),
+            tree.node_count, masks, len(at),
+            np.ascontiguousarray(tree.pixel_node, dtype=np.int32),
+            len(tree.pixel_node), tables, len(features), cols,
+            out.ctypes.data, out.strides[0] // 8, out.shape[1])
+        if status == -2:
+            raise MemoryError("tp_ladder: out of memory")
+        if status:
+            raise DataError("filter ladder: tree is not root-first, its "
+                            "root is not retained or a pixel's node is out "
+                            "of range")
+    return ProfileStack(width=image.width, height=image.height, data=out,
+                        layout=layout)
 
 
 def build_ap(
@@ -398,11 +445,17 @@ def build_ap(
     spec: FilterSpec,
     connectivity: Connectivity | str = Connectivity.C4,
     bundle: TreeBundle | None = None,
+    out: np.ndarray | None = None,
 ) -> ProfileStack:
-    """Attribute profile: 2K+1 columns for the component pair, K+1 otherwise."""
+    """Attribute profile: 2K+1 columns for the component pair, K+1 otherwise.
+
+    With ``out``, a (pixels, dim) float64 matrix whose columns are adjacent
+    doubles, such as a column slice of a larger matrix, the columns are
+    written there and the stack's data is ``out``.
+    """
     if bundle is None:
         bundle = tree_bundle(image, ProfileTrees(trees), connectivity)
-    return _profile(bundle, spec, ["gray"])
+    return _profile(bundle, spec, ["gray"], out)
 
 
 def build_fp(
@@ -412,10 +465,12 @@ def build_fp(
     features: list[Feature | str],
     connectivity: Connectivity | str = Connectivity.C4,
     bundle: TreeBundle | None = None,
+    out: np.ndarray | None = None,
 ) -> ProfileStack:
-    """Feature profile: one attribute-profile-shaped block per feature."""
+    """Feature profile: one attribute-profile-shaped block per feature;
+    ``out`` as for ``build_ap``."""
     if len(features) == 0:
         raise DataError("build_fp needs at least one feature")
     if bundle is None:
         bundle = tree_bundle(image, ProfileTrees(trees), connectivity)
-    return _profile(bundle, spec, [Feature(f).value for f in features])
+    return _profile(bundle, spec, [Feature(f).value for f in features], out)

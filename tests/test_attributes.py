@@ -165,3 +165,75 @@ class TestProperties:
         table = compute_attributes(tree, img)
         lines = dump_attributes(tree, table).splitlines()
         assert lines[1].startswith("1 1 0 ")
+
+
+class TestAttributesKernel:
+    """``tp_attributes``: one native sweep per tree, against the oracle's
+    per-component sums, and its refusals of malformed trees."""
+
+    def test_sixteen_bit_image(self, rng):
+        # gray values up to 65535: each g*g is near 2**32, their sums above
+        for _ in range(3):
+            h, w = (int(v) for v in rng.integers(3, 8, size=2))
+            values = rng.choice([0, 1, 40000, 65534, 65535], size=(h, w))
+            img = RasterImage(values, levels=65536)
+            flat = img.values.ravel()
+            for tree in all_trees(img):
+                table = compute_attributes(tree, img)
+                comps = tree_component_pixels(tree)
+                for i in range(tree.node_count):
+                    ref = stats_from_pixels(comps[i], img.width, flat)
+                    for name, want in ref.items():
+                        got = getattr(table, name)[i]
+                        got = tuple(got) if name == "bbox" else got
+                        assert got == want, name
+                assert table.gray_sum_sq[0] > 2**32
+
+    def test_malformed_tree_refused_before_any_write(self):
+        from treeprofiles._native import _kernel
+
+        img = RasterImage(np.arange(12).reshape(3, 4) % 5, levels=5)
+        tree = build_max_tree(img)
+        n = tree.node_count
+        good = dict(parent=tree.parent.astype(np.int64),
+                    pixels=tree.attached_pixels.astype(np.int64),
+                    offsets=tree.attached_offsets.astype(np.int64))
+        gray = img.values.ravel().astype(np.int64)
+
+        def call(**change):
+            arrays = {**good, **change}
+            out = np.full((13, n), 7, dtype=np.int64)
+            status = _kernel().tp_attributes(
+                arrays["parent"], n, arrays["pixels"], len(arrays["pixels"]),
+                arrays["offsets"], gray, len(gray), img.width, out)
+            return status, out
+
+        status, out = call()
+        assert status == 0 and out[0, 0] == 12
+        parent_loop, parent_root = good["parent"].copy(), good["parent"].copy()
+        parent_loop[-1] = n - 1
+        parent_root[0] = 1
+        pixel_high, pixel_low = good["pixels"].copy(), good["pixels"].copy()
+        pixel_high[3] = len(gray)
+        pixel_low[0] = -1
+        descending, past_end = good["offsets"].copy(), good["offsets"].copy()
+        descending[1] = descending[2] + 1
+        past_end[-1] += 1
+        for change in (dict(parent=parent_loop), dict(parent=parent_root),
+                       dict(pixels=pixel_high), dict(pixels=pixel_low),
+                       dict(offsets=descending), dict(offsets=past_end)):
+            status, out = call(**change)
+            assert status == -3
+            assert np.all(out == 7)
+
+    def test_non_topological_tree_is_a_data_error(self):
+        from treeprofiles import Tree, TreeKind
+
+        img = RasterImage(np.array([[0, 1, 2]]), levels=3)
+        tree = Tree(kind=TreeKind.MAX_TREE, width=3, height=1, levels=3,
+                    parent=np.array([0, 2, 0], dtype=np.int32),
+                    level=np.array([0.0, 2.0, 1.0]),
+                    pixel_node=np.array([0, 2, 1], dtype=np.int32),
+                    rep_value=np.array([0, 2, 1]))
+        with pytest.raises(DataError, match="root-first"):
+            compute_attributes(tree, img)

@@ -70,7 +70,8 @@ def kernel_split(x, y, n_classes, cands, samples=None):
     samples = np.asarray(samples, dtype=np.int32)
     thr = np.zeros(1)
     row = _native._kernel().tp_best_split(
-        data.xt, data.rank, data.level, data.y_idx, len(y), len(data.xt),
+        data.xt, data.rank, data.level, data.n_levels, data.y_idx, len(y),
+        len(data.xt),
         n_classes, samples, len(samples), np.array(cands, dtype=np.int32),
         len(cands), thr)
     assert row >= -1
@@ -180,10 +181,11 @@ class TestTraining:
 
 
 class TestSplitSearchBranches:
-    """A node's ranks are counted when they span at most 4 ranks per sample
-    of a node of more than 16, and sorted otherwise; both give the per-feature
-    scan's split.  Nodes here are subsets of a larger training set, so their
-    ranks are sparse or dense on the node."""
+    """A node's ranks are counted when they span at most 4 ranks per
+    distinct sample of a node of more than 16 distinct samples, and sorted
+    otherwise; both give the per-feature scan's split.  Nodes here are
+    subsets of a larger training set, so their ranks are sparse or dense on
+    the node."""
 
     @staticmethod
     def check(x, y, n_classes, samples, cands):
@@ -249,6 +251,142 @@ class TestSplitSearchBranches:
         assert kernel_split(x, y, 12, [0, 1], samples) is None
         self.check(x, y, 12, samples, [0, 1])
         self.check(x, y, 12, samples, [1, 2, 0])
+
+
+class TestWeightedBootstrap:
+    """A node holds each drawn sample once with its draw count; the trees
+    are the ones grown over every copy."""
+
+    def test_tiny_duplicated_bootstraps(self, rng):
+        # n draws from n <= 8 samples: most samples are drawn 0 or 2+ times
+        for n in range(2, 9):
+            for _ in range(25):
+                n_classes = int(rng.integers(2, 5))
+                x, y_idx = random_training_set(rng, n, n_classes)
+                seed = int(rng.integers(0, 2**63))
+                data = classifier._training_set(x, y_idx, n_classes, seed)
+                for i in range(3):
+                    got = classifier._grow_indexed(data, i)
+                    want = oracles.grow_indexed_tree(x, y_idx, n_classes,
+                                                     seed, i)
+                    got = (got.feature, got.threshold, got.left, got.right,
+                           got.probs)
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("repeats", [1, 40, 70000])
+    @pytest.mark.parametrize("values", [20, 100000])  # counted, sorted
+    def test_weights_beyond_any_bit_field(self, rng, repeats, values):
+        # weights travel beside the sort keys, not inside them, so a sample
+        # drawn 70,000 times needs no bits beside its rank and class: it
+        # scores like 70,000 copies
+        n, n_classes = 300, 3
+        for _ in range(8):
+            x = rng.integers(0, values, size=(n, 3)) * 0.5
+            y = rng.integers(0, n_classes, size=n)
+            distinct = rng.choice(n, 40, replace=False)
+            samples = np.concatenate([distinct,
+                                      np.repeat(distinct[:2], repeats),
+                                      rng.choice(distinct, 25)])
+            TestSplitSearchBranches.check(x, y, n_classes, samples,
+                                          [0, 1, 2])
+
+    def test_distinct_value_counts(self, rng):
+        x = np.stack([np.full(50, 2.5), rng.integers(0, 7, size=50) * 1.0,
+                      np.arange(50.0)], axis=1)
+        data = classifier._training_set(x, np.arange(50) % 2, 2, seed=0)
+        assert data.n_levels.dtype == np.int32
+        assert data.n_levels.tolist() == [1, len(np.unique(x[:, 1])), 50]
+
+
+def leaf_tree(probs) -> DecisionTree:
+    return DecisionTree(feature=np.array([-1], dtype=np.int32),
+                        threshold=np.zeros(1),
+                        left=np.array([-1], dtype=np.int32),
+                        right=np.array([-1], dtype=np.int32),
+                        probs=np.array([probs], dtype=np.float64))
+
+
+class TestSettledVotes:
+    """A row stops summing once its leader's margin over every other class
+    exceeds what the remaining trees can add, and never at or below it."""
+
+    @staticmethod
+    def votes(trees, rows=3):
+        model = ForestModel(trees=trees, classes=np.arange(1, 1 + len(
+            trees[0].probs[0])), n_features=1, seed=0)
+        summed = np.full(rows, -1, dtype=np.int32)
+        x = np.zeros((rows, 1))
+        got = classifier._votes(model, x, summed)
+        return got, summed, predict(model, x)
+
+    def test_margin_at_the_bound_sums_every_tree(self):
+        # class 2 leads by 1.0 after tree 0, just what tree 1 can take back;
+        # the full sums tie, and the tie goes to the smaller class id
+        votes, summed, labels = self.votes([leaf_tree([0.0, 1.0]),
+                                            leaf_tree([1.0, 0.0])])
+        assert summed.tolist() == [2, 2, 2]
+        assert votes.tolist() == [[1.0, 1.0]] * 3
+        assert labels.tolist() == [1, 1, 1]
+
+    def test_margin_at_the_bound_three_classes(self):
+        # lead 0.75 - 0.25 = 0.5 equals tree 1's spread 0.5 - 0.0
+        votes, summed, labels = self.votes([leaf_tree([0.0, 0.25, 0.75]),
+                                            leaf_tree([0.5, 0.0, 0.5])])
+        assert summed.tolist() == [2, 2, 2]
+        assert votes.tolist() == [[0.5, 0.25, 1.25]] * 3
+        assert labels.tolist() == [3, 3, 3]
+
+    def test_margin_above_the_bound_stops(self):
+        votes, summed, labels = self.votes([leaf_tree([0.0, 1.0]),
+                                            leaf_tree([0.6, 0.4]),
+                                            leaf_tree([0.55, 0.45])])
+        assert summed.tolist() == [1, 1, 1]
+        assert votes.tolist() == [[0.0, 1.0]] * 3
+        assert labels.tolist() == [2, 2, 2]
+
+    def test_exact_tie_goes_to_the_smaller_class(self):
+        votes, summed, labels = self.votes([leaf_tree([0.5, 0.5])] * 4)
+        assert summed.tolist() == [4, 4, 4]
+        assert labels.tolist() == [1, 1, 1]
+
+    def test_labels_match_full_sums_on_a_trained_forest(self, rng):
+        x, y = fp_training_set()
+        model = train_forest(x, y, n_trees=30, seed=4)
+        probe = np.vstack([x, x + rng.normal(size=x.shape) * x.std(axis=0)])
+        summed = np.empty(len(probe), dtype=np.int32)
+        classifier._votes(model, probe, summed)
+        full = sum(oracles.tree_probs(t.feature, t.threshold, t.left,
+                                      t.right, t.probs, probe)
+                   for t in model.trees)
+        assert np.array_equal(predict(model, probe),
+                              model.classes[np.argmax(full, axis=1)])
+        assert summed.min() < 30 and summed.max() == 30
+
+    @pytest.mark.parametrize("rows", [0, 4])
+    def test_malformed_node_off_every_path(self, rows):
+        # every row goes left at node 0; node 2, on the right, names a
+        # feature the rows lack and children outside the tree
+        bad = DecisionTree(feature=np.array([0, -1, 5], dtype=np.int32),
+                           threshold=np.array([1e300, 0.0, 0.0]),
+                           left=np.array([1, -1, 9], dtype=np.int32),
+                           right=np.array([2, -1, 9], dtype=np.int32),
+                           probs=np.array([[0.0, 0.0], [1.0, 0.0],
+                                           [0.0, 0.0]]))
+        model = ForestModel(trees=[leaf_tree([0.5, 0.5]), bad],
+                            classes=np.array([1, 2]), n_features=1, seed=0)
+        with pytest.raises(DataError, match="tree 1 of the model"):
+            predict(model, np.zeros((rows, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_refused(self, bad):
+        trees = [leaf_tree([0.5, 0.5]), leaf_tree([0.5, 0.5])]
+        trees[1].probs[0, 1] = bad
+        model = ForestModel(trees=trees, classes=np.array([1, 2]),
+                            n_features=1, seed=0)
+        with pytest.raises(DataError, match="tree 1 of the model"):
+            predict(model, np.zeros((2, 1)))
 
 
 class TestPredict:
@@ -451,6 +589,10 @@ class TestKernelMatchesReference:
                     assert a.tobytes() == b.tobytes()
 
     def test_votes(self, rng):
+        """Each row's votes are the oracle's sum, in tree order, over the
+        trees the kernel reports it summed; the labels are the argmax of
+        the oracle's sums over every tree."""
+        stopped = 0
         for _ in range(12):
             n_classes = int(rng.integers(2, 13))
             x, y = random_training_set(rng, int(rng.integers(20, 200)),
@@ -458,11 +600,21 @@ class TestKernelMatchesReference:
             y[:2] = [0, 1]  # at least two classes
             model = train_forest(x, y, n_trees=7, seed=int(rng.integers(99)))
             probe = np.vstack([x, x + rng.normal(size=x.shape)])
+            summed = np.full(len(probe), -1, dtype=np.int32)
+            got = classifier._votes(model, probe, summed)
             want = np.zeros((len(probe), model.n_classes))
-            for t in model.trees:
-                want += oracles.tree_probs(t.feature, t.threshold, t.left,
+            full = np.zeros_like(want)
+            for i, t in enumerate(model.trees):
+                probs = oracles.tree_probs(t.feature, t.threshold, t.left,
                                            t.right, t.probs, probe)
-            assert classifier._votes(model, probe).tobytes() == want.tobytes()
+                want[summed > i] += probs[summed > i]
+                full += probs
+            assert got.tobytes() == want.tobytes()
+            assert 1 <= summed.min() and summed.max() <= 7
+            assert np.array_equal(predict(model, probe),
+                                  model.classes[np.argmax(full, axis=1)])
+            stopped += int(np.count_nonzero(summed < 7))
+        assert stopped > 0
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1,
                                       derive_seed(5, 3)])
@@ -516,6 +668,7 @@ class TestDegenerateSplits:
                   np.empty(2, np.int32), np.empty((2, 2))]
         state = np.array([Xorshift64Star(7).state], dtype=np.uint64)
         count = _native._kernel().tp_grow_tree(
-            data.xt, data.rank, data.level, data.y_idx, 6, 1, 2, 1, state,
+            data.xt, data.rank, data.level, data.n_levels, data.y_idx, 6, 1,
+            2, 1, state,
             *arrays, 2)
         assert count == -1  # a split needs 3 nodes; the arrays hold 2

@@ -145,6 +145,27 @@ class TestClassifyCommand:
         )
         assert out.returncode == 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_model_probability_exit_3(self, scene_dir, tmp_path,
+                                                 monkeypatch, capsys, bad):
+        from treeprofiles import cli
+
+        def train_then_spoil(*args, **kwargs):
+            model = train_forest(*args, **kwargs)
+            model.trees[-1].probs[-1, 0] = bad  # a leaf no row may reach
+            return model
+
+        train_forest = cli.train_forest
+        monkeypatch.setattr(cli, "train_forest", train_then_spoil)
+        code = cli.main(["classify", "--image", str(scene_dir / "scene.pgm"),
+                         "--train", str(scene_dir / "train.pgm"),
+                         "--test", str(scene_dir / "test.pgm"),
+                         "--mode", "raw", "--rf-trees", "3",
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == ["error: tree 2 of the model is malformed"]
+
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_zero_trees_exit_2(self, scene_dir, tmp_path, where):
         args = ["classify", "--image", scene_dir / "scene.pgm",

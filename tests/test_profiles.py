@@ -24,6 +24,8 @@ from treeprofiles import (
     reconstruct,
     tree_bundle,
 )
+from treeprofiles._native import _kernel
+from treeprofiles.profiles import profile_dim
 
 from conftest import random_image
 from oracles import (
@@ -337,6 +339,124 @@ class TestPerColumnReference:
                     assert stack.layout == layout
                     assert stack.data.dtype == data.dtype
                     assert np.array_equal(stack.data, data)
+
+
+class TestLadderKernel:
+    """``tp_ladder`` writes each (tree, threshold)'s gathers straight into
+    the stack's columns: the stacks equal the one-column-at-a-time oracle
+    byte for byte, wherever their columns live."""
+
+    @pytest.mark.parametrize("kind", list(ProfileTrees))
+    def test_thresholds_at_and_beyond_the_image_area(self, rng, kind):
+        for _ in range(5):
+            img = random_image(rng, 9, 12, min_side=2)
+            n = img.values.size
+            bundle = tree_bundle(img, kind)
+            for rule in FilterRule:
+                for spec in (
+                        FilterSpec(Attribute.AREA, (1.0, n - 1.0, float(n),
+                                                    n + 1.0, 4.0 * n), rule),
+                        FilterSpec(Attribute.MOMENT, (0.05, 0.2, 1e6), rule)):
+                    for features in (None, ["stddev"], ["area"],
+                                     ["area", "stddev"]):
+                        if features is None:
+                            stack = build_ap(img, kind, spec, bundle=bundle)
+                        else:
+                            stack = build_fp(img, kind, spec, features,
+                                             bundle=bundle)
+                        layout, data = profile_per_column(bundle, spec,
+                                                          features)
+                        assert stack.layout == layout
+                        assert stack.dim == profile_dim(
+                            kind, spec, len(features or ["gray"]))
+                        assert stack.data.tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("kind", list(ProfileTrees))
+    def test_written_into_a_column_slice(self, rng, kind):
+        img = random_image(rng, 10, 12, min_side=3)
+        spec = FilterSpec(Attribute.AREA, (2.0, 5.0, 9.0))
+        bundle = tree_bundle(img, kind)
+        for features in (None, ["stddev", "area"]):
+            build = (lambda **kw: build_ap(img, kind, spec, bundle=bundle,
+                                           **kw)) if features is None else \
+                (lambda **kw: build_fp(img, kind, spec, features,
+                                       bundle=bundle, **kw))
+            want = build()
+            big = np.full((img.values.size, want.dim + 5), np.nan)
+            got = build(out=big[:, 2:2 + want.dim])
+            assert got.data.base is big
+            assert got.layout == want.layout
+            assert np.ascontiguousarray(got.data).tobytes() == \
+                want.data.tobytes()
+            assert np.isnan(big[:, :2]).all() and np.isnan(big[:, -3:]).all()
+
+    @pytest.mark.parametrize("bad", ["narrow", "float32", "strided",
+                                     "fortran", "read-only"])
+    def test_bad_out_refused_before_any_write(self, rng, bad):
+        img = random_image(rng, 8, 12, min_side=3)
+        spec = FilterSpec(Attribute.AREA, (2.0, 5.0))
+        n, dim = img.values.size, profile_dim("component", spec, 2)
+        big = np.full((n, 2 * dim + 1), -1.0)
+        out = {
+            "narrow": big[:, :dim - 1],
+            "float32": np.full((n, dim), -1.0, dtype=np.float32),
+            "strided": big[:, :2 * dim:2],
+            "fortran": np.asfortranarray(np.full((n, dim), -1.0)),
+            "read-only": np.full((n, dim), -1.0),
+        }[bad]
+        out.setflags(write=bad != "read-only")
+        with pytest.raises(ValueError, match="out must be"):
+            build_fp(img, "component", spec, ["stddev", "area"], out=out)
+        assert np.all(out == -1.0) and np.all(big == -1.0)
+
+    def test_kernel_refuses_before_any_write(self):
+        img = RasterImage(np.arange(20).reshape(4, 5) % 7, levels=7)
+        tree = build_max_tree(img)
+        table = compute_attributes(tree, img)
+        n, npix = tree.node_count, img.values.size
+        good = dict(
+            parent=tree.parent.astype(np.int64),
+            masks=np.stack([filter_tree(tree, table, "area", lam, "min")
+                            for lam in (2.0, 5.0)]).view(np.uint8),
+            pixel_node=tree.pixel_node.astype(np.int32),
+            cols=np.array([[0, 1], [2, 3]], dtype=np.int64), stride=4)
+        tables = np.stack([tree.level, table.area.astype(np.float64)])
+
+        def call(**change):
+            a = {**good, **change}
+            out = np.full((npix, 4), -1.0)
+            status = _kernel().tp_ladder(
+                a["parent"], n, a["masks"], 2, a["pixel_node"], npix, tables,
+                2, a["cols"], out.ctypes.data, a["stride"], 4)
+            return status, out
+
+        status, out = call()
+        assert status == 0
+        assert out[:, 0].tolist() == tree.level[nearest_owner(
+            tree, good["masks"][0])].tolist()
+        loop = good["parent"].copy()
+        loop[1] = 1
+        unretained = good["masks"].copy()
+        unretained[1, 0] = 0
+        high, low = good["pixel_node"].copy(), good["pixel_node"].copy()
+        high[4] = n
+        low[0] = -1
+        for change in (dict(parent=loop), dict(masks=unretained),
+                       dict(pixel_node=high), dict(pixel_node=low),
+                       dict(cols=good["cols"] + 1), dict(stride=3)):
+            status, out = call(**change)
+            assert status == -3
+            assert np.all(out == -1.0)
+
+
+def nearest_owner(tree, mask):
+    """Each pixel's smallest retained node, one pixel at a time."""
+    owners = []
+    for node in tree.pixel_node:
+        while not mask[node]:
+            node = tree.parent[node]
+        owners.append(node)
+    return np.array(owners)
 
 
 class TestThresholdsBeyondImageArea:
