@@ -26,23 +26,15 @@
  * rows, in tree order, until a row's vote is settled.  tp_best_split and
  * tp_xorshift_fill expose the node search and the generator to the tests.
  *
- * The bootstrap is kept as a draw count (weight) per sample, and a node
- * holds each drawn sample once.  Class counts, rank counts, sorted-key
- * scans and leaf probabilities add the weights, which are exact integers,
- * so every count, every float and every model byte is the one a node
- * holding each copy would give.
- *
  * A node's search skips a candidate with one value on the whole training
  * set before any gather, then gathers each other candidate's ranks over the
- * node's distinct samples and skips a candidate constant there.  When the
- * node holds more than DENSE_MIN distinct samples whose ranks span at most
- * DENSE_SPAN ranks per distinct sample, it counts the weights per (rank,
- * class) and walks the ranks upward, with no sort; otherwise it sorts
- * (rank, class) keys, each with its weight beside it (rank, class and a
- * weight up to n need not fit one 64-bit key).  Either way it scores the
- * boundaries between consecutive distinct ranks in ascending order with the
- * same left class counts, so which way a node goes changes no float and no
- * model byte.
+ * node's samples and skips a candidate constant there.  When the node holds
+ * more than DENSE_MIN samples whose ranks span at most DENSE_SPAN ranks per
+ * sample, it counts the samples per (rank, class) and walks the ranks
+ * upward, with no sort; otherwise it sorts (rank, class) keys.  Either way
+ * it scores the boundaries between consecutive distinct ranks in ascending
+ * order with the same left class counts, so which way a node goes changes
+ * no float and no model byte.
  *
  * A settled row (see settled) stops voting: its lead can no longer be
  * overturned, so its label is the full sum's.  Rows not settled sum every
@@ -313,10 +305,10 @@ static int root_first(const int64_t *parent, int64_t n)
     return 1;
 }
 
-/* rows of an attribute table: 7 sums, then the minima and the maxima of
- * (gray, x, y) */
+/* rows of an attribute table: 7 sums, then the minimum and the maximum of
+ * the gray values */
 enum { A_AREA, A_SUM_X, A_SUM_Y, A_SUM_XX, A_SUM_YY, A_GRAY_SUM, A_GRAY_SQ,
-       A_LOW, A_HIGH = A_LOW + 3, A_ROWS = A_HIGH + 3 };
+       A_GRAY_MIN, A_GRAY_MAX, A_ROWS };
 
 /* The attribute table of an n-node tree over a width-wide image of gray
  * values gray[0, n_pixels): node i's direct pixels are pixels[offsets[i]],
@@ -324,16 +316,16 @@ enum { A_AREA, A_SUM_X, A_SUM_Y, A_SUM_XX, A_SUM_YY, A_GRAY_SUM, A_GRAY_SQ,
  * run is reduced, then every node i = n - 1, ..., 1 folds into parent[i],
  * so row j of out (A_ROWS rows of n int64, row-major) holds, per node, the
  * area, the sums of x, y, x*x, y*y, g and g*g (wrapping like numpy's
- * int64), the minima of g, x and y and their maxima over its whole
- * subtree.  A node without direct pixels starts from the
- * identities 0, INT64_MAX and -INT64_MAX.  Returns 0; or TP_BAD_INDEX,
- * before any write, for a parent array that is not root-first, offsets
- * that are not an ascending run of [0, n_run] or a pixel outside the
- * image. */
+ * int64) and the minimum and maximum of g over its whole subtree, and row
+ * i of bbox (n rows of 4 int64) node i's xmin, ymin, xmax and ymax.  A
+ * node without direct pixels starts from the identities 0, INT64_MAX and
+ * -INT64_MAX.  Returns 0; or TP_BAD_INDEX, before any write, for a parent
+ * array that is not root-first, offsets that are not an ascending run of
+ * [0, n_run] or a pixel outside the image. */
 int32_t tp_attributes(const int64_t *parent, int64_t n, const int64_t *pixels,
                       int64_t n_run, const int64_t *offsets,
                       const int64_t *gray, int64_t n_pixels, int64_t width,
-                      int64_t *out)
+                      int64_t *out, int64_t *bbox)
 {
     if (!root_first(parent, n) || width < 1 || offsets[0] != 0 ||
         offsets[n] > n_run)
@@ -348,7 +340,8 @@ int32_t tp_attributes(const int64_t *parent, int64_t n, const int64_t *pixels,
     for (int r = 0; r < A_ROWS; r++)
         row[r] = out + r * n;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t sum[A_LOW] = {0};
+        uint64_t sum[A_GRAY_MIN] = {0};
+        /* minima then maxima of (g, x, y) */
         int64_t lo[3] = {INT64_MAX, INT64_MAX, INT64_MAX};
         int64_t hi[3] = {-INT64_MAX, -INT64_MAX, -INT64_MAX};
         for (int64_t j = offsets[i]; j < offsets[i + 1]; j++) {
@@ -366,21 +359,28 @@ int32_t tp_attributes(const int64_t *parent, int64_t n, const int64_t *pixels,
                 hi[k] = v[k] > hi[k] ? v[k] : hi[k];
             }
         }
-        for (int r = 0; r < A_LOW; r++)
+        for (int r = 0; r < A_GRAY_MIN; r++)
             row[r][i] = (int64_t)sum[r];
-        for (int k = 0; k < 3; k++) {
-            row[A_LOW + k][i] = lo[k];
-            row[A_HIGH + k][i] = hi[k];
-        }
+        row[A_GRAY_MIN][i] = lo[0];
+        row[A_GRAY_MAX][i] = hi[0];
+        int64_t *box = bbox + 4 * i;
+        box[0] = lo[1];
+        box[1] = lo[2];
+        box[2] = hi[1];
+        box[3] = hi[2];
     }
     for (int64_t i = n - 1; i > 0; i--) {
         const int64_t p = parent[i];
-        for (int r = 0; r < A_LOW; r++)
+        for (int r = 0; r < A_GRAY_MIN; r++)
             row[r][p] = (int64_t)((uint64_t)row[r][p] + (uint64_t)row[r][i]);
-        for (int r = A_LOW; r < A_HIGH; r++)
-            row[r][p] = row[r][i] < row[r][p] ? row[r][i] : row[r][p];
-        for (int r = A_HIGH; r < A_ROWS; r++)
-            row[r][p] = row[r][i] > row[r][p] ? row[r][i] : row[r][p];
+        int64_t *lo[3] = {row[A_GRAY_MIN], bbox, bbox + 1};
+        int64_t *hi[3] = {row[A_GRAY_MAX], bbox + 2, bbox + 3};
+        const int64_t step[3] = {1, 4, 4};
+        for (int k = 0; k < 3; k++) {
+            const int64_t a = step[k] * i, b = step[k] * p;
+            lo[k][b] = lo[k][a] < lo[k][b] ? lo[k][a] : lo[k][b];
+            hi[k][b] = hi[k][a] > hi[k][b] ? hi[k][a] : hi[k][b];
+        }
     }
     return 0;
 }
@@ -491,28 +491,21 @@ static int bit_length(uint64_t v)
     return bits;
 }
 
-/* Ascending sort of m keys, each carrying its weight w[i]: insertion sort
- * for short runs, else an LSD radix sort over the low `bits` bits through
- * tmp and wtmp. */
-static void sort_keys(uint64_t *a, int32_t *w, uint64_t *tmp, int32_t *wtmp,
-                      int64_t m, int bits)
+/* Ascending sort of m keys: insertion sort for short runs, else an LSD
+ * radix sort over the low `bits` bits through tmp. */
+static void sort_keys(uint64_t *a, uint64_t *tmp, int64_t m, int bits)
 {
     if (m <= 32) {
         for (int64_t i = 1; i < m; i++) {
-            const uint64_t v = a[i];
-            const int32_t vw = w[i];
+            uint64_t v = a[i];
             int64_t j = i;
-            for (; j > 0 && a[j - 1] > v; j--) {
+            for (; j > 0 && a[j - 1] > v; j--)
                 a[j] = a[j - 1];
-                w[j] = w[j - 1];
-            }
             a[j] = v;
-            w[j] = vw;
         }
         return;
     }
     uint64_t *src = a, *dst = tmp;
-    int32_t *wsrc = w, *wdst = wtmp;
     for (int shift = 0; shift < bits; shift += 8) {
         int64_t start[257] = {0};
         for (int64_t i = 0; i < m; i++)
@@ -521,22 +514,14 @@ static void sort_keys(uint64_t *a, int32_t *w, uint64_t *tmp, int32_t *wtmp,
             continue;  /* one digit value: the pass would not move a key */
         for (int b = 0; b < 256; b++)
             start[b + 1] += start[b];
-        for (int64_t i = 0; i < m; i++) {
-            const int64_t to = start[(src[i] >> shift) & 255]++;
-            dst[to] = src[i];
-            wdst[to] = wsrc[i];
-        }
+        for (int64_t i = 0; i < m; i++)
+            dst[start[(src[i] >> shift) & 255]++] = src[i];
         uint64_t *t = src;
         src = dst;
         dst = t;
-        int32_t *wt = wsrc;
-        wsrc = wdst;
-        wdst = wt;
     }
-    if (src != a) {
+    if (src != a)
         memcpy(a, src, (size_t)m * sizeof *a);
-        memcpy(w, wsrc, (size_t)m * sizeof *w);
-    }
 }
 
 typedef struct {
@@ -545,15 +530,13 @@ typedef struct {
     const double *level;
     const int32_t *n_levels;  /* distinct values of each feature */
     const int32_t *y;
-    const int32_t *weight;    /* bootstrap draws of each sample */
     int64_t n;
     int32_t n_features, n_classes;
     int class_bits, key_bits;
 } Data;
 
 typedef struct {
-    uint64_t *keys, *tmp;   /* md sort keys each */
-    int32_t *wts, *wtmp;    /* the keys' weights */
+    uint64_t *keys, *tmp;   /* m sort keys each */
     int32_t *count;         /* n * n_classes: per (rank - rmin, class) */
     int32_t *at_rank;       /* n: samples per rank - rmin */
     int64_t *total, *left;  /* class counts of the node and of a left side */
@@ -567,39 +550,34 @@ typedef struct {
 
 static Data make_data(const double *x, const int32_t *rank,
                       const double *level, const int32_t *n_levels,
-                      const int32_t *y, const int32_t *weight, int64_t n,
-                      int32_t n_features, int32_t n_classes)
+                      const int32_t *y, int64_t n, int32_t n_features,
+                      int32_t n_classes)
 {
-    Data d = {x, rank, level, n_levels, y, weight, n, n_features, n_classes,
-              0, 0};
+    Data d = {x, rank, level, n_levels, y, n, n_features, n_classes, 0, 0};
     d.class_bits = bit_length((uint64_t)n_classes - 1);
     d.key_bits = d.class_bits + bit_length((uint64_t)n - 1);
     return d;
 }
 
-/* buffers for nodes of up to md distinct of the n samples; the count
- * tables start zeroed and every search leaves them so */
-static int work_alloc(Work *w, int64_t md, int64_t n, int32_t n_classes)
+/* buffers for nodes of up to m of the n samples; the count tables start
+ * zeroed and every search leaves them so */
+static int work_alloc(Work *w, int64_t m, int64_t n, int32_t n_classes)
 {
-    w->keys = malloc((size_t)md * sizeof *w->keys + 1);
-    w->tmp = malloc((size_t)md * sizeof *w->tmp + 1);
-    w->wts = malloc((size_t)md * sizeof *w->wts + 1);
-    w->wtmp = malloc((size_t)md * sizeof *w->wtmp + 1);
+    w->keys = malloc((size_t)m * sizeof *w->keys + 1);
+    w->tmp = malloc((size_t)m * sizeof *w->tmp + 1);
     w->count = calloc((size_t)n * (size_t)n_classes, sizeof *w->count);
     w->at_rank = calloc((size_t)n, sizeof *w->at_rank);
     w->total = malloc((size_t)n_classes * sizeof *w->total);
     w->left = malloc((size_t)n_classes * sizeof *w->left);
     w->sq = malloc((size_t)n_classes * sizeof *w->sq);
-    return w->keys && w->tmp && w->wts && w->wtmp && w->count &&
-           w->at_rank && w->total && w->left && w->sq;
+    return w->keys && w->tmp && w->count && w->at_rank && w->total &&
+           w->left && w->sq;
 }
 
 static void work_free(Work *w)
 {
     free(w->keys);
     free(w->tmp);
-    free(w->wts);
-    free(w->wtmp);
     free(w->count);
     free(w->at_rank);
     free(w->total);
@@ -638,26 +616,23 @@ static void score(const Data *d, Work *w, int64_t nl_count, int64_t m,
     }
 }
 
-/* ranks are counted, in O(md + span), on nodes of more than DENSE_MIN
- * distinct samples whose ranks span at most DENSE_SPAN ranks per distinct
- * sample, and sorted on all others */
+/* ranks are counted, in O(m + span), on nodes of more than DENSE_MIN
+ * samples whose ranks span at most DENSE_SPAN ranks per sample, and sorted
+ * on all others */
 #define DENSE_MIN 16
 #define DENSE_SPAN 4
 
-/* Best Gini split of the node holding the md distinct samples
- * samples[0, md), m samples with their bootstrap weights, whose class
- * counts are in w->total.  A candidate with one value on the whole training
- * set is skipped before its gather.  Each other candidate's boundaries
- * between consecutive distinct ranks are scored in ascending rank order,
- * counted or sorted, with weighted left counts; the first minimum of the
- * weighted Gini in (candidate in draw order, rank) order wins.  Returns the
- * winner's index in cands, or -1 when every candidate is constant on the
- * node.  The threshold is the midpoint of the two values around the split,
- * or the lower value when the midpoint rounds or overflows out of [lower,
- * upper). */
-static int best_split(const Data *d, const int32_t *samples, int64_t md,
-                      int64_t m, const int32_t *cands, int32_t k, Work *w,
-                      double *thr)
+/* Best Gini split of the node holding samples[0, m), whose class counts are
+ * in w->total.  A candidate with one value on the whole training set is
+ * skipped before its gather.  Each other candidate's boundaries between
+ * consecutive distinct ranks are scored in ascending rank order, counted or
+ * sorted; the first minimum of the weighted Gini in (candidate in draw
+ * order, rank) order wins.  Returns the winner's index in cands, or -1 when
+ * every candidate is constant on the node.  The threshold is the midpoint
+ * of the two values around the split, or the lower value when the midpoint
+ * rounds or overflows out of [lower, upper). */
+static int best_split(const Data *d, const int32_t *samples, int64_t m,
+                      const int32_t *cands, int32_t k, Work *w, double *thr)
 {
     const int cb = d->class_bits;
     const uint64_t class_mask = ((uint64_t)1 << cb) - 1;
@@ -668,24 +643,24 @@ static int best_split(const Data *d, const int32_t *samples, int64_t md,
             continue;  /* constant on the whole set: no boundary anywhere */
         const int32_t *rank = d->rank + (int64_t)cands[c] * d->n;
         const double *level = d->level + (int64_t)cands[c] * d->n;
-        int32_t rmin = INT32_MAX, rmax = -1;
-        for (int64_t i = 0; i < md; i++) {
-            const int32_t s = samples[i], r = rank[s];
-            w->keys[i] = (uint64_t)r << cb | (uint64_t)d->y[s];
-            w->wts[i] = d->weight[s];
-            rmin = r < rmin ? r : rmin;
-            rmax = r > rmax ? r : rmax;
+        uint64_t kmin = UINT64_MAX, kmax = 0;
+        for (int64_t i = 0; i < m; i++) {
+            const uint64_t key = (uint64_t)rank[samples[i]] << cb
+                                 | (uint64_t)d->y[samples[i]];
+            w->keys[i] = key;
+            kmin = key < kmin ? key : kmin;
+            kmax = key > kmax ? key : kmax;
         }
+        const uint64_t rmin = kmin >> cb, rmax = kmax >> cb;
         if (rmin >= rmax)
             continue;  /* constant on the node (or no samples): no boundary */
         memset(w->left, 0, (size_t)n_classes * sizeof *w->left);
-        const uint64_t span = (uint64_t)(rmax - rmin) + 1;
-        if (md > DENSE_MIN && span <= DENSE_SPAN * (uint64_t)md) {
-            for (int64_t i = 0; i < md; i++) {
-                const uint64_t r = (w->keys[i] >> cb) - (uint64_t)rmin;
-                w->count[r * (uint64_t)n_classes + (w->keys[i] & class_mask)]
-                    += w->wts[i];
-                w->at_rank[r] += w->wts[i];
+        const uint64_t span = rmax - rmin + 1;
+        if (m > DENSE_MIN && span <= DENSE_SPAN * (uint64_t)m) {
+            for (int64_t i = 0; i < m; i++) {
+                const uint64_t r = (w->keys[i] >> cb) - rmin;
+                w->count[r * (uint64_t)n_classes + (w->keys[i] & class_mask)]++;
+                w->at_rank[r]++;
             }
             int64_t nl = 0;
             uint64_t prev = 0;
@@ -705,14 +680,12 @@ static int best_split(const Data *d, const int32_t *samples, int64_t md,
             }
             continue;
         }
-        sort_keys(w->keys, w->wts, w->tmp, w->wtmp, md, d->key_bits);
-        int64_t nl = 0;
-        for (int64_t p = 0; p + 1 < md; p++) {
-            w->left[w->keys[p] & class_mask] += w->wts[p];
-            nl += w->wts[p];
+        sort_keys(w->keys, w->tmp, m, d->key_bits);
+        for (int64_t p = 0; p + 1 < m; p++) {
+            w->left[w->keys[p] & class_mask]++;
             uint64_t r = w->keys[p] >> cb, r_next = w->keys[p + 1] >> cb;
             if (r != r_next)
-                score(d, w, nl, m, c, level, r, r_next, &best);
+                score(d, w, p + 1, m, c, level, r, r_next, &best);
         }
     }
     if (best.cand >= 0) {
@@ -722,22 +695,15 @@ static int best_split(const Data *d, const int32_t *samples, int64_t md,
     return best.cand;
 }
 
-/* weighted class counts of the md distinct samples into total; returns
- * their weighted size */
-static int64_t count_classes(const Data *d, const int32_t *samples,
-                             int64_t md, int64_t *total)
+static void count_classes(const Data *d, const int32_t *samples, int64_t m,
+                          int64_t *total)
 {
     memset(total, 0, (size_t)d->n_classes * sizeof *total);
-    int64_t m = 0;
-    for (int64_t i = 0; i < md; i++) {
-        total[d->y[samples[i]]] += d->weight[samples[i]];
-        m += d->weight[samples[i]];
-    }
-    return m;
+    for (int64_t i = 0; i < m; i++)
+        total[d->y[samples[i]]]++;
 }
 
-/* The search of the node holding samples[0, m), repeats allowed: each
- * distinct sample is searched once, weighted by its repeats.  Returns
+/* The search of the node holding samples[0, m), repeats allowed.  Returns
  * best_split's result, TP_BAD_INDEX for a sample outside [0, n) or
  * TP_NO_MEMORY. */
 int32_t tp_best_split(const double *x, const int32_t *rank,
@@ -749,23 +715,15 @@ int32_t tp_best_split(const double *x, const int32_t *rank,
     for (int64_t i = 0; i < m; i++)
         if (samples[i] < 0 || samples[i] >= n)
             return TP_BAD_INDEX;
-    int32_t *weight = calloc((size_t)n + 1, sizeof *weight);
-    int32_t *distinct = malloc((size_t)m * sizeof *distinct + 1);
-    Data d = make_data(x, rank, level, n_levels, y, weight, n, n_features,
+    Data d = make_data(x, rank, level, n_levels, y, n, n_features,
                        n_classes);
     Work w;
     int32_t best = TP_NO_MEMORY;
-    if (work_alloc(&w, m, n, n_classes) && weight && distinct) {
-        int64_t md = 0;
-        for (int64_t i = 0; i < m; i++)
-            if (!weight[samples[i]]++)
-                distinct[md++] = samples[i];
-        count_classes(&d, distinct, md, w.total);
-        best = best_split(&d, distinct, md, m, cands, k, &w, thr);
+    if (work_alloc(&w, m, n, n_classes)) {
+        count_classes(&d, samples, m, w.total);
+        best = best_split(&d, samples, m, cands, k, &w, thr);
     }
     work_free(&w);
-    free(weight);
-    free(distinct);
     return best;
 }
 
@@ -795,27 +753,19 @@ static int32_t new_node(Nodes *t)
     return (int32_t)id;
 }
 
-/* Draws the bootstrap into weight (d->weight), then grows the tree over
- * its distinct samples. */
-static int64_t grow(const Data *d, int32_t *weight, int32_t mtry,
-                    uint64_t *state, Nodes *t, Work *w, int32_t *samples,
-                    int32_t *pool, Pending *stack)
+static int64_t grow(const Data *d, int32_t mtry, uint64_t *state, Nodes *t,
+                    Work *w, int32_t *samples, int32_t *pool, Pending *stack)
 {
     const int64_t n = d->n;
-    memset(weight, 0, (size_t)n * sizeof *weight);
     for (int64_t j = 0; j < n; j++)
-        weight[next_u64(state) % (uint64_t)n]++;
-    int64_t distinct = 0;
-    for (int64_t s = 0; s < n; s++)
-        if (weight[s])
-            samples[distinct++] = (int32_t)s;
+        samples[j] = (int32_t)(next_u64(state) % (uint64_t)n);
     int64_t depth = 0;
-    stack[depth++] = (Pending){new_node(t), 0, distinct};
+    stack[depth++] = (Pending){new_node(t), 0, n};
     while (depth > 0) {
         Pending node = stack[--depth];
         int32_t *s = samples + node.start;
-        const int64_t md = node.end - node.start;
-        const int64_t m = count_classes(d, s, md, w->total);
+        int64_t m = node.end - node.start;
+        count_classes(d, s, m, w->total);
         int32_t present = 0;
         for (int32_t c = 0; c < d->n_classes; c++)
             present += w->total[c] > 0;
@@ -831,7 +781,7 @@ static int64_t grow(const Data *d, int32_t *weight, int32_t mtry,
                 pool[i] = pool[j];
                 pool[j] = swap;
             }
-            best = best_split(d, s, md, m, pool, mtry, w, &thr);
+            best = best_split(d, s, m, pool, mtry, w, &thr);
         }
         if (best < 0) {
             double *row = t->probs + (int64_t)node.node * d->n_classes;
@@ -840,7 +790,7 @@ static int64_t grow(const Data *d, int32_t *weight, int32_t mtry,
             continue;
         }
         const double *values = d->x + (int64_t)pool[best] * n;
-        int64_t lo = 0, hi = md;
+        int64_t lo = 0, hi = m;
         while (lo < hi) {  /* samples at or below thr to the front */
             if (values[s[lo]] <= thr) {
                 lo++;
@@ -875,8 +825,7 @@ int64_t tp_grow_tree(const double *x, const int32_t *rank,
                      int32_t *feature, double *threshold, int32_t *left,
                      int32_t *right, double *probs, int64_t cap)
 {
-    int32_t *weight = malloc((size_t)n * sizeof *weight + 1);
-    Data d = make_data(x, rank, level, n_levels, y, weight, n, n_features,
+    Data d = make_data(x, rank, level, n_levels, y, n, n_features,
                        n_classes);
     Nodes t = {feature, left, right, threshold, probs, n_classes, 0, cap};
     Work w;
@@ -884,12 +833,10 @@ int64_t tp_grow_tree(const double *x, const int32_t *rank,
     int32_t *pool = malloc((size_t)n_features * sizeof *pool);
     Pending *stack = malloc((size_t)n * sizeof *stack);
     int64_t result = TP_NO_MEMORY;
-    if (work_alloc(&w, n, n, n_classes) && weight && samples && pool && stack)
+    if (work_alloc(&w, n, n, n_classes) && samples && pool && stack)
         result = cap < 1 ? TP_CAPACITY
-                         : grow(&d, weight, mtry, state, &t, &w, samples,
-                                pool, stack);
+                         : grow(&d, mtry, state, &t, &w, samples, pool, stack);
     work_free(&w);
-    free(weight);
     free(samples);
     free(pool);
     free(stack);
@@ -950,8 +897,8 @@ static int check_tree(int64_t size, int32_t n_features, int32_t n_classes,
  * own addition by u 2S; together under 2 (R + 2) u 2 (V + S), less than a
  * quarter of the allowance, which leaves room for the higher-order terms.
  * So a settled row's full float sums keep l strictly ahead, and its label
- * is the one the full sum gives.  A margin at or
- * below the bound never settles, and non-finite bounds never do. */
+ * is the one the full sum gives.  A margin at or below the bound never
+ * settles, and non-finite bounds never do. */
 static int settled(const double *v, int32_t n_classes, double spread_left,
                    double mag_left, int32_t trees_left)
 {
@@ -982,15 +929,15 @@ int32_t tp_forest_votes(const double *x, int64_t rows, int32_t n_features,
                         const int32_t *right, const double *probs,
                         double *votes, int32_t *summed)
 {
-    double *spread = malloc(3 * ((size_t)n_trees + 1) * sizeof *spread);
+    double *spread = malloc(2 * ((size_t)n_trees + 1) * sizeof *spread);
     int64_t *active = malloc((size_t)rows * sizeof *active + 1);
     if (!spread || !active) {
         free(spread);
         free(active);
         return TP_NO_MEMORY;
     }
-    /* spread and mag become suffix sums, so_far spread's prefix sums */
-    double *mag = spread + n_trees + 1, *so_far = mag + n_trees + 1;
+    /* spread and mag become suffix sums */
+    double *mag = spread + n_trees + 1;
     spread[n_trees] = mag[n_trees] = 0.0;
     for (int32_t t = 0; t < n_trees; t++) {
         const int64_t base = offset[t];
@@ -1002,8 +949,6 @@ int32_t tp_forest_votes(const double *x, int64_t rows, int32_t n_features,
             return t + 1;
         }
     }
-    for (int32_t t = 0; t < n_trees; t++)
-        so_far[t] = spread[t] + (t ? so_far[t - 1] : 0.0);
     for (int32_t t = n_trees - 1; t >= 0; t--) {
         spread[t] += spread[t + 1];
         mag[t] += mag[t + 1];
@@ -1028,10 +973,12 @@ int32_t tp_forest_votes(const double *x, int64_t rows, int32_t n_features,
             for (int32_t c = 0; c < n_classes; c++)
                 v[c] += p[c];
         }
-        /* no lead exceeds the spread summed so far (up to rounding), so
-         * no row settles before that passes the spread left; a check
-         * skipped or failed only means more trees are summed */
-        if (t + 1 == n_trees || n_classes < 2 || so_far[t] < spread[t + 1])
+        /* the lead of a row over any class is at most the spread of the
+         * trees summed so far, spread[0] - spread[t + 1] up to rounding,
+         * so no row settles while that is below the spread left; a check
+         * skipped only means more trees are summed */
+        if (t + 1 == n_trees || n_classes < 2 ||
+            spread[0] - spread[t + 1] < spread[t + 1])
             continue;
         int64_t kept = 0;
         for (int64_t a = 0; a < n_active; a++) {

@@ -47,7 +47,8 @@ _SIGNATURES = {
     "tp_paint_shapes": (_K, [_I8, _N, _I8, _I8, _I8, _N, _I4, _N, _I4]),
     "tp_accumulate": (_K, [_I8, _N, _I8, _N, _K]),
     "tp_propagate": (_K, [_I8, _N, _I8, _N, _K]),
-    "tp_attributes": (_K, [_I8, _N, _I8, _N, _I8, _I8, _N, _N, _I8]),
+    "tp_attributes": (_K, [_I8, _N, _I8, _N, _I8, _I8, _N, _N, _I8,
+                           _I8]),
     "tp_ladder": (_K, [_I8, _N, _B1, _N, _I4, _N, _F8, _N, _I8, _P, _N, _N]),
     "tp_grow_tree": (_N, [_F8, _I4, _F8, _I4, _I4, _N, _K, _K, _K, _U8,
                           _I4, _F8, _I4, _I4, _F8, _N]),

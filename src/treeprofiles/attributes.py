@@ -58,19 +58,20 @@ def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
     gray = np.ascontiguousarray(image.values.ravel(), dtype=np.int64)
     if len(offsets) != n + 1:
         raise DataError("attached pixel offsets do not match the tree")
-    # rows: area, sums of x, y, x*x, y*y, g, g*g, then the minima and the
-    # maxima of g, x and y
-    rows = np.empty((13, n), dtype=np.int64)
+    # rows: area, sums of x, y, x*x, y*y, g, g*g, then the minimum and the
+    # maximum of g; the bounding box is its own (n, 4) block
+    rows = np.empty((9, n), dtype=np.int64)
+    bbox = np.empty((n, 4), dtype=np.int64)
     if _kernel().tp_attributes(parent, n, pixels, len(pixels), offsets, gray,
-                               len(gray), tree.width, rows):
+                               len(gray), tree.width, rows, bbox):
         raise DataError("tree is not root-first or its attached pixels "
                         "are out of range")
     (area, sum_x, sum_y, sum_xx, sum_yy, gray_sum, gray_sum_sq,
-     gray_min, xmin, ymin, gray_max, xmax, ymax) = rows
+     gray_min, gray_max) = rows
     return AttributeTable(
         area=area, sum_x=sum_x, sum_y=sum_y, sum_xx=sum_xx, sum_yy=sum_yy,
         gray_sum=gray_sum, gray_sum_sq=gray_sum_sq, gray_min=gray_min,
-        gray_max=gray_max, bbox=np.stack([xmin, ymin, xmax, ymax], axis=1),
+        gray_max=gray_max, bbox=bbox,
     )
 
 

@@ -18,15 +18,11 @@ The bootstrap, the per-node feature draws, the split search and the vote sum
 of :func:`predict` run in the package's native kernel (see
 :mod:`treeprofiles._native`), which performs the numpy reference's
 floating-point operations one for one (``tests/oracles.py``), so the model
-bytes are the reference's.  The bootstrap is held as a draw count per
-sample: a node holds each drawn sample once, and its class counts, split
-scans and leaf probabilities add the counts, exact integers, so each count
-and float is the one the copies would give.  Each feature is ranked once
-per forest, and a feature with one value on the whole training set is
-skipped without a look at the node's samples.  A node searches a candidate
-by counting its samples per (rank, class) when their ranks are dense on
-the node (more than 16 distinct samples, at most four ranks per distinct
-sample), and by sorting them otherwise.  Both visit the same boundaries in
+bytes are the reference's.  Each feature is ranked once per forest, and a
+feature with one value on the whole training set is skipped without a look
+at the node's samples.  A node searches a candidate by counting its samples
+per (rank, class) when their ranks are dense on the node (more than 16
+samples, at most four ranks per sample), and by sorting them otherwise.  Both visit the same boundaries in
 ascending order with the same class counts, so the Gini values, the
 first-minimum tie rule and the model bytes do not depend on the branch.
 
@@ -192,13 +188,12 @@ def train_forest(
 # Prediction
 # ---------------------------------------------------------------------------
 
-def _votes(model: ForestModel, x: np.ndarray,
-           summed: np.ndarray | None = None) -> np.ndarray:
+def _votes(model: ForestModel,
+           x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, n_classes) sums of the trees' leaf probabilities, added in
-    tree order, one thread per block of rows.  A row stops once its vote is
-    settled (see ``predict``), so its sum covers the forest's first trees
-    only; with ``summed``, an int32 array of one entry per row, the kernel
-    writes there how many."""
+    tree order, one thread per block of rows, and per row the number of
+    trees summed: a row stops once its vote is settled (see ``predict``),
+    so its sum covers the forest's first trees only."""
     trees = model.trees
     offset = np.cumsum([0] + [len(t.feature) for t in trees], dtype=np.int64)
 
@@ -216,10 +211,7 @@ def _votes(model: ForestModel, x: np.ndarray,
     arrays = (offset, flat("feature", np.int32), flat("threshold", np.float64),
               flat("left", np.int32), flat("right", np.int32), probs)
     votes = np.zeros((len(x), model.n_classes))
-    if summed is None:
-        summed = np.empty(len(x), dtype=np.int32)
-    elif summed.shape != (len(x),):
-        raise ValueError(f"summed must hold one entry per row ({len(x)})")
+    summed = np.empty(len(x), dtype=np.int32)
     blocks = max(1, min(_usable_cpus(), len(x)))
 
     def block(k: int) -> int:
@@ -234,7 +226,7 @@ def _votes(model: ForestModel, x: np.ndarray,
         raise MemoryError("forest kernel: out of memory")
     if any(status):  # every block checks every tree, so all name the first
         raise DataError(f"tree {min(status) - 1} of the model is malformed")
-    return votes
+    return votes, summed
 
 
 def predict(model: ForestModel, x: np.ndarray) -> np.ndarray:
@@ -256,7 +248,7 @@ def predict(model: ForestModel, x: np.ndarray) -> np.ndarray:
             f"model ({model.n_features})"
         )
     _check_finite(x, "prediction")
-    return model.classes[np.argmax(_votes(model, x), axis=1)]
+    return model.classes[np.argmax(_votes(model, x)[0], axis=1)]
 
 
 # ---------------------------------------------------------------------------

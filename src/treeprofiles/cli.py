@@ -254,23 +254,13 @@ class _StackCache:
         self.stacks[key] = stack
         return stack
 
-    def _keys(self, kind: str, mode: str, attrs) -> list[tuple]:
-        """Per-band, per-attribute stack keys in column order."""
-        return [(band_i, kind, mode, attr)
-                for band_i in range(len(self.bands)) for attr in attrs]
-
-    def stacks_for(self, kind: str, mode: str,
-                   attrs: list[str]) -> list[ProfileStack]:
-        """Per-band, per-attribute stacks in column order."""
-        return [self._stack(*key) for key in self._keys(kind, mode, attrs)]
-
     def matrix(self, kinds: list[str], modes: list[str],
                attrs: list[str]) -> ProfileStack:
-        """The stacks of every (family, mode) side by side, in the column
-        order of ``stacks_for``, each written into its own column slice of
-        one preallocated matrix."""
-        keys = [key for kind in kinds for mode in modes
-                for key in self._keys(kind, mode, attrs)]
+        """The stacks of every (family, mode) side by side, per band and
+        then per attribute within each, each written into its own column
+        slice of one preallocated matrix."""
+        keys = [(band_i, kind, mode, attr) for kind in kinds for mode in modes
+                for band_i in range(len(self.bands)) for attr in attrs]
         dims = [profile_dim(kind, _spec_for(self.args, self.bands[band_i],
                                             attr),
                             1 if mode == "ap" else len(self.features))
@@ -408,8 +398,7 @@ def cmd_compare(args) -> int:
         for mode in ("ap", "fp"):
             cells = {}
             for header, attrs in zip(_COMPARE_HEADERS, _COMPARE_ATTR_SETS):
-                matrix = ProfileStack.concat(
-                    cache.stacks_for(kind, mode, attrs)).data
+                matrix = cache.matrix([kind], [mode], attrs).data
                 _, _, oa, kappa = _fit_eval(matrix, train, test,
                                             args.rf_trees, args.seed)
                 cells[header] = {"oa": round(float(oa), 6),

@@ -202,14 +202,16 @@ class TestAttributesKernel:
 
         def call(**change):
             arrays = {**good, **change}
-            out = np.full((13, n), 7, dtype=np.int64)
+            out = np.full((9, n), 7, dtype=np.int64)
+            bbox = np.full((n, 4), 7, dtype=np.int64)
             status = _kernel().tp_attributes(
                 arrays["parent"], n, arrays["pixels"], len(arrays["pixels"]),
-                arrays["offsets"], gray, len(gray), img.width, out)
-            return status, out
+                arrays["offsets"], gray, len(gray), img.width, out, bbox)
+            return status, out, bbox
 
-        status, out = call()
+        status, out, bbox = call()
         assert status == 0 and out[0, 0] == 12
+        assert bbox[0].tolist() == [0, 0, 3, 2]
         parent_loop, parent_root = good["parent"].copy(), good["parent"].copy()
         parent_loop[-1] = n - 1
         parent_root[0] = 1
@@ -222,9 +224,9 @@ class TestAttributesKernel:
         for change in (dict(parent=parent_loop), dict(parent=parent_root),
                        dict(pixels=pixel_high), dict(pixels=pixel_low),
                        dict(offsets=descending), dict(offsets=past_end)):
-            status, out = call(**change)
+            status, out, bbox = call(**change)
             assert status == -3
-            assert np.all(out == 7)
+            assert np.all(out == 7) and np.all(bbox == 7)
 
     def test_non_topological_tree_is_a_data_error(self):
         from treeprofiles import Tree, TreeKind

@@ -181,11 +181,10 @@ class TestTraining:
 
 
 class TestSplitSearchBranches:
-    """A node's ranks are counted when they span at most 4 ranks per
-    distinct sample of a node of more than 16 distinct samples, and sorted
-    otherwise; both give the per-feature scan's split.  Nodes here are
-    subsets of a larger training set, so their ranks are sparse or dense on
-    the node."""
+    """A node's ranks are counted when they span at most 4 ranks per sample
+    of a node of more than 16, and sorted otherwise; both give the
+    per-feature scan's split.  Nodes here are subsets of a larger training
+    set, so their ranks are sparse or dense on the node."""
 
     @staticmethod
     def check(x, y, n_classes, samples, cands):
@@ -253,9 +252,9 @@ class TestSplitSearchBranches:
         self.check(x, y, 12, samples, [1, 2, 0])
 
 
-class TestWeightedBootstrap:
-    """A node holds each drawn sample once with its draw count; the trees
-    are the ones grown over every copy."""
+class TestRepeatedSamples:
+    """A bootstrap draws samples with repeats; every copy counts in the
+    node's class counts and split scans, as in the reference."""
 
     def test_tiny_duplicated_bootstraps(self, rng):
         # n draws from n <= 8 samples: most samples are drawn 0 or 2+ times
@@ -277,10 +276,9 @@ class TestWeightedBootstrap:
 
     @pytest.mark.parametrize("repeats", [1, 40, 70000])
     @pytest.mark.parametrize("values", [20, 100000])  # counted, sorted
-    def test_weights_beyond_any_bit_field(self, rng, repeats, values):
-        # weights travel beside the sort keys, not inside them, so a sample
-        # drawn 70,000 times needs no bits beside its rank and class: it
-        # scores like 70,000 copies
+    def test_many_copies_of_a_sample(self, rng, repeats, values):
+        # a node of up to 70,000 copies of two samples, through both scan
+        # branches
         n, n_classes = 300, 3
         for _ in range(8):
             x = rng.integers(0, values, size=(n, 3)) * 0.5
@@ -316,9 +314,8 @@ class TestSettledVotes:
     def votes(trees, rows=3):
         model = ForestModel(trees=trees, classes=np.arange(1, 1 + len(
             trees[0].probs[0])), n_features=1, seed=0)
-        summed = np.full(rows, -1, dtype=np.int32)
         x = np.zeros((rows, 1))
-        got = classifier._votes(model, x, summed)
+        got, summed = classifier._votes(model, x)
         return got, summed, predict(model, x)
 
     def test_margin_at_the_bound_sums_every_tree(self):
@@ -355,8 +352,7 @@ class TestSettledVotes:
         x, y = fp_training_set()
         model = train_forest(x, y, n_trees=30, seed=4)
         probe = np.vstack([x, x + rng.normal(size=x.shape) * x.std(axis=0)])
-        summed = np.empty(len(probe), dtype=np.int32)
-        classifier._votes(model, probe, summed)
+        _, summed = classifier._votes(model, probe)
         full = sum(oracles.tree_probs(t.feature, t.threshold, t.left,
                                       t.right, t.probs, probe)
                    for t in model.trees)
@@ -426,7 +422,8 @@ class TestPredict:
         votes, labels = [], []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(classifier, "_usable_cpus", lambda c=cpus: c)
-            votes.append(classifier._votes(model, probe).tobytes())
+            votes.append([a.tobytes()
+                          for a in classifier._votes(model, probe)])
             labels.append(predict(model, probe))
         assert votes[0] == votes[1] == votes[2]
         assert all(np.array_equal(labels[0], got) for got in labels[1:])
@@ -600,8 +597,7 @@ class TestKernelMatchesReference:
             y[:2] = [0, 1]  # at least two classes
             model = train_forest(x, y, n_trees=7, seed=int(rng.integers(99)))
             probe = np.vstack([x, x + rng.normal(size=x.shape)])
-            summed = np.full(len(probe), -1, dtype=np.int32)
-            got = classifier._votes(model, probe, summed)
+            got, summed = classifier._votes(model, probe)
             want = np.zeros((len(probe), model.n_classes))
             full = np.zeros_like(want)
             for i, t in enumerate(model.trees):
