@@ -10,13 +10,13 @@
  * Tree traversal.  tp_accumulate folds per-node values child to parent and
  * tp_propagate parent to child (hierarchies.accumulate and propagate), each
  * in one sweep over the node ids of a root-first parent array.  The same
- * sweeps build a tree's attribute table in one call (tp_attributes, for
- * attributes.compute_attributes) and write a filter ladder's columns
- * (tp_ladder, for profiles._profile): every owner under k retain masks in
- * one root-first sweep, then each pixel's table values copied into the
- * caller's matrix.  Integer sums wrap in uint64 as numpy's int64 does, and
- * sums, minima, maxima and copies are exact in any order, so both give the
- * bytes of the numpy folds and gathers they replace.
+ * sweeps build a tree's attribute table in one call from its pixel-to-node
+ * map (tp_attributes, for attributes.compute_attributes) and write a filter
+ * ladder's columns (tp_ladder, for profiles._profile): every owner under k
+ * retain masks in one root-first sweep, then each pixel's table values
+ * copied into the caller's matrix.  Integer sums wrap in uint64 as numpy's
+ * int64 does, and sums, minima, maxima and copies are exact in any order,
+ * so both give the bytes of the numpy scatters, folds and gathers.
  *
  * Random forest (classifier).  tp_grow_tree grows one CART tree: it draws
  * the bootstrap resample, then grows nodes in preorder (left subtree
@@ -46,9 +46,10 @@
  * numpy's pairwise summation, and nothing may be fused into a multiply-add,
  * so build with -ffp-contract=off.
  *
- * Feature data is feature-major: x[f * n + s] is the value of feature f for
- * training sample s, rank[f * n + s] its dense rank among the distinct
- * values of feature f, and level[f * n + r] the value of rank r.
+ * Training data is feature-major: rank[f * n + s] is the dense rank of
+ * sample s's value of feature f among the distinct values of feature f, and
+ * level[f * n + r] the value of rank r.  The search and the routing of
+ * samples read ranks only; levels give the thresholds.
  */
 
 #include <math.h>
@@ -310,69 +311,68 @@ static int root_first(const int64_t *parent, int64_t n)
 enum { A_AREA, A_SUM_X, A_SUM_Y, A_SUM_XX, A_SUM_YY, A_GRAY_SUM, A_GRAY_SQ,
        A_GRAY_MIN, A_GRAY_MAX, A_ROWS };
 
+/* *to += v, wrapping like numpy's int64 */
+static void add(int64_t *to, uint64_t v)
+{
+    *to = (int64_t)((uint64_t)*to + v);
+}
+
 /* The attribute table of an n-node tree over a width-wide image of gray
- * values gray[0, n_pixels): node i's direct pixels are pixels[offsets[i]],
- * ..., pixels[offsets[i + 1] - 1] of the n_run listed ones.  Each node's
- * run is reduced, then every node i = n - 1, ..., 1 folds into parent[i],
- * so row j of out (A_ROWS rows of n int64, row-major) holds, per node, the
+ * values gray[0, n_pixels), whose pixel p sits directly in node
+ * pixel_node[p].  Every node starts from the identities (0 for the sums,
+ * INT64_MAX for the minima, -INT64_MAX for the maxima), each pixel is added
+ * into its node, then every node i = n - 1, ..., 1 folds into parent[i].
+ * So row j of out (A_ROWS rows of n int64, row-major) holds, per node, the
  * area, the sums of x, y, x*x, y*y, g and g*g (wrapping like numpy's
  * int64) and the minimum and maximum of g over its whole subtree, and row
- * i of bbox (n rows of 4 int64) node i's xmin, ymin, xmax and ymax.  A
- * node without direct pixels starts from the identities 0, INT64_MAX and
- * -INT64_MAX.  Returns 0; or TP_BAD_INDEX, before any write, for a parent
- * array that is not root-first, offsets that are not an ascending run of
- * [0, n_run] or a pixel outside the image. */
-int32_t tp_attributes(const int64_t *parent, int64_t n, const int64_t *pixels,
-                      int64_t n_run, const int64_t *offsets,
-                      const int64_t *gray, int64_t n_pixels, int64_t width,
-                      int64_t *out, int64_t *bbox)
+ * i of bbox (n rows of 4 int64) node i's xmin, ymin, xmax and ymax.
+ * Returns 0; or TP_BAD_INDEX, before any write, for a parent array that is
+ * not root-first or a pixel_node entry outside [0, n). */
+int32_t tp_attributes(const int64_t *parent, int64_t n,
+                      const int32_t *pixel_node, const int64_t *gray,
+                      int64_t n_pixels, int64_t width, int64_t *out,
+                      int64_t *bbox)
 {
-    if (!root_first(parent, n) || width < 1 || offsets[0] != 0 ||
-        offsets[n] > n_run)
+    if (!root_first(parent, n) || width < 1)
         return TP_BAD_INDEX;
-    for (int64_t i = 0; i < n; i++)
-        if (offsets[i + 1] < offsets[i])
-            return TP_BAD_INDEX;
-    for (int64_t j = 0; j < offsets[n]; j++)
-        if (pixels[j] < 0 || pixels[j] >= n_pixels)
+    for (int64_t p = 0; p < n_pixels; p++)
+        if (pixel_node[p] < 0 || pixel_node[p] >= n)
             return TP_BAD_INDEX;
     int64_t *row[A_ROWS];
     for (int r = 0; r < A_ROWS; r++)
         row[r] = out + r * n;
+    memset(out, 0, (size_t)(A_GRAY_MIN * n) * sizeof *out);
     for (int64_t i = 0; i < n; i++) {
-        uint64_t sum[A_GRAY_MIN] = {0};
-        /* minima then maxima of (g, x, y) */
-        int64_t lo[3] = {INT64_MAX, INT64_MAX, INT64_MAX};
-        int64_t hi[3] = {-INT64_MAX, -INT64_MAX, -INT64_MAX};
-        for (int64_t j = offsets[i]; j < offsets[i + 1]; j++) {
-            const int64_t p = pixels[j], x = p % width, y = p / width;
-            const int64_t g = gray[p], v[3] = {g, x, y};
-            sum[A_AREA]++;
-            sum[A_SUM_X] += (uint64_t)x;
-            sum[A_SUM_Y] += (uint64_t)y;
-            sum[A_SUM_XX] += (uint64_t)x * (uint64_t)x;
-            sum[A_SUM_YY] += (uint64_t)y * (uint64_t)y;
-            sum[A_GRAY_SUM] += (uint64_t)g;
-            sum[A_GRAY_SQ] += (uint64_t)g * (uint64_t)g;
-            for (int k = 0; k < 3; k++) {
-                lo[k] = v[k] < lo[k] ? v[k] : lo[k];
-                hi[k] = v[k] > hi[k] ? v[k] : hi[k];
-            }
+        row[A_GRAY_MIN][i] = bbox[4 * i] = bbox[4 * i + 1] = INT64_MAX;
+        row[A_GRAY_MAX][i] = bbox[4 * i + 2] = bbox[4 * i + 3] = -INT64_MAX;
+    }
+    for (int64_t p = 0, x = 0, y = 0; p < n_pixels; p++) {
+        const int64_t i = pixel_node[p], g = gray[p];
+        const uint64_t ux = (uint64_t)x, uy = (uint64_t)y, ug = (uint64_t)g;
+        add(row[A_AREA] + i, 1);
+        add(row[A_SUM_X] + i, ux);
+        add(row[A_SUM_Y] + i, uy);
+        add(row[A_SUM_XX] + i, ux * ux);
+        add(row[A_SUM_YY] + i, uy * uy);
+        add(row[A_GRAY_SUM] + i, ug);
+        add(row[A_GRAY_SQ] + i, ug * ug);
+        int64_t *min = row[A_GRAY_MIN] + i, *max = row[A_GRAY_MAX] + i,
+                *box = bbox + 4 * i;
+        *min = g < *min ? g : *min;
+        *max = g > *max ? g : *max;
+        box[0] = x < box[0] ? x : box[0];
+        box[1] = y < box[1] ? y : box[1];
+        box[2] = x > box[2] ? x : box[2];
+        box[3] = y > box[3] ? y : box[3];
+        if (++x == width) {
+            x = 0;
+            y++;
         }
-        for (int r = 0; r < A_GRAY_MIN; r++)
-            row[r][i] = (int64_t)sum[r];
-        row[A_GRAY_MIN][i] = lo[0];
-        row[A_GRAY_MAX][i] = hi[0];
-        int64_t *box = bbox + 4 * i;
-        box[0] = lo[1];
-        box[1] = lo[2];
-        box[2] = hi[1];
-        box[3] = hi[2];
     }
     for (int64_t i = n - 1; i > 0; i--) {
         const int64_t p = parent[i];
         for (int r = 0; r < A_GRAY_MIN; r++)
-            row[r][p] = (int64_t)((uint64_t)row[r][p] + (uint64_t)row[r][i]);
+            add(row[r] + p, (uint64_t)row[r][i]);
         int64_t *lo[3] = {row[A_GRAY_MIN], bbox, bbox + 1};
         int64_t *hi[3] = {row[A_GRAY_MAX], bbox + 2, bbox + 3};
         const int64_t step[3] = {1, 4, 4};
@@ -525,7 +525,6 @@ static void sort_keys(uint64_t *a, uint64_t *tmp, int64_t m, int bits)
 }
 
 typedef struct {
-    const double *x;
     const int32_t *rank;
     const double *level;
     const int32_t *n_levels;  /* distinct values of each feature */
@@ -546,14 +545,14 @@ typedef struct {
 typedef struct {
     int cand;               /* index in cands, -1 before any boundary */
     double gini, lo, hi;    /* its weighted Gini and the values around it */
+    int32_t rank;           /* the rank of lo */
 } Best;
 
-static Data make_data(const double *x, const int32_t *rank,
-                      const double *level, const int32_t *n_levels,
-                      const int32_t *y, int64_t n, int32_t n_features,
-                      int32_t n_classes)
+static Data make_data(const int32_t *rank, const double *level,
+                      const int32_t *n_levels, const int32_t *y, int64_t n,
+                      int32_t n_features, int32_t n_classes)
 {
-    Data d = {x, rank, level, n_levels, y, n, n_features, n_classes, 0, 0};
+    Data d = {rank, level, n_levels, y, n, n_features, n_classes, 0, 0};
     d.class_bits = bit_length((uint64_t)n_classes - 1);
     d.key_bits = d.class_bits + bit_length((uint64_t)n - 1);
     return d;
@@ -613,6 +612,7 @@ static void score(const Data *d, Work *w, int64_t nl_count, int64_t m,
         best->gini = weighted;
         best->lo = level[r];
         best->hi = level[r_next];
+        best->rank = (int32_t)r;
     }
 }
 
@@ -630,14 +630,18 @@ static void score(const Data *d, Work *w, int64_t nl_count, int64_t m,
  * order, rank) order wins.  Returns the winner's index in cands, or -1 when
  * every candidate is constant on the node.  The threshold is the midpoint
  * of the two values around the split, or the lower value when the midpoint
- * rounds or overflows out of [lower, upper). */
+ * rounds or overflows out of [lower, upper); *at is the lower value's rank.
+ * So a node sample's value is at or below the threshold exactly when its
+ * rank is at or below *at: no sample of the node ranks strictly between the
+ * two values. */
 static int best_split(const Data *d, const int32_t *samples, int64_t m,
-                      const int32_t *cands, int32_t k, Work *w, double *thr)
+                      const int32_t *cands, int32_t k, Work *w, double *thr,
+                      int32_t *at)
 {
     const int cb = d->class_bits;
     const uint64_t class_mask = ((uint64_t)1 << cb) - 1;
     const int32_t n_classes = d->n_classes;
-    Best best = {-1, 0.0, 0.0, 0.0};
+    Best best = {-1, 0.0, 0.0, 0.0, 0};
     for (int32_t c = 0; c < k; c++) {
         if (d->n_levels[cands[c]] < 2)
             continue;  /* constant on the whole set: no boundary anywhere */
@@ -691,6 +695,7 @@ static int best_split(const Data *d, const int32_t *samples, int64_t m,
     if (best.cand >= 0) {
         double mid = (best.lo + best.hi) / 2.0;
         *thr = best.lo <= mid && mid < best.hi ? mid : best.lo;
+        *at = best.rank;
     }
     return best.cand;
 }
@@ -706,22 +711,21 @@ static void count_classes(const Data *d, const int32_t *samples, int64_t m,
 /* The search of the node holding samples[0, m), repeats allowed.  Returns
  * best_split's result, TP_BAD_INDEX for a sample outside [0, n) or
  * TP_NO_MEMORY. */
-int32_t tp_best_split(const double *x, const int32_t *rank,
-                      const double *level, const int32_t *n_levels,
-                      const int32_t *y, int64_t n, int32_t n_features,
-                      int32_t n_classes, const int32_t *samples, int64_t m,
+int32_t tp_best_split(const int32_t *rank, const double *level,
+                      const int32_t *n_levels, const int32_t *y, int64_t n,
+                      int32_t n_features, int32_t n_classes,
+                      const int32_t *samples, int64_t m,
                       const int32_t *cands, int32_t k, double *thr)
 {
     for (int64_t i = 0; i < m; i++)
         if (samples[i] < 0 || samples[i] >= n)
             return TP_BAD_INDEX;
-    Data d = make_data(x, rank, level, n_levels, y, n, n_features,
-                       n_classes);
+    Data d = make_data(rank, level, n_levels, y, n, n_features, n_classes);
     Work w;
-    int32_t best = TP_NO_MEMORY;
+    int32_t best = TP_NO_MEMORY, at;
     if (work_alloc(&w, m, n, n_classes)) {
         count_classes(&d, samples, m, w.total);
-        best = best_split(&d, samples, m, cands, k, &w, thr);
+        best = best_split(&d, samples, m, cands, k, &w, thr, &at);
     }
     work_free(&w);
     return best;
@@ -769,7 +773,7 @@ static int64_t grow(const Data *d, int32_t mtry, uint64_t *state, Nodes *t,
         int32_t present = 0;
         for (int32_t c = 0; c < d->n_classes; c++)
             present += w->total[c] > 0;
-        int32_t best = -1;
+        int32_t best = -1, at = 0;
         double thr = 0.0;
         if (m > 1 && present > 1) {
             for (int32_t f = 0; f < d->n_features; f++)
@@ -781,7 +785,7 @@ static int64_t grow(const Data *d, int32_t mtry, uint64_t *state, Nodes *t,
                 pool[i] = pool[j];
                 pool[j] = swap;
             }
-            best = best_split(d, s, m, pool, mtry, w, &thr);
+            best = best_split(d, s, m, pool, mtry, w, &thr, &at);
         }
         if (best < 0) {
             double *row = t->probs + (int64_t)node.node * d->n_classes;
@@ -789,10 +793,10 @@ static int64_t grow(const Data *d, int32_t mtry, uint64_t *state, Nodes *t,
                 row[c] = (double)w->total[c] / (double)m;
             continue;
         }
-        const double *values = d->x + (int64_t)pool[best] * n;
+        const int32_t *rank = d->rank + (int64_t)pool[best] * n;
         int64_t lo = 0, hi = m;
         while (lo < hi) {  /* samples at or below thr to the front */
-            if (values[s[lo]] <= thr) {
+            if (rank[s[lo]] <= at) {
                 lo++;
             } else {
                 int32_t swap = s[lo];
@@ -818,15 +822,14 @@ static int64_t grow(const Data *d, int32_t mtry, uint64_t *state, Nodes *t,
  * of capacity cap (2n - 1 suffices: every split leaves samples on both
  * sides).  n_levels[f] is the number of distinct values of feature f.
  * Returns the node count, TP_CAPACITY or TP_NO_MEMORY. */
-int64_t tp_grow_tree(const double *x, const int32_t *rank,
-                     const double *level, const int32_t *n_levels,
-                     const int32_t *y, int64_t n, int32_t n_features,
-                     int32_t n_classes, int32_t mtry, uint64_t *state,
+int64_t tp_grow_tree(const int32_t *rank, const double *level,
+                     const int32_t *n_levels, const int32_t *y, int64_t n,
+                     int32_t n_features, int32_t n_classes, int32_t mtry,
+                     uint64_t *state,
                      int32_t *feature, double *threshold, int32_t *left,
                      int32_t *right, double *probs, int64_t cap)
 {
-    Data d = make_data(x, rank, level, n_levels, y, n, n_features,
-                       n_classes);
+    Data d = make_data(rank, level, n_levels, y, n, n_features, n_classes);
     Nodes t = {feature, left, right, threshold, probs, n_classes, 0, cap};
     Work w;
     int32_t *samples = malloc((size_t)n * sizeof *samples);

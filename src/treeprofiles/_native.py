@@ -47,13 +47,12 @@ _SIGNATURES = {
     "tp_paint_shapes": (_K, [_I8, _N, _I8, _I8, _I8, _N, _I4, _N, _I4]),
     "tp_accumulate": (_K, [_I8, _N, _I8, _N, _K]),
     "tp_propagate": (_K, [_I8, _N, _I8, _N, _K]),
-    "tp_attributes": (_K, [_I8, _N, _I8, _N, _I8, _I8, _N, _N, _I8,
-                           _I8]),
+    "tp_attributes": (_K, [_I8, _N, _I4, _I8, _N, _N, _I8, _I8]),
     "tp_ladder": (_K, [_I8, _N, _B1, _N, _I4, _N, _F8, _N, _I8, _P, _N, _N]),
-    "tp_grow_tree": (_N, [_F8, _I4, _F8, _I4, _I4, _N, _K, _K, _K, _U8,
-                          _I4, _F8, _I4, _I4, _F8, _N]),
-    "tp_best_split": (_K, [_F8, _I4, _F8, _I4, _I4, _N, _K, _K, _I4, _N, _I4,
-                           _K, _F8]),
+    "tp_grow_tree": (_N, [_I4, _F8, _I4, _I4, _N, _K, _K, _K, _U8, _I4,
+                          _F8, _I4, _I4, _F8, _N]),
+    "tp_best_split": (_K, [_I4, _F8, _I4, _I4, _N, _K, _K, _I4, _N, _I4, _K,
+                           _F8]),
     "tp_forest_votes": (_K, [_F8, _N, _K, _K, _K, _I8, _I4, _F8, _I4, _I4,
                              _F8, _F8, _I4]),
     "tp_xorshift_fill": (None, [_U8, _U8, _N]),

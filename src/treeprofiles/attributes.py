@@ -1,18 +1,18 @@
 """Per-node attributes computed incrementally over any tree.
 
-One native sweep per tree (``tp_attributes``) reduces each node's run of
-``Tree.attached_pixels``, then folds every node into its parent, highest id
-first: each node gets the pixel count, spatial moment sums, gray-level
-moment sums, gray extrema and the bounding box of its full component
-(direct pixels plus all descendants).  Gray statistics always refer to the
-source image values, so features read from a pruned tree still describe the
-original pixels inside each component.
+One native sweep per tree (``tp_attributes``) adds each pixel into the row
+of its node in ``Tree.pixel_node``, then folds every node into its parent,
+highest id first: each node gets the pixel count, spatial moment sums,
+gray-level moment sums, gray extrema and the bounding box of its full
+component (direct pixels plus all descendants).  Gray statistics always
+refer to the source image values, so features read from a pruned tree
+still describe the original pixels inside each component.
 
 Moments are accumulated in 64-bit integers, wrapping as numpy's int64 does;
 integer sums, minima and maxima are exact in any order, so the table is the
-one per-node ``reduceat`` runs and three ``accumulate`` folds give, to the
-byte.  ``moment_of_inertia_all`` and ``std_dev_all`` turn the table into
-per-node float vectors.
+one per-pixel ``ufunc.at`` scatters and three ``accumulate`` folds give, to
+the byte.  ``moment_of_inertia_all`` and ``std_dev_all`` turn the table
+into per-node float vectors.
 """
 
 from __future__ import annotations
@@ -52,20 +52,19 @@ def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
     if (tree.width, tree.height) != (image.width, image.height):
         raise DataError("tree and image dimensions do not match")
     n = tree.node_count
-    parent = np.ascontiguousarray(tree.parent, dtype=np.int64)
-    pixels = np.ascontiguousarray(tree.attached_pixels, dtype=np.int64)
-    offsets = np.ascontiguousarray(tree.attached_offsets, dtype=np.int64)
     gray = np.ascontiguousarray(image.values.ravel(), dtype=np.int64)
-    if len(offsets) != n + 1:
-        raise DataError("attached pixel offsets do not match the tree")
+    if len(tree.pixel_node) != len(gray):
+        raise DataError("tree's pixel map does not match the image")
     # rows: area, sums of x, y, x*x, y*y, g, g*g, then the minimum and the
     # maximum of g; the bounding box is its own (n, 4) block
     rows = np.empty((9, n), dtype=np.int64)
     bbox = np.empty((n, 4), dtype=np.int64)
-    if _kernel().tp_attributes(parent, n, pixels, len(pixels), offsets, gray,
-                               len(gray), tree.width, rows, bbox):
-        raise DataError("tree is not root-first or its attached pixels "
-                        "are out of range")
+    if _kernel().tp_attributes(
+            np.ascontiguousarray(tree.parent, dtype=np.int64), n,
+            np.ascontiguousarray(tree.pixel_node, dtype=np.int32), gray,
+            len(gray), tree.width, rows, bbox):
+        raise DataError("tree is not root-first or a pixel's node is out "
+                        "of range")
     (area, sum_x, sum_y, sum_xx, sum_yy, gray_sum, gray_sum_sq,
      gray_min, gray_max) = rows
     return AttributeTable(

@@ -91,10 +91,9 @@ class ForestModel:
 @dataclass
 class _TrainingSet:
     """Feature-major (n_features, n_samples) tables, as ``tp_grow_tree`` reads
-    them: values, the dense rank of each value within its feature, and the
-    value of each rank; and each feature's count of distinct values."""
+    them: the dense rank of each value within its feature and the value of
+    each rank; and each feature's count of distinct values."""
 
-    xt: np.ndarray         # float64
     rank: np.ndarray       # int32
     level: np.ndarray      # float64
     n_levels: np.ndarray   # int32 (n_features,)
@@ -115,7 +114,7 @@ def _training_set(x: np.ndarray, y_idx: np.ndarray, n_classes: int,
     np.put_along_axis(rank, order, sorted_rank, axis=1)
     level = np.zeros_like(xt)
     np.put_along_axis(level, sorted_rank, ordered, axis=1)
-    return _TrainingSet(xt=xt, rank=rank, level=level,
+    return _TrainingSet(rank=rank, level=level,
                         n_levels=sorted_rank[:, -1] + 1,
                         y_idx=np.ascontiguousarray(y_idx, dtype=np.int32),
                         n_classes=n_classes,
@@ -134,8 +133,8 @@ def _grow_indexed(data: _TrainingSet, i: int) -> DecisionTree:
                         right=np.empty(cap, np.int32),
                         probs=np.empty((cap, data.n_classes)))
     count = _kernel().tp_grow_tree(
-        data.xt, data.rank, data.level, data.n_levels, data.y_idx, n,
-        len(data.xt), data.n_classes, data.mtry, state, tree.feature,
+        data.rank, data.level, data.n_levels, data.y_idx, n,
+        len(data.rank), data.n_classes, data.mtry, state, tree.feature,
         tree.threshold, tree.left, tree.right, tree.probs, cap)
     if count == -2:
         raise MemoryError("forest kernel: out of memory")

@@ -205,11 +205,10 @@ def _spec_for(args, band: RasterImage, attr: str) -> FilterSpec:
 
 
 class _StackCache:
-    """Builds profile stacks lazily: one alpha-tree per band, shared by the
-    alpha and omega families, one tree bundle per (band, family) and one
-    stack per (band, family, mode, attribute), shared by every command that
-    asks for them again.  ``matrix`` builds stacks straight into the column
-    slices of one matrix, so the stacks it keeps are views of it."""
+    """Builds profile matrices: one alpha-tree per band, shared by the alpha
+    and omega families, and one tree bundle per (band, family), shared by
+    every matrix asked for later.  ``matrix`` builds each stack straight
+    into its column slice of one matrix."""
 
     def __init__(self, bands: list[RasterImage], args):
         self.bands = bands
@@ -217,7 +216,6 @@ class _StackCache:
         self.features = args.feature or ["stddev", "area"]
         self.alphas: dict = {}
         self.bundles: dict = {}
-        self.stacks: dict = {}
 
     def _bundle(self, band_i: int, kind: str):
         if (band_i, kind) in self.bundles:
@@ -235,24 +233,16 @@ class _StackCache:
         return bundle
 
     def _stack(self, band_i: int, kind: str, mode: str, attr: str,
-               out: np.ndarray | None = None) -> ProfileStack:
-        """The stack of one key, built into ``out`` if given (a cached
-        stack is copied there)."""
-        key = (band_i, kind, mode, attr)
-        if key in self.stacks:
-            if out is not None:
-                out[...] = self.stacks[key].data
-            return self.stacks[key]
+               out: np.ndarray) -> ProfileStack:
+        """The stack of one (band, family, mode, attribute), built into
+        ``out``."""
         band = self.bands[band_i]
         bundle = self._bundle(band_i, kind)
         spec = _spec_for(self.args, band, attr)
         if mode == "ap":
-            stack = build_ap(band, kind, spec, bundle=bundle, out=out)
-        else:
-            stack = build_fp(band, kind, spec, self.features, bundle=bundle,
-                             out=out)
-        self.stacks[key] = stack
-        return stack
+            return build_ap(band, kind, spec, bundle=bundle, out=out)
+        return build_fp(band, kind, spec, self.features, bundle=bundle,
+                        out=out)
 
     def matrix(self, kinds: list[str], modes: list[str],
                attrs: list[str]) -> ProfileStack:
@@ -396,10 +386,17 @@ def cmd_compare(args) -> int:
     rows = []
     for kind in kinds:
         for mode in ("ap", "fp"):
+            # the last attribute set, "both", holds every attribute
+            stack = cache.matrix([kind], [mode], _COMPARE_ATTR_SETS[-1])
+            # an original-image column (attribute None) is always followed
+            # by a column of its block's attribute
+            layout = stack.layout
+            attr_of = [c.attribute or layout[i + 1].attribute
+                       for i, c in enumerate(layout)]
             cells = {}
             for header, attrs in zip(_COMPARE_HEADERS, _COMPARE_ATTR_SETS):
-                matrix = cache.matrix([kind], [mode], attrs).data
-                _, _, oa, kappa = _fit_eval(matrix, train, test,
+                cols = [i for i, a in enumerate(attr_of) if a in attrs]
+                _, _, oa, kappa = _fit_eval(stack.data[:, cols], train, test,
                                             args.rf_trees, args.seed)
                 cells[header] = {"oa": round(float(oa), 6),
                                  "kappa": round(float(kappa), 6)}

@@ -8,9 +8,9 @@ omega trees) is stored as the same parent-array structure:
   ascending node order is already a root-first topological order;
 * ``level[i]`` is the node's characteristic value: a gray level for
   component and inclusion trees, a dissimilarity for partition trees;
-* ``pixel_node[p]`` maps each pixel to the smallest node containing it, and
-  the CSR pair (``attached_pixels``, ``attached_offsets``) lists each node's
-  directly attached pixels;
+* ``pixel_node[p]`` maps each pixel to the smallest node containing it;
+  it is the tree's only pixel-to-node map, and per-node pixel statistics
+  (``node_areas``, ``attributes.compute_attributes``) are sweeps over it;
 * ``rep_value[i]`` is the gray value a pixel falls back to when the tree is
   pruned down to node i (the level for component/inclusion trees, the
   rounded component mean for partition trees).
@@ -35,7 +35,7 @@ resolves the aliases and numbers the nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -120,29 +120,14 @@ class Tree:
     level: np.ndarray            # (N,) float64
     pixel_node: np.ndarray       # (H*W,) int32
     rep_value: np.ndarray        # (N,) int64
-    attached_pixels: np.ndarray = field(repr=False, default=None)
-    attached_offsets: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.attached_pixels is None:
-            order = np.argsort(self.pixel_node, kind="stable")
-            counts = np.bincount(self.pixel_node, minlength=self.node_count)
-            self.attached_pixels = order.astype(np.int64)
-            self.attached_offsets = np.concatenate(
-                ([0], np.cumsum(counts))
-            ).astype(np.int64)
-        for name in ("parent", "level", "pixel_node", "rep_value",
-                     "attached_pixels", "attached_offsets"):
+        for name in ("parent", "level", "pixel_node", "rep_value"):
             getattr(self, name).setflags(write=False)
 
     @property
     def node_count(self) -> int:
         return len(self.parent)
-
-    def direct_pixels(self, node: int) -> np.ndarray:
-        """Flat indices of pixels attached directly to this node."""
-        lo, hi = self.attached_offsets[node], self.attached_offsets[node + 1]
-        return self.attached_pixels[lo:hi]
 
     def accumulate(self, values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
         """Child-to-parent fold; see the module-level ``accumulate``."""

@@ -115,16 +115,22 @@ def _hole_counts(tree: Tree) -> np.ndarray:
     return 1 - tree.accumulate(euler, np.add)
 
 
-def _boxes(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+def _boxes(tree: Tree, pix_order: np.ndarray,
+           lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node: its component's first pixel in row-major order and its
-    bounding box (y0, x0, y1, x1) as an (N, 4) array."""
-    # every component-tree node has pixels of its own, ascending per node
-    pixels = tree.attached_pixels
-    starts, ends = tree.attached_offsets[:-1], tree.attached_offsets[1:]
-    xs = pixels % tree.width
-    direct = np.stack([pixels[starts], np.minimum.reduceat(xs, starts),
-                       -pixels[ends - 1], -np.maximum.reduceat(xs, starts)],
-                      axis=1)
+    bounding box (y0, x0, y1, x1) as an (N, 4) array, from the preorder
+    runs of ``_subtree_pixel_slices``."""
+    # every component-tree node has pixels of its own, ascending at the head
+    # of its slice, and they end where the next node in preorder starts
+    order = np.argsort(lo)
+    starts = lo[order]
+    ends = np.append(starts[1:], len(pix_order))
+    xs = pix_order % tree.width
+    direct = np.empty((tree.node_count, 4), dtype=np.int64)
+    direct[order] = np.stack([pix_order[starts],
+                              np.minimum.reduceat(xs, starts),
+                              -pix_order[ends - 1],
+                              -np.maximum.reduceat(xs, starts)], axis=1)
     first, x0, neg_last, neg_x1 = tree.accumulate(direct, np.minimum).T
     return first, np.stack([first // tree.width, x0,
                             -neg_last // tree.width, -neg_x1], axis=1)
@@ -155,7 +161,7 @@ def _collect_shapes(tree: Tree, frame_idx: np.ndarray, side: int):
     side trees need no matching."""
     n_pix = tree.width * tree.height
     pix_order, lo, hi = _subtree_pixel_slices(tree)
-    first, box = _boxes(tree)
+    first, box = _boxes(tree, pix_order, lo)
     inside = ~_frame_containing(tree, frame_idx)
     holed = np.flatnonzero(inside & (_hole_counts(tree) > 0))
     cells = np.prod(box[holed, 2:] - box[holed, :2] + 1, axis=1).sum()

@@ -15,16 +15,16 @@ gives the constrained-connectivity semantics directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .attributes import compute_attributes
 from .errors import DataError
 from .hierarchies import (
     Connectivity,
     Tree,
     TreeKind,
-    accumulate,
     adjacent_pairs,
     as_connectivity,
     kruskal,
@@ -63,7 +63,6 @@ def build_alpha_tree(
     set of pixels mutually reachable through steps of dissimilarity <= a."""
     edges = edge_list(image, connectivity)
     n = image.width * image.height
-    flat = image.values.ravel()
     records, parent, level, pixel_record = kruskal(
         edges.a, edges.b, edges.weight,
         np.argsort(edges.weight, kind="stable"), np.zeros(n))
@@ -71,13 +70,7 @@ def build_alpha_tree(
     parent, level, pixel_node = number_nodes(
         records[::-1], parent, level, pixel_record)
 
-    # reconstruction representative: rounded component mean gray
-    stats = np.zeros((len(parent), 2), dtype=np.int64)
-    np.add.at(stats, pixel_node, np.stack([np.ones_like(flat), flat], axis=1))
-    area, gray_sum = accumulate(parent, stats, np.add).T
-    rep = gray_sum // area + ((gray_sum % area) * 2 >= area)
-
-    return Tree(
+    tree = Tree(
         kind=TreeKind.ALPHA_TREE,
         width=image.width,
         height=image.height,
@@ -85,8 +78,14 @@ def build_alpha_tree(
         parent=parent,
         level=level,
         pixel_node=pixel_node,
-        rep_value=rep.astype(np.int64),
+        rep_value=np.zeros(len(parent), dtype=np.int64),
     )
+    # reconstruction representative: rounded component mean gray, from the
+    # table of the tree above, which reads no rep_value
+    table = compute_attributes(tree, image)
+    area, gray_sum = table.area, table.gray_sum
+    rep = gray_sum // area + ((gray_sum % area) * 2 >= area)
+    return replace(tree, rep_value=rep)
 
 
 def build_omega_tree(alpha_tree: Tree, image: RasterImage) -> Tree:
@@ -100,13 +99,8 @@ def build_omega_tree(alpha_tree: Tree, image: RasterImage) -> Tree:
     if (alpha_tree.width, alpha_tree.height) != (image.width, image.height):
         raise DataError("alpha-tree and image dimensions do not match")
     n_alpha = alpha_tree.node_count
-    flat = image.values.ravel()
-    gmin = np.full(n_alpha, np.iinfo(np.int64).max, dtype=np.int64)
-    gmax = np.full(n_alpha, np.iinfo(np.int64).min, dtype=np.int64)
-    np.minimum.at(gmin, alpha_tree.pixel_node, flat)
-    np.maximum.at(gmax, alpha_tree.pixel_node, flat)
-    rng = alpha_tree.accumulate(gmax, np.maximum) \
-        - alpha_tree.accumulate(gmin, np.minimum)
+    table = compute_attributes(alpha_tree, image)
+    rng = table.gray_max - table.gray_min
 
     parent = alpha_tree.parent
     keep = np.zeros(n_alpha, dtype=bool)

@@ -222,7 +222,9 @@ def two_pass_std(grays) -> float:
 
 def tree_component_pixels(tree) -> list[list[int]]:
     """Full component pixel list per node, by child-to-parent accumulation."""
-    comp = [list(tree.direct_pixels(i)) for i in range(tree.node_count)]
+    comp = [[] for _ in range(tree.node_count)]
+    for p, node in enumerate(tree.pixel_node.tolist()):
+        comp[node].append(p)
     for i in range(tree.node_count - 1, 0, -1):
         comp[tree.parent[i]].extend(comp[i])
     return comp

@@ -190,14 +190,15 @@ class TestAttributesKernel:
                 assert table.gray_sum_sq[0] > 2**32
 
     def test_malformed_tree_refused_before_any_write(self):
+        from dataclasses import replace
+
         from treeprofiles._native import _kernel
 
         img = RasterImage(np.arange(12).reshape(3, 4) % 5, levels=5)
         tree = build_max_tree(img)
         n = tree.node_count
         good = dict(parent=tree.parent.astype(np.int64),
-                    pixels=tree.attached_pixels.astype(np.int64),
-                    offsets=tree.attached_offsets.astype(np.int64))
+                    pixel_node=tree.pixel_node.astype(np.int32))
         gray = img.values.ravel().astype(np.int64)
 
         def call(**change):
@@ -205,8 +206,8 @@ class TestAttributesKernel:
             out = np.full((9, n), 7, dtype=np.int64)
             bbox = np.full((n, 4), 7, dtype=np.int64)
             status = _kernel().tp_attributes(
-                arrays["parent"], n, arrays["pixels"], len(arrays["pixels"]),
-                arrays["offsets"], gray, len(gray), img.width, out, bbox)
+                arrays["parent"], n, arrays["pixel_node"], gray, len(gray),
+                img.width, out, bbox)
             return status, out, bbox
 
         status, out, bbox = call()
@@ -215,18 +216,19 @@ class TestAttributesKernel:
         parent_loop, parent_root = good["parent"].copy(), good["parent"].copy()
         parent_loop[-1] = n - 1
         parent_root[0] = 1
-        pixel_high, pixel_low = good["pixels"].copy(), good["pixels"].copy()
-        pixel_high[3] = len(gray)
-        pixel_low[0] = -1
-        descending, past_end = good["offsets"].copy(), good["offsets"].copy()
-        descending[1] = descending[2] + 1
-        past_end[-1] += 1
+        node_high, node_low = (good["pixel_node"].copy() for _ in range(2))
+        node_high[3] = n
+        node_low[0] = -1
         for change in (dict(parent=parent_loop), dict(parent=parent_root),
-                       dict(pixels=pixel_high), dict(pixels=pixel_low),
-                       dict(offsets=descending), dict(offsets=past_end)):
+                       dict(pixel_node=node_high), dict(pixel_node=node_low)):
             status, out, bbox = call(**change)
             assert status == -3
             assert np.all(out == 7) and np.all(bbox == 7)
+        # the kernel reads one gray value per pixel_node entry, so a map of
+        # another length is refused before the call
+        for pixel_node in (tree.pixel_node[:-1], np.append(tree.pixel_node, 0)):
+            with pytest.raises(DataError, match="pixel map"):
+                compute_attributes(replace(tree, pixel_node=pixel_node), img)
 
     def test_non_topological_tree_is_a_data_error(self):
         from treeprofiles import Tree, TreeKind

@@ -70,8 +70,8 @@ def kernel_split(x, y, n_classes, cands, samples=None):
     samples = np.asarray(samples, dtype=np.int32)
     thr = np.zeros(1)
     row = _native._kernel().tp_best_split(
-        data.xt, data.rank, data.level, data.n_levels, data.y_idx, len(y),
-        len(data.xt),
+        data.rank, data.level, data.n_levels, data.y_idx, len(y),
+        len(data.rank),
         n_classes, samples, len(samples), np.array(cands, dtype=np.int32),
         len(cands), thr)
     assert row >= -1
@@ -664,7 +664,7 @@ class TestDegenerateSplits:
                   np.empty(2, np.int32), np.empty((2, 2))]
         state = np.array([Xorshift64Star(7).state], dtype=np.uint64)
         count = _native._kernel().tp_grow_tree(
-            data.xt, data.rank, data.level, data.n_levels, data.y_idx, 6, 1,
+            data.rank, data.level, data.n_levels, data.y_idx, 6, 1,
             2, 1, state,
             *arrays, 2)
         assert count == -1  # a split needs 3 nodes; the arrays hold 2

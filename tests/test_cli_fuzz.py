@@ -1,6 +1,6 @@
 """Property-based fuzzing of the CLI's input readers: ``tree-dump`` on
-generated PGM files, and ``profile`` on generated multiband cubes and
-``--config`` files.
+generated PGM files, ``profile`` on generated multiband cubes and
+``--config`` files, and ``classify --profile`` on damaged saved stacks.
 
 Tree building indexes pixels in C, where a bad index crashes the process
 instead of raising, so every generated input must end in exit 0 with a
@@ -8,6 +8,7 @@ clean stderr, or in exit 2 or 3 with one line and no traceback.
 """
 
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -173,3 +174,86 @@ def test_cube_header_byte_mutations_exit_cleanly(cube, data):
 @given(cube=cubes(), config=configs(), data=st.data())
 def test_config_byte_mutations_exit_cleanly(cube, config, data):
     assert_clean_exit(*profile(*cube, config=mutate(config, data.draw)))
+
+
+def pgm_bytes(values: np.ndarray) -> bytes:
+    """Binary (P5) PGM of an 8-bit array."""
+    height, width = values.shape
+    return f"P5\n{width} {height}\n255\n".encode() + \
+        values.astype("u1").tobytes()
+
+
+def classify_profile(files: dict, header: bytes, raw: bytes):
+    """Exit code and stderr of an in-process ``classify`` of the scene in
+    ``files`` with the saved stack ``header`` + ``raw``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in ("scene.pgm", "train.pgm", "test.pgm"):
+            (tmp / name).write_bytes(files[name])
+        (tmp / "stack.json").write_bytes(header)
+        (tmp / "stack.raw").write_bytes(raw)
+        return run(["classify", "--image", str(tmp / "scene.pgm"),
+                    "--train", str(tmp / "train.pgm"),
+                    "--test", str(tmp / "test.pgm"),
+                    "--profile", str(tmp / "stack"), "--rf-trees", "2",
+                    "--out", str(tmp / "out")])
+
+
+@functools.cache
+def scene_with_stack() -> dict:
+    """File bytes of a 6x4 scene, its train and test label maps, and the
+    alpha feature profile ``profile`` saves for it (``stack.json`` and
+    ``stack.raw``), which ``classify --profile`` accepts as it is."""
+    scene = np.array([[10, 12, 11, 200, 210, 205],
+                      [11, 40, 12, 204, 90, 208],
+                      [13, 12, 10, 201, 207, 203],
+                      [12, 11, 60, 206, 202, 150]])
+    train, test = np.zeros((4, 6), int), np.zeros((4, 6), int)
+    train[:, 0], train[:, 5] = 1, 2
+    test[:, 1], test[:, 4] = 1, 2
+    files = {"scene.pgm": pgm_bytes(scene), "train.pgm": pgm_bytes(train),
+             "test.pgm": pgm_bytes(test)}
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "scene.pgm").write_bytes(files["scene.pgm"])
+        assert run(["profile", "--image", str(Path(tmp) / "scene.pgm"),
+                    "--tree", "alpha", "--mode", "fp", "--attr", "area",
+                    "--out", tmp]) == (0, "")
+        for suffix in (".json", ".raw"):
+            files["stack" + suffix] = \
+                (Path(tmp) / f"scene_alpha_fp{suffix}").read_bytes()
+    code, err = classify_profile(files, files["stack.json"],
+                                 files["stack.raw"])
+    assert code == 0 and err.startswith("runtime"), err
+    return files
+
+
+def assert_clean_classify(code: int, err: str):
+    """``classify`` ends in exit 0 with its one runtime line on stderr, or
+    as ``assert_clean_exit`` demands of a failure."""
+    if code == 0:
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("runtime"), err
+    else:
+        assert_clean_exit(code, err)
+
+
+@settings(FUZZ, max_examples=200)
+@given(data=st.data())
+def test_profile_header_byte_mutations_exit_cleanly(data):
+    files = scene_with_stack()
+    assert_clean_classify(*classify_profile(
+        files, mutate(files["stack.json"], data.draw), files["stack.raw"]))
+
+
+@settings(FUZZ, max_examples=50)
+@given(data=st.data())
+def test_truncated_or_extended_profile_blob_is_refused(data):
+    files = scene_with_stack()
+    raw = files["stack.raw"]
+    if data.draw(st.booleans()):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    code, err = classify_profile(files, files["stack.json"], raw)
+    assert_clean_exit(code, err)
+    assert code == 2 and "profile blob" in err, err

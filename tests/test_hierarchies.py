@@ -358,8 +358,7 @@ class TestTraversalKernels:
             assert np.array_equal(hi, cum[post])
 
 
-TREE_ARRAYS = ("parent", "level", "pixel_node", "rep_value",
-               "attached_pixels", "attached_offsets")
+TREE_ARRAYS = ("parent", "level", "pixel_node", "rep_value")
 
 
 def assert_same_tree(tree, ref):
