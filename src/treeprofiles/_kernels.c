@@ -2,10 +2,10 @@
  * treeprofiles._native.
  *
  * Tree building.  tp_kruskal merges adjacent pixel pairs into the records
- * of a max-, min- or alpha-tree (hierarchies.kruskal); tp_saturate fills
- * the holes of every holed node of a tree-of-shapes side tree in one call,
- * and tp_paint_shapes paints the shapes of a tree of shapes largest first
- * and reads off their parents (inclusion.build_tree_of_shapes).
+ * of a max-, min- or alpha-tree (hierarchies.kruskal).  The tree of shapes
+ * (inclusion) reads its side trees' boxes, first pixels and frame contact
+ * off tp_attributes over pixel ids, fills their holed nodes in one
+ * tp_saturate call and paints its shapes largest first in tp_paint_shapes.
  *
  * Tree traversal.  tp_accumulate folds per-node values child to parent and
  * tp_propagate parent to child (hierarchies.accumulate and propagate), each

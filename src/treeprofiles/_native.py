@@ -5,8 +5,9 @@ It holds tree building (the Kruskal union-find, the saturation of every
 holed side-tree node of a tree of shapes in one call, ``tp_saturate``, and
 the painting of shapes, ``tp_paint_shapes``), the tree folds
 ``tp_accumulate`` and ``tp_propagate``, the one-sweep attribute table
-``tp_attributes`` and filter ladder ``tp_ladder``, and the random forest's
-tree growth and vote sum.
+``tp_attributes`` (swept over pixel ids, it also gives the tree of shapes
+its side trees' boxes, first pixels and frame contact) and filter ladder
+``tp_ladder``, and the random forest's tree growth and vote sum.
 ``ctypes`` needs no Python headers and no extra package, but the file is
 compiled with ``cc`` on the first call that needs it, never at import, and
 cached under ``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``),

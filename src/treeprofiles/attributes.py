@@ -47,24 +47,32 @@ class AttributeTable:
         return len(self.area)
 
 
-def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
-    """Accumulate all per-node statistics bottom-up."""
-    if (tree.width, tree.height) != (image.width, image.height):
-        raise DataError("tree and image dimensions do not match")
+def _sweep(tree: Tree, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One ``tp_attributes`` sweep of an int64 value per pixel: a (9, N)
+    block of rows -- area, sums of x, y, x*x, y*y, v, v*v, then the minimum
+    and the maximum of v -- and the (N, 4) bounding boxes (xmin, ymin, xmax,
+    ymax).  The values need not be gray levels: the tree of shapes sweeps
+    pixel ids, whose minimum is a node's first pixel in row-major order."""
     n = tree.node_count
-    gray = np.ascontiguousarray(image.values.ravel(), dtype=np.int64)
-    if len(tree.pixel_node) != len(gray):
+    if len(tree.pixel_node) != len(values):
         raise DataError("tree's pixel map does not match the image")
-    # rows: area, sums of x, y, x*x, y*y, g, g*g, then the minimum and the
-    # maximum of g; the bounding box is its own (n, 4) block
     rows = np.empty((9, n), dtype=np.int64)
     bbox = np.empty((n, 4), dtype=np.int64)
     if _kernel().tp_attributes(
             np.ascontiguousarray(tree.parent, dtype=np.int64), n,
-            np.ascontiguousarray(tree.pixel_node, dtype=np.int32), gray,
-            len(gray), tree.width, rows, bbox):
+            np.ascontiguousarray(tree.pixel_node, dtype=np.int32), values,
+            len(values), tree.width, rows, bbox):
         raise DataError("tree is not root-first or a pixel's node is out "
                         "of range")
+    return rows, bbox
+
+
+def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
+    """Accumulate all per-node statistics bottom-up."""
+    if (tree.width, tree.height) != (image.width, image.height):
+        raise DataError("tree and image dimensions do not match")
+    rows, bbox = _sweep(tree, np.ascontiguousarray(image.values.ravel(),
+                                                   dtype=np.int64))
     (area, sum_x, sum_y, sum_xx, sum_yy, gray_sum, gray_sum_sq,
      gray_min, gray_max) = rows
     return AttributeTable(

@@ -20,10 +20,16 @@ are built once, by the native Kruskal union-find of
 not filled: a 4-connected set with 8-connected background has Euler number
 pixels - 4-adjacent pairs + full 2x2 blocks = 1 - holes (Gray's bit-quad
 counting), and each pair and block is tallied at one node and summed up the
-tree.  A node without holes is its own shape, so its area, corner and pixels
-come from tree-wide passes; the nodes with holes of each side tree are
-filled in one native call, ``tp_saturate``, by an 8-connected flood of the
-background from a one-pixel frame around each node's bounding box.  The
+tree.  Each node's first pixel in row-major order, bounding box and frame
+contact come from one ``tp_attributes`` sweep per side tree, the sweep
+behind :func:`~treeprofiles.attributes.compute_attributes`, with each
+pixel's own id as its value: the smallest id is the first pixel, and the
+padded image's outer rows and columns are all frame, so a node holds a
+frame pixel exactly when its box reaches them.  A node without holes is
+its own shape, so its area and pixels come from tree-wide passes; the
+nodes with holes of each side tree are filled in one native call,
+``tp_saturate``, by an 8-connected flood of the background from a
+one-pixel frame around each node's bounding box.  The
 same shape can arise more than once -- nodes on one root path can share a
 saturation -- and duplicates collapse to the highest level on the upper side
 and the lowest level on the lower side, which is exactly the per-threshold
@@ -35,6 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._native import _kernel
+from .attributes import _sweep
 from .hierarchies import (
     Connectivity,
     Tree,
@@ -84,13 +91,6 @@ def _subtree_pixel_slices(tree: Tree):
     return pix_order, cum[pre], cum[pre + size]
 
 
-def _frame_containing(tree: Tree, frame_idx: np.ndarray) -> np.ndarray:
-    """Boolean mask of nodes whose component includes a frame pixel."""
-    flags = np.zeros(tree.node_count, dtype=bool)
-    flags[tree.pixel_node[frame_idx]] = True
-    return tree.accumulate(flags, np.logical_or)
-
-
 def _hole_counts(tree: Tree) -> np.ndarray:
     """Holes (bounded 8-connected background regions) of each node's
     component, for a max- or min-tree.
@@ -115,27 +115,6 @@ def _hole_counts(tree: Tree) -> np.ndarray:
     return 1 - tree.accumulate(euler, np.add)
 
 
-def _boxes(tree: Tree, pix_order: np.ndarray,
-           lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per node: its component's first pixel in row-major order and its
-    bounding box (y0, x0, y1, x1) as an (N, 4) array, from the preorder
-    runs of ``_subtree_pixel_slices``."""
-    # every component-tree node has pixels of its own, ascending at the head
-    # of its slice, and they end where the next node in preorder starts
-    order = np.argsort(lo)
-    starts = lo[order]
-    ends = np.append(starts[1:], len(pix_order))
-    xs = pix_order % tree.width
-    direct = np.empty((tree.node_count, 4), dtype=np.int64)
-    direct[order] = np.stack([pix_order[starts],
-                              np.minimum.reduceat(xs, starts),
-                              -pix_order[ends - 1],
-                              -np.maximum.reduceat(xs, starts)], axis=1)
-    first, x0, neg_last, neg_x1 = tree.accumulate(direct, np.minimum).T
-    return first, np.stack([first // tree.width, x0,
-                            -neg_last // tree.width, -neg_x1], axis=1)
-
-
 def _mask_bytes(pixels: np.ndarray, width: int) -> bytes:
     """Packed bits of a pixel set's mask on its bounding box."""
     ys, xs = np.divmod(pixels, width)
@@ -145,7 +124,7 @@ def _mask_bytes(pixels: np.ndarray, width: int) -> bytes:
     return np.packbits(mask).tobytes()
 
 
-def _collect_shapes(tree: Tree, frame_idx: np.ndarray, side: int):
+def _collect_shapes(tree: Tree, side: int):
     """The shapes of one side tree: their pixel runs -- the pixels in
     preorder, then the saturations of the nodes with holes -- and their
     columns (area, level, y0, x0, visit, first pixel, start of the run).
@@ -161,8 +140,11 @@ def _collect_shapes(tree: Tree, frame_idx: np.ndarray, side: int):
     side trees need no matching."""
     n_pix = tree.width * tree.height
     pix_order, lo, hi = _subtree_pixel_slices(tree)
-    first, box = _boxes(tree, pix_order, lo)
-    inside = ~_frame_containing(tree, frame_idx)
+    rows, bbox = _sweep(tree, np.arange(n_pix, dtype=np.int64))
+    first, box = rows[7], bbox[:, [1, 0, 3, 2]]
+    # the padded image's outer rows and columns are all frame
+    inside = (box[:, :2] > 0).all(axis=1) & \
+        (box[:, 2] < tree.height - 1) & (box[:, 3] < tree.width - 1)
     holed = np.flatnonzero(inside & (_hole_counts(tree) > 0))
     cells = np.prod(box[holed, 2:] - box[holed, :2] + 1, axis=1).sum()
     sat = np.empty(int(cells), dtype=np.int64)
@@ -199,15 +181,10 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     ph, pw = h + 2, w + 2
     flat = padded.ravel()
 
-    frame_mask = np.zeros((ph, pw), dtype=bool)
-    frame_mask[0, :] = frame_mask[-1, :] = True
-    frame_mask[:, 0] = frame_mask[:, -1] = True
-    frame_idx = np.flatnonzero(frame_mask.ravel())
-
     blocks, runs, offset = [], [], 0
     for side, kind in enumerate((TreeKind.MAX_TREE, TreeKind.MIN_TREE)):
         side_tree = _component_tree(flat, pw, ph, 2, Connectivity.C4, kind)
-        pixels, columns = _collect_shapes(side_tree, frame_idx, side)
+        pixels, columns = _collect_shapes(side_tree, side)
         columns[6] += offset
         blocks.append(columns)
         runs.append(pixels)

@@ -235,19 +235,6 @@ class ProfileStack:
     def dim(self) -> int:
         return len(self.layout)
 
-    @staticmethod
-    def concat(stacks: list["ProfileStack"]) -> "ProfileStack":
-        first = stacks[0]
-        for s in stacks[1:]:
-            if (s.width, s.height) != (first.width, first.height):
-                raise DataError("cannot concatenate profiles of different images")
-        return ProfileStack(
-            width=first.width,
-            height=first.height,
-            data=np.concatenate([s.data for s in stacks], axis=1),
-            layout=[c for s in stacks for c in s.layout],
-        )
-
     def save(self, path: str | Path) -> None:
         """Write ``<path>.json`` layout plus ``<path>.raw`` float32 matrix."""
         path = Path(path)

@@ -495,9 +495,11 @@ def tree_of_shapes_per_node(image):
     """Tree of shapes with every side-tree node saturated individually.
 
     Builds its side trees with the union-find oracle below and reuses the
-    library's frame conventions; every max-/min-tree node's component is
-    hole-filled on its bounding box and registered under its exact mask,
-    duplicates collapsing to the highest upper / lowest lower level.
+    library's frame conventions; a node with a pixel in the padded image's
+    border ring saturates to the root, and every other max-/min-tree node's
+    component is hole-filled on its bounding box and registered under its
+    exact mask, duplicates collapsing to the highest upper / lowest lower
+    level.
     Shapes are painted largest first, ordered by (-area, level, y0, x0,
     mask bytes), ties in first-seen order.
     """
@@ -505,7 +507,7 @@ def tree_of_shapes_per_node(image):
 
     from treeprofiles.hierarchies import Tree, TreeKind
     from treeprofiles.inclusion import (
-        _border_median_doubled, _frame_containing, _subtree_pixel_slices,
+        _border_median_doubled, _subtree_pixel_slices,
     )
 
     h, w = image.height, image.width
@@ -513,10 +515,6 @@ def tree_of_shapes_per_node(image):
     padded = np.full((h + 2, w + 2), frame2, dtype=np.int64)
     padded[1:-1, 1:-1] = 2 * image.values
     ph, pw = h + 2, w + 2
-    frame_mask = np.zeros((ph, pw), dtype=bool)
-    frame_mask[0, :] = frame_mask[-1, :] = True
-    frame_mask[:, 0] = frame_mask[:, -1] = True
-    frame_idx = np.flatnonzero(frame_mask.ravel())
 
     registry: dict = {}
     for kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE):
@@ -526,12 +524,11 @@ def tree_of_shapes_per_node(image):
         tree = tree_from_pixel_parents(padded.ravel(), parent, order, pw, ph,
                                        2, kind)
         pix_order, lo, hi = _subtree_pixel_slices(tree)
-        skip = _frame_containing(tree, frame_idx)
         for node in range(tree.node_count):
-            if skip[node]:
-                continue
             pixels = pix_order[lo[node]:hi[node]]
             ys, xs = pixels // pw, pixels % pw
+            if np.any((ys == 0) | (ys == ph - 1) | (xs == 0) | (xs == pw - 1)):
+                continue  # holds a frame pixel: saturates to the root
             y0, x0 = int(ys.min()), int(xs.min())
             mask = np.zeros((int(ys.max()) - y0 + 1, int(xs.max()) - x0 + 1),
                             dtype=bool)

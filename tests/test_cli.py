@@ -451,6 +451,20 @@ class TestMultibandPipeline:
         assert out.returncode == 0, out.stderr
         assert "dim 14" in out.stdout  # 2 bands x (2*3+1)
 
+    def test_readme_recipe_writes_the_cli_stack(self, tmp_path, monkeypatch):
+        from treeprofiles import cli
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        recipe = readme.split("Multiband input:")[1].split("```python\n")[1]
+        six_band_cube(tmp_path / "cube.json")
+        monkeypatch.chdir(tmp_path)
+        exec(recipe.split("```")[0], {})
+        assert cli.main(["profile", "--image", "cube.json", "--mode", "fp",
+                         "--attr", "area", "--out", "cli"]) == 0
+        for suffix in (".json", ".raw"):
+            name = "cube_component_fp" + suffix
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / "cli" / name).read_bytes()
+
 
 # sha256 digests computed before the tree traversal kernels replaced the
 # per-node loops; every tree kind and profile family must keep these bytes.

@@ -32,6 +32,17 @@ def block_and_l(complement: bool) -> RasterImage:
     return img.complement() if complement else img
 
 
+def touching_one_side(side: str) -> np.ndarray:
+    """A ring around a one-pixel hole and a plain 2x2 block on a zero
+    background (so the frame is at 0), both touching the image's ``side``
+    and no other."""
+    values = np.zeros((7, 9), dtype=int)
+    values[0:3, 1:4] = 2
+    values[1, 2] = 1
+    values[0:2, 5:7] = 3
+    return np.rot90(values, ("top", "left", "bottom", "right").index(side))
+
+
 class TestPerNodeReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_images(self, seed):
@@ -44,6 +55,24 @@ class TestPerNodeReference:
             values = rng.integers(0, levels, size=(1, n))
             for v in (values, values.T):
                 assert_same_tree(*self._both(RasterImage(v, levels=levels)))
+
+    @pytest.mark.parametrize("side", ["top", "bottom", "left", "right",
+                                      "1xN", "Nx1"])
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_frame_contact_on_each_side(self, side, complement):
+        # a component on the image's edge lies one pixel inside the frame,
+        # so its box touches the padded image's outer ring only if it holds
+        # frame pixels
+        if side in ("1xN", "Nx1"):
+            values = np.array([[3, 0, 6, 6, 2, 5, 1, 4, 4, 0, 3]])
+            img = RasterImage(values if side == "1xN" else values.T, levels=7)
+        else:
+            img = RasterImage(touching_one_side(side), levels=4)
+        img = img.complement() if complement else img
+        got, want = self._both(img)
+        assert_same_tree(got, want)
+        if side not in ("1xN", "Nx1"):  # root, ring, hole, block
+            assert got.node_count == 4
 
     def test_ring_shares_one_shape_with_its_block(self):
         # the upper ring at 2 saturates to the 3x3 block, the hole-free max
