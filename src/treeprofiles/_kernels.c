@@ -2,10 +2,14 @@
  * treeprofiles._native.
  *
  * Tree building.  tp_kruskal merges adjacent pixel pairs into the records
- * of a max-, min- or alpha-tree (hierarchies.kruskal).  The tree of shapes
+ * of a max-, min- or alpha-tree (hierarchies.kruskal).  tp_counting_sort is
+ * every sort of tree building (hierarchies.counting_sort): the edge orders,
+ * the component trees' node numbering and the tree of shapes' pixel and
+ * shape orders, all with small integer keys.  The tree of shapes
  * (inclusion) reads its side trees' boxes, first pixels and frame contact
  * off tp_attributes over pixel ids, fills their holed nodes in one
- * tp_saturate call and paints its shapes largest first in tp_paint_shapes.
+ * tp_saturate call, a row-run flood, and paints its shapes largest first in
+ * tp_paint_shapes.
  *
  * Tree traversal.  tp_accumulate folds per-node values child to parent and
  * tp_propagate parent to child (hierarchies.accumulate and propagate), each
@@ -80,7 +84,8 @@ static int64_t find_root(int64_t *root, int64_t p)
  * aliased, so tops need no find; pixel roots are joined by size with path
  * halving.  At most n - 1 joins make at most n - 1 new records, so parent,
  * level and alias hold 2n - 1 records; new records are their own parent
- * and alias.  Returns the record count, TP_BAD_INDEX or TP_NO_MEMORY. */
+ * and alias.  Each record's alias is resolved to the record it ends up in.
+ * Returns the record count, TP_BAD_INDEX or TP_NO_MEMORY. */
 int64_t tp_kruskal(const int64_t *a, const int64_t *b, const double *weight,
                    int64_t n_edges, const int64_t *order, int64_t m,
                    const double *leaf_level, int64_t n, int64_t *parent,
@@ -132,11 +137,60 @@ int64_t tp_kruskal(const int64_t *a, const int64_t *b, const double *weight,
         size[p] += size[q];
         top[p] = survivor;
     }
+    /* an aliased record was a live top aliased to another, so alias chains
+     * have no cycle; each record's alias becomes its chain's end */
+    for (int64_t i = 0; i < count; i++) {
+        int64_t end = alias[i];
+        while (alias[end] != end)
+            end = alias[end];
+        for (int64_t j = i; alias[j] != end;) {
+            const int64_t next = alias[j];
+            alias[j] = end;
+            j = next;
+        }
+    }
     free(root);
     return count;
 }
 
+/* Stable counting sort: out[0, m) is ids[0, m) ordered by key[ids[j]],
+ * ascending, with equal keys left in their order in ids.  Every id must lie
+ * in [0, n) and every key it reads in [0, range).  Returns 0; TP_BAD_INDEX,
+ * before any write, for an id or key out of range; or TP_NO_MEMORY. */
+int32_t tp_counting_sort(const int64_t *key, int64_t n, const int64_t *ids,
+                         int64_t m, int64_t range, int64_t *out)
+{
+    if (range < 0)
+        return TP_BAD_INDEX;
+    for (int64_t j = 0; j < m; j++)
+        if (ids[j] < 0 || ids[j] >= n || key[ids[j]] < 0 ||
+            key[ids[j]] >= range)
+            return TP_BAD_INDEX;
+    int64_t *start = calloc((size_t)range + 1, sizeof *start);
+    if (!start)
+        return TP_NO_MEMORY;
+    for (int64_t j = 0; j < m; j++)
+        start[key[ids[j]] + 1]++;
+    for (int64_t k = 0; k < range; k++)
+        start[k + 1] += start[k];
+    for (int64_t j = 0; j < m; j++)
+        out[start[key[ids[j]]]++] = ids[j];
+    free(start);
+    return 0;
+}
+
 enum { OPEN, WALL, REACHED };
+
+/* 0x80 in byte k for each k < valid (at most 8) whose cell[k] is OPEN */
+static uint64_t open_cells(const uint8_t *cell, int64_t valid)
+{
+    const uint64_t low7 = 0x7F7F7F7F7F7F7F7FULL;
+    uint64_t v = 0;
+    for (int k = 0; k < 8; k++)
+        v |= (uint64_t)cell[k] << (8 * k);
+    const uint64_t open = ~(((v & low7) + low7) | v | low7);
+    return valid < 8 ? open & (((uint64_t)1 << (8 * valid)) - 1) : open;
+}
 
 /* Saturates n_nodes pixel sets of a width x height grid: set i is the pixel
  * ids pix_order[lo[i]], ..., pix_order[hi[i] - 1], inside the box
@@ -144,7 +198,14 @@ enum { OPEN, WALL, REACHED };
  * is the set plus its holes: every box cell that an 8-connected flood of
  * the background from the one-pixel frame around the box does not reach.
  * The flood runs on a (bh + 4) x (bw + 4) grid whose outer ring is wall,
- * so no neighbour needs a bounds check, and pushes each open cell once.
+ * so no neighbour needs a bounds check.  It fills row runs: a popped seed
+ * grows left and right over open cells into a run, and the rows above and
+ * below are scanned one cell past each end of the run (the diagonal
+ * neighbours) eight cells at a time, pushing the first cell of every
+ * stretch of open cells there.
+ * A cell is marked reached when it is pushed or filled, and only open cells
+ * are pushed, so each cell is pushed at most once and the seed stack never
+ * holds more than the grid's cell count.
  * Set i's saturation is written to out[offsets[i]], ...,
  * out[offsets[i + 1] - 1] as ascending row-major pixel ids; n_out must be
  * at least the summed box area.  Returns 0; TP_BAD_INDEX, before any
@@ -175,7 +236,8 @@ int32_t tp_saturate(const int64_t *pix_order, int64_t n_pix,
     }
     if (cells > n_out)
         return TP_CAPACITY;
-    uint8_t *grid = malloc((size_t)grid_cells + 1);
+    /* a row scan reads up to 7 cells past the grid */
+    uint8_t *grid = calloc((size_t)grid_cells + 8, 1);
     int64_t *stack = malloc((size_t)grid_cells * sizeof *stack + 1);
     if (!grid || !stack) {
         free(grid);
@@ -195,23 +257,38 @@ int32_t tp_saturate(const int64_t *pix_order, int64_t n_pix,
             const int64_t p = pix_order[j];
             grid[(p / width - y0 + 2) * gw + p % width - x0 + 2] = WALL;
         }
-        const int64_t step[8] = {-gw - 1, -gw, -gw + 1, -1, 1,
-                                 gw - 1, gw, gw + 1};
         int64_t depth = 0;
         grid[gw + 1] = REACHED;
         stack[depth++] = gw + 1;
         while (depth) {
-            const int64_t cell = stack[--depth];
-            for (int k = 0; k < 8; k++)
-                if (grid[cell + step[k]] == OPEN) {
-                    grid[cell + step[k]] = REACHED;
-                    stack[depth++] = cell + step[k];
+            const int64_t seed = stack[--depth];
+            int64_t left = seed, right = seed;
+            while (grid[left - 1] == OPEN)
+                grid[--left] = REACHED;
+            while (grid[right + 1] == OPEN)
+                grid[++right] = REACHED;
+            for (int64_t up = -gw; up <= gw; up += 2 * gw) {
+                uint8_t *next = grid + up;
+                uint64_t before = 0;  /* 0x80: the cell before c is open */
+                for (int64_t c = left - 1; c <= right + 1; c += 8) {
+                    const uint64_t open = open_cells(next + c, right + 2 - c);
+                    uint64_t first = open & ~(open << 8 | before);
+                    before = open >> 56;
+                    for (; first; first &= first - 1) {
+                        const int64_t at = c + __builtin_ctzll(first) / 8;
+                        next[at] = REACHED;
+                        stack[depth++] = at + up;
+                    }
                 }
+            }
         }
+        /* every cell is written and the unreached ones kept: count never
+         * passes the cells swept so far, which n_out covers */
         for (int64_t y = 0; y < bh; y++)
-            for (int64_t x = 0; x < bw; x++)
-                if (grid[(y + 2) * gw + x + 2] != REACHED)
-                    out[count++] = (y0 + y) * width + x0 + x;
+            for (int64_t x = 0; x < bw; x++) {
+                out[count] = (y0 + y) * width + x0 + x;
+                count += grid[(y + 2) * gw + x + 2] != REACHED;
+            }
         offsets[i + 1] = count;
     }
     free(grid);

@@ -1,13 +1,15 @@
 """The package's compiled kernels: one C file, ``_kernels.c``, loaded through
 :mod:`ctypes`.
 
-It holds tree building (the Kruskal union-find, the saturation of every
-holed side-tree node of a tree of shapes in one call, ``tp_saturate``, and
-the painting of shapes, ``tp_paint_shapes``), the tree folds
-``tp_accumulate`` and ``tp_propagate``, the one-sweep attribute table
-``tp_attributes`` (swept over pixel ids, it also gives the tree of shapes
-its side trees' boxes, first pixels and frame contact) and filter ladder
-``tp_ladder``, and the random forest's tree growth and vote sum.
+It holds tree building (the Kruskal union-find, the stable counting sort
+``tp_counting_sort`` behind every sort of tree building, the saturation of
+every holed side-tree node of a tree of shapes in one call by a row-run
+flood, ``tp_saturate``, and the painting of shapes, ``tp_paint_shapes``),
+the tree folds ``tp_accumulate`` and ``tp_propagate``, the one-sweep
+attribute table ``tp_attributes`` (swept over pixel ids, it also gives the
+tree of shapes its side trees' boxes, first pixels and frame contact) and
+filter ladder ``tp_ladder``, and the random forest's tree growth and vote
+sum.
 ``ctypes`` needs no Python headers and no extra package, but the file is
 compiled with ``cc`` on the first call that needs it, never at import, and
 cached under ``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``),
@@ -43,6 +45,7 @@ _F8, _I4, _I8, _U8, _B1 = (
     for t in (np.float64, np.int32, np.int64, np.uint64, np.uint8))
 _N, _K, _P = ctypes.c_int64, ctypes.c_int32, ctypes.c_void_p
 _SIGNATURES = {
+    "tp_counting_sort": (_K, [_I8, _N, _I8, _N, _N, _I8]),
     "tp_kruskal": (_N, [_I8, _I8, _F8, _N, _I8, _N, _F8, _N, _I8, _F8, _I8]),
     "tp_saturate": (_K, [_I8, _N, _I8, _I8, _I8, _N, _N, _N, _I8, _N, _I8]),
     "tp_paint_shapes": (_K, [_I8, _N, _I8, _I8, _I8, _N, _I4, _N, _I4]),

@@ -29,8 +29,12 @@ adjacent pixel pairs (Najman, Cousty & Perret, *Playing with Kruskal*, ISMM
 with each pixel entering at f(p), a min-tree mirrors it, and an alpha-tree
 merges pairs weighted |f(p) - f(q)| in ascending order from level 0.  The
 merge loop runs in the package's native kernel (:mod:`treeprofiles._native`),
-with union by size and path halving over at most 2n - 1 records; numpy then
-resolves the aliases and numbers the nodes.
+with union by size and path halving over at most 2n - 1 records, and
+resolves the aliases it made; numpy then numbers the nodes.  Every sort in
+tree building has small integer keys (levels, pixel ids, node ids), so it
+is the native stable ``counting_sort``: the edge order here, and the node
+numbering of the component trees by (level, first pixel) as two passes,
+first pixel first.
 """
 
 from __future__ import annotations
@@ -163,6 +167,31 @@ class Tree:
 # Kruskal construction: one union-find for component and partition trees
 # ---------------------------------------------------------------------------
 
+def counting_sort(key: np.ndarray, order: np.ndarray | None = None,
+                  descending: bool = False) -> np.ndarray:
+    """The ids ``order`` (default ``0, ..., len(key) - 1``) stably sorted by
+    the integer ``key[id]``, ascending or descending: equal keys keep their
+    order in ``order``, so the default ascending order is
+    ``np.argsort(key, kind="stable")``.  The keys are shifted into
+    ``[0, max - min]`` and counted by the native ``tp_counting_sort`` in
+    O(len(order) + max - min) time."""
+    ids = (np.arange(len(key)) if order is None
+           else np.ascontiguousarray(order, dtype=np.int64))
+    out = np.empty(len(ids), dtype=np.int64)
+    if not len(ids):
+        return out
+    low, high = int(key.min()), int(key.max())
+    shifted = np.ascontiguousarray(high - key if descending else key - low,
+                                   dtype=np.int64)
+    status = _kernel().tp_counting_sort(shifted, len(shifted), ids, len(ids),
+                                        high - low + 1, out)
+    if status == -2:
+        raise MemoryError("tp_counting_sort: out of memory")
+    if status:
+        raise IndexError("counting_sort: an id is out of range")
+    return out
+
+
 def adjacent_pairs(width: int, height: int, connectivity: Connectivity):
     """Flat indices (a, b) of every unordered adjacent pixel pair: right,
     down, then for c8 down-right and down-left neighbours."""
@@ -205,11 +234,6 @@ def kruskal(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
         raise IndexError("kruskal: an edge order entry or endpoint is out "
                          "of range")
     alias = alias[:count]
-    while True:
-        hop = alias[alias]
-        if np.array_equal(hop, alias):
-            break
-        alias = hop
     records = np.flatnonzero(alias == np.arange(count))
     return records, alias[parent[:count]], level[:count], alias[:n]
 
@@ -231,17 +255,20 @@ def _component_tree(
     order, each pixel entering at f(p); the min-tree mirrors it.  Nodes are
     numbered by level from the root side, ties by the node's first direct
     pixel in that direction (smallest index for a max-tree, largest for a
-    min-tree)."""
+    min-tree).  That numbering fixes every byte of the tree, so the order of
+    equal-weight edges does not matter."""
     a, b = adjacent_pairs(width, height, as_connectivity(connectivity))
     upper = kind is TreeKind.MAX_TREE
     sign = 1 if upper else -1
     weight = (np.minimum if upper else np.maximum)(values_flat[a],
                                                    values_flat[b])
     records, parent, level, pixel_record = kruskal(
-        a, b, weight, np.argsort(-sign * weight), values_flat)
+        a, b, weight, counting_sort(weight, descending=upper), values_flat)
     first = np.full(len(parent), width * height, dtype=np.int64)
     np.minimum.at(first, pixel_record, sign * np.arange(width * height))
-    nodes = records[np.lexsort((first[records], sign * level[records]))]
+    by_first = counting_sort(first[records])
+    nodes = records[counting_sort(level[records].astype(np.int64), by_first,
+                                  descending=not upper)]
     node_parent, node_level, pixel_node = number_nodes(
         nodes, parent, level, pixel_record)
     return Tree(

@@ -29,11 +29,14 @@ frame pixel exactly when its box reaches them.  A node without holes is
 its own shape, so its area and pixels come from tree-wide passes; the
 nodes with holes of each side tree are filled in one native call,
 ``tp_saturate``, by an 8-connected flood of the background from a
-one-pixel frame around each node's bounding box.  The
+one-pixel frame around each node's bounding box; the flood fills whole
+row runs at a time.  The
 same shape can arise more than once -- nodes on one root path can share a
 saturation -- and duplicates collapse to the highest level on the upper side
 and the lowest level on the lower side, which is exactly the per-threshold
-enumeration semantics.
+enumeration semantics.  Every sort here has small integer keys (node ids,
+preorder ranks, doubled levels, areas, box corners) and is the native
+stable :func:`~treeprofiles.hierarchies.counting_sort`.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .hierarchies import (
     TreeKind,
     _component_tree,
     accumulate,
+    counting_sort,
     nearest_marked,
 )
 from .imagery import RasterImage
@@ -78,7 +82,7 @@ def _subtree_pixel_slices(tree: Tree):
     size = tree.accumulate(np.ones(n, dtype=np.int64), np.add)
     # a child's rank is its parent's rank + 1 + the sizes of its lower-id
     # siblings; children sorted by parent are grouped, ascending within
-    children = np.argsort(tree.parent[1:], kind="stable") + 1
+    children = counting_sort(tree.parent[1:]) + 1
     before = np.cumsum(size[children]) - size[children]
     first = np.diff(tree.parent[children], prepend=-1) != 0
     group_start = np.maximum.accumulate(np.where(first, np.arange(n - 1), 0))
@@ -86,7 +90,7 @@ def _subtree_pixel_slices(tree: Tree):
     step[children] = 1 + before - before[group_start]
     pre = tree.propagate(step, np.add)
     keys = pre[tree.pixel_node]
-    pix_order = np.argsort(keys, kind="stable")
+    pix_order = counting_sort(keys)
     cum = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
     return pix_order, cum[pre], cum[pre + size]
 
@@ -195,7 +199,11 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     # order: largest first so painting leaves each pixel in its smallest
     # shape; ties on (area, level, corner) fall back to the mask bytes, then
     # to the visiting order
-    order = np.lexsort((seen, x0, y0, level2, -area))
+    # LSD passes of a stable sort; `seen` needs none, as it already ascends
+    # (each side's tops come from flatnonzero, the upper side first)
+    order = counting_sort(y0 * pw + x0)
+    order = counting_sort(level2, order)
+    order = counting_sort(area, order, descending=True)
     ranked = np.stack([area, level2, y0, x0])[:, order]
     starts = np.flatnonzero(np.concatenate(
         ([True], np.any(ranked[:, 1:] != ranked[:, :-1], axis=0))))

@@ -5,6 +5,9 @@ weighted by absolute gray difference are merged in ascending weight order,
 collapsing chains of equal-weight merges so that child level < parent level
 strictly.  Leaves of the canonical tree are 0-flat zones, not individual
 pixels; nodes are numbered in descending record id, which is root first.
+Record ids follow the merge order, so equal weights must keep their edge
+order: the edges are ordered by ``hierarchies.counting_sort``, which is
+stable and gives ``np.argsort(weight, kind="stable")``.
 
 The omega-tree is derived from the alpha-tree: a node survives when its
 global gray range is strictly below its parent's, its level becomes that
@@ -27,6 +30,7 @@ from .hierarchies import (
     TreeKind,
     adjacent_pairs,
     as_connectivity,
+    counting_sort,
     kruskal,
     nearest_marked,
     number_nodes,
@@ -65,7 +69,7 @@ def build_alpha_tree(
     n = image.width * image.height
     records, parent, level, pixel_record = kruskal(
         edges.a, edges.b, edges.weight,
-        np.argsort(edges.weight, kind="stable"), np.zeros(n))
+        counting_sort(edges.weight), np.zeros(n))
     # records are made after the ones they cover: descending id is root first
     parent, level, pixel_node = number_nodes(
         records[::-1], parent, level, pixel_record)

@@ -22,15 +22,20 @@ from treeprofiles import (
     reconstruct,
     smallest_node,
 )
+from treeprofiles._native import _kernel
 from treeprofiles.hierarchies import (
     accumulate,
     adjacent_pairs,
     as_connectivity,
+    counting_sort,
     kruskal,
     nearest_marked,
     propagate,
 )
-from treeprofiles.inclusion import _subtree_pixel_slices
+from treeprofiles.inclusion import (
+    _border_median_doubled,
+    _subtree_pixel_slices,
+)
 
 from conftest import random_image
 from oracles import (
@@ -381,15 +386,95 @@ def edge_case_images(rng):
 
 def kruskal_inputs(image, connectivity):
     """``kruskal``'s (a, b, weight, order, leaf_level) for the max-, min- and
-    alpha-tree edge orders, as their builders pass them."""
+    alpha-tree edge orders: the counting-sort orders that ``build_max_tree``,
+    ``build_min_tree`` and ``build_alpha_tree`` pass, and for the max- and
+    min-tree also an unstable argsort, which orders equal weights
+    differently."""
     flat = image.values.ravel()
     a, b = adjacent_pairs(image.width, image.height,
                           as_connectivity(connectivity))
     low, high = np.minimum(flat[a], flat[b]), np.maximum(flat[a], flat[b])
     diff = np.abs(flat[a] - flat[b])
+    alpha_order = counting_sort(diff)
+    assert np.array_equal(alpha_order, np.argsort(diff, kind="stable"))
     return [(a, b, low, np.argsort(-low), flat),
+            (a, b, low, counting_sort(low, descending=True), flat),
             (a, b, high, np.argsort(high), flat),
-            (a, b, diff, np.argsort(diff, kind="stable"), np.zeros(len(flat)))]
+            (a, b, high, counting_sort(high), flat),
+            (a, b, diff, alpha_order, np.zeros(len(flat)))]
+
+
+def native_counting_sort(key, ids, size):
+    """(status, out) of one ``tp_counting_sort`` call; out starts as -7 so
+    that a refused call can be seen to write nothing."""
+    key, ids = (np.array(v, dtype=np.int64) for v in (key, ids))
+    out = np.full(len(ids), -7, dtype=np.int64)
+    status = _kernel().tp_counting_sort(key, len(key), ids, len(ids), size,
+                                        out)
+    return status, out
+
+
+class TestCountingSort:
+    """The native counting sort is ``np.argsort(kind="stable")``."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 300, 131071])
+    def test_random_keys(self, size):
+        rng = np.random.default_rng(size)
+        for n in (0, 1, 2, 17, 1000):
+            key = rng.integers(0, size, size=n)
+            assert np.array_equal(counting_sort(key),
+                                  np.argsort(key, kind="stable"))
+            assert np.array_equal(counting_sort(key, descending=True),
+                                  np.argsort(-key, kind="stable"))
+            order = rng.permutation(n)
+            assert np.array_equal(
+                counting_sort(key, order),
+                order[np.argsort(key[order], kind="stable")])
+            status, out = native_counting_sort(key, order, size)
+            assert status == 0
+            assert np.array_equal(
+                out, order[np.argsort(key[order], kind="stable")])
+
+    def test_negative_keys_are_shifted(self):
+        key = np.array([3, -5, 0, -5, 3, 2])
+        assert counting_sort(key).tolist() == [1, 3, 2, 5, 0, 4]
+        assert counting_sort(key, descending=True).tolist() == \
+            [0, 4, 5, 2, 1, 3]
+
+    def test_lsd_passes_are_lexsort(self):
+        rng = np.random.default_rng(4)
+        major, minor = rng.integers(0, 5, size=(2, 400))
+        order = counting_sort(major, counting_sort(minor))
+        assert np.array_equal(order, np.lexsort((minor, major)))
+
+    @pytest.mark.parametrize("key, ids, size, want", [
+        ([], [], 0, []),
+        ([], [], 5, []),
+        ([0, 0, 0], [2, 0, 1], 1, [2, 0, 1]),
+        ([4, 4, 4, 4], [3, 1, 2, 0], 5, [3, 1, 2, 0]),
+        ([4, 0, 4, 1], [0, 1, 2, 3], 5, [1, 3, 0, 2]),
+        ([4, 0, 4, 1], [2, 3, 0], 5, [3, 2, 0]),
+    ])
+    def test_edge_cases(self, key, ids, size, want):
+        status, out = native_counting_sort(key, ids, size)
+        assert status == 0
+        assert out.tolist() == want
+
+    @pytest.mark.parametrize("key, ids, size", [
+        ([0, 1, -1], [0, 1, 2], 2),     # negative key
+        ([0, 1, 2], [0, 1, 2], 2),      # key equal to the range
+        ([0, 9, 1], [0, 1, 2], 2),      # key past the range
+        ([0, 1, 1], [0, 1, 2], 0),      # empty range
+        ([0, 1, 1], [0, 1, 2], -1),     # negative range
+        ([0, 1, 1], [0, 1, 3], 2),      # id past the keys
+        ([0, 1, 1], [0, -1, 2], 2),     # negative id
+    ])
+    def test_bad_key_or_id_refused(self, key, ids, size):
+        # the valid entries come first: they would be written if checks
+        # came late
+        status, out = native_counting_sort(key, ids, size)
+        assert status == -3
+        assert (out == -7).all()
 
 
 def assert_same_records(got, want):
@@ -435,6 +520,35 @@ class TestKruskalMatchesUnionFind:
         for img in images:
             assert_same_tree(build_tree_of_shapes(img),
                              tree_of_shapes_per_node(img))
+
+    @staticmethod
+    def sixteen_bit_images():
+        """Small images over the gray values 0, 1, 40000, 65534 and 65535,
+        whose doubled levels reach 131,070, the widest key range sorted in
+        tree construction; the first has the half-level border median
+        (1 + 40000) / 2."""
+        values = np.array([0, 1, 40000, 65534, 65535])
+        half = np.array([[0, 0, 0, 1, 1],
+                         [1, 65535, 40000, 0, 0],
+                         [40000, 1, 65534, 1, 40000],
+                         [65534, 65535, 65535, 65535, 65534]])
+        rng = np.random.default_rng(16)
+        return [RasterImage(half, levels=65536)] + [
+            RasterImage(rng.choice(values, size=rng.integers(1, 9, size=2)),
+                        levels=65536)
+            for _ in range(60)]
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_sixteen_bit_tree_of_shapes_and_alpha_tree(self, complement):
+        images = self.sixteen_bit_images()
+        assert _border_median_doubled(images[0].values) == 40001
+        for img in images:
+            img = img.complement() if complement else img
+            assert_same_tree(build_tree_of_shapes(img),
+                             tree_of_shapes_per_node(img))
+            for connectivity in ("c4", "c8"):
+                assert_same_tree(build_alpha_tree(img, connectivity),
+                                 alpha_tree_union_find(img, connectivity))
 
     @pytest.mark.parametrize("connectivity", ["c4", "c8"])
     def test_kernel_matches_python_loop(self, images, connectivity):

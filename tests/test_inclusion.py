@@ -64,6 +64,23 @@ class TestTreeOfShapes:
         }
         assert tos == max_sets
 
+    def test_shapes_arrive_in_visiting_order(self, monkeypatch, rng):
+        # the shape sort has no pass over the visiting order: it relies on
+        # the shapes of both side trees arriving with `seen` ascending
+        seen, collect = [], inclusion._collect_shapes
+
+        def spy(tree, side):
+            pixels, columns = collect(tree, side)
+            seen.append(columns[4])
+            return pixels, columns
+
+        monkeypatch.setattr(inclusion, "_collect_shapes", spy)
+        for _ in range(25):
+            seen.clear()
+            build_tree_of_shapes(random_image(rng, 10, 6))
+            assert len(seen) == 2
+            assert (np.diff(np.concatenate(seen)) > 0).all()
+
     def test_matches_saturation_oracle(self, rng):
         for _ in range(25):
             img = random_image(rng, 10, 6)
@@ -240,6 +257,54 @@ class TestFillHoles:
         assert len(got) == len(want) == 508
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    @staticmethod
+    def scanline_masks():
+        """Masks whose background leaks diagonally past the end of a row
+        run, where a row-run flood must scan one cell beyond each end."""
+        yy, xx = np.indices((9, 11))
+        masks = []
+        for k in (2, 3, 4):
+            masks += [xx - yy == 0, (xx + yy) % k == 0, (xx - yy) % k == 0,
+                      xx >= k * yy, xx + k * yy >= 10]          # staircases
+        for width in (5, 8):
+            ring = np.ones((7, width), bool)
+            ring[1:-1, 1:-1] = False
+            for gap in ((0, 0), (0, width - 1), (6, 0), (6, width - 1)):
+                corner = ring.copy()
+                corner[gap] = False      # the inside reaches it diagonally
+                masks.append(corner)
+            stepped = ring.copy()
+            stepped[0, 2], stepped[1, 3] = False, True  # one-pixel offset
+            masks += [ring, stepped]
+        for shape in ((1, 1), (2, 2), (5, 5), (6, 9), (9, 6)):
+            board = np.indices(shape).sum(axis=0) % 2 == 0
+            masks += [board, ~board]
+            boxed = np.pad(board, 1, constant_values=True)
+            masks += [boxed, np.pad(~board, 1, constant_values=True)]
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 9, 40):
+            masks += [np.ones((1, n), bool), np.ones((n, 1), bool),
+                      np.arange(n)[None] % 2 == 0,
+                      np.arange(n)[:, None] % 3 > 0,
+                      rng.random((1, n)) < 0.5, rng.random((n, 1)) < 0.5]
+        spiral = np.zeros((11, 11), bool)
+        for k in range(0, 6, 2):
+            spiral[k, k:11 - k] = spiral[k:11 - k, 10 - k] = True
+            spiral[10 - k, k:11 - k] = spiral[k + 2:11 - k, k] = True
+            spiral[k + 2, k:k + 2] = True
+        closed = spiral.copy()
+        closed[1, 0] = True              # the whole winding becomes a hole
+        return masks + [spiral, ~spiral, closed]
+
+    def test_scanline_leaks_match_label_fill(self):
+        masks = self.scanline_masks()
+        assert any(fill_holes_label(m).sum() > m.sum() for m in masks)
+        for mask in masks:
+            (got,), (want,) = saturate_masks([mask])
+            assert np.array_equal(got, want)
+        got, want = saturate_masks(masks)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_diagonal_ring_has_no_hole(self):
         # the centre's background reaches the outside through the corners
