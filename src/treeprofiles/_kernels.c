@@ -181,17 +181,6 @@ int32_t tp_counting_sort(const int64_t *key, int64_t n, const int64_t *ids,
 
 enum { OPEN, WALL, REACHED };
 
-/* 0x80 in byte k for each k < valid (at most 8) whose cell[k] is OPEN */
-static uint64_t open_cells(const uint8_t *cell, int64_t valid)
-{
-    const uint64_t low7 = 0x7F7F7F7F7F7F7F7FULL;
-    uint64_t v = 0;
-    for (int k = 0; k < 8; k++)
-        v |= (uint64_t)cell[k] << (8 * k);
-    const uint64_t open = ~(((v & low7) + low7) | v | low7);
-    return valid < 8 ? open & (((uint64_t)1 << (8 * valid)) - 1) : open;
-}
-
 /* Saturates n_nodes pixel sets of a width x height grid: set i is the pixel
  * ids pix_order[lo[i]], ..., pix_order[hi[i] - 1], inside the box
  * box[4i .. 4i + 3] = (y0, x0, y1, x1), corners included.  Its saturation
@@ -200,8 +189,8 @@ static uint64_t open_cells(const uint8_t *cell, int64_t valid)
  * The flood runs on a (bh + 4) x (bw + 4) grid whose outer ring is wall,
  * so no neighbour needs a bounds check.  It fills row runs: a popped seed
  * grows left and right over open cells into a run, and the rows above and
- * below are scanned one cell past each end of the run (the diagonal
- * neighbours) eight cells at a time, pushing the first cell of every
+ * below are scanned cell by cell from one cell before the run to one cell
+ * past it (the diagonal neighbours), pushing the first cell of every
  * stretch of open cells there.
  * A cell is marked reached when it is pushed or filled, and only open cells
  * are pushed, so each cell is pushed at most once and the seed stack never
@@ -236,10 +225,9 @@ int32_t tp_saturate(const int64_t *pix_order, int64_t n_pix,
     }
     if (cells > n_out)
         return TP_CAPACITY;
-    /* a row scan reads up to 7 cells past the grid */
-    uint8_t *grid = calloc((size_t)grid_cells + 8, 1);
+    uint8_t *grid = malloc((size_t)grid_cells);  /* malloc(0) may be NULL */
     int64_t *stack = malloc((size_t)grid_cells * sizeof *stack + 1);
-    if (!grid || !stack) {
+    if ((!grid && grid_cells) || !stack) {
         free(grid);
         free(stack);
         return TP_NO_MEMORY;
@@ -269,16 +257,14 @@ int32_t tp_saturate(const int64_t *pix_order, int64_t n_pix,
                 grid[++right] = REACHED;
             for (int64_t up = -gw; up <= gw; up += 2 * gw) {
                 uint8_t *next = grid + up;
-                uint64_t before = 0;  /* 0x80: the cell before c is open */
-                for (int64_t c = left - 1; c <= right + 1; c += 8) {
-                    const uint64_t open = open_cells(next + c, right + 2 - c);
-                    uint64_t first = open & ~(open << 8 | before);
-                    before = open >> 56;
-                    for (; first; first &= first - 1) {
-                        const int64_t at = c + __builtin_ctzll(first) / 8;
-                        next[at] = REACHED;
-                        stack[depth++] = at + up;
+                int before = 0;  /* the cell before c was open */
+                for (int64_t c = left - 1; c <= right + 1; c++) {
+                    const int open = next[c] == OPEN;
+                    if (open && !before) {
+                        next[c] = REACHED;
+                        stack[depth++] = c + up;
                     }
+                    before = open;
                 }
             }
         }

@@ -15,10 +15,11 @@ omega trees) is stored as the same parent-array structure:
   pruned down to node i (the level for component/inclusion trees, the
   rounded component mean for partition trees).
 
-Every per-node pass goes through two kernels, after Higra's
+The generic per-node passes go through two kernels, after Higra's
 ``accumulate_sequential`` / ``propagate_sequential``: ``accumulate`` folds
-values child to parent (areas, moments, extrema, flags) and ``propagate``
-parent to child (pruning, nearest retained ancestor, preorder ranks).
+values child to parent (areas, hole counts) and ``propagate`` parent to
+child (pruning, nearest marked ancestor, preorder ranks); attribute tables
+and filter ladders have their own sweeps (``tp_attributes``, ``tp_ladder``).
 Because ``parent[i] < i``, each is one linear sweep over the node ids in the
 native kernel, whatever the tree's depth.  Folds of int64 or bool values by
 sum, min, max, logical and or logical or are exact in any fold order.

@@ -426,6 +426,22 @@ def _profile(bundle: TreeBundle, spec: FilterSpec, features: list[str],
                         layout=layout)
 
 
+def _bundle_for(image: RasterImage, trees: ProfileTrees | str,
+                connectivity: Connectivity | str,
+                bundle: TreeBundle | None) -> TreeBundle:
+    """``bundle``, checked against the arguments (the image by identity
+    first, so the CLI pays nothing), or a new one if it is ``None``."""
+    trees = ProfileTrees(trees)
+    if bundle is None:
+        return tree_bundle(image, trees, connectivity)
+    if bundle.trees is not trees:
+        raise DataError(f"bundle is {bundle.trees.value}, not {trees.value}")
+    if bundle.image is not image and \
+            not np.array_equal(bundle.image.values, image.values):
+        raise DataError("bundle was built from another image")
+    return bundle
+
+
 def build_ap(
     image: RasterImage,
     trees: ProfileTrees | str,
@@ -436,12 +452,13 @@ def build_ap(
 ) -> ProfileStack:
     """Attribute profile: 2K+1 columns for the component pair, K+1 otherwise.
 
+    A ``bundle`` from ``tree_bundle`` is used instead of new trees; it must
+    hold the ``trees`` family of ``image`` or an equal image.
     With ``out``, a (pixels, dim) float64 matrix whose columns are adjacent
     doubles, such as a column slice of a larger matrix, the columns are
     written there and the stack's data is ``out``.
     """
-    if bundle is None:
-        bundle = tree_bundle(image, ProfileTrees(trees), connectivity)
+    bundle = _bundle_for(image, trees, connectivity, bundle)
     return _profile(bundle, spec, ["gray"], out)
 
 
@@ -455,9 +472,8 @@ def build_fp(
     out: np.ndarray | None = None,
 ) -> ProfileStack:
     """Feature profile: one attribute-profile-shaped block per feature;
-    ``out`` as for ``build_ap``."""
+    ``bundle`` and ``out`` as for ``build_ap``."""
     if len(features) == 0:
         raise DataError("build_fp needs at least one feature")
-    if bundle is None:
-        bundle = tree_bundle(image, ProfileTrees(trees), connectivity)
+    bundle = _bundle_for(image, trees, connectivity, bundle)
     return _profile(bundle, spec, [Feature(f).value for f in features], out)

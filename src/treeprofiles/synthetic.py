@@ -90,15 +90,11 @@ def split_labels(
     """Random disjoint train/test label maps drawn from the labeled pixels."""
     if not 0.0 < train_fraction < 1.0:
         raise DataError("train_fraction must be in (0, 1)")
-    rng = Xorshift64Star(derive_seed(seed, 1))
     flat = labels.labels.ravel()
     labeled = np.flatnonzero(flat)
     n_train = max(1, int(round(len(labeled) * train_fraction)))
-    pool = labeled.tolist()
-    for i in range(n_train):  # partial Fisher-Yates over labeled pixels
-        j = i + rng.below(len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    train_idx = np.array(pool[:n_train], dtype=np.int64)
+    rng = Xorshift64Star(derive_seed(seed, 1))
+    train_idx = labeled[rng.sample_without_replacement(len(labeled), n_train)]
     train = np.zeros_like(flat)
     test = flat.copy()
     train[train_idx] = flat[train_idx]

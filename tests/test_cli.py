@@ -763,6 +763,35 @@ class TestSharedAlphaTree:
         assert both == alone
 
 
+class TestBundleOfTheSameImage:
+    """Every stack the CLI builds hands ``build_ap``/``build_fp`` the bundle
+    of the very band object it passes, so the bundle check is an identity
+    test, and the run keeps its golden report."""
+
+    def test_classify_passes_each_bands_own_bundle(
+            self, monkeypatch, golden_labels, tmp_path):
+        from treeprofiles import cli, profiles
+
+        seen = Counter()
+        check = profiles._bundle_for
+
+        def recording(image, trees, connectivity, bundle):
+            seen[bundle is not None and bundle.image is image] += 1
+            return check(image, trees, connectivity, bundle)
+
+        monkeypatch.setattr(profiles, "_bundle_for", recording)
+        cube = two_band_cube(tmp_path / "cube.json")
+        assert cli.main(["classify", "--image", str(cube),
+                         *map(str, golden_labels), "--mode", "both",
+                         "--tree", "alpha,omega", "--pca", "2",
+                         "--levels", "32", "--rf-trees", "5",
+                         "--out", str(tmp_path)]) == 0
+        # 2 bands x 2 families x (AP, FP) x (area, moment)
+        assert seen == {True: 16}
+        report = (tmp_path / "report.json").read_bytes()
+        assert _sha256(report) == GOLDEN_PARTITION_REPORTS["alpha,omega"]
+
+
 class TestNoScipy:
     """The package imports no scipy, not even lazily: importing it builds and
     loads no kernel, and a tree-of-shapes, alpha and omega classify run

@@ -101,6 +101,29 @@ class TestPerNodeReference:
         return build_tree_of_shapes(img), tree_of_shapes_per_node(img)
 
 
+def concentric_rings(shape: str, side: int, width: int) -> np.ndarray:
+    """Alternating 0/1 rings ``width`` pixels wide around the centre of a
+    ``side`` x ``side`` image, square (by Chebyshev distance) or round."""
+    c = (side - 1) / 2
+    y, x = np.mgrid[0:side, 0:side] - c
+    dist = np.maximum(abs(y), abs(x)) if shape == "square" else np.hypot(y, x)
+    return (dist // width).astype(int) % 2
+
+
+@pytest.mark.parametrize("complement", [False, True])
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("side", [9, 17, 25, 33])
+@pytest.mark.parametrize("shape", ["square", "disc"])
+def test_nested_rings(shape, side, width, complement):
+    # a chain of holed nodes whose boxes span nearly the whole padded
+    # image, so the hole floods run along the last columns of their grids
+    img = RasterImage(concentric_rings(shape, side, width), levels=2)
+    img = img.complement() if complement else img
+    got = build_tree_of_shapes(img)
+    assert_same_tree(got, tree_of_shapes_per_node(img))
+    assert got.node_count > side // (2 * width)
+
+
 def background_holes(mask: np.ndarray) -> int:
     """Bounded 8-connected background components of a pixel mask."""
     _, count = ndimage.label(np.pad(~mask, 1, constant_values=True),

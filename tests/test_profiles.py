@@ -185,6 +185,40 @@ class TestGivenAlphaTree:
             build_tree(img, "alpha", alpha=build_alpha_tree(other))
 
 
+class TestGivenBundle:
+    """``build_ap`` and ``build_fp`` refuse a bundle of another family or of
+    another image, and take one built from an equal image."""
+
+    def test_other_family_refused(self, rng):
+        img = random_image(rng, 8, 6, min_side=4)
+        bundle = tree_bundle(img, "component")
+        with pytest.raises(DataError, match="is component, not tos"):
+            build_ap(img, "tos", spec_area(2), bundle=bundle)
+        with pytest.raises(DataError, match="is component, not alpha"):
+            build_fp(img, "alpha", spec_area(2), ["area"], bundle=bundle)
+
+    def test_other_image_refused(self, rng):
+        img = RasterImage(rng.integers(0, 8, size=(20, 20)), levels=8)
+        for other in (RasterImage(img.values[:12, :16], levels=8),
+                      RasterImage(img.values ^ 1, levels=8)):
+            bundle = tree_bundle(other, "tos")
+            with pytest.raises(DataError, match="another image"):
+                build_ap(img, "tos", spec_area(2), bundle=bundle)
+            with pytest.raises(DataError, match="another image"):
+                build_fp(img, "tos", spec_area(2), ["area"], bundle=bundle)
+
+    @pytest.mark.parametrize("kind", list(ProfileTrees))
+    def test_equal_image_accepted(self, rng, kind):
+        img = random_image(rng, 9, 8, min_side=3)
+        bundle = tree_bundle(RasterImage(img.values.copy(), img.levels), kind)
+        for build in (
+                lambda **kw: build_ap(img, kind, spec_area(3), **kw),
+                lambda **kw: build_fp(img, kind, spec_area(3),
+                                      ["stddev", "area"], **kw)):
+            assert build(bundle=bundle).data.tobytes() == \
+                build().data.tobytes()
+
+
 class TestBuildAp:
     def test_component_pair_dim(self, rng):
         img = random_image(rng, 8, 6, min_side=4)
