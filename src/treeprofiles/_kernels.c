@@ -27,7 +27,8 @@
  * first), drawing each split node's candidate features with a partial
  * Fisher-Yates shuffle and searching them for the best Gini split.
  * tp_forest_votes sums the leaf probabilities of the trees over a batch of
- * rows, in tree order, until a row's vote is settled.  tp_best_split and
+ * rows, picked by index from the caller's whole matrix and read in place,
+ * in tree order, until a row's vote is settled.  tp_best_split and
  * tp_xorshift_fill expose the node search and the generator to the tests.
  *
  * A node's search skips a candidate with one value on the whole training
@@ -64,6 +65,7 @@
 #define TP_CAPACITY (-1)  /* a tree would outgrow its node arrays */
 #define TP_NO_MEMORY (-2)
 #define TP_BAD_INDEX (-3) /* an index argument out of range */
+#define TP_NON_FINITE (-4) /* a feature read is NaN or infinite */
 
 /* ---- Tree building ---- */
 
@@ -982,21 +984,35 @@ static int settled(const double *v, int32_t n_classes, double spread_left,
     return 1;
 }
 
-/* votes[r * n_classes + c] += the class-c probability of the leaf that row r
- * reaches, tree after tree, until the row's votes are settled (see
- * settled); summed[r] is the number of trees added, a prefix of the
- * forest.  Node ids of tree t run from offset[t] to offset[t + 1].  Every
- * tree is checked (check_tree) before any row is read.  Returns 0, t + 1
- * for the first malformed tree t, or TP_NO_MEMORY. */
-int32_t tp_forest_votes(const double *x, int64_t rows, int32_t n_features,
+/* votes[i * n_classes + c] += the class-c probability of the leaf that row
+ * rows[i] of x (x_rows rows of n_features values) reaches, tree after tree,
+ * until the row's votes are settled (see settled); summed[i] is the number
+ * of trees added, a prefix of the forest.  The rows are read in place, so
+ * picking them needs no copy of x; an index may repeat.  Node ids of tree t
+ * run from offset[t] to offset[t + 1].  Before any vote is written, every
+ * index is checked, then every indexed row's features, then every tree
+ * (check_tree).  Returns 0, TP_BAD_INDEX for an index outside [0, x_rows),
+ * TP_NON_FINITE for a NaN or infinite feature, t + 1 for the first
+ * malformed tree t, or TP_NO_MEMORY. */
+int32_t tp_forest_votes(const double *x, int64_t x_rows, const int64_t *rows,
+                        int64_t n_rows, int32_t n_features,
                         int32_t n_classes, int32_t n_trees,
                         const int64_t *offset, const int32_t *feature,
                         const double *threshold, const int32_t *left,
                         const int32_t *right, const double *probs,
                         double *votes, int32_t *summed)
 {
+    for (int64_t i = 0; i < n_rows; i++)
+        if (rows[i] < 0 || rows[i] >= x_rows)
+            return TP_BAD_INDEX;
+    for (int64_t i = 0; i < n_rows; i++) {
+        const double *row = x + rows[i] * n_features;
+        for (int32_t f = 0; f < n_features; f++)
+            if (!isfinite(row[f]))
+                return TP_NON_FINITE;
+    }
     double *spread = malloc(2 * ((size_t)n_trees + 1) * sizeof *spread);
-    int64_t *active = malloc((size_t)rows * sizeof *active + 1);
+    int64_t *active = malloc((size_t)n_rows * sizeof *active + 1);
     if (!spread || !active) {
         free(spread);
         free(active);
@@ -1019,10 +1035,10 @@ int32_t tp_forest_votes(const double *x, int64_t rows, int32_t n_features,
         spread[t] += spread[t + 1];
         mag[t] += mag[t + 1];
     }
-    int64_t n_active = rows;
-    for (int64_t r = 0; r < rows; r++) {
-        active[r] = r;
-        summed[r] = n_trees;
+    int64_t n_active = n_rows;
+    for (int64_t i = 0; i < n_rows; i++) {
+        active[i] = i;
+        summed[i] = n_trees;
     }
     for (int32_t t = 0; t < n_trees; t++) {
         const int64_t base = offset[t];
@@ -1030,7 +1046,7 @@ int32_t tp_forest_votes(const double *x, int64_t rows, int32_t n_features,
                       *rt = right + base;
         const double *thr = threshold + base;
         for (int64_t a = 0; a < n_active; a++) {
-            const double *row = x + active[a] * n_features;
+            const double *row = x + rows[active[a]] * n_features;
             int64_t node = 0;
             while (feat[node] >= 0)
                 node = row[feat[node]] <= thr[node] ? lt[node] : rt[node];

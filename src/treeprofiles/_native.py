@@ -57,8 +57,8 @@ _SIGNATURES = {
                           _F8, _I4, _I4, _F8, _N]),
     "tp_best_split": (_K, [_I4, _F8, _I4, _I4, _N, _K, _K, _I4, _N, _I4, _K,
                            _F8]),
-    "tp_forest_votes": (_K, [_F8, _N, _K, _K, _K, _I8, _I4, _F8, _I4, _I4,
-                             _F8, _F8, _I4]),
+    "tp_forest_votes": (_K, [_F8, _N, _I8, _N, _K, _K, _K, _I8, _I4, _F8,
+                             _I4, _I4, _F8, _F8, _I4]),
     "tp_xorshift_fill": (None, [_U8, _U8, _N]),
 }
 _lib: ctypes.CDLL | None = None

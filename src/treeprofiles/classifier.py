@@ -58,6 +58,8 @@ from .rng import Xorshift64Star, derive_seed
 
 _MAGIC = b"TPFM"
 _VERSION = 1
+# tp_forest_votes' failure codes (TP_* in _kernels.c)
+_NO_MEMORY, _BAD_INDEX, _NON_FINITE = -2, -3, -4
 
 
 @dataclass
@@ -151,11 +153,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _check_finite(x: np.ndarray, what: str) -> None:
-    if not np.isfinite(x).all():
-        raise DataError(f"{what} features contain NaN or infinity")
-
-
 def train_forest(
     x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0
 ) -> ForestModel:
@@ -170,7 +167,8 @@ def train_forest(
         raise DataError(f"a forest needs at least one tree, got {n_trees}")
     if x.ndim != 2 or len(x) != len(y) or len(y) == 0:
         raise DataError("training needs matching non-empty x (2-D) and y")
-    _check_finite(x, "training")
+    if not np.isfinite(x).all():
+        raise DataError("training features contain NaN or infinity")
     classes = np.unique(y)
     if len(classes) < 2:
         raise DataError("training needs at least two classes")
@@ -187,12 +185,17 @@ def train_forest(
 # Prediction
 # ---------------------------------------------------------------------------
 
-def _votes(model: ForestModel,
-           x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, n_classes) sums of the trees' leaf probabilities, added in
-    tree order, one thread per block of rows, and per row the number of
-    trees summed: a row stops once its vote is settled (see ``predict``),
-    so its sum covers the forest's first trees only."""
+def _votes(model: ForestModel, x: np.ndarray,
+           rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(len(rows), n_classes) sums of the trees' leaf probabilities for rows
+    ``rows`` of ``x`` (default: every row), added in tree order, one thread
+    per block of rows, and per row the number of trees summed: a row stops
+    once its vote is settled (see ``predict``), so its sum covers the
+    forest's first trees only.  ``x`` is read in place."""
+    rows = np.arange(len(x)) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise DataError("prediction rows must be a 1-D array of row indices")
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
     trees = model.trees
     offset = np.cumsum([0] + [len(t.feature) for t in trees], dtype=np.int64)
 
@@ -209,28 +212,40 @@ def _votes(model: ForestModel,
     kernel = _kernel()  # loaded here, so no worker thread builds it
     arrays = (offset, flat("feature", np.int32), flat("threshold", np.float64),
               flat("left", np.int32), flat("right", np.int32), probs)
-    votes = np.zeros((len(x), model.n_classes))
-    summed = np.empty(len(x), dtype=np.int32)
-    blocks = max(1, min(_usable_cpus(), len(x)))
+    n = len(rows)
+    votes = np.zeros((n, model.n_classes))
+    summed = np.empty(n, dtype=np.int32)
+    blocks = max(1, min(_usable_cpus(), n))
 
     def block(k: int) -> int:
-        lo, hi = len(x) * k // blocks, len(x) * (k + 1) // blocks
+        lo, hi = n * k // blocks, n * (k + 1) // blocks
         return kernel.tp_forest_votes(
-            x[lo:hi], hi - lo, model.n_features, model.n_classes, len(trees),
-            *arrays, votes[lo:hi], summed[lo:hi])
+            x, len(x), rows[lo:hi], hi - lo, model.n_features,
+            model.n_classes, len(trees), *arrays, votes[lo:hi], summed[lo:hi])
 
     with ThreadPoolExecutor(blocks) as pool:
         status = list(pool.map(block, range(blocks)))
-    if -2 in status:
+    # every block checks its indices, then its rows, then every tree; the
+    # first failing check over all blocks is the one a single block names
+    if _NO_MEMORY in status:
         raise MemoryError("forest kernel: out of memory")
+    if _BAD_INDEX in status:
+        raise DataError(f"prediction row index outside [0, {len(x)})")
+    if _NON_FINITE in status:
+        raise DataError("prediction features contain NaN or infinity")
     if any(status):  # every block checks every tree, so all name the first
         raise DataError(f"tree {min(status) - 1} of the model is malformed")
     return votes, summed
 
 
-def predict(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    """Majority vote over summed tree probabilities; ties go to the smaller
-    class id.
+def predict(model: ForestModel, x: np.ndarray,
+            rows: np.ndarray | None = None) -> np.ndarray:
+    """Labels of rows ``rows`` of ``x``, in their order (default: every
+    row): majority vote over summed tree probabilities; ties go to the
+    smaller class id.
+
+    The rows are picked by index and read in place, so labelling a subset
+    of a large matrix makes no copy of it; an index may repeat.
 
     A row stops summing once no remaining tree can change its leader: its
     lead over every other class exceeds the sum, over the remaining trees,
@@ -238,16 +253,17 @@ def predict(model: ForestModel, x: np.ndarray) -> np.ndarray:
     allowance for float rounding (derived in ``_kernels.c``).  Such a
     row's full sum would keep the same strict leader, so the labels are the
     full sums' labels; rows still tied or close sum every tree in tree
-    order, as before.  A model with a malformed tree, or a NaN or infinite
-    probability, raises DataError before any row is read."""
+    order, as before.  Before any vote is summed, DataError is raised, in
+    this order, for an index outside ``[0, len(x))``, a NaN or infinite
+    feature in an indexed row (other rows are not read), and a model with
+    a malformed tree or a NaN or infinite probability."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DataError(
             f"feature dimension {x.shape[-1] if x.ndim else 0} does not match "
             f"model ({model.n_features})"
         )
-    _check_finite(x, "prediction")
-    return model.classes[np.argmax(_votes(model, x)[0], axis=1)]
+    return model.classes[np.argmax(_votes(model, x, rows)[0], axis=1)]
 
 
 # ---------------------------------------------------------------------------

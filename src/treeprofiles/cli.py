@@ -207,8 +207,9 @@ def _spec_for(args, band: RasterImage, attr: str) -> FilterSpec:
 class _StackCache:
     """Builds profile matrices: one alpha-tree per band, shared by the alpha
     and omega families, and one tree bundle per (band, family), shared by
-    every matrix asked for later.  ``matrix`` builds each stack straight
-    into its column slice of one matrix."""
+    every matrix of that family.  Callers ask family by family, so only the
+    current family's bundles are kept.  ``matrix`` builds each stack
+    straight into its column slice of one matrix."""
 
     def __init__(self, bands: list[RasterImage], args):
         self.bands = bands
@@ -220,6 +221,8 @@ class _StackCache:
     def _bundle(self, band_i: int, kind: str):
         if (band_i, kind) in self.bundles:
             return self.bundles[band_i, kind]
+        self.bundles = {key: bundle for key, bundle in self.bundles.items()
+                        if key[1] == kind}
         band = self.bands[band_i]
         conn = Connectivity(self.args.connectivity)
         alpha = None
@@ -281,7 +284,7 @@ def _fit_eval(matrix: np.ndarray, train: LabelMap, test: LabelMap,
     if len(test_idx) == 0:
         raise DataError("no labeled test pixels")
     model = train_forest(matrix[train_idx], train_y, n_trees=n_trees, seed=seed)
-    pred = predict(model, matrix[test_idx])
+    pred = predict(model, matrix, test_idx)
     confusion, oa, kappa = evaluate(pred, test_y)
     return model, confusion, oa, kappa
 
@@ -396,7 +399,10 @@ def cmd_compare(args) -> int:
             cells = {}
             for header, attrs in zip(_COMPARE_HEADERS, _COMPARE_ATTR_SETS):
                 cols = [i for i, a in enumerate(attr_of) if a in attrs]
-                _, _, oa, kappa = _fit_eval(stack.data[:, cols], train, test,
+                # ascending, so every column is the matrix itself: no copy
+                data = stack.data if len(cols) == stack.dim else \
+                    stack.data[:, cols]
+                _, _, oa, kappa = _fit_eval(data, train, test,
                                             args.rf_trees, args.seed)
                 cells[header] = {"oa": round(float(oa), 6),
                                  "kappa": round(float(kappa), 6)}

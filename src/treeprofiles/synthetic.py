@@ -92,6 +92,8 @@ def split_labels(
         raise DataError("train_fraction must be in (0, 1)")
     flat = labels.labels.ravel()
     labeled = np.flatnonzero(flat)
+    if len(labeled) == 0:
+        raise DataError("split_labels needs at least one labeled pixel")
     n_train = max(1, int(round(len(labeled) * train_fraction)))
     rng = Xorshift64Star(derive_seed(seed, 1))
     train_idx = labeled[rng.sample_without_replacement(len(labeled), n_train)]

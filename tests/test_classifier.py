@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -455,6 +456,102 @@ class TestPredict:
             leaves = tree.feature == -1
             sums = tree.probs[leaves].sum(axis=1)
             assert np.allclose(sums, 1.0, atol=1e-9)
+
+
+class TestPredictRows:
+    """``predict(model, x, rows)`` labels rows of ``x`` picked by index and
+    read in place: the labels of ``predict(model, x[rows])``, with no copy
+    of ``x``, and the same checks on exactly the indexed rows."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 257])
+    def test_rows_match_gathered_rows(self, rng, monkeypatch, cpus):
+        x, y = fp_training_set()
+        model = train_forest(x, y, n_trees=30, seed=4)
+        probe = np.vstack([x, x + rng.normal(size=x.shape) * x.std(axis=0)])
+        rows = rng.integers(0, len(probe), size=600)  # unsorted, repeated
+        rows[:3] = rows[3]
+        monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+        votes, summed = classifier._votes(model, probe, rows)
+        want = classifier._votes(model, probe[rows])
+        assert votes.tobytes() == want[0].tobytes()
+        assert summed.tobytes() == want[1].tobytes()
+        assert summed.min() < 30  # some rows settle early
+        assert np.array_equal(predict(model, probe, rows),
+                              predict(model, probe[rows]))
+        assert np.array_equal(predict(model, probe, None),
+                              predict(model, probe))
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_index_out_of_range(self, rng, monkeypatch, bad):
+        x, y = separable_blobs(rng)
+        model = train_forest(x, y, n_trees=3, seed=0)
+        probe = np.zeros((6, 2))
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(classifier, "_usable_cpus", lambda c=cpus: c)
+            with pytest.raises(DataError, match=r"outside \[0, 6\)"):
+                predict(model, probe, [0, 1, 2, 3, bad])
+        for rows in ([[0, 1]], [0.0, 1.0], [True, False]):
+            with pytest.raises(DataError, match="1-D array of row indices"):
+                predict(model, probe, rows)
+
+    def test_index_checked_before_any_vote(self):
+        trees = [leaf_tree([0.5, 0.5]), leaf_tree([0.25, 0.75])]
+        x = np.zeros((3, 1))
+        offset = np.array([0, 1, 2], dtype=np.int64)
+        flat = [np.concatenate([getattr(t, a).ravel() for t in trees])
+                for a in ("feature", "threshold", "left", "right", "probs")]
+        for rows, code in (([0, 2, 1], 0), ([0, 2, 3], -3), ([-1, 0], -3)):
+            rows = np.array(rows, dtype=np.int64)
+            votes = np.full((len(rows), 2), -7.0)
+            summed = np.full(len(rows), -7, dtype=np.int32)
+            assert _native._kernel().tp_forest_votes(
+                x, len(x), rows, len(rows), 1, 2, 2, offset, *flat, votes,
+                summed) == code
+            assert (votes == -7.0).all() == (code != 0)
+            assert (summed == -7).all() == (code != 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_checked_only_when_indexed(self, rng, bad):
+        x, y = separable_blobs(rng)
+        model = train_forest(x, y, n_trees=3, seed=0)
+        probe = rng.normal(size=(5, 2))
+        probe[3, 1] = bad
+        assert np.array_equal(predict(model, probe, [4, 0, 2]),
+                              predict(model, probe[[4, 0, 2]]))
+        with pytest.raises(DataError, match="^prediction features contain "
+                                            "NaN or infinity$"):
+            predict(model, probe, [4, 3, 0])
+
+    def test_features_error_wins_over_malformed_tree(self, monkeypatch):
+        # tree 1's right child lies outside the tree; the NaN row is in the
+        # last block, so the earlier blocks see only the malformed tree
+        stump = DecisionTree(feature=np.array([0, -1], dtype=np.int32),
+                             threshold=np.zeros(2),
+                             left=np.array([1, -1], dtype=np.int32),
+                             right=np.array([7, -1], dtype=np.int32),
+                             probs=np.array([[0.0, 0.0], [1.0, 0.0]]))
+        model = ForestModel(trees=[leaf_tree([0.5, 0.5]), stump],
+                            classes=np.array([1, 2]), n_features=1, seed=0)
+        x = np.array([[-1.0], [-1.0], [1.0], [np.nan]])
+        with pytest.raises(DataError, match="tree 1 of the model"):
+            predict(model, x, [0, 1, 2])
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(classifier, "_usable_cpus", lambda c=cpus: c)
+            with pytest.raises(DataError, match="NaN or infinity"):
+                predict(model, x, [0, 1, 2, 3])
+
+    def test_rows_read_in_place(self, rng):
+        x, y = separable_blobs(rng)
+        model = train_forest(np.tile(x, 32), y, n_trees=5, seed=0)
+        big = rng.normal(size=(20_000, 64))
+        rows = rng.permutation(20_000)[:15_000]
+        tracemalloc.start()
+        try:
+            predict(model, big, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # a gather of the rows is 7.68 MB
 
 
 class TestEvaluate:

@@ -533,6 +533,11 @@ GOLDEN_COMPARE = {
 }
 GOLDEN_MULTIBAND_REPORT = \
     "580da03dd49b52c8ff5d32f89227f747fa9e742f8fa2a75e0ffcdf715ebc87f7"
+# the six-band cube's tree of shapes, alpha and omega report, computed while
+# a pass still kept every family's bundles and predict read a copy of the
+# test rows
+GOLDEN_THREE_FAMILY_REPORT = \
+    "4af8569ee3ed9639d0bde25b4a0952c55fad987166bc23c92edfe7b0ac0d11af"
 
 # classify reports of a two-band cube with both partition families, computed
 # while each family still built its own alpha-tree and PCA ran on Jacobi
@@ -790,6 +795,38 @@ class TestBundleOfTheSameImage:
         assert seen == {True: 16}
         report = (tmp_path / "report.json").read_bytes()
         assert _sha256(report) == GOLDEN_PARTITION_REPORTS["alpha,omega"]
+
+
+class TestOneFamilyAtATime:
+    """A pass keeps one tree family's bundles: asking for a new family drops
+    the others', and since every command asks family by family, each
+    (band, family) bundle is still built once."""
+
+    def test_classify_keeps_the_last_familys_bundles(
+            self, monkeypatch, golden_labels, tmp_path):
+        from treeprofiles import cli
+
+        calls, held = Counter(), []
+        monkeypatch.setattr(cli, "tree_bundle", counting(
+            calls, "tree_bundle", cli.tree_bundle))
+        matrix = cli._StackCache.matrix
+
+        def recording(cache, *args):
+            stack = matrix(cache, *args)
+            held.append(sorted(cache.bundles))
+            return stack
+
+        monkeypatch.setattr(cli._StackCache, "matrix", recording)
+        cube = six_band_cube(tmp_path / "cube.json")
+        assert cli.main(["classify", "--image", str(cube),
+                         *map(str, golden_labels), "--mode", "both",
+                         "--tree", "tos,alpha,omega", "--pca", "3",
+                         "--levels", "64", "--rf-trees", "5",
+                         "--out", str(tmp_path / "rep")]) == 0
+        assert calls["tree_bundle"] == 3 * 3  # bands x families
+        assert held == [[(b, "omega") for b in range(3)]]
+        report = (tmp_path / "rep" / "report.json").read_bytes()
+        assert _sha256(report) == GOLDEN_THREE_FAMILY_REPORT
 
 
 class TestNoScipy:

@@ -6,6 +6,7 @@ import pytest
 from treeprofiles import (
     DataError,
     FormatError,
+    LabelMap,
     MultibandImage,
     RasterImage,
     load_grayscale,
@@ -15,6 +16,7 @@ from treeprofiles import (
     rescale_to_levels,
     save_multiband,
     save_pgm,
+    split_labels,
     synthetic_scene,
 )
 
@@ -137,6 +139,12 @@ class TestLabels:
         save_pgm(RasterImage(np.zeros((3, 3), int), levels=2), tmp_path / "l.pgm")
         with pytest.raises(DataError, match="label map"):
             load_labels(tmp_path / "l.pgm", (2, 2))
+
+    def test_split_of_an_unlabeled_map(self):
+        with pytest.raises(DataError, match="at least one labeled pixel"):
+            split_labels(LabelMap(np.zeros((4, 4), int)), 0.5, seed=1)
+        train, test = split_labels(LabelMap(np.eye(4, dtype=int)), 0.5, seed=1)
+        assert len(train.samples()[0]) == len(test.samples()[0]) == 2
 
 
 class TestPca:
