@@ -49,7 +49,7 @@ print("smallest node of a plateau pixel (1,1):", smallest_node(tree, (1, 1)))
 #    everything that stays keeps its exact contour.
 table = compute_attributes(tree, image)
 mask = filter_tree(tree, table, Attribute.AREA, 5, FilterRule.MIN)
-opened = reconstruct(tree, mask)
+opened = reconstruct(tree, mask, table)
 print("\narea opening (min area 5):")
 print(opened.values)
 

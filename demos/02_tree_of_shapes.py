@@ -33,16 +33,17 @@ tree = build_tree_of_shapes(image)
 print(f"\ntree of shapes, {tree.node_count} nodes (id parent level area):")
 print(dump_tree(tree))
 
-# 2. Reconstructing from all shapes is the identity.
+# 2. Reconstructing from all shapes is the identity.  Each pixel takes the
+#    gray value of its smallest retained shape, read from the tree's table.
+table = compute_attributes(tree, image)
 everything = np.ones(tree.node_count, dtype=bool)
-assert np.array_equal(reconstruct(tree, everything).values, values)
+assert np.array_equal(reconstruct(tree, everything, table).values, values)
 
 # 3. One self-dual area filter removes the small islet (bright) while a
 #    max-tree filter alone could never touch dark details, and vice versa.
-table = compute_attributes(tree, image)
 mask = filter_tree(tree, table, Attribute.AREA, 4, FilterRule.MIN)
 print("self-dual area filter (min area 4):")
-print(reconstruct(tree, mask).values)
+print(reconstruct(tree, mask, table).values)
 
 # 4. Self-duality: complementing the image complements the tree.  The shape
 #    boundaries are level lines, identical for X and its negative.

@@ -230,9 +230,9 @@ int32_t tp_saturate(const int64_t *pix_order, int64_t n_pix,
     uint8_t *grid = malloc((size_t)grid_cells);  /* malloc(0) may be NULL */
     int64_t *stack = malloc((size_t)grid_cells * sizeof *stack + 1);
     if ((!grid && grid_cells) || !stack) {
-        free(grid);
-        free(stack);
-        return TP_NO_MEMORY;
+        free(grid);             /* alloc-fail */
+        free(stack);            /* alloc-fail */
+        return TP_NO_MEMORY;    /* alloc-fail */
     }
     int64_t count = 0;
     offsets[0] = 0;
@@ -1014,9 +1014,9 @@ int32_t tp_forest_votes(const double *x, int64_t x_rows, const int64_t *rows,
     double *spread = malloc(2 * ((size_t)n_trees + 1) * sizeof *spread);
     int64_t *active = malloc((size_t)n_rows * sizeof *active + 1);
     if (!spread || !active) {
-        free(spread);
-        free(active);
-        return TP_NO_MEMORY;
+        free(spread);           /* alloc-fail */
+        free(active);           /* alloc-fail */
+        return TP_NO_MEMORY;    /* alloc-fail */
     }
     /* spread and mag become suffix sums */
     double *mag = spread + n_trees + 1;

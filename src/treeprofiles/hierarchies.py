@@ -2,18 +2,17 @@
 alpha-trees.
 
 Every hierarchy in the package (component trees, tree of shapes, alpha and
-omega trees) is stored as the same parent-array structure:
+omega trees) is stored as the same three arrays, which hold its structure
+only:
 
 * node 0 is the root and ``parent[i] < i`` for every other node, so
   ascending node order is already a root-first topological order;
 * ``level[i]`` is the node's characteristic value: a gray level for
   component and inclusion trees, a dissimilarity for partition trees;
 * ``pixel_node[p]`` maps each pixel to the smallest node containing it;
-  it is the tree's only pixel-to-node map, and per-node pixel statistics
-  (``node_areas``, ``attributes.compute_attributes``) are sweeps over it;
-* ``rep_value[i]`` is the gray value a pixel falls back to when the tree is
-  pruned down to node i (the level for component/inclusion trees, the
-  rounded component mean for partition trees).
+  it is the tree's only pixel-to-node map, and every per-node pixel
+  statistic (``node_areas``, ``attributes.compute_attributes``, and from
+  that table the gray value a pruned pixel takes) is a sweep over it.
 
 The generic per-node passes go through two kernels, after Higra's
 ``accumulate_sequential`` / ``propagate_sequential``: ``accumulate`` folds
@@ -124,10 +123,9 @@ class Tree:
     parent: np.ndarray           # (N,) int32, parent[0] == 0
     level: np.ndarray            # (N,) float64
     pixel_node: np.ndarray       # (H*W,) int32
-    rep_value: np.ndarray        # (N,) int64
 
     def __post_init__(self):
-        for name in ("parent", "level", "pixel_node", "rep_value"):
+        for name in ("parent", "level", "pixel_node"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -275,7 +273,6 @@ def _component_tree(
     return Tree(
         kind=kind, width=width, height=height, levels=levels,
         parent=node_parent, level=node_level, pixel_node=pixel_node,
-        rep_value=node_level.astype(np.int64),
     )
 
 

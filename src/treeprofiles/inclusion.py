@@ -246,5 +246,4 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
         parent=node_parent,
         level=node_level2.astype(np.float64) / 2.0,
         pixel_node=label.ravel(),
-        rep_value=(node_level2 + 1) // 2,
     )

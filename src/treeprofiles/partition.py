@@ -18,7 +18,7 @@ gives the constrained-connectivity semantics directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,7 @@ def build_alpha_tree(
     parent, level, pixel_node = number_nodes(
         records[::-1], parent, level, pixel_record)
 
-    tree = Tree(
+    return Tree(
         kind=TreeKind.ALPHA_TREE,
         width=image.width,
         height=image.height,
@@ -82,14 +82,7 @@ def build_alpha_tree(
         parent=parent,
         level=level,
         pixel_node=pixel_node,
-        rep_value=np.zeros(len(parent), dtype=np.int64),
     )
-    # reconstruction representative: rounded component mean gray, from the
-    # table of the tree above, which reads no rep_value
-    table = compute_attributes(tree, image)
-    area, gray_sum = table.area, table.gray_sum
-    rep = gray_sum // area + ((gray_sum % area) * 2 >= area)
-    return replace(tree, rep_value=rep)
 
 
 def build_omega_tree(alpha_tree: Tree, image: RasterImage) -> Tree:
@@ -127,7 +120,6 @@ def build_omega_tree(alpha_tree: Tree, image: RasterImage) -> Tree:
         parent=omega_parent,
         level=rng[survivors].astype(np.float64),
         pixel_node=omega_of[alpha_tree.pixel_node],
-        rep_value=alpha_tree.rep_value[survivors].copy(),
     )
 
 

@@ -122,10 +122,31 @@ class FilterSpec:
         object.__setattr__(self, "rule", rule)
 
 
-def _attribute_values(table: AttributeTable, attribute: Attribute) -> np.ndarray:
-    if attribute is Attribute.AREA:
-        return table.area.astype(np.float64)
-    return moment_of_inertia_all(table)
+def _node_values(tree: Tree, table: AttributeTable, name: str) -> np.ndarray:
+    """The one per-node float table: what a filter tests, what a profile
+    column gathers, what a reconstructed pixel takes.
+
+    ``"gray"`` is the gray value of a node: the exact level for component
+    trees and the tree of shapes (whose root may sit at a half-integer
+    level, which integer rounding would skew), and the mean gray rounded
+    half up, from the table, for the alpha- and omega-trees, whose level is
+    a dissimilarity.  ``"stddev"``, ``"area"`` and ``"moment"`` are the
+    population gray standard deviation, the pixel count and the moment of
+    inertia.  ``table`` must be the tree's own.
+    """
+    if table.node_count != tree.node_count:
+        raise DataError("attribute table does not match tree")
+    if name == "gray":
+        if tree.kind in (TreeKind.ALPHA_TREE, TreeKind.OMEGA_TREE):
+            area, gray_sum = table.area, table.gray_sum
+            mean = gray_sum // area + ((gray_sum % area) * 2 >= area)
+            return mean.astype(np.float64)
+        return tree.level
+    if name == "stddev":
+        return std_dev_all(table)
+    if name == "moment":
+        return moment_of_inertia_all(table)
+    return table.area.astype(np.float64)
 
 
 def filter_tree(
@@ -136,11 +157,8 @@ def filter_tree(
     rule: FilterRule | str,
 ) -> np.ndarray:
     """Boolean retain-mask over nodes; the root is always retained."""
-    if table.node_count != tree.node_count:
-        raise DataError("attribute table does not match tree")
     rule = FilterRule(rule)
-    values = _attribute_values(table, Attribute(attribute))
-    keep = values >= threshold
+    keep = _node_values(tree, table, Attribute(attribute).value) >= threshold
     keep[0] = True
     if rule is FilterRule.MIN:
         keep = tree.propagate(keep, np.logical_and)
@@ -152,30 +170,13 @@ def _pixel_owners(tree: Tree, mask: np.ndarray) -> np.ndarray:
     return nearest_marked(tree, mask)[tree.pixel_node]
 
 
-def _node_values(tree: Tree, table: AttributeTable, feature: str) -> np.ndarray:
-    """Per-node float table a profile column gathers from.
-
-    ``"gray"`` is the attribute-profile value: the exact node level for
-    component/inclusion trees (the inclusion-tree root may sit at a
-    half-integer level, which integer rounding would skew), the rounded mean
-    gray for partition trees.  Otherwise a feature of the unfiltered tree's
-    table: population gray standard deviation or area.
-    """
-    if feature == "gray":
-        if tree.kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE,
-                         TreeKind.TREE_OF_SHAPES):
-            return tree.level
-        return tree.rep_value.astype(np.float64)
-    if Feature(feature) is Feature.STD_DEV:
-        return std_dev_all(table)
-    return table.area.astype(np.float64)
-
-
-def reconstruct(tree: Tree, mask: np.ndarray) -> RasterImage:
-    """Image restitution: each pixel takes its smallest retained node's
-    representative value (level for component/inclusion trees, rounded mean
-    gray for partition trees)."""
-    values = tree.rep_value[_pixel_owners(tree, mask)]
+def reconstruct(tree: Tree, mask: np.ndarray,
+                table: AttributeTable) -> RasterImage:
+    """Image restitution: each pixel takes the gray value of its smallest
+    retained node (see ``_node_values``), rounded up to an integer; ``table``
+    is the unfiltered tree's."""
+    gray = np.ceil(_node_values(tree, table, "gray")).astype(np.int64)
+    values = gray[_pixel_owners(tree, mask)]
     return RasterImage(values.reshape(tree.height, tree.width), levels=tree.levels)
 
 

@@ -577,7 +577,7 @@ def tree_of_shapes_per_node(image):
     return Tree(
         kind=TreeKind.TREE_OF_SHAPES, width=w, height=h, levels=image.levels,
         parent=node_parent, level=node_level2.astype(np.float64) / 2.0,
-        pixel_node=label.ravel(), rep_value=(node_level2 + 1) // 2,
+        pixel_node=label.ravel(),
     )
 
 
@@ -590,9 +590,9 @@ def profile_per_column(bundle, spec, features):
 
     ``features`` is None for an attribute profile, else the feature list of
     a feature profile.  Each column resolves its own pixel owners: the gray
-    level (node level for component/inclusion trees, ``rep_value`` for
-    partition trees) or the feature of the unfiltered tree's table.  Masks
-    are shared per (tree, threshold), as the library always did.
+    level (node level for component/inclusion trees, ``rounded_mean_gray``
+    for partition trees) or the feature of the unfiltered tree's table.
+    Masks are shared per (tree, threshold), as the library always did.
     """
     from treeprofiles.attributes import std_dev_all
     from treeprofiles.hierarchies import TreeKind, nearest_marked
@@ -630,7 +630,8 @@ def profile_per_column(bundle, spec, features):
                              TreeKind.TREE_OF_SHAPES):
                 per_node = tree.level
             else:
-                per_node = tree.rep_value.astype(np.float64)
+                per_node = rounded_mean_gray(tree, bundle.image).astype(
+                    np.float64)
         elif feature == "stddev":
             per_node = std_dev_all(table)
         else:
@@ -796,7 +797,6 @@ def tree_from_pixel_parents(values_flat, parent, order, width: int,
     return Tree(
         kind=kind, width=width, height=height, levels=levels,
         parent=node_parent, level=node_level, pixel_node=pixel_node,
-        rep_value=node_level.astype(np.int64),
     )
 
 
@@ -821,7 +821,6 @@ def alpha_tree_union_find(image, connectivity: str = "c4"):
 
     edges = edge_list(image, connectivity)
     n = image.width * image.height
-    flat = image.values.ravel()
 
     # pixel union-find
     pix_parent = list(range(n))
@@ -895,13 +894,6 @@ def alpha_tree_union_find(image, connectivity: str = "c4"):
         (new_id[node_find(p)] for p in range(n)), dtype=np.int32, count=n
     )
 
-    # reconstruction representative: rounded component mean gray
-    stats = np.zeros((n_nodes, 2), dtype=np.int64)
-    np.add.at(stats, pixel_node, np.stack([np.ones_like(flat), flat], axis=1))
-    area, gray_sum = accumulate_layered(parent, depth_layers(parent), stats,
-                                        np.add).T
-    rep = gray_sum // area + ((gray_sum % area) * 2 >= area)
-
     return Tree(
         kind=TreeKind.ALPHA_TREE,
         width=image.width,
@@ -910,8 +902,20 @@ def alpha_tree_union_find(image, connectivity: str = "c4"):
         parent=parent,
         level=level,
         pixel_node=pixel_node,
-        rep_value=rep.astype(np.int64),
     )
+
+
+def rounded_mean_gray(tree, image) -> np.ndarray:
+    """Per-node mean gray of a tree's pixels rounded half up (int64): the
+    gray value of an alpha- or omega-tree node, by a per-pixel scatter and
+    a fold by depth layers instead of the attribute sweep."""
+    stats = np.zeros((tree.node_count, 2), dtype=np.int64)
+    flat = image.values.ravel().astype(np.int64)
+    np.add.at(stats, tree.pixel_node,
+              np.stack([np.ones_like(flat), flat], axis=1))
+    area, gray_sum = accumulate_layered(tree.parent, depth_layers(tree.parent),
+                                        stats, np.add).T
+    return gray_sum // area + ((gray_sum % area) * 2 >= area)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_a1_max_tree_oracle():
             lam = int(rng.integers(2, 10))
             mask = filter_tree(tree, table, Attribute.AREA, lam, FilterRule.MIN)
             assert np.array_equal(
-                reconstruct(tree, mask).values,
+                reconstruct(tree, mask, table).values,
                 area_opening(img.values, lam, conn),
             )
             checked += 1

@@ -237,7 +237,6 @@ class TestAttributesKernel:
         tree = Tree(kind=TreeKind.MAX_TREE, width=3, height=1, levels=3,
                     parent=np.array([0, 2, 0], dtype=np.int32),
                     level=np.array([0.0, 2.0, 1.0]),
-                    pixel_node=np.array([0, 2, 1], dtype=np.int32),
-                    rep_value=np.array([0, 2, 1]))
+                    pixel_node=np.array([0, 2, 1], dtype=np.int32))
         with pytest.raises(DataError, match="root-first"):
             compute_attributes(tree, img)

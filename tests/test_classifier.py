@@ -227,6 +227,36 @@ class TestSplitSearchBranches:
             self.check(x, y, n_classes, samples, [0, 1, 2])
             self.check(x, y, n_classes, samples, [2, 0])
 
+    @pytest.mark.parametrize("n_classes", [16, 130])
+    def test_many_classes(self, rng, n_classes):
+        # a side's squared class fractions are summed pairwise as numpy
+        # does: 8 at a time from 16 classes, halved above 128
+        n = 1500
+        for _ in range(8):
+            n_features = int(rng.integers(1, 5))
+            x = rng.integers(0, int(rng.choice([5, 60, 3000])),
+                             size=(n, n_features)) * 0.5
+            y = rng.integers(0, n_classes, size=n)
+            for m in (40, 600):
+                samples = rng.choice(n, m, replace=True)
+                self.check(x, y, n_classes, samples,
+                           list(rng.permutation(n_features)))
+
+    @pytest.mark.parametrize("n, top", [
+        (70000, 70000),  # three moving radix passes: the keys end in tmp
+        (70000, 32768),  # the third digit is 0 for every key: pass skipped
+    ])
+    def test_radix_passes(self, rng, n, top):
+        # keys are a rank (17 bits for 70,000 rows) over 1 class bit, so
+        # three 8-bit digits; 40 samples over ranks [0, top) are far too
+        # sparse to count
+        x = rng.permutation(n)[:, None] * 0.25
+        y = rng.integers(0, 2, size=n)
+        for _ in range(10):
+            ranks = rng.choice(top, 40, replace=False)
+            samples = np.argsort(x[:, 0])[ranks]
+            self.check(x, y, 2, samples, [0])
+
     @pytest.mark.parametrize("m", [17, 40])
     @pytest.mark.parametrize("step", [1, 50])  # ranks counted, then sorted
     @pytest.mark.parametrize("alone, next_to", [(0, 1), (-1, -2)])

@@ -289,16 +289,30 @@ def _profile_of_smaller_image(path, scene_dir):
             "--profile", path / "small_alpha_fp"], "16x16"
 
 
-def _profile_with_infinity(path, scene_dir):
+def _profile_with_value(path, scene_dir, value):
+    """A saved profile whose first column holds ``value`` at every pixel;
+    the error names NaN and infinity together."""
     assert run_cli("profile", "--image", scene_dir / "scene.pgm",
                    "--tree", "alpha", "--mode", "fp", "--attr", "area",
                    "--out", path).returncode == 0
     stem = path / "scene_alpha_fp"
     dim = json.loads(stem.with_suffix(".json").read_text())["dim"]
     values = np.fromfile(stem.with_suffix(".raw"), dtype="<f4")
-    values[::dim] = np.inf  # the first column of every pixel
+    values[::dim] = value
     values.tofile(stem.with_suffix(".raw"))
     return ["--image", scene_dir / "scene.pgm", "--profile", stem], "infinity"
+
+
+def _profile_with_infinity(path, scene_dir):
+    return _profile_with_value(path, scene_dir, np.inf)
+
+
+def _profile_with_negative_infinity(path, scene_dir):
+    return _profile_with_value(path, scene_dir, -np.inf)
+
+
+def _profile_with_nan(path, scene_dir):
+    return _profile_with_value(path, scene_dir, np.nan)
 
 
 class TestInputErrors:
@@ -315,6 +329,8 @@ class TestInputErrors:
         (_non_utf8_profile_header, 2),
         (_profile_of_smaller_image, 3),
         (_profile_with_infinity, 3),
+        (_profile_with_negative_infinity, 3),
+        (_profile_with_nan, 3),
     ])
     def test_classify_input(self, scene_dir, tmp_path, make, code):
         args, names = make(tmp_path, scene_dir)

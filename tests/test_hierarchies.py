@@ -36,6 +36,7 @@ from treeprofiles.inclusion import (
     _border_median_doubled,
     _subtree_pixel_slices,
 )
+from treeprofiles.profiles import _node_values
 
 from conftest import random_image
 from oracles import (
@@ -52,6 +53,7 @@ from oracles import (
     preorder_dfs,
     propagate_layered,
     propagate_loop,
+    rounded_mean_gray,
     tree_component_pixels,
     tree_of_shapes_per_node,
 )
@@ -108,8 +110,9 @@ class TestMaxTree:
                 for build in (build_max_tree, build_min_tree):
                     tree = build(img, conn)
                     full = np.ones(tree.node_count, dtype=bool)
-                    assert np.array_equal(reconstruct(tree, full).values,
-                                          img.values)
+                    table = compute_attributes(tree, img)
+                    assert np.array_equal(
+                        reconstruct(tree, full, table).values, img.values)
 
     def test_single_pixel_image(self):
         img = RasterImage(np.array([[5]]), levels=8)
@@ -363,7 +366,7 @@ class TestTraversalKernels:
             assert np.array_equal(hi, cum[post])
 
 
-TREE_ARRAYS = ("parent", "level", "pixel_node", "rep_value")
+TREE_ARRAYS = ("parent", "level", "pixel_node")
 
 
 def assert_same_tree(tree, ref):
@@ -373,6 +376,16 @@ def assert_same_tree(tree, ref):
         got, want = getattr(tree, name), getattr(ref, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
+
+
+def assert_same_alpha_tree(img, connectivity):
+    """The alpha-tree against the union-find oracle, and each node's gray
+    value read from its table against the oracle's own rounded mean."""
+    tree = build_alpha_tree(img, connectivity)
+    ref = alpha_tree_union_find(img, connectivity)
+    assert_same_tree(tree, ref)
+    gray = _node_values(tree, compute_attributes(tree, img), "gray")
+    assert np.array_equal(gray, rounded_mean_gray(ref, img))
 
 
 def edge_case_images(rng):
@@ -502,8 +515,7 @@ class TestKruskalMatchesUnionFind:
             assert_same_tree(build_min_tree(img, connectivity),
                              component_tree_union_find(img, connectivity,
                                                        False))
-            assert_same_tree(build_alpha_tree(img, connectivity),
-                             alpha_tree_union_find(img, connectivity))
+            assert_same_alpha_tree(img, connectivity)
 
     @pytest.mark.parametrize("connectivity", ["c4", "c8"])
     def test_sixteen_bit_ramp(self, connectivity):
@@ -513,8 +525,7 @@ class TestKruskalMatchesUnionFind:
                          component_tree_union_find(ramp, connectivity, True))
         assert_same_tree(build_min_tree(ramp, connectivity),
                          component_tree_union_find(ramp, connectivity, False))
-        assert_same_tree(build_alpha_tree(ramp, connectivity),
-                         alpha_tree_union_find(ramp, connectivity))
+        assert_same_alpha_tree(ramp, connectivity)
 
     def test_tree_of_shapes(self, images):
         for img in images:
@@ -547,8 +558,7 @@ class TestKruskalMatchesUnionFind:
             assert_same_tree(build_tree_of_shapes(img),
                              tree_of_shapes_per_node(img))
             for connectivity in ("c4", "c8"):
-                assert_same_tree(build_alpha_tree(img, connectivity),
-                                 alpha_tree_union_find(img, connectivity))
+                assert_same_alpha_tree(img, connectivity)
 
     @pytest.mark.parametrize("connectivity", ["c4", "c8"])
     def test_kernel_matches_python_loop(self, images, connectivity):

@@ -187,7 +187,7 @@ class TestTieOrder:
         monkeypatch.setattr(inclusion, "_mask_bytes", spy)
         got, want = build_tree_of_shapes(img), tree_of_shapes_per_node(img)
         assert tied == [25, 25]
-        for name in ("parent", "level", "pixel_node", "rep_value"):
+        for name in ("parent", "level", "pixel_node"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 

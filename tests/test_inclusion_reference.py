@@ -16,7 +16,7 @@ from oracles import tree_component_pixels, tree_of_shapes_per_node
 def assert_same_tree(got, want):
     assert (got.kind, got.width, got.height, got.levels) == \
         (want.kind, want.width, want.height, want.levels)
-    for name in ("parent", "level", "pixel_node", "rep_value"):
+    for name in ("parent", "level", "pixel_node"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 

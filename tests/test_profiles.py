@@ -17,7 +17,9 @@ from treeprofiles import (
     build_ap,
     build_fp,
     build_max_tree,
+    build_min_tree,
     build_tree,
+    build_tree_of_shapes,
     compute_attributes,
     feature_map,
     filter_tree,
@@ -25,13 +27,14 @@ from treeprofiles import (
     tree_bundle,
 )
 from treeprofiles._native import _kernel
-from treeprofiles.profiles import profile_dim
+from treeprofiles.profiles import _node_values, profile_dim
 
 from conftest import random_image
 from oracles import (
     area_opening,
     border_median,
     profile_per_column,
+    rounded_mean_gray,
     two_pass_std,
 )
 
@@ -49,7 +52,6 @@ def chain_fixture():
         parent=np.array([0, 0, 1], dtype=np.int32),
         level=np.array([0.0, 1.0, 2.0]),
         pixel_node=np.array([0] * 8 + [1] * 4 + [2] * 3, dtype=np.int32),
-        rep_value=np.array([0, 1, 2], dtype=np.int64),
     )
     zeros = np.zeros(3, dtype=np.int64)
     table = AttributeTable(
@@ -91,27 +93,73 @@ class TestReconstruct:
         tree = build_max_tree(img)
         table = compute_attributes(tree, img)
         mask = filter_tree(tree, table, Attribute.AREA, 2, FilterRule.MIN)
-        assert np.all(reconstruct(tree, mask).values == 1)
+        assert np.all(reconstruct(tree, mask, table).values == 1)
 
     def test_identity_mask(self, rng):
         img = random_image(rng, 12, 8)
         tree = build_max_tree(img)
         mask = np.ones(tree.node_count, dtype=bool)
-        assert np.array_equal(reconstruct(tree, mask).values, img.values)
+        table = compute_attributes(tree, img)
+        assert np.array_equal(reconstruct(tree, mask, table).values,
+                              img.values)
 
     def test_alpha_root_mean(self):
         img = RasterImage(np.array([[0, 1, 3, 4]]), levels=8)
         tree = build_alpha_tree(img)
         mask = np.zeros(tree.node_count, dtype=bool)
         mask[0] = True
-        assert np.all(reconstruct(tree, mask).values == 2)
+        table = compute_attributes(tree, img)
+        assert np.all(reconstruct(tree, mask, table).values == 2)
+
+    def test_alpha_half_mean_rounds_up(self):
+        # the root's mean is 18 / 4 = 4.5, {1, 2}'s 1.5 and {6, 9}'s 7.5
+        img = RasterImage(np.array([[1, 2, 6, 9]]), levels=10)
+        tree = build_alpha_tree(img)
+        table = compute_attributes(tree, img)
+        assert tree.level[:3].tolist() == [4.0, 3.0, 1.0]
+        root = np.zeros(tree.node_count, dtype=bool)
+        root[0] = True
+        assert reconstruct(tree, root, table).values.tolist() == [[5] * 4]
+        regions = root.copy()
+        regions[1:3] = True
+        assert reconstruct(tree, regions, table).values.tolist() == \
+            [[2, 2, 8, 8]]
+
+    def test_tree_of_shapes_half_level_root_rounds_up(self):
+        # the border median of 0, 1, 1, 0 is 0.5, and no pixel sits there
+        img = RasterImage(np.array([[0, 1], [1, 0]]), levels=2)
+        tree = build_tree_of_shapes(img)
+        table = compute_attributes(tree, img)
+        assert tree.level[0] == 0.5
+        assert _node_values(tree, table, "gray")[0] == 0.5
+        root = np.zeros(tree.node_count, dtype=bool)
+        root[0] = True
+        assert np.all(reconstruct(tree, root, table).values == 1)
 
     def test_root_must_stay(self):
         img = center_spot()
         tree = build_max_tree(img)
         mask = np.zeros(tree.node_count, dtype=bool)
         with pytest.raises(DataError):
-            reconstruct(tree, mask)
+            reconstruct(tree, mask, compute_attributes(tree, img))
+
+
+class TestTableOfAnotherTree:
+    """A table whose node count is not the tree's is refused wherever a
+    per-node table is read."""
+
+    def test_refused(self, rng):
+        img = RasterImage(rng.integers(0, 8, size=(24, 24)), levels=8)
+        max_tree, min_tree = build_max_tree(img), build_min_tree(img)
+        assert max_tree.node_count != min_tree.node_count
+        min_table = compute_attributes(min_tree, img)
+        mask = np.ones(max_tree.node_count, dtype=bool)
+        with pytest.raises(DataError, match="does not match tree"):
+            feature_map(max_tree, mask, min_table, "area")
+        with pytest.raises(DataError, match="does not match tree"):
+            reconstruct(max_tree, mask, min_table)
+        with pytest.raises(DataError, match="does not match tree"):
+            filter_tree(max_tree, min_table, "area", 2, "min")
 
 
 class TestFeatureMap:
@@ -155,8 +203,12 @@ class TestFeatureMap:
                 retained = np.array(retained).reshape(img.height, img.width)
                 fm = feature_map(tree, mask, table, Feature.AREA)
                 assert np.array_equal(fm, table.area[retained].astype(float))
-                assert np.array_equal(reconstruct(tree, mask).values,
-                                      tree.rep_value[retained])
+                if kind in (TreeKind.ALPHA_TREE, TreeKind.OMEGA_TREE):
+                    gray = rounded_mean_gray(tree, img)
+                else:
+                    gray = np.ceil(tree.level).astype(np.int64)
+                assert np.array_equal(reconstruct(tree, mask, table).values,
+                                      gray[retained])
 
 
 def spec_area(k: int) -> FilterSpec:
@@ -172,7 +224,7 @@ class TestGivenAlphaTree:
             for kind in ("alpha", "omega"):
                 fresh, given = build_tree(img, kind), \
                     tree_bundle(img, kind, alpha=alpha).pair[0][0]
-                for field in ("parent", "level", "pixel_node", "rep_value"):
+                for field in ("parent", "level", "pixel_node"):
                     assert np.array_equal(getattr(fresh, field),
                                           getattr(given, field))
 
@@ -263,7 +315,7 @@ class TestBuildAp:
             for lam in (2, 4, 9):
                 mask = filter_tree(tree, table, Attribute.AREA, lam,
                                    FilterRule.MIN)
-                got = reconstruct(tree, mask).values
+                got = reconstruct(tree, mask, table).values
                 assert np.array_equal(got, area_opening(img.values, lam, "c4"))
 
     def test_absorption_across_thresholds(self, rng):
@@ -273,14 +325,14 @@ class TestBuildAp:
             tree = build_max_tree(img)
             table = compute_attributes(tree, img)
             m1 = filter_tree(tree, table, Attribute.AREA, t1, FilterRule.MIN)
-            once = reconstruct(tree, m1)
+            once = reconstruct(tree, m1, table)
             tree2 = build_max_tree(once)
             table2 = compute_attributes(tree2, once)
             m2 = filter_tree(tree2, table2, Attribute.AREA, t2, FilterRule.MIN)
-            twice = reconstruct(tree2, m2)
+            twice = reconstruct(tree2, m2, table2)
             direct = reconstruct(
-                tree, filter_tree(tree, table, Attribute.AREA, t2, FilterRule.MIN)
-            )
+                tree, filter_tree(tree, table, Attribute.AREA, t2,
+                                  FilterRule.MIN), table)
             assert np.array_equal(twice.values, direct.values)
 
     def test_selfdual_invariance_tos(self, rng):
