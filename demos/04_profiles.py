@@ -18,6 +18,7 @@ from treeprofiles import (
     ProfileTrees,
     build_ap,
     build_fp,
+    tree_bundle,
 )
 from treeprofiles.imagery import RasterImage
 
@@ -30,20 +31,22 @@ image = RasterImage(values, levels=16)
 spec = FilterSpec(Attribute.AREA, (2.0, 8.0, 32.0))
 K = len(spec.thresholds)
 
-# 1. AP on the max/min-tree pair: 2K+1 columns.
-ap = build_ap(image, ProfileTrees.COMPONENT_PAIR, spec)
+# 1. AP on the max/min-tree pair: 2K+1 columns.  The trees and their
+#    attribute tables are built once, as a bundle, and every profile of
+#    that family reads its ladders from it.
+pair = tree_bundle(image, ProfileTrees.COMPONENT_PAIR)
+ap = build_ap(pair, spec)
 print(f"attribute profile: {ap.dim} columns for K={K} thresholds (2K+1)")
 for desc in ap.layout:
     print(f"  {desc.polarity:<11} tree={str(desc.tree):<5} "
           f"threshold={desc.threshold}")
 
 # 2. The same ladder on the tree of shapes needs only K+1 columns.
-sd_ap = build_ap(image, ProfileTrees.TOS, spec)
+sd_ap = build_ap(tree_bundle(image, ProfileTrees.TOS), spec)
 print(f"\nself-dual profile: {sd_ap.dim} columns (K+1)")
 
 # 3. FP: every feature contributes one AP-shaped block.
-fp = build_fp(image, ProfileTrees.COMPONENT_PAIR, spec,
-              [Feature.STD_DEV, Feature.AREA])
+fp = build_fp(pair, spec, [Feature.STD_DEV, Feature.AREA])
 print(f"\nfeature profile with 2 features: {fp.dim} columns (2 x (2K+1))")
 
 # 4. Same pixel, two descriptions.  The dash pixel's AP collapses early

@@ -59,13 +59,12 @@ raw = image.values.ravel().astype(float)[:, None]
 score(raw, "raw gray value")
 
 ap = np.concatenate([
-    build_ap(image, ProfileTrees.COMPONENT_PAIR, s, bundle=bundle).data
+    build_ap(bundle, s).data
     for s in (area, moment)], axis=1)
 score(ap, "attribute profile")
 
 fp = np.concatenate([
-    build_fp(image, ProfileTrees.COMPONENT_PAIR, s,
-             [Feature.STD_DEV, Feature.AREA], bundle=bundle).data
+    build_fp(bundle, s, [Feature.STD_DEV, Feature.AREA]).data
     for s in (area, moment)], axis=1)
 score(fp, "feature profile")
 

@@ -208,8 +208,8 @@ class _StackCache:
     """Builds profile matrices: one alpha-tree per band, shared by the alpha
     and omega families, and one tree bundle per (band, family), shared by
     every matrix of that family.  Callers ask family by family, so only the
-    current family's bundles are kept.  ``matrix`` builds each stack
-    straight into its column slice of one matrix."""
+    current family's bundles are kept.  ``matrix`` builds each stack from
+    its bundle straight into its column slice of one matrix."""
 
     def __init__(self, bands: list[RasterImage], args):
         self.bands = bands
@@ -235,34 +235,27 @@ class _StackCache:
         self.bundles[band_i, kind] = bundle
         return bundle
 
-    def _stack(self, band_i: int, kind: str, mode: str, attr: str,
-               out: np.ndarray) -> ProfileStack:
-        """The stack of one (band, family, mode, attribute), built into
-        ``out``."""
-        band = self.bands[band_i]
-        bundle = self._bundle(band_i, kind)
-        spec = _spec_for(self.args, band, attr)
-        if mode == "ap":
-            return build_ap(band, kind, spec, bundle=bundle, out=out)
-        return build_fp(band, kind, spec, self.features, bundle=bundle,
-                        out=out)
-
     def matrix(self, kinds: list[str], modes: list[str],
                attrs: list[str]) -> ProfileStack:
         """The stacks of every (family, mode) side by side, per band and
         then per attribute within each, each written into its own column
         slice of one preallocated matrix."""
-        keys = [(band_i, kind, mode, attr) for kind in kinds for mode in modes
-                for band_i in range(len(self.bands)) for attr in attrs]
-        dims = [profile_dim(kind, _spec_for(self.args, self.bands[band_i],
-                                            attr),
+        band = self.bands[0]  # every band has the same size
+        specs = {attr: _spec_for(self.args, band, attr) for attr in attrs}
+        keys = [(band_i, kind, mode, specs[attr]) for kind in kinds
+                for mode in modes for band_i in range(len(self.bands))
+                for attr in attrs]
+        dims = [profile_dim(kind, spec,
                             1 if mode == "ap" else len(self.features))
-                for band_i, kind, mode, attr in keys]
-        band = self.bands[0]
+                for _, kind, mode, spec in keys]
         data = np.empty((band.width * band.height, sum(dims)))
         layout, start = [], 0
-        for key, dim in zip(keys, dims):
-            layout += self._stack(*key, out=data[:, start:start + dim]).layout
+        for (band_i, kind, mode, spec), dim in zip(keys, dims):
+            bundle = self._bundle(band_i, kind)
+            out = data[:, start:start + dim]
+            stack = build_ap(bundle, spec, out) if mode == "ap" else \
+                build_fp(bundle, spec, self.features, out)
+            layout += stack.layout
             start += dim
         return ProfileStack(width=band.width, height=band.height, data=data,
                             layout=layout)

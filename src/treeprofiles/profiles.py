@@ -280,7 +280,9 @@ class ProfileStack:
 
 @dataclass
 class TreeBundle:
-    """Trees plus attribute tables for one image and one profile family."""
+    """Trees plus attribute tables for one image and one profile family,
+    as ``tree_bundle`` builds them: all that ``build_ap`` and ``build_fp``
+    read."""
 
     trees: ProfileTrees
     pair: list[tuple[Tree, AttributeTable]]  # [(min, .), (max, .)] or [(tree, .)]
@@ -427,54 +429,23 @@ def _profile(bundle: TreeBundle, spec: FilterSpec, features: list[str],
                         layout=layout)
 
 
-def _bundle_for(image: RasterImage, trees: ProfileTrees | str,
-                connectivity: Connectivity | str,
-                bundle: TreeBundle | None) -> TreeBundle:
-    """``bundle``, checked against the arguments (the image by identity
-    first, so the CLI pays nothing), or a new one if it is ``None``."""
-    trees = ProfileTrees(trees)
-    if bundle is None:
-        return tree_bundle(image, trees, connectivity)
-    if bundle.trees is not trees:
-        raise DataError(f"bundle is {bundle.trees.value}, not {trees.value}")
-    if bundle.image is not image and \
-            not np.array_equal(bundle.image.values, image.values):
-        raise DataError("bundle was built from another image")
-    return bundle
+def build_ap(bundle: TreeBundle, spec: FilterSpec,
+             out: np.ndarray | None = None) -> ProfileStack:
+    """Attribute profile of the bundle's image, from the bundle's trees:
+    2K+1 columns for the component pair, K+1 otherwise.
 
-
-def build_ap(
-    image: RasterImage,
-    trees: ProfileTrees | str,
-    spec: FilterSpec,
-    connectivity: Connectivity | str = Connectivity.C4,
-    bundle: TreeBundle | None = None,
-    out: np.ndarray | None = None,
-) -> ProfileStack:
-    """Attribute profile: 2K+1 columns for the component pair, K+1 otherwise.
-
-    A ``bundle`` from ``tree_bundle`` is used instead of new trees; it must
-    hold the ``trees`` family of ``image`` or an equal image.
     With ``out``, a (pixels, dim) float64 matrix whose columns are adjacent
     doubles, such as a column slice of a larger matrix, the columns are
     written there and the stack's data is ``out``.
     """
-    bundle = _bundle_for(image, trees, connectivity, bundle)
     return _profile(bundle, spec, ["gray"], out)
 
 
-def build_fp(
-    image: RasterImage,
-    trees: ProfileTrees | str,
-    spec: FilterSpec,
-    features: list[Feature | str],
-    connectivity: Connectivity | str = Connectivity.C4,
-    bundle: TreeBundle | None = None,
-    out: np.ndarray | None = None,
-) -> ProfileStack:
+def build_fp(bundle: TreeBundle, spec: FilterSpec,
+             features: list[Feature | str],
+             out: np.ndarray | None = None) -> ProfileStack:
     """Feature profile: one attribute-profile-shaped block per feature;
     ``bundle`` and ``out`` as for ``build_ap``."""
     if len(features) == 0:
         raise DataError("build_fp needs at least one feature")
-    bundle = _bundle_for(image, trees, connectivity, bundle)
     return _profile(bundle, spec, [Feature(f).value for f in features], out)

@@ -198,9 +198,10 @@ def test_a5_profile_dimensions():
             spec = FilterSpec(attribute, thresholds)
             per_tree = 2 * k + 1 if kind is ProfileTrees.COMPONENT_PAIR \
                 else k + 1
-            ap = build_ap(img, kind, spec)
+            bundle = tree_bundle(img, kind)
+            ap = build_ap(bundle, spec)
             assert ap.dim == per_tree == len(ap.layout)
-            fp = build_fp(img, kind, spec, features)
+            fp = build_fp(bundle, spec, features)
             assert fp.dim == len(features) * per_tree == len(fp.layout)
             checked += 2
     assert checked == 16
@@ -246,13 +247,12 @@ def _synthetic_experiment():
     raw = img.values.ravel().astype(np.float64)[:, None]
     _, pred_raw, oa_raw, _ = fit(raw)
     fp = np.concatenate([
-        build_fp(img, ProfileTrees.COMPONENT_PAIR, spec,
-                 [Feature.STD_DEV, Feature.AREA], bundle=bundle).data
+        build_fp(bundle, spec, [Feature.STD_DEV, Feature.AREA]).data
         for spec in (area_spec, moment_spec)
     ], axis=1)
     model_fp, pred_fp, oa_fp, kappa_fp = fit(fp)
     ap = np.concatenate([
-        build_ap(img, ProfileTrees.COMPONENT_PAIR, spec, bundle=bundle).data
+        build_ap(bundle, spec).data
         for spec in (area_spec, moment_spec)
     ], axis=1)
     _, pred_ap, oa_ap, _ = fit(ap)

@@ -54,8 +54,7 @@ def fp_training_set():
     specs = (FilterSpec(Attribute.AREA, default_area_thresholds(64 * 64)),
              FilterSpec(Attribute.MOMENT, default_moment_thresholds()))
     fp = np.concatenate([
-        build_fp(img, ProfileTrees.COMPONENT_PAIR, spec,
-                 [Feature.STD_DEV, Feature.AREA], bundle=bundle).data
+        build_fp(bundle, spec, [Feature.STD_DEV, Feature.AREA]).data
         for spec in specs
     ], axis=1)
     return fp[idx], y

@@ -482,6 +482,22 @@ class TestMultibandPipeline:
                 (tmp_path / "cli" / name).read_bytes()
 
 
+class TestLibraryQuickStart:
+    """The README's library example runs as written."""
+
+    def test_readme_quick_start_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        recipe = readme.split("## Library quick start")[1] \
+            .split("```python\n")[1].split("```")[0]
+        scope = {}
+        exec(recipe, scope)
+        image = scope["image"]
+        assert scope["opened"].values.shape == image.values.shape
+        assert scope["fp"].data.shape == (image.values.size, 2 * 9)
+        assert 0.6 < scope["kappa"] <= scope["oa"] <= 1.0
+        assert capsys.readouterr().out.startswith("OA 0.")
+
+
 # sha256 digests computed before the tree traversal kernels replaced the
 # per-node loops; every tree kind and profile family must keep these bytes.
 GOLDEN_TREE_DUMP = {
@@ -546,6 +562,13 @@ GOLDEN_COMPARE = {
     "compare.csv": "302afd5cef6636bc8a3f4f0a1856ba2a7dba549ab3be403b9ac80088f2fd8338",
     "compare.json": "d9e0a5f5d7889a9ba53c0dcbc040bece296c933a025560394fc37a92d3d2e961",
     "compare.txt": "d6b352ed11f845013cb9e4fd4f3e7365e901cb03c155ac0d09a76738c54e108e",
+}
+# the same table at 8-connectivity, computed while build_ap and build_fp
+# still took the image, family and connectivity next to an optional bundle
+GOLDEN_COMPARE_C8 = {
+    "compare.csv": "d07ee3d9fa2c060d986dd70b6bd8cd2f9ee5eb9fc7e4b7e02c34f3845cf795a9",
+    "compare.json": "6f7f5a94078ba530dcd932a67e69b9819355b23feb9be8e53e101e46487e38ce",
+    "compare.txt": "2a647343d5a2ce7f08e00a0366ceed9e6486e8bb09e4baf3491f0c9f62ff2972",
 }
 GOLDEN_MULTIBAND_REPORT = \
     "580da03dd49b52c8ff5d32f89227f747fa9e742f8fa2a75e0ffcdf715ebc87f7"
@@ -643,6 +666,14 @@ class TestGoldenPins:
         written = {f.name: _sha256(f.read_bytes()) for f in tmp_path.iterdir()}
         assert written == GOLDEN_COMPARE
 
+    def test_compare_files_c8(self, golden_scene, golden_labels, tmp_path):
+        out = run_cli("compare", "--image", golden_scene, *golden_labels,
+                      "--connectivity", "c8", "--rf-trees", 5,
+                      "--out", tmp_path)
+        assert out.returncode == 0, out.stderr
+        written = {f.name: _sha256(f.read_bytes()) for f in tmp_path.iterdir()}
+        assert written == GOLDEN_COMPARE_C8
+
     def test_multiband_report(self, golden_labels, tmp_path):
         cube = six_band_cube(tmp_path / "cube.json")
         out = run_cli("classify", "--image", cube, *golden_labels,
@@ -724,7 +755,7 @@ class TestBenchCallSites:
         spec = FilterSpec("area", (4.0, 16.0))
         for family in ("component", "tos", "alpha", "omega"):
             bundle = profiles.tree_bundle(img, family)
-            profiles.build_fp(img, family, spec, [Feature.AREA], bundle=bundle)
+            profiles.build_fp(bundle, spec, [Feature.AREA])
         assert set(calls) == set(BENCH_WRAPPED)
 
         calls.clear()
@@ -782,35 +813,6 @@ class TestSharedAlphaTree:
                  **profile("omega", tmp_path / "omega")}
         assert alpha_calls["build_alpha_tree"] == 6
         assert both == alone
-
-
-class TestBundleOfTheSameImage:
-    """Every stack the CLI builds hands ``build_ap``/``build_fp`` the bundle
-    of the very band object it passes, so the bundle check is an identity
-    test, and the run keeps its golden report."""
-
-    def test_classify_passes_each_bands_own_bundle(
-            self, monkeypatch, golden_labels, tmp_path):
-        from treeprofiles import cli, profiles
-
-        seen = Counter()
-        check = profiles._bundle_for
-
-        def recording(image, trees, connectivity, bundle):
-            seen[bundle is not None and bundle.image is image] += 1
-            return check(image, trees, connectivity, bundle)
-
-        monkeypatch.setattr(profiles, "_bundle_for", recording)
-        cube = two_band_cube(tmp_path / "cube.json")
-        assert cli.main(["classify", "--image", str(cube),
-                         *map(str, golden_labels), "--mode", "both",
-                         "--tree", "alpha,omega", "--pca", "2",
-                         "--levels", "32", "--rf-trees", "5",
-                         "--out", str(tmp_path)]) == 0
-        # 2 bands x 2 families x (AP, FP) x (area, moment)
-        assert seen == {True: 16}
-        report = (tmp_path / "report.json").read_bytes()
-        assert _sha256(report) == GOLDEN_PARTITION_REPORTS["alpha,omega"]
 
 
 class TestOneFamilyAtATime:

@@ -237,44 +237,11 @@ class TestGivenAlphaTree:
             build_tree(img, "alpha", alpha=build_alpha_tree(other))
 
 
-class TestGivenBundle:
-    """``build_ap`` and ``build_fp`` refuse a bundle of another family or of
-    another image, and take one built from an equal image."""
-
-    def test_other_family_refused(self, rng):
-        img = random_image(rng, 8, 6, min_side=4)
-        bundle = tree_bundle(img, "component")
-        with pytest.raises(DataError, match="is component, not tos"):
-            build_ap(img, "tos", spec_area(2), bundle=bundle)
-        with pytest.raises(DataError, match="is component, not alpha"):
-            build_fp(img, "alpha", spec_area(2), ["area"], bundle=bundle)
-
-    def test_other_image_refused(self, rng):
-        img = RasterImage(rng.integers(0, 8, size=(20, 20)), levels=8)
-        for other in (RasterImage(img.values[:12, :16], levels=8),
-                      RasterImage(img.values ^ 1, levels=8)):
-            bundle = tree_bundle(other, "tos")
-            with pytest.raises(DataError, match="another image"):
-                build_ap(img, "tos", spec_area(2), bundle=bundle)
-            with pytest.raises(DataError, match="another image"):
-                build_fp(img, "tos", spec_area(2), ["area"], bundle=bundle)
-
-    @pytest.mark.parametrize("kind", list(ProfileTrees))
-    def test_equal_image_accepted(self, rng, kind):
-        img = random_image(rng, 9, 8, min_side=3)
-        bundle = tree_bundle(RasterImage(img.values.copy(), img.levels), kind)
-        for build in (
-                lambda **kw: build_ap(img, kind, spec_area(3), **kw),
-                lambda **kw: build_fp(img, kind, spec_area(3),
-                                      ["stddev", "area"], **kw)):
-            assert build(bundle=bundle).data.tobytes() == \
-                build().data.tobytes()
-
-
 class TestBuildAp:
     def test_component_pair_dim(self, rng):
         img = random_image(rng, 8, 6, min_side=4)
-        stack = build_ap(img, ProfileTrees.COMPONENT_PAIR, spec_area(4))
+        stack = build_ap(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
+                         spec_area(4))
         assert stack.dim == 9
         polarity = [c.polarity for c in stack.layout]
         assert polarity == ["thickening"] * 4 + ["original"] + ["thinning"] * 4
@@ -284,14 +251,14 @@ class TestBuildAp:
     def test_selfdual_dim(self, rng):
         img = random_image(rng, 8, 6, min_side=4)
         for kind in (ProfileTrees.TOS, ProfileTrees.ALPHA, ProfileTrees.OMEGA):
-            stack = build_ap(img, kind, spec_area(4))
+            stack = build_ap(tree_bundle(img, kind), spec_area(4))
             assert stack.dim == 5
             assert stack.layout[0].polarity == "original"
 
     def test_identity_profile(self, rng):
         img = random_image(rng, 8, 6)
         spec = FilterSpec(Attribute.AREA, (0.5,))
-        stack = build_ap(img, ProfileTrees.COMPONENT_PAIR, spec)
+        stack = build_ap(tree_bundle(img, ProfileTrees.COMPONENT_PAIR), spec)
         original = img.values.ravel().astype(float)
         for c in range(stack.dim):
             assert np.array_equal(stack.data[:, c], original)
@@ -299,7 +266,8 @@ class TestBuildAp:
     def test_anti_extensive_and_extensive(self, rng):
         for _ in range(10):
             img = random_image(rng, 12, 8)
-            stack = build_ap(img, ProfileTrees.COMPONENT_PAIR, spec_area(3))
+            stack = build_ap(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
+                             spec_area(3))
             original = img.values.ravel().astype(float)
             for col, desc in zip(stack.data.T, stack.layout):
                 if desc.polarity == "thinning":
@@ -339,16 +307,17 @@ class TestBuildAp:
         for _ in range(10):
             img = random_image(rng, 10, 6)
             spec = spec_area(3)
-            ap = build_ap(img, ProfileTrees.TOS, spec)
-            ap_c = build_ap(img.complement(), ProfileTrees.TOS, spec)
+            ap = build_ap(tree_bundle(img, ProfileTrees.TOS), spec)
+            ap_c = build_ap(tree_bundle(img.complement(), ProfileTrees.TOS),
+                            spec)
             assert np.allclose(ap.data, (img.levels - 1) - ap_c.data)
 
 
 class TestBuildFp:
     def test_component_pair_dims(self, rng):
         img = random_image(rng, 8, 6, min_side=4)
-        stack = build_fp(img, ProfileTrees.COMPONENT_PAIR, spec_area(4),
-                         [Feature.STD_DEV, Feature.AREA])
+        stack = build_fp(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
+                         spec_area(4), [Feature.STD_DEV, Feature.AREA])
         assert stack.dim == 18
         # central column of each block is the raw gray value
         original = img.values.ravel().astype(float)
@@ -359,13 +328,14 @@ class TestBuildFp:
 
     def test_alpha_single_feature(self, rng):
         img = random_image(rng, 8, 6, min_side=4)
-        stack = build_fp(img, ProfileTrees.ALPHA, spec_area(4), [Feature.AREA])
+        stack = build_fp(tree_bundle(img, ProfileTrees.ALPHA), spec_area(4),
+                         [Feature.AREA])
         assert stack.dim == 5
 
     def test_constant_image_features(self):
         img = RasterImage(np.full((4, 5), 2, int), levels=4)
-        stack = build_fp(img, ProfileTrees.COMPONENT_PAIR, spec_area(2),
-                         [Feature.STD_DEV, Feature.AREA])
+        stack = build_fp(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
+                         spec_area(2), [Feature.STD_DEV, Feature.AREA])
         for col, desc in zip(stack.data.T, stack.layout):
             if desc.feature == "stddev":
                 assert np.all(col == 0.0)
@@ -375,7 +345,8 @@ class TestBuildFp:
     def test_needs_feature(self, rng):
         img = random_image(rng, 6, 4)
         with pytest.raises(DataError):
-            build_fp(img, ProfileTrees.COMPONENT_PAIR, spec_area(2), [])
+            build_fp(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
+                     spec_area(2), [])
 
 
 class TestLayoutMatrix:
@@ -391,10 +362,11 @@ class TestLayoutMatrix:
             spec = FilterSpec(attribute, (0.1, 0.2, 0.3))
         per_tree = 2 * k + 1 if kind is ProfileTrees.COMPONENT_PAIR else k + 1
         if mode == "ap":
-            stack = build_ap(img, kind, spec)
+            stack = build_ap(tree_bundle(img, kind), spec)
             assert stack.dim == per_tree
         else:
-            stack = build_fp(img, kind, spec, [Feature.STD_DEV, Feature.AREA])
+            stack = build_fp(tree_bundle(img, kind), spec,
+                             [Feature.STD_DEV, Feature.AREA])
             assert stack.dim == 2 * per_tree
         assert len(stack.layout) == stack.dim
 
@@ -417,10 +389,9 @@ class TestPerColumnReference:
             for spec in specs:
                 for features in feature_sets:
                     if features is None:
-                        stack = build_ap(img, kind, spec, bundle=bundle)
+                        stack = build_ap(bundle, spec)
                     else:
-                        stack = build_fp(img, kind, spec, features,
-                                         bundle=bundle)
+                        stack = build_fp(bundle, spec, features)
                     layout, data = profile_per_column(bundle, spec, features)
                     assert stack.layout == layout
                     assert stack.data.dtype == data.dtype
@@ -446,10 +417,9 @@ class TestLadderKernel:
                     for features in (None, ["stddev"], ["area"],
                                      ["area", "stddev"]):
                         if features is None:
-                            stack = build_ap(img, kind, spec, bundle=bundle)
+                            stack = build_ap(bundle, spec)
                         else:
-                            stack = build_fp(img, kind, spec, features,
-                                             bundle=bundle)
+                            stack = build_fp(bundle, spec, features)
                         layout, data = profile_per_column(bundle, spec,
                                                           features)
                         assert stack.layout == layout
@@ -463,10 +433,9 @@ class TestLadderKernel:
         spec = FilterSpec(Attribute.AREA, (2.0, 5.0, 9.0))
         bundle = tree_bundle(img, kind)
         for features in (None, ["stddev", "area"]):
-            build = (lambda **kw: build_ap(img, kind, spec, bundle=bundle,
-                                           **kw)) if features is None else \
-                (lambda **kw: build_fp(img, kind, spec, features,
-                                       bundle=bundle, **kw))
+            build = (lambda **kw: build_ap(bundle, spec, **kw)) \
+                if features is None else \
+                (lambda **kw: build_fp(bundle, spec, features, **kw))
             want = build()
             big = np.full((img.values.size, want.dim + 5), np.nan)
             got = build(out=big[:, 2:2 + want.dim])
@@ -492,7 +461,8 @@ class TestLadderKernel:
         }[bad]
         out.setflags(write=bad != "read-only")
         with pytest.raises(ValueError, match="out must be"):
-            build_fp(img, "component", spec, ["stddev", "area"], out=out)
+            build_fp(tree_bundle(img, "component"), spec, ["stddev", "area"],
+                     out=out)
         assert np.all(out == -1.0) and np.all(big == -1.0)
 
     def test_kernel_refuses_before_any_write(self):
@@ -565,8 +535,9 @@ class TestThresholdsBeyondImageArea:
                 gray = {"selfdual": (2 * int(values.sum()) + n) // (2 * n)}
             expected = {"area": float(n),
                         "stddev": two_pass_std(values.ravel().tolist())}
-            stacks = (build_ap(img, kind, spec),
-                      build_fp(img, kind, spec, [Feature.STD_DEV, Feature.AREA]))
+            bundle = tree_bundle(img, kind)
+            stacks = (build_ap(bundle, spec),
+                      build_fp(bundle, spec, [Feature.STD_DEV, Feature.AREA]))
             for stack in stacks:
                 for col, desc in zip(stack.data.T, stack.layout):
                     if desc.polarity == "original":
@@ -584,8 +555,8 @@ class TestThresholdsBeyondImageArea:
 class TestProfileStackIo:
     def test_roundtrip(self, tmp_path, rng):
         img = random_image(rng, 8, 8, min_side=4)
-        stack = build_fp(img, ProfileTrees.COMPONENT_PAIR, spec_area(2),
-                         [Feature.STD_DEV])
+        stack = build_fp(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
+                         spec_area(2), [Feature.STD_DEV])
         stack.save(tmp_path / "p")
         back = ProfileStack.load(tmp_path / "p")
         assert back.dim == stack.dim
