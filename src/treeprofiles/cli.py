@@ -10,8 +10,9 @@ tree-dump  plain-text dump of a single tree
 Grayscale inputs are PGM files; a ``.json`` input is treated as the sidecar
 header of a raw BSQ multiband image, which is PCA-reduced (``--pca``) and
 quantized (``--levels``) before tree construction.  An optional ``--config``
-file holds ``key = value`` pairs using the long flag names; explicit flags
-win over the file.  All randomness flows from ``--seed``.
+file holds ``key = value`` pairs using the long flag names; they are read
+by the flags' own parsers and become the command's defaults, so an explicit
+flag wins over the file in any spelling.  All randomness flows from ``--seed``.
 
 Exit codes: 0 success, 2 input error, 3 data/semantic error, 4 internal
 error, 5 the native kernel could not be built or loaded.
@@ -55,22 +56,60 @@ from .profiles import (
     tree_bundle,
 )
 
-_CONFIG_TYPES = {
-    "image": str, "train": str, "test": str, "out": str, "mode": str,
-    "connectivity": str, "area_thresholds": str, "moment_thresholds": str,
-    "pca": int, "levels": int, "rf_trees": int, "seed": int,
-    "tree": str, "attr": str, "feature": str, "profile": str,
-}
-_CONNECTIVITIES = ["c4", "c8"]
-_MODES = {"profile": ["ap", "fp", "both"],
-          "classify": ["ap", "fp", "both", "raw"], "compare": ["both"]}
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one line, exit 2: no usage."""
+
+    def error(self, message: str):
+        raise FormatError(message)
 
 
-def _read_config(path: str) -> dict:
+def _names(choices: type):
+    """``type`` of a list flag: a non-empty comma list of the enum's values,
+    repeats dropped (the first kept)."""
+    valid = [c.value for c in choices]
+
+    def parse(text: str) -> list[str]:
+        names = [p.strip() for p in text.split(",") if p.strip()]
+        for name in names or [text]:  # an empty list is refused too
+            if name not in valid:
+                raise argparse.ArgumentTypeError(
+                    f"unknown value {name!r}, expected one of {'|'.join(valid)}")
+        return list(dict.fromkeys(names))
+    return parse
+
+
+def _thresholds(text: str) -> tuple[float, ...]:
+    """``type`` of a threshold flag: a non-empty comma list of numbers."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}") from None
+
+
+class _Extend(argparse.Action):
+    """A repeatable list flag.  Its first use on the command line replaces
+    the default (which a config file may have set), later uses extend it,
+    and repeats are dropped."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        names = getattr(namespace, self.dest)
+        names = values if names is self.default else names + values
+        setattr(namespace, self.dest, list(dict.fromkeys(names)))
+
+
+def _read_config(path: str, command: str, parsers: dict) -> dict:
+    """The config file's values for ``command``, each converted and checked
+    by its option's own ``type`` and ``choices``.  Keys that only another
+    command takes are skipped."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8", offset=exc.start) from None
+    known = {a.dest for p in parsers.values() for a in p._actions
+             if a.nargs != 0} - {"config"}
+    options = {a.dest: a for a in parsers[command]._actions
+               if a.dest in known}
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -79,70 +118,56 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key = value")
         key, _, raw = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key not in known:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in options:
+            continue
+        action = options[key]
         try:
-            values[key] = _CONFIG_TYPES[key](raw.strip())
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: {key} expects an integer, "
-                              f"got {raw.strip()!r}") from None
+            value = action.type(raw) if action.type else raw
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise FormatError(f"{path}:{lineno}: {key}: {exc}") from None
+        if action.choices and value not in action.choices:
+            raise FormatError(f"{path}: {key} must be one of "
+                              f"{'|'.join(action.choices)}, got {value!r}")
+        values[key] = value
     return values
-
-
-def _parse_choices(value, choices: type, flag: str) -> list[str]:
-    """Flatten repeatable/comma-separated flag values, check each one
-    against an enum's values and drop repeats, keeping the first."""
-    if value is None:
-        return []
-    names: list[str] = []
-    for item in value if isinstance(value, list) else [value]:
-        names.extend(p.strip() for p in str(item).split(",") if p.strip())
-    valid = [c.value for c in choices]
-    for name in names:
-        if name not in valid:
-            raise FormatError(f"--{flag}: unknown value {name!r}, "
-                              f"expected one of {'|'.join(valid)}")
-    return list(dict.fromkeys(names))
-
-
-def _parse_thresholds(text: str | None) -> tuple[float, ...] | None:
-    if not text:
-        return None
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise DataError(f"bad threshold list {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser, labels: bool) -> None:
     p.add_argument("--config", help="key = value config file; flags win")
-    p.add_argument("--image", required=False, help="input PGM or BSQ .json header")
+    p.add_argument("--image", help="input PGM or BSQ .json header")
     if labels:
         p.add_argument("--train", help="training label PGM (0 = unlabeled)")
         p.add_argument("--test", help="test label PGM (0 = unlabeled)")
-    p.add_argument("--tree", action="append",
+    p.add_argument("--tree", action=_Extend, type=_names(ProfileTrees),
+                   default=["component"],
                    help="tree family: component|tos|alpha|omega (repeatable)")
-    p.add_argument("--attr", action="append",
+    p.add_argument("--attr", action=_Extend, type=_names(Attribute),
+                   default=["area", "moment"],
                    help="filter attribute: area|moment (repeatable)")
-    p.add_argument("--feature", action="append",
+    p.add_argument("--feature", action=_Extend, type=_names(Feature),
+                   default=["stddev", "area"],
                    help="profile feature: stddev|area (repeatable)")
-    p.add_argument("--area-thresholds", dest="area_thresholds",
+    p.add_argument("--area-thresholds", type=_thresholds,
                    help="comma list of area thresholds")
-    p.add_argument("--moment-thresholds", dest="moment_thresholds",
+    p.add_argument("--moment-thresholds", type=_thresholds,
                    help="comma list of moment-of-inertia thresholds")
     p.add_argument("--pca", type=int, default=4,
                    help="PCA components for multiband input (default 4)")
     p.add_argument("--levels", type=int, default=256,
                    help="quantization levels for PCA components (default 256)")
-    p.add_argument("--connectivity", default="c4", choices=_CONNECTIVITIES)
-    p.add_argument("--rf-trees", dest="rf_trees", type=int, default=100)
+    p.add_argument("--connectivity", default="c4",
+                   choices=[c.value for c in Connectivity])
+    p.add_argument("--rf-trees", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its command parsers by name."""
+    parser = _Parser(
         prog="treeprof",
         description="Tree-based attribute and feature profiles for raster images",
     )
@@ -150,35 +175,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="build and save profile stacks")
     _add_common(p, labels=False)
-    p.add_argument("--mode", default="both", choices=_MODES["profile"])
+    p.add_argument("--mode", default="both", choices=["ap", "fp", "both"])
 
     p = sub.add_parser("classify", help="train and evaluate a random forest")
     _add_common(p, labels=True)
-    p.add_argument("--mode", default="fp", choices=_MODES["classify"])
+    p.add_argument("--mode", default="fp", choices=["ap", "fp", "both", "raw"])
     p.add_argument("--profile", help="use a saved profile stack instead of building")
 
     p = sub.add_parser("compare", help="AP vs FP comparison table")
     _add_common(p, labels=True)
-    p.add_argument("--mode", default="both", choices=_MODES["compare"],
-                   help=argparse.SUPPRESS)
+    p.set_defaults(tree=["component", "tos", "alpha", "omega"])
 
     p = sub.add_parser("tree-dump", help="dump one tree as text")
     p.add_argument("--config", help="key = value config file; flags win")
-    p.add_argument("--image", required=False)
-    p.add_argument("--tree", action="append",
-                   help="tree kind: max|min|tos|alpha|omega")
-    p.add_argument("--connectivity", default="c4", choices=_CONNECTIVITIES)
+    p.add_argument("--image")
+    p.add_argument("--tree", action=_Extend, type=_names(TreeKind),
+                   default=["max"], help="tree kind: max|min|tos|alpha|omega")
+    p.add_argument("--connectivity", default="c4",
+                   choices=[c.value for c in Connectivity])
     p.add_argument("--attributes", action="store_true",
                    help="dump 'id area inertia stddev' instead of structure")
     p.add_argument("--out", help="output file (default stdout)")
 
-    return parser
+    return parser, sub.choices
 
 
 def _require(args, name: str) -> str:
     value = getattr(args, name, None)
     if not value:
-        raise DataError(f"--{name} is required for this command")
+        raise FormatError(f"--{name} is required for this command")
     return value
 
 
@@ -196,11 +221,10 @@ def _load_bands(args) -> list[RasterImage]:
 def _spec_for(args, band: RasterImage, attr: str) -> FilterSpec:
     attribute = Attribute(attr)
     if attribute is Attribute.AREA:
-        thresholds = _parse_thresholds(args.area_thresholds) or \
+        thresholds = args.area_thresholds or \
             default_area_thresholds(band.width * band.height)
     else:
-        thresholds = _parse_thresholds(args.moment_thresholds) or \
-            default_moment_thresholds()
+        thresholds = args.moment_thresholds or default_moment_thresholds()
     return FilterSpec(attribute=attribute, thresholds=thresholds)
 
 
@@ -214,7 +238,6 @@ class _StackCache:
     def __init__(self, bands: list[RasterImage], args):
         self.bands = bands
         self.args = args
-        self.features = args.feature or ["stddev", "area"]
         self.alphas: dict = {}
         self.bundles: dict = {}
 
@@ -246,7 +269,7 @@ class _StackCache:
                 for mode in modes for band_i in range(len(self.bands))
                 for attr in attrs]
         dims = [profile_dim(kind, spec,
-                            1 if mode == "ap" else len(self.features))
+                            1 if mode == "ap" else len(self.args.feature))
                 for _, kind, mode, spec in keys]
         data = np.empty((band.width * band.height, sum(dims)))
         layout, start = [], 0
@@ -254,7 +277,7 @@ class _StackCache:
             bundle = self._bundle(band_i, kind)
             out = data[:, start:start + dim]
             stack = build_ap(bundle, spec, out) if mode == "ap" else \
-                build_fp(bundle, spec, self.features, out)
+                build_fp(bundle, spec, self.args.feature, out)
             layout += stack.layout
             start += dim
         return ProfileStack(width=band.width, height=band.height, data=data,
@@ -263,9 +286,8 @@ class _StackCache:
 
 def _labels_for(args, bands: list[RasterImage]) -> tuple[LabelMap, LabelMap]:
     dims = (bands[0].width, bands[0].height)
-    train = load_labels(_require(args, "train"), dims)
-    test = load_labels(_require(args, "test"), dims)
-    return train, test
+    return tuple(load_labels(_require(args, name), dims)
+                 for name in ("train", "test"))
 
 
 def _fit_eval(matrix: np.ndarray, train: LabelMap, test: LabelMap,
@@ -277,9 +299,7 @@ def _fit_eval(matrix: np.ndarray, train: LabelMap, test: LabelMap,
     if len(test_idx) == 0:
         raise DataError("no labeled test pixels")
     model = train_forest(matrix[train_idx], train_y, n_trees=n_trees, seed=seed)
-    pred = predict(model, matrix, test_idx)
-    confusion, oa, kappa = evaluate(pred, test_y)
-    return model, confusion, oa, kappa
+    return evaluate(predict(model, matrix, test_idx), test_y)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +308,14 @@ def _fit_eval(matrix: np.ndarray, train: LabelMap, test: LabelMap,
 
 def cmd_profile(args) -> int:
     bands = _load_bands(args)
-    attrs = args.attr or ["area", "moment"]
-    kinds = args.tree or ["component"]
     modes = ["ap", "fp"] if args.mode == "both" else [args.mode]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cache = _StackCache(bands, args)
     stem = Path(args.image).stem
-    for kind in kinds:
+    for kind in args.tree:
         for mode in modes:
-            stack = cache.matrix([kind], [mode], attrs)
+            stack = cache.matrix([kind], [mode], args.attr)
             target = out / f"{stem}_{kind}_{mode}"
             stack.save(target)
             print(f"{kind} {mode}: dim {stack.dim} -> {target}.json/.raw")
@@ -306,11 +324,9 @@ def cmd_profile(args) -> int:
 
 def _report_dict(confusion, oa, kappa, dim, n_train, n_test, args) -> dict:
     counts = confusion.counts
-    per_class = {}
-    for c in range(counts.shape[0]):
-        row = counts[c].sum()
-        if row:
-            per_class[str(c + 1)] = round(float(counts[c, c] / row), 6)
+    totals = counts.sum(axis=1)
+    per_class = {str(c + 1): round(float(counts[c, c] / totals[c]), 6)
+                 for c in range(len(counts)) if totals[c]}
     return {
         "oa": round(float(oa), 6),
         "kappa": round(float(kappa), 6),
@@ -340,12 +356,11 @@ def cmd_classify(args) -> int:
         matrix = np.stack([b.values.ravel().astype(np.float64) for b in bands],
                           axis=1)
     else:
-        attrs = args.attr or ["area", "moment"]
-        kinds = args.tree or ["component"]
         modes = ["ap", "fp"] if args.mode == "both" else [args.mode]
-        matrix = _StackCache(bands, args).matrix(kinds, modes, attrs).data
-    _, confusion, oa, kappa = _fit_eval(matrix, train, test,
-                                        args.rf_trees, args.seed)
+        matrix = _StackCache(bands, args).matrix(args.tree, modes,
+                                                 args.attr).data
+    confusion, oa, kappa = _fit_eval(matrix, train, test,
+                                     args.rf_trees, args.seed)
     elapsed = time.perf_counter() - started
 
     report = _report_dict(confusion, oa, kappa, matrix.shape[1],
@@ -376,11 +391,10 @@ def cmd_compare(args) -> int:
     started = time.perf_counter()
     bands = _load_bands(args)
     train, test = _labels_for(args, bands)
-    kinds = args.tree or ["component", "tos", "alpha", "omega"]
     cache = _StackCache(bands, args)
 
     rows = []
-    for kind in kinds:
+    for kind in args.tree:
         for mode in ("ap", "fp"):
             # the last attribute set, "both", holds every attribute
             stack = cache.matrix([kind], [mode], _COMPARE_ATTR_SETS[-1])
@@ -395,8 +409,8 @@ def cmd_compare(args) -> int:
                 # ascending, so every column is the matrix itself: no copy
                 data = stack.data if len(cols) == stack.dim else \
                     stack.data[:, cols]
-                _, _, oa, kappa = _fit_eval(data, train, test,
-                                            args.rf_trees, args.seed)
+                _, oa, kappa = _fit_eval(data, train, test,
+                                         args.rf_trees, args.seed)
                 cells[header] = {"oa": round(float(oa), 6),
                                  "kappa": round(float(kappa), 6)}
             rows.append({"method": f"{kind}-{mode}", **cells})
@@ -407,11 +421,9 @@ def cmd_compare(args) -> int:
     csv_lines = ["method," + ",".join(
         f"{h}_oa,{h}_kappa" for h in _COMPARE_HEADERS)]
     for row in rows:
-        cells = []
-        for h in _COMPARE_HEADERS:
-            cells.append(f"{row[h]['oa']:.6f}")
-            cells.append(f"{row[h]['kappa']:.6f}")
-        csv_lines.append(row["method"] + "," + ",".join(cells))
+        cells = [f"{row[h][k]:.6f}" for h in _COMPARE_HEADERS
+                 for k in ("oa", "kappa")]
+        csv_lines.append(",".join([row["method"], *cells]))
     (out / "compare.csv").write_text("\n".join(csv_lines) + "\n")
 
     name_w = max(len(r["method"]) for r in rows)
@@ -437,10 +449,9 @@ def cmd_compare(args) -> int:
 
 def cmd_tree_dump(args) -> int:
     image = load_grayscale(_require(args, "image"))
-    kinds = args.tree or ["max"]
-    if len(kinds) != 1:
+    if len(args.tree) != 1:
         raise DataError("tree-dump takes exactly one tree kind")
-    tree = build_tree(image, kinds[0], Connectivity(args.connectivity))
+    tree = build_tree(image, args.tree[0], Connectivity(args.connectivity))
     if args.attributes:
         text = dump_attributes(tree, compute_attributes(tree, image))
     else:
@@ -465,28 +476,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     given = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(given)
     try:
+        parser, commands = _build_parser()
+        args = parser.parse_args(given)
         if args.config:
-            # config fills in whatever was not passed explicitly on the line
-            for key, value in _read_config(args.config).items():
-                flag = "--" + key.replace("_", "-")
-                if flag in given or not hasattr(args, key):
-                    continue
-                choices = {"connectivity": _CONNECTIVITIES,
-                           "mode": _MODES.get(args.command)}.get(key)
-                if choices and value not in choices:
-                    raise FormatError(f"{args.config}: {key} must be one of "
-                                      f"{'|'.join(choices)}, got {value!r}")
-                setattr(args, key, value)
-        args.tree = _parse_choices(
-            args.tree,
-            TreeKind if args.command == "tree-dump" else ProfileTrees, "tree")
-        if args.command != "tree-dump":
-            args.attr = _parse_choices(args.attr, Attribute, "attr")
-            args.feature = _parse_choices(args.feature, Feature, "feature")
+            # the file's values become the command's defaults, so whatever
+            # the line gives, in any spelling, wins over them
+            commands[args.command].set_defaults(
+                **_read_config(args.config, args.command, commands))
+            args = parser.parse_args(given)
         if getattr(args, "rf_trees", 1) < 1:
             raise FormatError(
                 f"--rf-trees must be at least 1, got {args.rf_trees}")

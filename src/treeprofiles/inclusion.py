@@ -128,10 +128,10 @@ def _mask_bytes(pixels: np.ndarray, width: int) -> bytes:
     return np.packbits(mask).tobytes()
 
 
-def _collect_shapes(tree: Tree, side: int):
+def _collect_shapes(tree: Tree):
     """The shapes of one side tree: their pixel runs -- the pixels in
     preorder, then the saturations of the nodes with holes -- and their
-    columns (area, level, y0, x0, visit, first pixel, start of the run).
+    columns (area, level, y0, x0, first pixel, start of the run).
 
     Saturation is monotone, and two nodes with one saturation are nested (a
     component inside another's hole saturates inside that hole), so the
@@ -172,7 +172,7 @@ def _collect_shapes(tree: Tree, side: int):
     level2[top[bottom]] = level2[bottom]
     tops = np.flatnonzero(inside & ~joins)
     columns = np.stack([area[tops], level2[tops], box[tops, 0], box[tops, 1],
-                        side * n_pix + tops, first[tops], start[tops]])
+                        first[tops], start[tops]])
     return np.concatenate([pix_order, sat[:offsets[-1]]]), columns
 
 
@@ -186,21 +186,20 @@ def build_tree_of_shapes(image: RasterImage) -> Tree:
     flat = padded.ravel()
 
     blocks, runs, offset = [], [], 0
-    for side, kind in enumerate((TreeKind.MAX_TREE, TreeKind.MIN_TREE)):
+    for kind in (TreeKind.MAX_TREE, TreeKind.MIN_TREE):
         side_tree = _component_tree(flat, pw, ph, 2, Connectivity.C4, kind)
-        pixels, columns = _collect_shapes(side_tree, side)
-        columns[6] += offset
+        pixels, columns = _collect_shapes(side_tree)
+        columns[5] += offset
         blocks.append(columns)
         runs.append(pixels)
         offset += len(pixels)
-    area, level2, y0, x0, seen, first, start = np.concatenate(blocks, axis=1)
+    area, level2, y0, x0, first, start = np.concatenate(blocks, axis=1)
     pixels = np.concatenate(runs)
 
     # order: largest first so painting leaves each pixel in its smallest
     # shape; ties on (area, level, corner) fall back to the mask bytes, then
-    # to the visiting order
-    # LSD passes of a stable sort; `seen` needs none, as it already ascends
-    # (each side's tops come from flatnonzero, the upper side first)
+    # to the visiting order (the upper side first, each side's tops in node
+    # order), which the LSD passes of a stable sort keep
     order = counting_sort(y0 * pw + x0)
     order = counting_sort(level2, order)
     order = counting_sort(area, order, descending=True)

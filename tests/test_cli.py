@@ -188,6 +188,7 @@ class TestClassifyCommand:
         ("classify", ["--feature", "bogus"], 2, "stddev|area"),
         ("tree-dump", ["--tree", "bogus"], 2, "max|min|tos|alpha|omega"),
         ("classify", ["--area-thresholds", "nan,5"], 3, "finite"),
+        ("tree-dump", ["--tree", "max,min"], 3, "exactly one tree kind"),
     ])
     def test_bad_option_value(self, scene_dir, tmp_path, command, flags,
                               code, names):
@@ -315,6 +316,22 @@ def _profile_with_nan(path, scene_dir):
     return _profile_with_value(path, scene_dir, np.nan)
 
 
+def _unlabeled(path, which):
+    from treeprofiles import LabelMap
+    save_labels(LabelMap(np.zeros((40, 40), dtype=int)), path / "none.pgm")
+    return [f"--{which}", path / "none.pgm", "--mode", "raw"]
+
+
+def _unlabeled_train(path, scene_dir):
+    return [*_unlabeled(path, "train"), "--image", scene_dir / "scene.pgm"], \
+        "no labeled training pixels"
+
+
+def _unlabeled_test(path, scene_dir):
+    return [*_unlabeled(path, "test"), "--image", scene_dir / "scene.pgm"], \
+        "no labeled test pixels"
+
+
 class TestInputErrors:
     """Malformed inputs exit 2 (input) or 3 (data) with one line, never 4."""
 
@@ -331,13 +348,15 @@ class TestInputErrors:
         (_profile_with_infinity, 3),
         (_profile_with_negative_infinity, 3),
         (_profile_with_nan, 3),
+        (_unlabeled_train, 3),
+        (_unlabeled_test, 3),
     ])
     def test_classify_input(self, scene_dir, tmp_path, make, code):
         args, names = make(tmp_path, scene_dir)
-        out = run_cli("classify", *args,
-                      "--train", scene_dir / "train.pgm",
+        # the row's flags come last, so they win over these
+        out = run_cli("classify", "--train", scene_dir / "train.pgm",
                       "--test", scene_dir / "test.pgm",
-                      "--rf-trees", 5, "--out", tmp_path / "rep")
+                      "--rf-trees", 5, "--out", tmp_path / "rep", *args)
         assert out.returncode == code, out.stderr
         assert out.stderr.count("\n") == 1 and names in out.stderr
         assert not (tmp_path / "rep" / "report.json").exists()
@@ -385,7 +404,67 @@ class TestInputErrors:
         assert out.stderr.count("byte offset") == 1, out.stderr
 
 
+class TestMalformedCommandLine:
+    """A malformed command line or config value makes an in-process
+    ``main`` return 2 with one stderr line: no usage block, no raise."""
+
+    @pytest.mark.parametrize("flags, config, names", [
+        (["--pca", "x"], None, "--pca: invalid int value: 'x'"),
+        (["--connectivity", "c5"], None, "'c5'"),
+        (["--mode", "zz"], None, "'zz'"),
+        (["--bogus"], None, "--bogus"),
+        (["--area-thresholds", "a,b"], None, "'a,b'"),
+        (["--area-thresholds", ""], None, "--area-thresholds"),
+        (["--tree", "bogus"], None, "component|tos|alpha|omega"),
+        (["--tree", ""], None, "--tree: unknown value ''"),
+        ([], "tree = bogus", "run.cfg:1: tree: unknown value 'bogus'"),
+        ([], "area_thresholds =", "run.cfg:1: area_thresholds"),
+    ])
+    def test_bad_classify_value(self, scene_dir, tmp_path, capsys, flags,
+                                config, names):
+        from treeprofiles import cli
+        argv = ["classify", "--image", scene_dir / "scene.pgm",
+                "--train", scene_dir / "train.pgm",
+                "--test", scene_dir / "test.pgm", "--rf-trees", 5,
+                "--out", tmp_path, *flags]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", tmp_path / "run.cfg"]
+        assert cli.main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") \
+            and names in err, err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("argv, names", [
+        ([], "required: command"),
+        (["classify", "--train", "train.pgm", "--test", "test.pgm"],
+         "--image is required"),
+        (["compare", "--image", "scene.pgm", "--train", "train.pgm"],
+         "--test is required"),
+    ])
+    def test_missing_argument(self, scene_dir, capsys, monkeypatch, argv,
+                              names):
+        from treeprofiles import cli
+        monkeypatch.chdir(scene_dir)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and names in err, err
+
+
 class TestCompareCommand:
+    def test_classify_config_runs(self, scene_dir, tmp_path):
+        # compare takes no --mode, so a config's mode is another command's
+        # key and is skipped
+        (tmp_path / "run.cfg").write_text("mode = fp\nrf_trees = 5\n")
+        out = run_cli("compare", "--image", scene_dir / "scene.pgm",
+                      "--train", scene_dir / "train.pgm",
+                      "--test", scene_dir / "test.pgm", "--tree", "component",
+                      "--config", tmp_path / "run.cfg", "--out", tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert len(json.loads((tmp_path / "compare.json").read_text())
+                   ["rows"]) == 2
+
     def test_single_kind_two_rows_and_csv_json_agree(self, scene_dir, tmp_path):
         out = run_cli(
             "compare", "--image", scene_dir / "scene.pgm",
@@ -448,7 +527,23 @@ class TestConfigFile:
                       "--config", cfg, "--mode", "ap",
                       "--tree", "alpha", "--out", tmp_path / "flag_wins")
         assert out.returncode == 0, out.stderr
-        assert (tmp_path / "flag_wins" / "scene_alpha_ap.json").exists()
+        # the flag's list replaces the config's
+        assert sorted(p.name for p in (tmp_path / "flag_wins").iterdir()) == \
+            ["scene_alpha_ap.json", "scene_alpha_ap.raw"]
+        # in every spelling
+        from treeprofiles import cli
+        cfg.write_text("seed = 3\nrf_trees = 7\nmode = raw\n")
+        argv = ["classify", "--image", scene_dir / "scene.pgm",
+                "--train", scene_dir / "train.pgm",
+                "--test", scene_dir / "test.pgm", "--config", cfg,
+                "--out", tmp_path / "rep"]
+        for flags, seed, trees in ([[], 3, 7], [["--seed", "9"], 9, 7],
+                                   [["--seed=9"], 9, 7], [["--se", "9"], 9, 7],
+                                   [["--rf-trees=2"], 3, 2],
+                                   [["--rf", "2"], 3, 2]):
+            assert cli.main([str(a) for a in argv + flags]) == 0
+            report = json.loads((tmp_path / "rep" / "report.json").read_text())
+            assert (report["seed"], report["rf_trees"]) == (seed, trees), flags
 
 
 class TestMultibandPipeline:

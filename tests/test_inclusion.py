@@ -64,22 +64,24 @@ class TestTreeOfShapes:
         }
         assert tos == max_sets
 
-    def test_shapes_arrive_in_visiting_order(self, monkeypatch, rng):
-        # the shape sort has no pass over the visiting order: it relies on
-        # the shapes of both side trees arriving with `seen` ascending
-        seen, collect = [], inclusion._collect_shapes
+    def test_shape_sort_keys_never_tie(self, monkeypatch, rng):
+        # the shape sort keeps no visiting-order column: no two shapes of
+        # the two side trees tie on (area, level, corner, mask bytes), so
+        # the order they arrive in never decides
+        keys, collect = [], inclusion._collect_shapes
 
-        def spy(tree, side):
-            pixels, columns = collect(tree, side)
-            seen.append(columns[4])
+        def spy(tree):
+            pixels, columns = collect(tree)
+            for area, level2, y0, x0, _, start in columns.T:
+                keys.append((area, level2, y0, x0, inclusion._mask_bytes(
+                    pixels[start:start + area], tree.width)))
             return pixels, columns
 
         monkeypatch.setattr(inclusion, "_collect_shapes", spy)
         for _ in range(25):
-            seen.clear()
+            keys.clear()
             build_tree_of_shapes(random_image(rng, 10, 6))
-            assert len(seen) == 2
-            assert (np.diff(np.concatenate(seen)) > 0).all()
+            assert len(set(keys)) == len(keys) > 0
 
     def test_matches_saturation_oracle(self, rng):
         for _ in range(25):
