@@ -18,18 +18,20 @@
  * map (tp_attributes, for attributes.compute_attributes) and write a filter
  * ladder's columns (tp_ladder, for profiles._profile): every owner under k
  * retain masks in one root-first sweep, then each pixel's table values
- * copied into the caller's matrix.  Integer sums wrap in uint64 as numpy's
- * int64 does, and sums, minima, maxima and copies are exact in any order,
- * so both give the bytes of the numpy scatters, folds and gathers.
+ * rounded to nearest float into the caller's float32 matrix.  Integer sums
+ * wrap in uint64 as numpy's int64 does, and sums, minima, maxima and
+ * roundings are exact in any order, so both give the bytes of the numpy
+ * scatters, folds and gathers (and of numpy's cast to float32).
  *
  * Random forest (classifier).  tp_grow_tree grows one CART tree: it draws
  * the bootstrap resample, then grows nodes in preorder (left subtree
  * first), drawing each split node's candidate features with a partial
  * Fisher-Yates shuffle and searching them for the best Gini split.
  * tp_forest_votes sums the leaf probabilities of the trees over a batch of
- * rows, picked by index from the caller's whole matrix and read in place,
- * in tree order, until a row's vote is settled.  tp_best_split and
- * tp_xorshift_fill expose the node search and the generator to the tests.
+ * rows, picked by index from the caller's whole float32 or float64 matrix
+ * and read in place, in tree order, until a row's vote is settled.
+ * tp_best_split and tp_xorshift_fill expose the node search and the
+ * generator to the tests.
  *
  * A node's search skips a candidate with one value on the whole training
  * set before any gather, then gathers each other candidate's ranks over the
@@ -451,20 +453,21 @@ int32_t tp_attributes(const int64_t *parent, int64_t n,
 }
 
 /* Writes a filter ladder of an n-node tree into the columns of out, a
- * matrix of n_pixels rows of `stride` doubles with dim columns in use.
+ * matrix of n_pixels rows of `stride` floats with dim columns in use.
  * masks holds k retain masks of n bytes each, mask t at masks[t * n].  One
  * root-first sweep gives every node i its owner under each mask: i itself
  * when retained, else its parent's owner.  Pixel p then takes, for each of
  * the f per-node tables (table j at tables[j * n]) and each mask t, the
- * table's value at the owner of pixel_node[p] under mask t, written to
- * column cols[j * k + t] of row p.  Returns 0; TP_BAD_INDEX, before any
- * write, for a parent array that is not root-first, a mask whose root is
- * not retained, a pixel_node entry outside [0, n) or a column outside
- * [0, dim) or a stride below dim; or TP_NO_MEMORY. */
+ * table's value at the owner of pixel_node[p] under mask t, rounded to the
+ * nearest float, written to column cols[j * k + t] of row p.  Returns 0;
+ * TP_BAD_INDEX, before any write, for a parent array that is not
+ * root-first, a mask whose root is not retained, a pixel_node entry outside
+ * [0, n) or a column outside [0, dim) or a stride below dim; or
+ * TP_NO_MEMORY. */
 int32_t tp_ladder(const int64_t *parent, int64_t n, const uint8_t *masks,
                   int64_t k, const int32_t *pixel_node, int64_t n_pixels,
                   const double *tables, int64_t f, const int64_t *cols,
-                  double *out, int64_t stride, int64_t dim)
+                  float *out, int64_t stride, int64_t dim)
 {
     if (!root_first(parent, n) || n > INT32_MAX || stride < dim)
         return TP_BAD_INDEX;
@@ -488,12 +491,12 @@ int32_t tp_ladder(const int64_t *parent, int64_t n, const uint8_t *masks,
     }
     for (int64_t p = 0; p < n_pixels; p++) {
         const int32_t *own = owner + (int64_t)pixel_node[p] * k;
-        double *row = out + p * stride;
+        float *row = out + p * stride;
         for (int64_t j = 0; j < f; j++) {
             const double *table = tables + j * n;
             const int64_t *col = cols + j * k;
             for (int64_t t = 0; t < k; t++)
-                row[col[t]] = table[own[t]];
+                row[col[t]] = (float)table[own[t]];
         }
     }
     free(owner);
@@ -984,18 +987,27 @@ static int settled(const double *v, int32_t n_classes, double spread_left,
     return 1;
 }
 
+/* Value i of x: a float64 array when wide, else a float32 one. */
+static double value_at(const void *x, int32_t wide, int64_t i)
+{
+    if (wide)
+        return ((const double *)x)[i];
+    return ((const float *)x)[i];
+}
+
 /* votes[i * n_classes + c] += the class-c probability of the leaf that row
- * rows[i] of x (x_rows rows of n_features values) reaches, tree after tree,
- * until the row's votes are settled (see settled); summed[i] is the number
- * of trees added, a prefix of the forest.  The rows are read in place, so
- * picking them needs no copy of x; an index may repeat.  Node ids of tree t
- * run from offset[t] to offset[t + 1].  Before any vote is written, every
- * index is checked, then every indexed row's features, then every tree
- * (check_tree).  Returns 0, TP_BAD_INDEX for an index outside [0, x_rows),
- * TP_NON_FINITE for a NaN or infinite feature, t + 1 for the first
- * malformed tree t, or TP_NO_MEMORY. */
-int32_t tp_forest_votes(const double *x, int64_t x_rows, const int64_t *rows,
-                        int64_t n_rows, int32_t n_features,
+ * rows[i] of x (x_rows rows of n_features values, float64 when wide, else
+ * float32) reaches, tree after tree, until the row's votes are settled (see
+ * settled); summed[i] is the number of trees added, a prefix of the forest.
+ * The rows are read in place, so picking them needs no copy of x; an index
+ * may repeat, and a float32 value compares to a split's threshold as its
+ * exact float64 widening does.  Node ids of tree t run from offset[t] to
+ * offset[t + 1].  Before any vote is written, every index is checked, then
+ * every indexed row's features, then every tree (check_tree).  Returns 0,
+ * TP_BAD_INDEX for an index outside [0, x_rows), TP_NON_FINITE for a NaN or
+ * infinite feature, t + 1 for the first malformed tree t, or TP_NO_MEMORY. */
+int32_t tp_forest_votes(const void *x, int32_t wide, int64_t x_rows,
+                        const int64_t *rows, int64_t n_rows, int32_t n_features,
                         int32_t n_classes, int32_t n_trees,
                         const int64_t *offset, const int32_t *feature,
                         const double *threshold, const int32_t *left,
@@ -1005,12 +1017,10 @@ int32_t tp_forest_votes(const double *x, int64_t x_rows, const int64_t *rows,
     for (int64_t i = 0; i < n_rows; i++)
         if (rows[i] < 0 || rows[i] >= x_rows)
             return TP_BAD_INDEX;
-    for (int64_t i = 0; i < n_rows; i++) {
-        const double *row = x + rows[i] * n_features;
+    for (int64_t i = 0; i < n_rows; i++)
         for (int32_t f = 0; f < n_features; f++)
-            if (!isfinite(row[f]))
+            if (!isfinite(value_at(x, wide, rows[i] * n_features + f)))
                 return TP_NON_FINITE;
-    }
     double *spread = malloc(2 * ((size_t)n_trees + 1) * sizeof *spread);
     int64_t *active = malloc((size_t)n_rows * sizeof *active + 1);
     if (!spread || !active) {
@@ -1046,10 +1056,11 @@ int32_t tp_forest_votes(const double *x, int64_t x_rows, const int64_t *rows,
                       *rt = right + base;
         const double *thr = threshold + base;
         for (int64_t a = 0; a < n_active; a++) {
-            const double *row = x + rows[active[a]] * n_features;
+            const int64_t row = rows[active[a]] * n_features;
             int64_t node = 0;
             while (feat[node] >= 0)
-                node = row[feat[node]] <= thr[node] ? lt[node] : rt[node];
+                node = value_at(x, wide, row + feat[node]) <= thr[node]
+                           ? lt[node] : rt[node];
             const double *p = probs + (base + node) * n_classes;
             double *v = votes + active[a] * n_classes;
             for (int32_t c = 0; c < n_classes; c++)

@@ -20,8 +20,8 @@ removes the library's older builds, and those of the retired
 
 Every entry point is declared in ``_SIGNATURES``: ``ndpointer`` argument
 types check each array's dtype and C contiguity before a pointer is passed.
-The one raw pointer, ``tp_ladder``'s output matrix, may be a column slice;
-its caller checks dtype, shape and strides first.
+The raw pointers, ``tp_ladder``'s float32 output (maybe a column slice)
+and ``tp_forest_votes``' float32 or float64 rows, are checked by callers.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ _SIGNATURES = {
                           _F8, _I4, _I4, _F8, _N]),
     "tp_best_split": (_K, [_I4, _F8, _I4, _I4, _N, _K, _K, _I4, _N, _I4, _K,
                            _F8]),
-    "tp_forest_votes": (_K, [_F8, _N, _I8, _N, _K, _K, _K, _I8, _I4, _F8,
+    "tp_forest_votes": (_K, [_P, _K, _N, _I8, _N, _K, _K, _K, _I8, _I4, _F8,
                              _I4, _I4, _F8, _F8, _I4]),
     "tp_xorshift_fill": (None, [_U8, _U8, _N]),
 }

@@ -191,7 +191,9 @@ def _votes(model: ForestModel, x: np.ndarray,
     ``rows`` of ``x`` (default: every row), added in tree order, one thread
     per block of rows, and per row the number of trees summed: a row stops
     once its vote is settled (see ``predict``), so its sum covers the
-    forest's first trees only.  ``x`` is read in place."""
+    forest's first trees only.  ``x`` is read in place as float32, else
+    as float64 (copied when it is neither or not C-ordered)."""
+    x = np.ascontiguousarray(x, np.float32 if x.dtype == np.float32 else float)
     rows = np.arange(len(x)) if rows is None else np.asarray(rows)
     if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
         raise DataError("prediction rows must be a 1-D array of row indices")
@@ -220,8 +222,9 @@ def _votes(model: ForestModel, x: np.ndarray,
     def block(k: int) -> int:
         lo, hi = n * k // blocks, n * (k + 1) // blocks
         return kernel.tp_forest_votes(
-            x, len(x), rows[lo:hi], hi - lo, model.n_features,
-            model.n_classes, len(trees), *arrays, votes[lo:hi], summed[lo:hi])
+            x.ctypes.data, x.dtype == np.float64, len(x), rows[lo:hi], hi - lo,
+            model.n_features, model.n_classes, len(trees), *arrays,
+            votes[lo:hi], summed[lo:hi])
 
     with ThreadPoolExecutor(blocks) as pool:
         status = list(pool.map(block, range(blocks)))
@@ -244,8 +247,8 @@ def predict(model: ForestModel, x: np.ndarray,
     row): majority vote over summed tree probabilities; ties go to the
     smaller class id.
 
-    The rows are picked by index and read in place, so labelling a subset
-    of a large matrix makes no copy of it; an index may repeat.
+    The rows, float32 or float64, are picked by index and read in place, so
+    labelling a subset of a matrix copies none of it; an index may repeat.
 
     A row stops summing once no remaining tree can change its leader: its
     lead over every other class exceeds the sum, over the remaining trees,
@@ -257,7 +260,7 @@ def predict(model: ForestModel, x: np.ndarray,
     this order, for an index outside ``[0, len(x))``, a NaN or infinite
     feature in an indexed row (other rows are not read), and a model with
     a malformed tree or a NaN or infinite probability."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DataError(
             f"feature dimension {x.shape[-1] if x.ndim else 0} does not match "

@@ -271,7 +271,7 @@ class _StackCache:
         dims = [profile_dim(kind, spec,
                             1 if mode == "ap" else len(self.args.feature))
                 for _, kind, mode, spec in keys]
-        data = np.empty((band.width * band.height, sum(dims)))
+        data = np.empty((band.width * band.height, sum(dims)), np.float32)
         layout, start = [], 0
         for (band_i, kind, mode, spec), dim in zip(keys, dims):
             bundle = self._bundle(band_i, kind)
@@ -353,7 +353,7 @@ def cmd_classify(args) -> int:
                 f"{bands[0].width}x{bands[0].height}")
         matrix = stack.data
     elif args.mode == "raw":
-        matrix = np.stack([b.values.ravel().astype(np.float64) for b in bands],
+        matrix = np.stack([b.values.ravel().astype(np.float32) for b in bands],
                           axis=1)
     else:
         modes = ["ap", "fp"] if args.mode == "both" else [args.mode]

@@ -19,8 +19,8 @@ every column is a gather from a per-node table computed once per call: the
 gray level for an attribute profile, the standard deviation or area for a
 feature profile.  An attribute profile is thus the ladder read through the
 gray-level table.  The resolution and the gathers of one tree's whole
-ladder are one native call (``tp_ladder``), which copies each table value
-into its column as it is, so the bytes are those of a gather per column.
+ladder are one native call (``tp_ladder``), which rounds each table value
+to its float32 column, so the bytes are those of a float32 gather per column.
 The columns can be written into a slice of a caller's matrix (``out``), so
 stacks built side by side need no concatenation.
 
@@ -225,7 +225,7 @@ class ProfileStack:
 
     width: int
     height: int
-    data: np.ndarray                  # (width*height, dim) float64
+    data: np.ndarray                  # (width*height, dim) float32
     layout: list[ColumnDesc]
 
     def __post_init__(self):
@@ -271,7 +271,7 @@ class ProfileStack:
             raise FormatError(
                 f"profile blob is {len(raw)} bytes, header requires {need}"
             )
-        data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        data = np.frombuffer(raw, dtype="<f4")
         return ProfileStack(
             width=width, height=height, data=data.reshape(-1, dim),
             layout=[ColumnDesc(**c) for c in columns],
@@ -361,16 +361,16 @@ def profile_dim(trees: ProfileTrees | str, spec: FilterSpec,
 
 
 def _columns(out: np.ndarray | None, rows: int, dim: int) -> np.ndarray:
-    """``out``, checked to be a writeable (rows, dim) float64 matrix whose
-    columns are adjacent doubles (a column slice of a C-ordered matrix
+    """``out``, checked to be a writeable (rows, dim) float32 matrix whose
+    columns are adjacent floats (a column slice of a C-ordered matrix
     will do), or a new one."""
     if out is None:
-        return np.empty((rows, dim))
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or \
-            out.shape != (rows, dim) or out.strides[1] != 8 or \
-            out.strides[0] < 8 * dim or out.strides[0] % 8 or \
+        return np.empty((rows, dim), dtype=np.float32)
+    if not isinstance(out, np.ndarray) or out.dtype != np.float32 or \
+            out.shape != (rows, dim) or out.strides[1] != 4 or \
+            out.strides[0] < 4 * dim or out.strides[0] % 4 or \
             not out.flags.writeable or not out.flags.aligned:
-        raise ValueError(f"out must be a writeable ({rows}, {dim}) float64 "
+        raise ValueError(f"out must be a writeable ({rows}, {dim}) float32 "
                          f"matrix with adjacent columns")
     return out
 
@@ -385,8 +385,8 @@ def _profile(bundle: TreeBundle, spec: FilterSpec, features: list[str],
     native call per tree (``tp_ladder``) resolves every mask to each
     pixel's smallest retained node in one root-first sweep and writes each
     feature table's value there straight into the columns of ``out``.  Each
-    value is the table's float64 copied as it is, so the stack is the one a
-    gather per column gives, to the byte.
+    value is the table's float64 rounded to float32 (an area is exact up to
+    2**24 px), so the stack is a float32 gather per column, to the byte.
     """
     image = bundle.image
     ladder = _ladder(bundle.trees, spec)
@@ -418,7 +418,7 @@ def _profile(bundle: TreeBundle, spec: FilterSpec, features: list[str],
             tree.node_count, masks, len(at),
             np.ascontiguousarray(tree.pixel_node, dtype=np.int32),
             len(tree.pixel_node), tables, len(features), cols,
-            out.ctypes.data, out.strides[0] // 8, out.shape[1])
+            out.ctypes.data, out.strides[0] // 4, out.shape[1])
         if status == -2:
             raise MemoryError("tp_ladder: out of memory")
         if status:
@@ -434,8 +434,8 @@ def build_ap(bundle: TreeBundle, spec: FilterSpec,
     """Attribute profile of the bundle's image, from the bundle's trees:
     2K+1 columns for the component pair, K+1 otherwise.
 
-    With ``out``, a (pixels, dim) float64 matrix whose columns are adjacent
-    doubles, such as a column slice of a larger matrix, the columns are
+    With ``out``, a (pixels, dim) float32 matrix whose columns are adjacent
+    floats, such as a column slice of a larger matrix, the columns are
     written there and the stack's data is ``out``.
     """
     return _profile(bundle, spec, ["gray"], out)

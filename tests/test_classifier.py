@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -525,17 +526,18 @@ class TestPredictRows:
 
     def test_index_checked_before_any_vote(self):
         trees = [leaf_tree([0.5, 0.5]), leaf_tree([0.25, 0.75])]
-        x = np.zeros((3, 1))
         offset = np.array([0, 1, 2], dtype=np.int64)
         flat = [np.concatenate([getattr(t, a).ravel() for t in trees])
                 for a in ("feature", "threshold", "left", "right", "probs")]
-        for rows, code in (([0, 2, 1], 0), ([0, 2, 3], -3), ([-1, 0], -3)):
+        cases = ([0, 2, 1], 0), ([0, 2, 3], -3), ([-1, 0], -3)
+        for x, (rows, code) in itertools.product(
+                (np.zeros((3, 1)), np.zeros((3, 1), np.float32)), cases):
             rows = np.array(rows, dtype=np.int64)
             votes = np.full((len(rows), 2), -7.0)
             summed = np.full(len(rows), -7, dtype=np.int32)
             assert _native._kernel().tp_forest_votes(
-                x, len(x), rows, len(rows), 1, 2, 2, offset, *flat, votes,
-                summed) == code
+                x.ctypes.data, x.dtype == np.float64, len(x), rows,
+                len(rows), 1, 2, 2, offset, *flat, votes, summed) == code
             assert (votes == -7.0).all() == (code != 0)
             assert (summed == -7).all() == (code != 0)
 
@@ -543,13 +545,14 @@ class TestPredictRows:
     def test_non_finite_row_checked_only_when_indexed(self, rng, bad):
         x, y = separable_blobs(rng)
         model = train_forest(x, y, n_trees=3, seed=0)
-        probe = rng.normal(size=(5, 2))
-        probe[3, 1] = bad
-        assert np.array_equal(predict(model, probe, [4, 0, 2]),
-                              predict(model, probe[[4, 0, 2]]))
-        with pytest.raises(DataError, match="^prediction features contain "
-                                            "NaN or infinity$"):
-            predict(model, probe, [4, 3, 0])
+        for probe in (rng.normal(size=(5, 2)),
+                      rng.normal(size=(5, 2)).astype(np.float32)):
+            probe[3, 1] = bad
+            assert np.array_equal(predict(model, probe, [4, 0, 2]),
+                                  predict(model, probe[[4, 0, 2]]))
+            with pytest.raises(DataError, match="^prediction features "
+                                                "contain NaN or infinity$"):
+                predict(model, probe, [4, 3, 0])
 
     def test_features_error_wins_over_malformed_tree(self, monkeypatch):
         # tree 1's right child lies outside the tree; the NaN row is in the
@@ -569,10 +572,11 @@ class TestPredictRows:
             with pytest.raises(DataError, match="NaN or infinity"):
                 predict(model, x, [0, 1, 2, 3])
 
-    def test_rows_read_in_place(self, rng):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rows_read_in_place(self, rng, dtype):
         x, y = separable_blobs(rng)
         model = train_forest(np.tile(x, 32), y, n_trees=5, seed=0)
-        big = rng.normal(size=(20_000, 64))
+        big = rng.normal(size=(20_000, 64)).astype(dtype)
         rows = rng.permutation(20_000)[:15_000]
         tracemalloc.start()
         try:
@@ -657,12 +661,13 @@ class TestSerialization:
 
     def test_golden_digest_fp_stack(self):
         # a realistic stack exercises ties between candidate features and
-        # split positions, which the 8-sample digest above cannot reach
+        # split positions, which the 8-sample digest above cannot reach; the
+        # stack is float32, as a saved one is
         x, y = fp_training_set()
         model = train_forest(x, y, n_trees=10, seed=5)
         digest = hashlib.sha256(model_to_bytes(model)).hexdigest()
         assert digest == (
-            "e8ddc58fe8aa5e9dd0fec9343822c322958be1dc5ede817eecbdacb8c963bf4b"
+            "af6192cb026172b4b275c1ca36339a241dfc48d38e54936f1c744fb2ef89bbc5"
         )
 
     def test_bad_magic(self):

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from treeprofiles import (
+    LabelMap,
     RasterImage,
+    load_labels,
     save_labels,
     save_pgm,
     split_labels,
@@ -290,16 +292,18 @@ def _profile_of_smaller_image(path, scene_dir):
             "--profile", path / "small_alpha_fp"], "16x16"
 
 
-def _profile_with_value(path, scene_dir, value):
-    """A saved profile whose first column holds ``value`` at every pixel;
-    the error names NaN and infinity together."""
+def _profile_with_value(path, scene_dir, value, pixel=slice(None),
+                        column=0):
+    """A saved profile holding ``value`` at ``column`` of row ``pixel``
+    (default: the first column of every pixel); the error names NaN and
+    infinity together."""
     assert run_cli("profile", "--image", scene_dir / "scene.pgm",
                    "--tree", "alpha", "--mode", "fp", "--attr", "area",
                    "--out", path).returncode == 0
     stem = path / "scene_alpha_fp"
     dim = json.loads(stem.with_suffix(".json").read_text())["dim"]
     values = np.fromfile(stem.with_suffix(".raw"), dtype="<f4")
-    values[::dim] = value
+    values.reshape(-1, dim)[pixel, column] = value
     values.tofile(stem.with_suffix(".raw"))
     return ["--image", scene_dir / "scene.pgm", "--profile", stem], "infinity"
 
@@ -314,6 +318,34 @@ def _profile_with_negative_infinity(path, scene_dir):
 
 def _profile_with_nan(path, scene_dir):
     return _profile_with_value(path, scene_dir, np.nan)
+
+
+def _test_row_with_infinity_in_last_column(path, scene_dir):
+    test = load_labels(scene_dir / "test.pgm", (40, 40))
+    pixel = int(test.samples()[0][-1])
+    return _profile_with_value(path, scene_dir, np.inf, pixel, -1)
+
+
+def _unlabeled_row_with_nan(path, scene_dir):
+    """NaN in every column of a pixel neither label map holds (the maps are
+    rewritten without it); the report is the clean stack's, written to
+    ``<path>/clean``."""
+    pixel = 0
+    maps = []
+    for name in ("train", "test"):
+        labels = load_labels(scene_dir / f"{name}.pgm", (40, 40)).labels.copy()
+        labels.flat[pixel] = 0
+        save_labels(LabelMap(labels), path / f"{name}.pgm")
+        maps += [f"--{name}", path / f"{name}.pgm"]
+    args, _ = _profile_with_value(path, scene_dir, np.nan, pixel, slice(None))
+    clean = path / "clean"
+    assert run_cli("profile", "--image", scene_dir / "scene.pgm",
+                   "--tree", "alpha", "--mode", "fp", "--attr", "area",
+                   "--out", clean).returncode == 0
+    assert run_cli("classify", *maps, "--rf-trees", 5, "--out", clean,
+                   "--image", scene_dir / "scene.pgm",
+                   "--profile", clean / "scene_alpha_fp").returncode == 0
+    return [*maps, *args], "runtime"
 
 
 def _unlabeled(path, which):
@@ -332,6 +364,42 @@ def _unlabeled_test(path, scene_dir):
         "no labeled test pixels"
 
 
+class TestInProcessMatchesSavedStack:
+    """In-process ``classify`` trains on the float32 values ``profile``
+    saves, so it writes the report that ``classify --profile`` writes on
+    them."""
+
+    @pytest.mark.parametrize("mode", ["ap", "fp"])
+    @pytest.mark.parametrize("family", ["component", "tos", "alpha", "omega"])
+    def test_same_matrix_and_report(self, scene_dir, tmp_path, monkeypatch,
+                                    family, mode):
+        from treeprofiles import cli
+
+        matrices = []
+        fit_eval = cli._fit_eval
+
+        def recording(matrix, *args):
+            matrices.append((matrix.dtype, matrix.tobytes()))
+            return fit_eval(matrix, *args)
+
+        monkeypatch.setattr(cli, "_fit_eval", recording)
+        stack = ["--image", str(scene_dir / "scene.pgm"), "--mode", mode]
+        common = [*stack, "--train", str(scene_dir / "train.pgm"),
+                  "--test", str(scene_dir / "test.pgm"), "--seed", "9",
+                  "--rf-trees", "20"]
+        stem = tmp_path / f"scene_{family}_{mode}"
+        assert cli.main(["profile", *stack, "--tree", family,
+                         "--out", str(tmp_path)]) == 0
+        assert cli.main(["classify", *common, "--tree", family,
+                         "--out", str(tmp_path / "built")]) == 0
+        assert cli.main(["classify", *common, "--profile", str(stem),
+                         "--out", str(tmp_path / "saved")]) == 0
+        saved = stem.with_suffix(".raw").read_bytes()
+        assert matrices == [(np.float32, saved)] * 2
+        assert (tmp_path / "built" / "report.json").read_bytes() == \
+            (tmp_path / "saved" / "report.json").read_bytes()
+
+
 class TestInputErrors:
     """Malformed inputs exit 2 (input) or 3 (data) with one line, never 4."""
 
@@ -348,6 +416,8 @@ class TestInputErrors:
         (_profile_with_infinity, 3),
         (_profile_with_negative_infinity, 3),
         (_profile_with_nan, 3),
+        (_test_row_with_infinity_in_last_column, 3),
+        (_unlabeled_row_with_nan, 0),
         (_unlabeled_train, 3),
         (_unlabeled_test, 3),
     ])
@@ -359,7 +429,12 @@ class TestInputErrors:
                       "--rf-trees", 5, "--out", tmp_path / "rep", *args)
         assert out.returncode == code, out.stderr
         assert out.stderr.count("\n") == 1 and names in out.stderr
-        assert not (tmp_path / "rep" / "report.json").exists()
+        report = tmp_path / "rep" / "report.json"
+        if code:
+            assert not report.exists()
+        else:
+            assert report.read_bytes() == \
+                (tmp_path / "clean" / "report.json").read_bytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cube_sample(self, scene_dir, tmp_path, bad):

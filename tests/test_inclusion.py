@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from treeprofiles import (
     build_max_tree,
     build_tree_of_shapes,
     node_areas,
+    synthetic_scene,
 )
 
 from treeprofiles import inclusion
@@ -159,6 +162,36 @@ class TestTreeOfShapes:
         flipped = build_tree_of_shapes(img.complement())
         assert sorted(tree.level.tolist()) == \
             sorted(float(img.levels - 1 - l) for l in flipped.level)
+
+    def test_nodes_emptied_by_crossing_shapes_are_dropped(self, monkeypatch):
+        """On this smooth 256-level scene two of the 570 painted shapes lose
+        every pixel to crossing same-level shapes; the empty-node pass drops
+        them and renumbers the rest, keeping ids root-first."""
+        subtrees = []
+        accumulate = inclusion.accumulate
+
+        def recording(*args):
+            subtrees.append(accumulate(*args))
+            return subtrees[-1]
+
+        monkeypatch.setattr(inclusion, "accumulate", recording)
+        img = synthetic_scene(24, 24, seed=38)[0]
+        tree = build_tree_of_shapes(img)
+        assert [(len(s), int(np.count_nonzero(s == 0)))
+                for s in subtrees] == [(570, 2)]
+        assert tree.node_count == 568
+        assert tree.parent[0] == 0
+        assert np.all(tree.parent[1:] < np.arange(1, tree.node_count))
+        held = np.bincount(tree.pixel_node, minlength=tree.node_count)
+        assert np.all(tree.accumulate(held, np.add) > 0)
+        assert np.array_equal(tree.level[tree.pixel_node],
+                              img.values.ravel().astype(float))
+        digest = hashlib.sha256()
+        for array, dtype in ((tree.parent, "<i8"), (tree.level, "<f8"),
+                             (tree.pixel_node, "<i8")):
+            digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+        assert digest.hexdigest() == (
+            "72eb51956f97a30ff50c82170da3b8b179eb34c4a25a92647790f59771f81688")
 
 
 def two_holed_shapes() -> np.ndarray:

@@ -373,7 +373,8 @@ class TestLayoutMatrix:
 
 class TestPerColumnReference:
     """Each (tree, threshold) is resolved once and shared by every feature;
-    the stacks equal the old one-resolution-per-column path exactly."""
+    the stacks equal the old one-resolution-per-column path, rounded to the
+    stacks' float32, exactly."""
 
     @pytest.mark.parametrize("kind", list(ProfileTrees))
     def test_matches_reference(self, rng, kind):
@@ -393,6 +394,7 @@ class TestPerColumnReference:
                     else:
                         stack = build_fp(bundle, spec, features)
                     layout, data = profile_per_column(bundle, spec, features)
+                    data = data.astype(np.float32)
                     assert stack.layout == layout
                     assert stack.data.dtype == data.dtype
                     assert np.array_equal(stack.data, data)
@@ -400,8 +402,8 @@ class TestPerColumnReference:
 
 class TestLadderKernel:
     """``tp_ladder`` writes each (tree, threshold)'s gathers straight into
-    the stack's columns: the stacks equal the one-column-at-a-time oracle
-    byte for byte, wherever their columns live."""
+    the stack's float32 columns: the stacks equal the one-column-at-a-time
+    oracle rounded to float32 byte for byte, wherever their columns live."""
 
     @pytest.mark.parametrize("kind", list(ProfileTrees))
     def test_thresholds_at_and_beyond_the_image_area(self, rng, kind):
@@ -425,7 +427,8 @@ class TestLadderKernel:
                         assert stack.layout == layout
                         assert stack.dim == profile_dim(
                             kind, spec, len(features or ["gray"]))
-                        assert stack.data.tobytes() == data.tobytes()
+                        assert stack.data.tobytes() == \
+                            data.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("kind", list(ProfileTrees))
     def test_written_into_a_column_slice(self, rng, kind):
@@ -437,7 +440,8 @@ class TestLadderKernel:
                 if features is None else \
                 (lambda **kw: build_fp(bundle, spec, features, **kw))
             want = build()
-            big = np.full((img.values.size, want.dim + 5), np.nan)
+            big = np.full((img.values.size, want.dim + 5), np.nan,
+                          dtype=np.float32)
             got = build(out=big[:, 2:2 + want.dim])
             assert got.data.base is big
             assert got.layout == want.layout
@@ -445,19 +449,19 @@ class TestLadderKernel:
                 want.data.tobytes()
             assert np.isnan(big[:, :2]).all() and np.isnan(big[:, -3:]).all()
 
-    @pytest.mark.parametrize("bad", ["narrow", "float32", "strided",
+    @pytest.mark.parametrize("bad", ["narrow", "float64", "strided",
                                      "fortran", "read-only"])
     def test_bad_out_refused_before_any_write(self, rng, bad):
         img = random_image(rng, 8, 12, min_side=3)
         spec = FilterSpec(Attribute.AREA, (2.0, 5.0))
         n, dim = img.values.size, profile_dim("component", spec, 2)
-        big = np.full((n, 2 * dim + 1), -1.0)
+        big = np.full((n, 2 * dim + 1), -1.0, dtype=np.float32)
         out = {
             "narrow": big[:, :dim - 1],
-            "float32": np.full((n, dim), -1.0, dtype=np.float32),
+            "float64": np.full((n, dim), -1.0),
             "strided": big[:, :2 * dim:2],
-            "fortran": np.asfortranarray(np.full((n, dim), -1.0)),
-            "read-only": np.full((n, dim), -1.0),
+            "fortran": np.asfortranarray(np.full((n, dim), -1.0, np.float32)),
+            "read-only": np.full((n, dim), -1.0, dtype=np.float32),
         }[bad]
         out.setflags(write=bad != "read-only")
         with pytest.raises(ValueError, match="out must be"):
@@ -480,7 +484,7 @@ class TestLadderKernel:
 
         def call(**change):
             a = {**good, **change}
-            out = np.full((npix, 4), -1.0)
+            out = np.full((npix, 4), -1.0, dtype=np.float32)
             status = _kernel().tp_ladder(
                 a["parent"], n, a["masks"], 2, a["pixel_node"], npix, tables,
                 2, a["cols"], out.ctypes.data, a["stride"], 4)
@@ -504,6 +508,21 @@ class TestLadderKernel:
             assert status == -3
             assert np.all(out == -1.0)
 
+    def test_values_rounded_to_nearest_float(self):
+        # a table value that is no float32 is written rounded to the nearest
+        # one: 0.1 up, 2**24 + 1 and 2**24 + 3 (both halfway) to even
+        values = np.array([0.1, 2.0**24 + 1, 2.0**24 + 3, -1 / 3, 1e-50])
+        n = len(values)  # a root and its n - 1 children, one pixel each
+        out = np.zeros((n, 1), dtype=np.float32)
+        status = _kernel().tp_ladder(
+            np.zeros(n, np.int64), n, np.ones((1, n), np.uint8), 1,
+            np.arange(n, dtype=np.int32), n, values[None], 1,
+            np.zeros((1, 1), np.int64), out.ctypes.data, 1, 1)
+        assert status == 0
+        assert out[:, 0].tolist() == [np.float32(0.1).item(), 2.0**24,
+                                      2.0**24 + 4, np.float32(-1 / 3).item(),
+                                      0.0]
+        assert out.tobytes() == values.astype(np.float32).tobytes()
 
 def nearest_owner(tree, mask):
     """Each pixel's smallest retained node, one pixel at a time."""
@@ -562,8 +581,8 @@ class TestProfileStackIo:
         assert back.dim == stack.dim
         assert [c.to_json() for c in back.layout] == \
             [c.to_json() for c in stack.layout]
-        assert np.array_equal(back.data,
-                              stack.data.astype("<f4").astype(np.float64))
+        assert back.data.dtype == stack.data.dtype == np.float32
+        assert back.data.tobytes() == stack.data.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(DataError):
