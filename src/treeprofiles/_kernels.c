@@ -16,12 +16,14 @@
  * in one sweep over the node ids of a root-first parent array.  The same
  * sweeps build a tree's attribute table in one call from its pixel-to-node
  * map (tp_attributes, for attributes.compute_attributes) and write a filter
- * ladder's columns (tp_ladder, for profiles._profile): every owner under k
- * retain masks in one root-first sweep, then each pixel's table values
- * rounded to nearest float into the caller's float32 matrix.  Integer sums
- * wrap in uint64 as numpy's int64 does, and sums, minima, maxima and
- * roundings are exact in any order, so both give the bytes of the numpy
- * scatters, folds and gathers (and of numpy's cast to float32).
+ * ladder's columns (tp_ladder, for profiles._profile): from the tree's
+ * attribute values and k thresholds, every owner at each threshold in one
+ * root-first sweep, then each pixel's table values rounded to nearest float
+ * into the caller's float32 matrix.  Integer sums wrap in uint64 as
+ * numpy's int64 does, sums, minima, maxima and roundings are exact in any
+ * order, and a threshold test is numpy's float64 >=, so both give the bytes
+ * of the numpy scatters, filters, folds and gathers (and of numpy's cast to
+ * float32).
  *
  * Random forest (classifier).  tp_grow_tree grows one CART tree: it draws
  * the bootstrap resample, then grows nodes in preorder (left subtree
@@ -452,27 +454,36 @@ int32_t tp_attributes(const int64_t *parent, int64_t n,
     return 0;
 }
 
+enum { LADDER_MIN, LADDER_DIRECT };
+
 /* Writes a filter ladder of an n-node tree into the columns of out, a
  * matrix of n_pixels rows of `stride` floats with dim columns in use.
- * masks holds k retain masks of n bytes each, mask t at masks[t * n].  One
- * root-first sweep gives every node i its owner under each mask: i itself
- * when retained, else its parent's owner.  Pixel p then takes, for each of
- * the f per-node tables (table j at tables[j * n]) and each mask t, the
- * table's value at the owner of pixel_node[p] under mask t, rounded to the
- * nearest float, written to column cols[j * k + t] of row p.  Returns 0;
- * TP_BAD_INDEX, before any write, for a parent array that is not
- * root-first, a mask whose root is not retained, a pixel_node entry outside
- * [0, n) or a column outside [0, dim) or a stride below dim; or
- * TP_NO_MEMORY. */
-int32_t tp_ladder(const int64_t *parent, int64_t n, const uint8_t *masks,
-                  int64_t k, const int32_t *pixel_node, int64_t n_pixels,
+ * values holds one attribute value per node and thresholds k strictly
+ * ascending finite thresholds, so the thresholds a value passes (value >=
+ * threshold, none for NaN) are the first s of them; the root passes all k.
+ * One root-first sweep gives every node i its owner at each threshold t:
+ * i itself when t < s, and under LADDER_MIN also its parent owns itself at
+ * t (whole-branch pruning); else its parent's owner.  Pixel p then takes,
+ * for each of the f per-node tables (table j at tables[j * n]) and each
+ * threshold t, the table's value at the owner of pixel_node[p] at t,
+ * rounded to the nearest float, written to column cols[j * k + t] of row
+ * p.  Returns 0; TP_BAD_INDEX, before any write, for a parent array that
+ * is not root-first, thresholds that are not finite and strictly
+ * ascending, a rule other than LADDER_MIN and LADDER_DIRECT, a pixel_node
+ * entry outside [0, n), a column outside [0, dim) or a stride below dim;
+ * or TP_NO_MEMORY. */
+int32_t tp_ladder(const int64_t *parent, int64_t n, const double *values,
+                  const double *thresholds, int64_t k, int32_t rule,
+                  const int32_t *pixel_node, int64_t n_pixels,
                   const double *tables, int64_t f, const int64_t *cols,
                   float *out, int64_t stride, int64_t dim)
 {
-    if (!root_first(parent, n) || n > INT32_MAX || stride < dim)
+    if (!root_first(parent, n) || n > INT32_MAX || stride < dim ||
+        (rule != LADDER_MIN && rule != LADDER_DIRECT))
         return TP_BAD_INDEX;
     for (int64_t t = 0; t < k; t++)
-        if (!masks[t * n])
+        if (!isfinite(thresholds[t]) || (t > 0 &&
+                                         thresholds[t] <= thresholds[t - 1]))
             return TP_BAD_INDEX;
     for (int64_t p = 0; p < n_pixels; p++)
         if (pixel_node[p] < 0 || pixel_node[p] >= n)
@@ -483,11 +494,18 @@ int32_t tp_ladder(const int64_t *parent, int64_t n, const uint8_t *masks,
     int32_t *owner = malloc((size_t)(n * k) * sizeof *owner + 1);
     if (!owner)
         return TP_NO_MEMORY;
-    for (int64_t i = 0; i < n; i++) {
-        const int32_t *up = owner + parent[i] * k;  /* the root's own row */
+    for (int64_t t = 0; t < k; t++)
+        owner[t] = 0;
+    for (int64_t i = 1; i < n; i++) {
+        const int32_t *up = owner + parent[i] * k;
         int32_t *own = owner + i * k;
+        /* where a parent owns itself is a prefix too under LADDER_MIN */
+        int64_t s = 0;
+        while (s < k && values[i] >= thresholds[s] &&
+               (rule == LADDER_DIRECT || up[s] == parent[i]))
+            s++;
         for (int64_t t = 0; t < k; t++)
-            own[t] = masks[t * n + i] ? (int32_t)i : up[t];
+            own[t] = t < s ? (int32_t)i : up[t];
     }
     for (int64_t p = 0; p < n_pixels; p++) {
         const int32_t *own = owner + (int64_t)pixel_node[p] * k;

@@ -8,8 +8,8 @@ flood, ``tp_saturate``, and the painting of shapes, ``tp_paint_shapes``),
 the tree folds ``tp_accumulate`` and ``tp_propagate``, the one-sweep
 attribute table ``tp_attributes`` (swept over pixel ids, it also gives the
 tree of shapes its side trees' boxes, first pixels and frame contact) and
-filter ladder ``tp_ladder``, and the random forest's tree growth and vote
-sum.
+filter ladder ``tp_ladder`` (from a tree's attribute values and
+thresholds), and the random forest's tree growth and vote sum.
 ``ctypes`` needs no Python headers and no extra package, but the file is
 compiled with ``cc`` on the first call that needs it, never at import, and
 cached under ``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``),
@@ -40,9 +40,9 @@ from .errors import BuildError
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _COMPILE = ["cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
-_F8, _I4, _I8, _U8, _B1 = (
+_F8, _I4, _I8, _U8 = (
     np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-    for t in (np.float64, np.int32, np.int64, np.uint64, np.uint8))
+    for t in (np.float64, np.int32, np.int64, np.uint64))
 _N, _K, _P = ctypes.c_int64, ctypes.c_int32, ctypes.c_void_p
 _SIGNATURES = {
     "tp_counting_sort": (_K, [_I8, _N, _I8, _N, _N, _I8]),
@@ -52,7 +52,8 @@ _SIGNATURES = {
     "tp_accumulate": (_K, [_I8, _N, _I8, _N, _K]),
     "tp_propagate": (_K, [_I8, _N, _I8, _N, _K]),
     "tp_attributes": (_K, [_I8, _N, _I4, _I8, _N, _N, _I8, _I8]),
-    "tp_ladder": (_K, [_I8, _N, _B1, _N, _I4, _N, _F8, _N, _I8, _P, _N, _N]),
+    "tp_ladder": (_K, [_I8, _N, _F8, _F8, _N, _K, _I4, _N, _F8, _N, _I8, _P,
+                        _N, _N]),
     "tp_grow_tree": (_N, [_I4, _F8, _I4, _I4, _N, _K, _K, _K, _U8, _I4,
                           _F8, _I4, _I4, _F8, _N]),
     "tp_best_split": (_K, [_I4, _F8, _I4, _I4, _N, _K, _K, _I4, _N, _I4, _K,

@@ -13,14 +13,17 @@ population gray standard deviation or its area), read from the unfiltered
 tree's attribute table; the central column stays the original gray value.
 Several features stack into one profile.
 
-Both are built by one path.  Each (tree, threshold) of the ladder is
-filtered once and resolved once to each pixel's smallest retained node, and
-every column is a gather from a per-node table computed once per call: the
-gray level for an attribute profile, the standard deviation or area for a
-feature profile.  An attribute profile is thus the ladder read through the
-gray-level table.  The resolution and the gathers of one tree's whole
-ladder are one native call (``tp_ladder``), which rounds each table value
-to its float32 column, so the bytes are those of a float32 gather per column.
+Both are built by one path.  Each tree's attribute values are computed
+once, and with the ladder's ascending thresholds they give each pixel's
+smallest retained node at every threshold (``filter_tree``'s tests, with no
+retain mask built); every column is a gather from a per-node table computed
+once per call: the gray level for an attribute profile, the standard
+deviation or area for a feature profile.  An attribute profile is thus the
+ladder read through the gray-level table.  The filters, the resolution and
+the gathers of one tree's whole ladder are one native call (``tp_ladder``,
+from values and thresholds), which rounds each table value to its float32
+column, so the bytes are those of ``filter_tree`` and a float32 gather per
+column.
 The columns can be written into a slice of a caller's matrix (``out``), so
 stacks built side by side need no concatenation.
 
@@ -163,6 +166,10 @@ def filter_tree(
     if rule is FilterRule.MIN:
         keep = tree.propagate(keep, np.logical_and)
     return keep
+
+
+# tp_ladder's rule codes
+_LADDER_RULES = {FilterRule.MIN: 0, FilterRule.DIRECT: 1}
 
 
 def _pixel_owners(tree: Tree, mask: np.ndarray) -> np.ndarray:
@@ -381,12 +388,14 @@ def _profile(bundle: TreeBundle, spec: FilterSpec, features: list[str],
 
     ``features`` is ``["gray"]`` for an attribute profile, else the feature
     names of a feature profile; each gets one attribute-profile-shaped block.
-    ``filter_tree`` gives one retain mask per (tree, threshold); then one
-    native call per tree (``tp_ladder``) resolves every mask to each
-    pixel's smallest retained node in one root-first sweep and writes each
-    feature table's value there straight into the columns of ``out``.  Each
-    value is the table's float64 rounded to float32 (an area is exact up to
-    2**24 px), so the stack is a float32 gather per column, to the byte.
+    One native call per tree (``tp_ladder``) takes the tree's attribute
+    values (``_node_values``, computed once) and the ascending thresholds,
+    finds each pixel's smallest retained node at every threshold in one
+    root-first sweep, making ``filter_tree``'s float64 ``>=`` tests under
+    the same rule, and writes each feature table's value there straight
+    into the columns of ``out``.  Each value is the table's float64 rounded
+    to float32 (an area is exact up to 2**24 px), so the stack is a float32
+    gather per column, to the byte.
     """
     image = bundle.image
     ladder = _ladder(bundle.trees, spec)
@@ -404,18 +413,20 @@ def _profile(bundle: TreeBundle, spec: FilterSpec, features: list[str],
                 attribute=spec.attribute.value, threshold=float(lam),
                 polarity=polarity, feature=feature))
     out[:, ladder.index(None)::width] = image.values.reshape(-1, 1)
+    thresholds = np.array(spec.thresholds, dtype=np.float64)
+    rule = _LADDER_RULES[spec.rule]
     for side, (tree, table) in enumerate(bundle.pair):
-        at = [p for p, entry in enumerate(ladder)
-              if entry is not None and entry[0] == side]
-        masks = np.stack([
-            filter_tree(tree, table, spec.attribute, ladder[p][1], spec.rule)
-            for p in at]).view(np.uint8)
-        tables = np.stack([_node_values(tree, table, f) for f in features])
-        cols = np.array([[j * width + p for p in at]
+        # the ladder position of each threshold, ascending
+        at = {entry[1]: p for p, entry in enumerate(ladder)
+              if entry is not None and entry[0] == side}
+        cols = np.array([[j * width + at[lam] for lam in spec.thresholds]
                          for j in range(len(features))], dtype=np.int64)
+        values = _node_values(tree, table, spec.attribute.value)
+        tables = np.stack([_node_values(tree, table, f) for f in features])
         status = _kernel().tp_ladder(
             np.ascontiguousarray(tree.parent, dtype=np.int64),
-            tree.node_count, masks, len(at),
+            tree.node_count, np.ascontiguousarray(values, dtype=np.float64),
+            thresholds, len(thresholds), rule,
             np.ascontiguousarray(tree.pixel_node, dtype=np.int32),
             len(tree.pixel_node), tables, len(features), cols,
             out.ctypes.data, out.strides[0] // 4, out.shape[1])
@@ -423,8 +434,8 @@ def _profile(bundle: TreeBundle, spec: FilterSpec, features: list[str],
             raise MemoryError("tp_ladder: out of memory")
         if status:
             raise DataError("filter ladder: tree is not root-first, its "
-                            "root is not retained or a pixel's node is out "
-                            "of range")
+                            "thresholds are not strictly ascending as "
+                            "float64 or a pixel's node is out of range")
     return ProfileStack(width=image.width, height=image.height, data=out,
                         layout=layout)
 

@@ -592,7 +592,7 @@ def profile_per_column(bundle, spec, features):
     a feature profile.  Each column resolves its own pixel owners: the gray
     level (node level for component/inclusion trees, ``rounded_mean_gray``
     for partition trees) or the feature of the unfiltered tree's table.
-    Masks are shared per (tree, threshold), as the library always did.
+    Masks are computed once per (tree, threshold).
     """
     from treeprofiles.attributes import std_dev_all
     from treeprofiles.hierarchies import TreeKind, nearest_marked

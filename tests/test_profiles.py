@@ -27,7 +27,7 @@ from treeprofiles import (
     tree_bundle,
 )
 from treeprofiles._native import _kernel
-from treeprofiles.profiles import _node_values, profile_dim
+from treeprofiles.profiles import _LADDER_RULES, _node_values, profile_dim
 
 from conftest import random_image
 from oracles import (
@@ -371,10 +371,54 @@ class TestLayoutMatrix:
         assert len(stack.layout) == stack.dim
 
 
+def assert_matches_reference(bundle, spec):
+    """AP and FP stacks equal ``profile_per_column`` as float32, to the byte."""
+    for features in (None, ["stddev", "area"]):
+        if features is None:
+            stack = build_ap(bundle, spec)
+        else:
+            stack = build_fp(bundle, spec, features)
+        layout, data = profile_per_column(bundle, spec, features)
+        assert stack.layout == layout
+        assert stack.data.tobytes() == data.astype(np.float32).tobytes()
+
+
 class TestPerColumnReference:
     """Each (tree, threshold) is resolved once and shared by every feature;
     the stacks equal the old one-resolution-per-column path, rounded to the
     stacks' float32, exactly."""
+
+    @pytest.mark.parametrize("rule", list(FilterRule))
+    @pytest.mark.parametrize("kind", list(ProfileTrees))
+    def test_area_thresholds_equal_to_node_areas(self, rng, kind, rule):
+        # a node whose area equals a threshold passes it (``>=``)
+        for _ in range(5):
+            img = random_image(rng, 9, 12, min_side=2)
+            bundle = tree_bundle(img, kind)
+            areas = np.unique(np.concatenate(
+                [table.area for _, table in bundle.pair]))
+            picked = areas[::max(1, len(areas) // 4)]
+            spec = FilterSpec(Attribute.AREA,
+                              tuple(float(a) for a in picked), rule)
+            assert_matches_reference(bundle, spec)
+
+    @pytest.mark.parametrize("kind", list(ProfileTrees))
+    def test_direct_rule_keeps_a_child_under_a_dropped_parent(self, rng,
+                                                              kind):
+        spec = FilterSpec(Attribute.MOMENT, (0.2, 0.3, 0.4, 0.5),
+                          FilterRule.DIRECT)
+        seen = 0
+        for _ in range(10):
+            img = random_image(rng, 9, 12, min_side=3)
+            bundle = tree_bundle(img, kind)
+            for tree, table in bundle.pair:
+                for lam in spec.thresholds:
+                    keep = filter_tree(tree, table, spec.attribute, lam,
+                                       spec.rule)
+                    seen += int(np.count_nonzero(
+                        keep[1:] & ~keep[tree.parent[1:]]))
+            assert_matches_reference(bundle, spec)
+        assert seen > 0
 
     @pytest.mark.parametrize("kind", list(ProfileTrees))
     def test_matches_reference(self, rng, kind):
@@ -476,8 +520,7 @@ class TestLadderKernel:
         n, npix = tree.node_count, img.values.size
         good = dict(
             parent=tree.parent.astype(np.int64),
-            masks=np.stack([filter_tree(tree, table, "area", lam, "min")
-                            for lam in (2.0, 5.0)]).view(np.uint8),
+            thresholds=np.array([2.0, 5.0]), rule=0,
             pixel_node=tree.pixel_node.astype(np.int32),
             cols=np.array([[0, 1], [2, 3]], dtype=np.int64), stride=4)
         tables = np.stack([tree.level, table.area.astype(np.float64)])
@@ -486,27 +529,42 @@ class TestLadderKernel:
             a = {**good, **change}
             out = np.full((npix, 4), -1.0, dtype=np.float32)
             status = _kernel().tp_ladder(
-                a["parent"], n, a["masks"], 2, a["pixel_node"], npix, tables,
+                a["parent"], n, table.area.astype(np.float64),
+                a["thresholds"], 2, a["rule"], a["pixel_node"], npix, tables,
                 2, a["cols"], out.ctypes.data, a["stride"], 4)
             return status, out
 
         status, out = call()
         assert status == 0
-        assert out[:, 0].tolist() == tree.level[nearest_owner(
-            tree, good["masks"][0])].tolist()
+        for t, lam in enumerate((2.0, 5.0)):
+            owner = nearest_owner(tree, filter_tree(tree, table, "area", lam,
+                                                    "min"))
+            assert out[:, t].tolist() == tree.level[owner].tolist()
+            assert out[:, 2 + t].tolist() == table.area[owner].tolist()
         loop = good["parent"].copy()
         loop[1] = 1
-        unretained = good["masks"].copy()
-        unretained[1, 0] = 0
         high, low = good["pixel_node"].copy(), good["pixel_node"].copy()
         high[4] = n
         low[0] = -1
-        for change in (dict(parent=loop), dict(masks=unretained),
-                       dict(pixel_node=high), dict(pixel_node=low),
-                       dict(cols=good["cols"] + 1), dict(stride=3)):
+        refusals = {
+            "parent loop": dict(parent=loop),
+            "pixel node high": dict(pixel_node=high),
+            "pixel node low": dict(pixel_node=low),
+            "column high": dict(cols=good["cols"] + 1),
+            "narrow stride": dict(stride=3),
+            "NaN threshold": dict(thresholds=np.array([2.0, np.nan])),
+            "infinite threshold": dict(thresholds=np.array([2.0, np.inf])),
+            "negative infinite threshold":
+                dict(thresholds=np.array([-np.inf, 5.0])),
+            "equal thresholds": dict(thresholds=np.array([2.0, 2.0])),
+            "descending thresholds": dict(thresholds=np.array([5.0, 2.0])),
+            "rule 2": dict(rule=2),
+            "rule -1": dict(rule=-1),
+        }
+        for bad, change in refusals.items():
             status, out = call(**change)
-            assert status == -3
-            assert np.all(out == -1.0)
+            assert status == -3, bad
+            assert np.all(out == -1.0), bad
 
     def test_values_rounded_to_nearest_float(self):
         # a table value that is no float32 is written rounded to the nearest
@@ -515,7 +573,7 @@ class TestLadderKernel:
         n = len(values)  # a root and its n - 1 children, one pixel each
         out = np.zeros((n, 1), dtype=np.float32)
         status = _kernel().tp_ladder(
-            np.zeros(n, np.int64), n, np.ones((1, n), np.uint8), 1,
+            np.zeros(n, np.int64), n, np.ones(n), np.array([1.0]), 1, 1,
             np.arange(n, dtype=np.int32), n, values[None], 1,
             np.zeros((1, 1), np.int64), out.ctypes.data, 1, 1)
         assert status == 0
@@ -523,6 +581,37 @@ class TestLadderKernel:
                                       2.0**24 + 4, np.float32(-1 / 3).item(),
                                       0.0]
         assert out.tobytes() == values.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("rule", list(FilterRule))
+    def test_nan_value_is_never_retained(self, rng, rule):
+        # filter_tree's float64 ``values >= threshold`` is False for NaN,
+        # so a NaN node is dropped at every threshold (the root is kept);
+        # the gathered table is the node ids, exact in float32
+        thresholds = np.array([-1.0, 1.0, 3.0])
+        k = len(thresholds)
+        for _ in range(10):
+            img = random_image(rng, 8, 10, min_side=2)
+            tree = build_max_tree(img)
+            n, npix = tree.node_count, img.values.size
+            values = compute_attributes(tree, img).area.astype(np.float64)
+            values[rng.random(n) < 0.3] = np.nan
+            values[0] = np.nan
+            out = np.full((npix, k), -1.0, dtype=np.float32)
+            status = _kernel().tp_ladder(
+                tree.parent.astype(np.int64), n, values, thresholds, k,
+                _LADDER_RULES[rule], tree.pixel_node.astype(np.int32), npix,
+                np.arange(n, dtype=np.float64)[None], 1,
+                np.arange(k, dtype=np.int64)[None], out.ctypes.data, k, k)
+            assert status == 0
+            for t, lam in enumerate(thresholds):
+                keep = values >= lam
+                keep[0] = True
+                if rule is FilterRule.MIN:
+                    keep = tree.propagate(keep, np.logical_and)
+                assert not keep[1:][np.isnan(values[1:])].any()
+                assert out[:, t].tolist() == \
+                    nearest_owner(tree, keep).tolist()
+
 
 def nearest_owner(tree, mask):
     """Each pixel's smallest retained node, one pixel at a time."""
