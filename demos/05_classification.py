@@ -9,8 +9,6 @@ margin.  Everything is seeded; rerunning reproduces the numbers bit for
 bit.
 """
 
-import numpy as np
-
 from treeprofiles import (
     Attribute,
     Feature,
@@ -43,7 +41,7 @@ print(f"{image.width}x{image.height} scene, "
 area = FilterSpec(Attribute.AREA,
                   default_area_thresholds(image.width * image.height))
 moment = FilterSpec(Attribute.MOMENT, default_moment_thresholds())
-bundle = tree_bundle(image, ProfileTrees.COMPONENT_PAIR)
+bundle = tree_bundle([image], ProfileTrees.COMPONENT_PAIR)
 
 
 def score(matrix, name):
@@ -58,14 +56,11 @@ print("\nrandom forest (100 trees) on three pixel descriptions:")
 raw = image.values.ravel().astype(float)[:, None]
 score(raw, "raw gray value")
 
-ap = np.concatenate([
-    build_ap(bundle, s).data
-    for s in (area, moment)], axis=1)
+# each profile holds an area block, then a moment block
+ap = build_ap(bundle, [area, moment]).data
 score(ap, "attribute profile")
 
-fp = np.concatenate([
-    build_fp(bundle, s, [Feature.STD_DEV, Feature.AREA]).data
-    for s in (area, moment)], axis=1)
+fp = build_fp(bundle, [area, moment], [Feature.STD_DEV, Feature.AREA]).data
 score(fp, "feature profile")
 
 # 3. The same experiment is scriptable for all tree families via the CLI:

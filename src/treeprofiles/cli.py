@@ -13,6 +13,8 @@ quantized (``--levels``) before tree construction.  An optional ``--config``
 file holds ``key = value`` pairs using the long flag names; they are read
 by the flags' own parsers and become the command's defaults, so an explicit
 flag wins over the file in any spelling.  All randomness flows from ``--seed``.
+Profiles are built family by family, each family's trees on every band as
+one tree bundle, freed before the next family's is built.
 
 Exit codes: 0 success, 2 input error, 3 data/semantic error, 4 internal
 error, 5 the native kernel could not be built or loaded.
@@ -218,70 +220,42 @@ def _load_bands(args) -> list[RasterImage]:
     return [load_grayscale(path)]
 
 
-def _spec_for(args, band: RasterImage, attr: str) -> FilterSpec:
-    attribute = Attribute(attr)
-    if attribute is Attribute.AREA:
-        thresholds = args.area_thresholds or \
-            default_area_thresholds(band.width * band.height)
-    else:
-        thresholds = args.moment_thresholds or default_moment_thresholds()
-    return FilterSpec(attribute=attribute, thresholds=thresholds)
+def _stacks(args, bands: list[RasterImage], attrs, modes, whole=False):
+    """Yields (family, mode, stack) for each ``--tree`` family and each
+    mode, family by family; with ``whole``, yields once, (None, None, the
+    stacks side by side in one matrix allocated before any tree is built).
 
-
-class _StackCache:
-    """Builds profile matrices: one alpha-tree per band, shared by the alpha
-    and omega families, and one tree bundle per (band, family), shared by
-    every matrix of that family.  Callers ask family by family, so only the
-    current family's bundles are kept.  ``matrix`` builds each stack from
-    its bundle straight into its column slice of one matrix."""
-
-    def __init__(self, bands: list[RasterImage], args):
-        self.bands = bands
-        self.args = args
-        self.alphas: dict = {}
-        self.bundles: dict = {}
-
-    def _bundle(self, band_i: int, kind: str):
-        if (band_i, kind) in self.bundles:
-            return self.bundles[band_i, kind]
-        self.bundles = {key: bundle for key, bundle in self.bundles.items()
-                        if key[1] == kind}
-        band = self.bands[band_i]
-        conn = Connectivity(self.args.connectivity)
-        alpha = None
-        if kind in (ProfileTrees.ALPHA, ProfileTrees.OMEGA):
-            if band_i not in self.alphas:
-                self.alphas[band_i] = build_tree(band, TreeKind.ALPHA_TREE,
-                                                 conn)
-            alpha = self.alphas[band_i]
-        bundle = tree_bundle(band, ProfileTrees(kind), conn, alpha)
-        self.bundles[band_i, kind] = bundle
-        return bundle
-
-    def matrix(self, kinds: list[str], modes: list[str],
-               attrs: list[str]) -> ProfileStack:
-        """The stacks of every (family, mode) side by side, per band and
-        then per attribute within each, each written into its own column
-        slice of one preallocated matrix."""
-        band = self.bands[0]  # every band has the same size
-        specs = {attr: _spec_for(self.args, band, attr) for attr in attrs}
-        keys = [(band_i, kind, mode, specs[attr]) for kind in kinds
-                for mode in modes for band_i in range(len(self.bands))
-                for attr in attrs]
-        dims = [profile_dim(kind, spec,
-                            1 if mode == "ap" else len(self.args.feature))
-                for _, kind, mode, spec in keys]
-        data = np.empty((band.width * band.height, sum(dims)), np.float32)
-        layout, start = [], 0
-        for (band_i, kind, mode, spec), dim in zip(keys, dims):
-            bundle = self._bundle(band_i, kind)
-            out = data[:, start:start + dim]
-            stack = build_ap(bundle, spec, out) if mode == "ap" else \
-                build_fp(bundle, spec, self.args.feature, out)
+    Each family's trees come in one bundle over every band, dropped before
+    the next family's is built.  The alpha and omega families share one
+    alpha-tree per band, built on first need.
+    """
+    pixels = bands[0].width * bands[0].height
+    ladders = {"area": args.area_thresholds or default_area_thresholds(pixels),
+               "moment": args.moment_thresholds or default_moment_thresholds()}
+    specs = [FilterSpec(attr, ladders[attr]) for attr in attrs]
+    dims = {(kind, mode): len(bands) * profile_dim(
+        kind, specs, 1 if mode == "ap" else len(args.feature))
+        for kind in args.tree for mode in modes}
+    data = np.empty((pixels, sum(dims.values())), np.float32) \
+        if whole else None
+    conn = Connectivity(args.connectivity)
+    alphas, layout = None, []
+    for kind in args.tree:
+        bundle = None  # the last family's trees go before the next are built
+        if kind in ("alpha", "omega") and alphas is None:
+            alphas = [build_tree(b, TreeKind.ALPHA_TREE, conn) for b in bands]
+        bundle = tree_bundle(bands, kind, conn, alphas)
+        for mode in modes:
+            out = None if data is None else \
+                data[:, len(layout):len(layout) + dims[kind, mode]]
+            stack = build_ap(bundle, specs, out) if mode == "ap" else \
+                build_fp(bundle, specs, args.feature, out)
+            if data is None:
+                yield kind, mode, stack
             layout += stack.layout
-            start += dim
-        return ProfileStack(width=band.width, height=band.height, data=data,
-                            layout=layout)
+    if data is not None:
+        yield None, None, ProfileStack(bands[0].width, bands[0].height, data,
+                                       layout)
 
 
 def _labels_for(args, bands: list[RasterImage]) -> tuple[LabelMap, LabelMap]:
@@ -311,14 +285,11 @@ def cmd_profile(args) -> int:
     modes = ["ap", "fp"] if args.mode == "both" else [args.mode]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cache = _StackCache(bands, args)
     stem = Path(args.image).stem
-    for kind in args.tree:
-        for mode in modes:
-            stack = cache.matrix([kind], [mode], args.attr)
-            target = out / f"{stem}_{kind}_{mode}"
-            stack.save(target)
-            print(f"{kind} {mode}: dim {stack.dim} -> {target}.json/.raw")
+    for kind, mode, stack in _stacks(args, bands, args.attr, modes):
+        target = out / f"{stem}_{kind}_{mode}"
+        stack.save(target)
+        print(f"{kind} {mode}: dim {stack.dim} -> {target}.json/.raw")
     return 0
 
 
@@ -357,8 +328,8 @@ def cmd_classify(args) -> int:
                           axis=1)
     else:
         modes = ["ap", "fp"] if args.mode == "both" else [args.mode]
-        matrix = _StackCache(bands, args).matrix(args.tree, modes,
-                                                 args.attr).data
+        [(_, _, stack)] = _stacks(args, bands, args.attr, modes, whole=True)
+        matrix = stack.data
     confusion, oa, kappa = _fit_eval(matrix, train, test,
                                      args.rf_trees, args.seed)
     elapsed = time.perf_counter() - started
@@ -391,29 +362,27 @@ def cmd_compare(args) -> int:
     started = time.perf_counter()
     bands = _load_bands(args)
     train, test = _labels_for(args, bands)
-    cache = _StackCache(bands, args)
 
     rows = []
-    for kind in args.tree:
-        for mode in ("ap", "fp"):
-            # the last attribute set, "both", holds every attribute
-            stack = cache.matrix([kind], [mode], _COMPARE_ATTR_SETS[-1])
-            # an original-image column (attribute None) is always followed
-            # by a column of its block's attribute
-            layout = stack.layout
-            attr_of = [c.attribute or layout[i + 1].attribute
-                       for i, c in enumerate(layout)]
-            cells = {}
-            for header, attrs in zip(_COMPARE_HEADERS, _COMPARE_ATTR_SETS):
-                cols = [i for i, a in enumerate(attr_of) if a in attrs]
-                # ascending, so every column is the matrix itself: no copy
-                data = stack.data if len(cols) == stack.dim else \
-                    stack.data[:, cols]
-                _, oa, kappa = _fit_eval(data, train, test,
-                                         args.rf_trees, args.seed)
-                cells[header] = {"oa": round(float(oa), 6),
-                                 "kappa": round(float(kappa), 6)}
-            rows.append({"method": f"{kind}-{mode}", **cells})
+    # the last attribute set, "both", holds every attribute
+    for kind, mode, stack in _stacks(args, bands, _COMPARE_ATTR_SETS[-1],
+                                     ("ap", "fp")):
+        # an original-image column (attribute None) is always followed by a
+        # column of its block's attribute
+        layout = stack.layout
+        attr_of = [c.attribute or layout[i + 1].attribute
+                   for i, c in enumerate(layout)]
+        cells = {}
+        for header, attrs in zip(_COMPARE_HEADERS, _COMPARE_ATTR_SETS):
+            cols = [i for i, a in enumerate(attr_of) if a in attrs]
+            # ascending, so every column is the matrix itself: no copy
+            data = stack.data if len(cols) == stack.dim else \
+                stack.data[:, cols]
+            _, oa, kappa = _fit_eval(data, train, test,
+                                     args.rf_trees, args.seed)
+            cells[header] = {"oa": round(float(oa), 6),
+                             "kappa": round(float(kappa), 6)}
+        rows.append({"method": f"{kind}-{mode}", **cells})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

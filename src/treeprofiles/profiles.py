@@ -13,19 +13,21 @@ population gray standard deviation or its area), read from the unfiltered
 tree's attribute table; the central column stays the original gray value.
 Several features stack into one profile.
 
-Both are built by one path.  Each tree's attribute values are computed
-once, and with the ladder's ascending thresholds they give each pixel's
-smallest retained node at every threshold (``filter_tree``'s tests, with no
-retain mask built); every column is a gather from a per-node table computed
-once per call: the gray level for an attribute profile, the standard
-deviation or area for a feature profile.  An attribute profile is thus the
-ladder read through the gray-level table.  The filters, the resolution and
-the gathers of one tree's whole ladder are one native call (``tp_ladder``,
-from values and thresholds), which rounds each table value to its float32
-column, so the bytes are those of ``filter_tree`` and a float32 gather per
-column.
-The columns can be written into a slice of a caller's matrix (``out``), so
-stacks built side by side need no concatenation.
+Both are built by one path, from a tree bundle (one family's trees on
+each of one or more same-size bands, such as the components of a multiband
+image) and a list of filter specs: per band, one block per spec.  Each
+tree's per-node tables (the specs' attribute values, the features) are
+computed once per call and freed before the next band.  With a ladder's
+ascending thresholds, the attribute values give each pixel's smallest
+retained node at every threshold (``filter_tree``'s tests, with no retain
+mask built); every column is a gather from a per-node table: the gray level
+for an attribute profile, the standard deviation or area for a feature
+profile.  An attribute profile is thus the ladder read through the
+gray-level table.  The filters, the resolution and the gathers of one
+tree's whole ladder are one native call (``tp_ladder``, from values and
+thresholds), which rounds each table value to its float32 column, so the
+bytes are those of ``filter_tree`` and a float32 gather per column.  The
+columns can be written into a slice of a caller's matrix (``out``).
 
 Pruning rules: the Min rule removes a node when its attribute fails the
 threshold or any ancestor was removed (whole-branch pruning, the natural
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -287,13 +290,14 @@ class ProfileStack:
 
 @dataclass
 class TreeBundle:
-    """Trees plus attribute tables for one image and one profile family,
-    as ``tree_bundle`` builds them: all that ``build_ap`` and ``build_fp``
-    read."""
+    """Trees plus attribute tables for same-size bands and one profile
+    family, as ``tree_bundle`` builds them: all that ``build_ap`` and
+    ``build_fp`` read."""
 
     trees: ProfileTrees
-    pair: list[tuple[Tree, AttributeTable]]  # [(min, .), (max, .)] or [(tree, .)]
-    image: RasterImage
+    bands: list[RasterImage]
+    # per band: [(min, table), (max, table)] or [(tree, table)]
+    pairs: list[list[tuple[Tree, AttributeTable]]]
 
 
 def build_tree(
@@ -327,32 +331,45 @@ def build_tree(
 
 
 def tree_bundle(
-    image: RasterImage,
+    bands: Sequence[RasterImage],
     trees: ProfileTrees,
     connectivity: Connectivity | str = Connectivity.C4,
-    alpha: Tree | None = None,
+    alphas: Sequence[Tree] | None = None,
 ) -> TreeBundle:
-    """Build the trees a profile family needs once, for reuse across calls.
+    """Build the trees a profile family needs on every band once, for reuse
+    across calls.
 
-    The alpha and omega families start from ``alpha`` when it is given (see
-    ``build_tree``), so both can share one alpha-tree per image.
+    ``bands`` are one or more images of one size, such as the components of
+    a multiband image.  The alpha and omega families start from ``alphas``,
+    one alpha-tree per band, when it is given (see ``build_tree``), so both
+    can share them.
     """
-    trees = ProfileTrees(trees)
+    trees, bands = ProfileTrees(trees), list(bands)
+    if not bands:
+        raise DataError("a tree bundle needs at least one band")
+    if len({(band.width, band.height) for band in bands}) > 1:
+        raise DataError("the bands of a tree bundle must have one size")
+    alphas = [None] * len(bands) if alphas is None else list(alphas)
+    if len(alphas) != len(bands):
+        raise DataError(f"{len(alphas)} alpha-trees given for "
+                        f"{len(bands)} bands")
     if trees is ProfileTrees.COMPONENT_PAIR:
         kinds = (TreeKind.MIN_TREE, TreeKind.MAX_TREE)
     else:
         kinds = (TreeKind(trees.value),)
-    pair = []
-    for kind in kinds:
-        tree = build_tree(image, kind, connectivity, alpha)
-        pair.append((tree, compute_attributes(tree, image)))
-    return TreeBundle(trees=trees, pair=pair, image=image)
+    pairs = []
+    for band, alpha in zip(bands, alphas):
+        pairs.append([])
+        for kind in kinds:
+            tree = build_tree(band, kind, connectivity, alpha)
+            pairs[-1].append((tree, compute_attributes(tree, band)))
+    return TreeBundle(trees=trees, bands=bands, pairs=pairs)
 
 
 def _ladder(trees: ProfileTrees, spec: FilterSpec) -> list:
     """The columns of one feature block, in order: ``None`` for the
     original image, else (side, threshold, polarity) with side the index in
-    ``TreeBundle.pair``."""
+    a band's pair of ``TreeBundle.pairs``."""
     if trees is ProfileTrees.COMPONENT_PAIR:
         # thickenings at descending thresholds, then X, then thinnings ascending
         return [(0, lam, "thickening") for lam in reversed(spec.thresholds)] \
@@ -360,11 +377,12 @@ def _ladder(trees: ProfileTrees, spec: FilterSpec) -> list:
     return [None] + [(0, lam, "selfdual") for lam in spec.thresholds]
 
 
-def profile_dim(trees: ProfileTrees | str, spec: FilterSpec,
+def profile_dim(trees: ProfileTrees | str, specs: Sequence[FilterSpec],
                 n_features: int = 1) -> int:
-    """Column count of an attribute profile (``n_features`` = 1) or of a
-    feature profile of ``n_features`` features."""
-    return len(_ladder(ProfileTrees(trees), spec)) * n_features
+    """Column count per band of an attribute profile (``n_features`` = 1)
+    or of a feature profile of ``n_features`` features."""
+    return sum(len(_ladder(ProfileTrees(trees), s)) for s in specs) * \
+        n_features
 
 
 def _columns(out: np.ndarray | None, rows: int, dim: int) -> np.ndarray:
@@ -382,81 +400,94 @@ def _columns(out: np.ndarray | None, rows: int, dim: int) -> np.ndarray:
     return out
 
 
-def _profile(bundle: TreeBundle, spec: FilterSpec, features: list[str],
+def _profile(bundle: TreeBundle, specs: Sequence[FilterSpec],
+             features: list[str],
              out: np.ndarray | None = None) -> ProfileStack:
-    """One ladder of filters, read through one per-node table per feature.
+    """Ladders of filters, read through one per-node table per feature.
 
     ``features`` is ``["gray"]`` for an attribute profile, else the feature
-    names of a feature profile; each gets one attribute-profile-shaped block.
-    One native call per tree (``tp_ladder``) takes the tree's attribute
-    values (``_node_values``, computed once) and the ascending thresholds,
-    finds each pixel's smallest retained node at every threshold in one
-    root-first sweep, making ``filter_tree``'s float64 ``>=`` tests under
-    the same rule, and writes each feature table's value there straight
-    into the columns of ``out``.  Each value is the table's float64 rounded
-    to float32 (an area is exact up to 2**24 px), so the stack is a float32
+    names of a feature profile.  Each band gets one block per spec, and each
+    block one attribute-profile-shaped part per feature.  Per tree, every
+    per-node table the specs and features read (``_node_values``) is
+    computed once, and one native call per spec (``tp_ladder``) takes the
+    tree's attribute values and the ascending thresholds, finds each
+    pixel's smallest retained node at every threshold in one root-first
+    sweep, making ``filter_tree``'s float64 ``>=`` tests under the same
+    rule, and writes each feature table's value there straight into the
+    columns of ``out``.  Each value is the table's float64 rounded to
+    float32 (an area is exact up to 2**24 px), so the stack is a float32
     gather per column, to the byte.
     """
-    image = bundle.image
-    ladder = _ladder(bundle.trees, spec)
-    width = len(ladder)
-    out = _columns(out, image.width * image.height, width * len(features))
-    layout = []
-    for feature in features:
-        for entry in ladder:
-            if entry is None:
-                layout.append(_ORIGINAL_COLUMN)
-                continue
-            side, lam, polarity = entry
-            layout.append(ColumnDesc(
-                tree=bundle.pair[side][0].kind.value,
-                attribute=spec.attribute.value, threshold=float(lam),
-                polarity=polarity, feature=feature))
-    out[:, ladder.index(None)::width] = image.values.reshape(-1, 1)
-    thresholds = np.array(spec.thresholds, dtype=np.float64)
-    rule = _LADDER_RULES[spec.rule]
-    for side, (tree, table) in enumerate(bundle.pair):
-        # the ladder position of each threshold, ascending
-        at = {entry[1]: p for p, entry in enumerate(ladder)
-              if entry is not None and entry[0] == side}
-        cols = np.array([[j * width + at[lam] for lam in spec.thresholds]
-                         for j in range(len(features))], dtype=np.int64)
-        values = _node_values(tree, table, spec.attribute.value)
-        tables = np.stack([_node_values(tree, table, f) for f in features])
-        status = _kernel().tp_ladder(
-            np.ascontiguousarray(tree.parent, dtype=np.int64),
-            tree.node_count, np.ascontiguousarray(values, dtype=np.float64),
-            thresholds, len(thresholds), rule,
-            np.ascontiguousarray(tree.pixel_node, dtype=np.int32),
-            len(tree.pixel_node), tables, len(features), cols,
-            out.ctypes.data, out.strides[0] // 4, out.shape[1])
-        if status == -2:
-            raise MemoryError("tp_ladder: out of memory")
-        if status:
-            raise DataError("filter ladder: tree is not root-first, its "
-                            "thresholds are not strictly ascending as "
-                            "float64 or a pixel's node is out of range")
-    return ProfileStack(width=image.width, height=image.height, data=out,
-                        layout=layout)
+    if len(specs) == 0:
+        raise DataError("a profile needs at least one filter spec")
+    ladders = [_ladder(bundle.trees, spec) for spec in specs]
+    kinds = [tree.kind.value for tree, _ in bundle.pairs[0]]
+    blocks = [[_ORIGINAL_COLUMN if entry is None else ColumnDesc(
+        tree=kinds[entry[0]], attribute=spec.attribute.value,
+        threshold=float(entry[1]), polarity=entry[2], feature=feature)
+        for feature in features for entry in ladder]
+        for spec, ladder in zip(specs, ladders)]
+    # the first column of each (band, spec) block, and the width of all
+    firsts = np.cumsum([0] + [len(b) for b in blocks] * len(bundle.bands))
+    width, height = bundle.bands[0].width, bundle.bands[0].height
+    out = _columns(out, width * height, int(firsts[-1]))
+    attributes = dict.fromkeys(spec.attribute.value for spec in specs)
+    for b, (band, pair) in enumerate(zip(bundle.bands, bundle.pairs)):
+        starts = firsts[b * len(specs):(b + 1) * len(specs)]
+        for ladder, block, first in zip(ladders, blocks, starts):
+            out[:, first + ladder.index(None):first + len(block):len(ladder)] \
+                = band.values.reshape(-1, 1)
+        for side, (tree, table) in enumerate(pair):
+            parent = np.ascontiguousarray(tree.parent, dtype=np.int64)
+            pixel_node = np.ascontiguousarray(tree.pixel_node, dtype=np.int32)
+            tables = np.stack([_node_values(tree, table, f) for f in features])
+            values = {a: tables[features.index(a)] if a in features else
+                      _node_values(tree, table, a) for a in attributes}
+            for spec, ladder, first in zip(specs, ladders, starts):
+                # the ladder position of each threshold, ascending
+                at = {entry[1]: p for p, entry in enumerate(ladder)
+                      if entry is not None and entry[0] == side}
+                cols = np.array([[first + j * len(ladder) + at[lam]
+                                  for lam in spec.thresholds]
+                                 for j in range(len(features))],
+                                dtype=np.int64)
+                status = _kernel().tp_ladder(
+                    parent, tree.node_count, values[spec.attribute.value],
+                    np.array(spec.thresholds, dtype=np.float64),
+                    len(spec.thresholds), _LADDER_RULES[spec.rule],
+                    pixel_node, len(pixel_node), tables, len(features), cols,
+                    out.ctypes.data, out.strides[0] // 4, out.shape[1])
+                if status == -2:
+                    raise MemoryError("tp_ladder: out of memory")
+                if status:
+                    raise DataError(
+                        "filter ladder: tree is not root-first, its "
+                        "thresholds are not strictly ascending as float64 "
+                        "or a pixel's node is out of range")
+            del tables, values  # freed before the next tree's are computed
+    return ProfileStack(width=width, height=height, data=out,
+                        layout=[c for _ in bundle.bands for block in blocks
+                                for c in block])
 
 
-def build_ap(bundle: TreeBundle, spec: FilterSpec,
+def build_ap(bundle: TreeBundle, specs: Sequence[FilterSpec],
              out: np.ndarray | None = None) -> ProfileStack:
-    """Attribute profile of the bundle's image, from the bundle's trees:
-    2K+1 columns for the component pair, K+1 otherwise.
+    """Attribute profile of the bundle's bands, from the bundle's trees:
+    per band, per spec, 2K+1 columns for the component pair of a K-threshold
+    spec, K+1 otherwise.
 
     With ``out``, a (pixels, dim) float32 matrix whose columns are adjacent
     floats, such as a column slice of a larger matrix, the columns are
     written there and the stack's data is ``out``.
     """
-    return _profile(bundle, spec, ["gray"], out)
+    return _profile(bundle, specs, ["gray"], out)
 
 
-def build_fp(bundle: TreeBundle, spec: FilterSpec,
+def build_fp(bundle: TreeBundle, specs: Sequence[FilterSpec],
              features: list[Feature | str],
              out: np.ndarray | None = None) -> ProfileStack:
-    """Feature profile: one attribute-profile-shaped block per feature;
-    ``bundle`` and ``out`` as for ``build_ap``."""
+    """Feature profile: per band and spec, one attribute-profile-shaped
+    block per feature; ``bundle`` and ``out`` as for ``build_ap``."""
     if len(features) == 0:
         raise DataError("build_fp needs at least one feature")
-    return _profile(bundle, spec, [Feature(f).value for f in features], out)
+    return _profile(bundle, specs, [Feature(f).value for f in features], out)

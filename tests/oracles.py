@@ -586,7 +586,8 @@ def tree_of_shapes_per_node(image):
 # ---------------------------------------------------------------------------
 
 def profile_per_column(bundle, spec, features):
-    """(layout, data) of a profile built one column at a time.
+    """(layout, data) of one spec's profile of the bundle's first band,
+    built one column at a time.
 
     ``features`` is None for an attribute profile, else the feature list of
     a feature profile.  Each column resolves its own pixel owners: the gray
@@ -599,17 +600,18 @@ def profile_per_column(bundle, spec, features):
     from treeprofiles.profiles import (
         ColumnDesc, Feature, ProfileTrees, filter_tree)
 
-    original = bundle.image.values.ravel().astype(np.float64)
+    image = bundle.bands[0]
+    original = image.values.ravel().astype(np.float64)
     ladders = []
     if bundle.trees is ProfileTrees.COMPONENT_PAIR:
-        (tmin, tabmin), (tmax, tabmax) = bundle.pair
+        (tmin, tabmin), (tmax, tabmax) = bundle.pairs[0]
         for k in range(len(spec.thresholds) - 1, -1, -1):
             ladders.append((tmin, tabmin, spec.thresholds[k], "thickening"))
         ladders.append(None)
         for k in range(len(spec.thresholds)):
             ladders.append((tmax, tabmax, spec.thresholds[k], "thinning"))
     else:
-        tree, table = bundle.pair[0]
+        tree, table = bundle.pairs[0][0]
         ladders.append(None)
         for k in range(len(spec.thresholds)):
             ladders.append((tree, table, spec.thresholds[k], "selfdual"))
@@ -630,7 +632,7 @@ def profile_per_column(bundle, spec, features):
                              TreeKind.TREE_OF_SHAPES):
                 per_node = tree.level
             else:
-                per_node = rounded_mean_gray(tree, bundle.image).astype(
+                per_node = rounded_mean_gray(tree, image).astype(
                     np.float64)
         elif feature == "stddev":
             per_node = std_dev_all(table)

@@ -198,10 +198,10 @@ def test_a5_profile_dimensions():
             spec = FilterSpec(attribute, thresholds)
             per_tree = 2 * k + 1 if kind is ProfileTrees.COMPONENT_PAIR \
                 else k + 1
-            bundle = tree_bundle(img, kind)
-            ap = build_ap(bundle, spec)
+            bundle = tree_bundle([img], kind)
+            ap = build_ap(bundle, [spec])
             assert ap.dim == per_tree == len(ap.layout)
-            fp = build_fp(bundle, spec, features)
+            fp = build_fp(bundle, [spec], features)
             assert fp.dim == len(features) * per_tree == len(fp.layout)
             checked += 2
     assert checked == 16
@@ -236,7 +236,7 @@ def _synthetic_experiment():
     area_spec = FilterSpec(
         Attribute.AREA, default_area_thresholds(img.width * img.height))
     moment_spec = FilterSpec(Attribute.MOMENT, default_moment_thresholds())
-    bundle = tree_bundle(img, ProfileTrees.COMPONENT_PAIR)
+    bundle = tree_bundle([img], ProfileTrees.COMPONENT_PAIR)
 
     def fit(matrix):
         model = train_forest(matrix[train_idx], train_y, n_trees=100, seed=42)
@@ -246,15 +246,10 @@ def _synthetic_experiment():
 
     raw = img.values.ravel().astype(np.float64)[:, None]
     _, pred_raw, oa_raw, _ = fit(raw)
-    fp = np.concatenate([
-        build_fp(bundle, spec, [Feature.STD_DEV, Feature.AREA]).data
-        for spec in (area_spec, moment_spec)
-    ], axis=1)
+    fp = build_fp(bundle, [area_spec, moment_spec],
+                  [Feature.STD_DEV, Feature.AREA]).data
     model_fp, pred_fp, oa_fp, kappa_fp = fit(fp)
-    ap = np.concatenate([
-        build_ap(bundle, spec).data
-        for spec in (area_spec, moment_spec)
-    ], axis=1)
+    ap = build_ap(bundle, [area_spec, moment_spec]).data
     _, pred_ap, oa_ap, _ = fit(ap)
     fingerprint = (
         model_to_bytes(model_fp)

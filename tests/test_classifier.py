@@ -51,13 +51,10 @@ def fp_training_set():
     img, labels = synthetic_scene(64, 64, seed=5)
     train, _ = split_labels(labels, 0.10, seed=5)
     idx, y = train.samples()
-    bundle = tree_bundle(img, ProfileTrees.COMPONENT_PAIR)
+    bundle = tree_bundle([img], ProfileTrees.COMPONENT_PAIR)
     specs = (FilterSpec(Attribute.AREA, default_area_thresholds(64 * 64)),
              FilterSpec(Attribute.MOMENT, default_moment_thresholds()))
-    fp = np.concatenate([
-        build_fp(bundle, spec, [Feature.STD_DEV, Feature.AREA]).data
-        for spec in specs
-    ], axis=1)
+    fp = build_fp(bundle, specs, [Feature.STD_DEV, Feature.AREA]).data
     return fp[idx], y
 
 

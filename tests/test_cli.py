@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -924,9 +925,9 @@ class TestBenchCallSites:
         img = synthetic_scene(12, 12, seed=3, levels=16)[0]
         spec = FilterSpec("area", (4.0, 16.0))
         for family in ("component", "tos", "alpha", "omega"):
-            bundle = profiles.tree_bundle(img, family)
-            profiles.build_ap(bundle, spec)
-            profiles.build_fp(bundle, spec, [Feature.AREA])
+            bundle = profiles.tree_bundle([img], family)
+            profiles.build_ap(bundle, [spec])
+            profiles.build_fp(bundle, [spec], [Feature.AREA])
         # every tree build and attribute table runs through its wrapped
         # name; a ladder takes values and thresholds, never a filter_tree mask
         assert calls["filter_tree"] == 0
@@ -990,35 +991,59 @@ class TestSharedAlphaTree:
 
 
 class TestOneFamilyAtATime:
-    """A pass keeps one tree family's bundles: asking for a new family drops
-    the others', and since every command asks family by family, each
-    (band, family) bundle is still built once."""
+    """A pass keeps one tree family's bundle: each family's bundle covers
+    every band, is built once, and is gone before the next family's is
+    built."""
 
     def test_classify_keeps_the_last_familys_bundles(
             self, monkeypatch, golden_labels, tmp_path):
         from treeprofiles import cli
 
-        calls, held = Counter(), []
-        monkeypatch.setattr(cli, "tree_bundle", counting(
-            calls, "tree_bundle", cli.tree_bundle))
-        matrix = cli._StackCache.matrix
+        calls, bundles, alive = Counter(), [], []
+        tree_bundle = cli.tree_bundle
 
-        def recording(cache, *args):
-            stack = matrix(cache, *args)
-            held.append(sorted(cache.bundles))
-            return stack
+        def recording(*args, **kwargs):
+            alive.append([ref() is not None for ref in bundles])
+            bundle = tree_bundle(*args, **kwargs)
+            bundles.append(weakref.ref(bundle))
+            return bundle
 
-        monkeypatch.setattr(cli._StackCache, "matrix", recording)
+        monkeypatch.setattr(cli, "tree_bundle",
+                            counting(calls, "tree_bundle", recording))
         cube = six_band_cube(tmp_path / "cube.json")
         assert cli.main(["classify", "--image", str(cube),
                          *map(str, golden_labels), "--mode", "both",
                          "--tree", "tos,alpha,omega", "--pca", "3",
                          "--levels", "64", "--rf-trees", "5",
                          "--out", str(tmp_path / "rep")]) == 0
-        assert calls["tree_bundle"] == 3 * 3  # bands x families
-        assert held == [[(b, "omega") for b in range(3)]]
+        assert calls["tree_bundle"] == 3  # one per family, over all bands
+        # when a family's bundle is built, no earlier family's is alive
+        assert alive == [[], [False], [False, False]]
         report = (tmp_path / "rep" / "report.json").read_bytes()
         assert _sha256(report) == GOLDEN_THREE_FAMILY_REPORT
+
+
+class TestNodeTablesOncePerTree:
+    """A tree's per-node tables are computed once per profile, whatever
+    the number of filter specs: one ``std_dev_all`` per tree."""
+
+    def test_classify_computes_each_trees_stddev_once(
+            self, monkeypatch, golden_labels, tmp_path):
+        from treeprofiles import cli, profiles
+
+        calls = Counter()
+        for name in ("std_dev_all", "compute_attributes"):
+            monkeypatch.setattr(profiles, name, counting(
+                calls, name, getattr(profiles, name)))
+        cube = two_band_cube(tmp_path / "cube.json")
+        assert cli.main(["classify", "--image", str(cube),
+                         *map(str, golden_labels), "--mode", "both",
+                         "--tree", "component,tos,alpha,omega",
+                         "--attr", "area,moment", "--pca", "2",
+                         "--levels", "32", "--rf-trees", "2",
+                         "--out", str(tmp_path)]) == 0
+        assert calls["compute_attributes"] == 2 * 5  # bands x trees
+        assert calls["std_dev_all"] == calls["compute_attributes"]
 
 
 class TestNoScipy:

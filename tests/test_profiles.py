@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -223,7 +225,7 @@ class TestGivenAlphaTree:
             assert build_tree(img, "alpha", alpha=alpha) is alpha
             for kind in ("alpha", "omega"):
                 fresh, given = build_tree(img, kind), \
-                    tree_bundle(img, kind, alpha=alpha).pair[0][0]
+                    tree_bundle([img], kind, alphas=[alpha]).pairs[0][0][0]
                 for field in ("parent", "level", "pixel_node"):
                     assert np.array_equal(getattr(fresh, field),
                                           getattr(given, field))
@@ -240,8 +242,8 @@ class TestGivenAlphaTree:
 class TestBuildAp:
     def test_component_pair_dim(self, rng):
         img = random_image(rng, 8, 6, min_side=4)
-        stack = build_ap(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
-                         spec_area(4))
+        stack = build_ap(tree_bundle([img], ProfileTrees.COMPONENT_PAIR),
+                         [spec_area(4)])
         assert stack.dim == 9
         polarity = [c.polarity for c in stack.layout]
         assert polarity == ["thickening"] * 4 + ["original"] + ["thinning"] * 4
@@ -251,14 +253,15 @@ class TestBuildAp:
     def test_selfdual_dim(self, rng):
         img = random_image(rng, 8, 6, min_side=4)
         for kind in (ProfileTrees.TOS, ProfileTrees.ALPHA, ProfileTrees.OMEGA):
-            stack = build_ap(tree_bundle(img, kind), spec_area(4))
+            stack = build_ap(tree_bundle([img], kind), [spec_area(4)])
             assert stack.dim == 5
             assert stack.layout[0].polarity == "original"
 
     def test_identity_profile(self, rng):
         img = random_image(rng, 8, 6)
         spec = FilterSpec(Attribute.AREA, (0.5,))
-        stack = build_ap(tree_bundle(img, ProfileTrees.COMPONENT_PAIR), spec)
+        stack = build_ap(tree_bundle([img], ProfileTrees.COMPONENT_PAIR),
+                         [spec])
         original = img.values.ravel().astype(float)
         for c in range(stack.dim):
             assert np.array_equal(stack.data[:, c], original)
@@ -266,8 +269,8 @@ class TestBuildAp:
     def test_anti_extensive_and_extensive(self, rng):
         for _ in range(10):
             img = random_image(rng, 12, 8)
-            stack = build_ap(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
-                             spec_area(3))
+            stack = build_ap(tree_bundle([img], ProfileTrees.COMPONENT_PAIR),
+                             [spec_area(3)])
             original = img.values.ravel().astype(float)
             for col, desc in zip(stack.data.T, stack.layout):
                 if desc.polarity == "thinning":
@@ -307,17 +310,17 @@ class TestBuildAp:
         for _ in range(10):
             img = random_image(rng, 10, 6)
             spec = spec_area(3)
-            ap = build_ap(tree_bundle(img, ProfileTrees.TOS), spec)
-            ap_c = build_ap(tree_bundle(img.complement(), ProfileTrees.TOS),
-                            spec)
+            ap = build_ap(tree_bundle([img], ProfileTrees.TOS), [spec])
+            ap_c = build_ap(tree_bundle([img.complement()], ProfileTrees.TOS),
+                            [spec])
             assert np.allclose(ap.data, (img.levels - 1) - ap_c.data)
 
 
 class TestBuildFp:
     def test_component_pair_dims(self, rng):
         img = random_image(rng, 8, 6, min_side=4)
-        stack = build_fp(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
-                         spec_area(4), [Feature.STD_DEV, Feature.AREA])
+        stack = build_fp(tree_bundle([img], ProfileTrees.COMPONENT_PAIR),
+                         [spec_area(4)], [Feature.STD_DEV, Feature.AREA])
         assert stack.dim == 18
         # central column of each block is the raw gray value
         original = img.values.ravel().astype(float)
@@ -328,14 +331,14 @@ class TestBuildFp:
 
     def test_alpha_single_feature(self, rng):
         img = random_image(rng, 8, 6, min_side=4)
-        stack = build_fp(tree_bundle(img, ProfileTrees.ALPHA), spec_area(4),
-                         [Feature.AREA])
+        stack = build_fp(tree_bundle([img], ProfileTrees.ALPHA),
+                         [spec_area(4)], [Feature.AREA])
         assert stack.dim == 5
 
     def test_constant_image_features(self):
         img = RasterImage(np.full((4, 5), 2, int), levels=4)
-        stack = build_fp(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
-                         spec_area(2), [Feature.STD_DEV, Feature.AREA])
+        stack = build_fp(tree_bundle([img], ProfileTrees.COMPONENT_PAIR),
+                         [spec_area(2)], [Feature.STD_DEV, Feature.AREA])
         for col, desc in zip(stack.data.T, stack.layout):
             if desc.feature == "stddev":
                 assert np.all(col == 0.0)
@@ -345,8 +348,8 @@ class TestBuildFp:
     def test_needs_feature(self, rng):
         img = random_image(rng, 6, 4)
         with pytest.raises(DataError):
-            build_fp(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
-                     spec_area(2), [])
+            build_fp(tree_bundle([img], ProfileTrees.COMPONENT_PAIR),
+                     [spec_area(2)], [])
 
 
 class TestLayoutMatrix:
@@ -362,10 +365,10 @@ class TestLayoutMatrix:
             spec = FilterSpec(attribute, (0.1, 0.2, 0.3))
         per_tree = 2 * k + 1 if kind is ProfileTrees.COMPONENT_PAIR else k + 1
         if mode == "ap":
-            stack = build_ap(tree_bundle(img, kind), spec)
+            stack = build_ap(tree_bundle([img], kind), [spec])
             assert stack.dim == per_tree
         else:
-            stack = build_fp(tree_bundle(img, kind), spec,
+            stack = build_fp(tree_bundle([img], kind), [spec],
                              [Feature.STD_DEV, Feature.AREA])
             assert stack.dim == 2 * per_tree
         assert len(stack.layout) == stack.dim
@@ -375,9 +378,9 @@ def assert_matches_reference(bundle, spec):
     """AP and FP stacks equal ``profile_per_column`` as float32, to the byte."""
     for features in (None, ["stddev", "area"]):
         if features is None:
-            stack = build_ap(bundle, spec)
+            stack = build_ap(bundle, [spec])
         else:
-            stack = build_fp(bundle, spec, features)
+            stack = build_fp(bundle, [spec], features)
         layout, data = profile_per_column(bundle, spec, features)
         assert stack.layout == layout
         assert stack.data.tobytes() == data.astype(np.float32).tobytes()
@@ -394,9 +397,9 @@ class TestPerColumnReference:
         # a node whose area equals a threshold passes it (``>=``)
         for _ in range(5):
             img = random_image(rng, 9, 12, min_side=2)
-            bundle = tree_bundle(img, kind)
+            bundle = tree_bundle([img], kind)
             areas = np.unique(np.concatenate(
-                [table.area for _, table in bundle.pair]))
+                [table.area for _, table in bundle.pairs[0]]))
             picked = areas[::max(1, len(areas) // 4)]
             spec = FilterSpec(Attribute.AREA,
                               tuple(float(a) for a in picked), rule)
@@ -410,8 +413,8 @@ class TestPerColumnReference:
         seen = 0
         for _ in range(10):
             img = random_image(rng, 9, 12, min_side=3)
-            bundle = tree_bundle(img, kind)
-            for tree, table in bundle.pair:
+            bundle = tree_bundle([img], kind)
+            for tree, table in bundle.pairs[0]:
                 for lam in spec.thresholds:
                     keep = filter_tree(tree, table, spec.attribute, lam,
                                        spec.rule)
@@ -430,13 +433,13 @@ class TestPerColumnReference:
                         ["area", "stddev"])
         for _ in range(12):
             img = random_image(rng, 9, 7)
-            bundle = tree_bundle(img, kind)
+            bundle = tree_bundle([img], kind)
             for spec in specs:
                 for features in feature_sets:
                     if features is None:
-                        stack = build_ap(bundle, spec)
+                        stack = build_ap(bundle, [spec])
                     else:
-                        stack = build_fp(bundle, spec, features)
+                        stack = build_fp(bundle, [spec], features)
                     layout, data = profile_per_column(bundle, spec, features)
                     data = data.astype(np.float32)
                     assert stack.layout == layout
@@ -454,7 +457,7 @@ class TestLadderKernel:
         for _ in range(5):
             img = random_image(rng, 9, 12, min_side=2)
             n = img.values.size
-            bundle = tree_bundle(img, kind)
+            bundle = tree_bundle([img], kind)
             for rule in FilterRule:
                 for spec in (
                         FilterSpec(Attribute.AREA, (1.0, n - 1.0, float(n),
@@ -463,14 +466,14 @@ class TestLadderKernel:
                     for features in (None, ["stddev"], ["area"],
                                      ["area", "stddev"]):
                         if features is None:
-                            stack = build_ap(bundle, spec)
+                            stack = build_ap(bundle, [spec])
                         else:
-                            stack = build_fp(bundle, spec, features)
+                            stack = build_fp(bundle, [spec], features)
                         layout, data = profile_per_column(bundle, spec,
                                                           features)
                         assert stack.layout == layout
                         assert stack.dim == profile_dim(
-                            kind, spec, len(features or ["gray"]))
+                            kind, [spec], len(features or ["gray"]))
                         assert stack.data.tobytes() == \
                             data.astype(np.float32).tobytes()
 
@@ -478,11 +481,11 @@ class TestLadderKernel:
     def test_written_into_a_column_slice(self, rng, kind):
         img = random_image(rng, 10, 12, min_side=3)
         spec = FilterSpec(Attribute.AREA, (2.0, 5.0, 9.0))
-        bundle = tree_bundle(img, kind)
+        bundle = tree_bundle([img], kind)
         for features in (None, ["stddev", "area"]):
-            build = (lambda **kw: build_ap(bundle, spec, **kw)) \
+            build = (lambda **kw: build_ap(bundle, [spec], **kw)) \
                 if features is None else \
-                (lambda **kw: build_fp(bundle, spec, features, **kw))
+                (lambda **kw: build_fp(bundle, [spec], features, **kw))
             want = build()
             big = np.full((img.values.size, want.dim + 5), np.nan,
                           dtype=np.float32)
@@ -498,7 +501,7 @@ class TestLadderKernel:
     def test_bad_out_refused_before_any_write(self, rng, bad):
         img = random_image(rng, 8, 12, min_side=3)
         spec = FilterSpec(Attribute.AREA, (2.0, 5.0))
-        n, dim = img.values.size, profile_dim("component", spec, 2)
+        n, dim = img.values.size, profile_dim("component", [spec], 2)
         big = np.full((n, 2 * dim + 1), -1.0, dtype=np.float32)
         out = {
             "narrow": big[:, :dim - 1],
@@ -509,7 +512,8 @@ class TestLadderKernel:
         }[bad]
         out.setflags(write=bad != "read-only")
         with pytest.raises(ValueError, match="out must be"):
-            build_fp(tree_bundle(img, "component"), spec, ["stddev", "area"],
+            build_fp(tree_bundle([img], "component"), [spec],
+                     ["stddev", "area"],
                      out=out)
         assert np.all(out == -1.0) and np.all(big == -1.0)
 
@@ -613,6 +617,62 @@ class TestLadderKernel:
                     nearest_owner(tree, keep).tolist()
 
 
+class TestBundleOfBands:
+    """One bundle holds a family's trees on every band, and one call writes
+    every band's block of every spec, band first, then spec, then feature:
+    each block is the one-column-at-a-time oracle's, to the byte."""
+
+    @pytest.mark.parametrize("kind", list(ProfileTrees))
+    def test_equal_to_the_oracle_per_band_and_spec(self, rng, kind):
+        bands = [RasterImage(rng.integers(0, levels, size=(9, 11)), levels)
+                 for levels in (5, 16, 64)]
+        specs = [FilterSpec(Attribute.AREA, (2.0, 5.0, 13.0)),
+                 FilterSpec(Attribute.MOMENT, (0.1, 0.25))]
+        bundle = tree_bundle(bands, kind)
+        for features in (None, ["stddev", "area"]):
+            layout, blocks = [], []
+            for band, pair in zip(bundle.bands, bundle.pairs):
+                one = replace(bundle, bands=[band], pairs=[pair])
+                for spec in specs:
+                    block_layout, block = profile_per_column(one, spec,
+                                                             features)
+                    layout += block_layout
+                    blocks.append(block.astype(np.float32))
+            want = np.concatenate(blocks, axis=1)
+            assert want.shape[1] == 3 * profile_dim(
+                kind, specs, len(features or ["gray"]))
+            big = np.full((99, want.shape[1] + 4), np.nan, np.float32)
+            out = big[:, 1:-3]
+            stack = build_ap(bundle, specs, out) if features is None else \
+                build_fp(bundle, specs, features, out)
+            assert stack.data is out
+            assert stack.layout == layout
+            assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+            assert np.isnan(big[:, :1]).all() and np.isnan(big[:, -3:]).all()
+
+    def test_refused_before_any_tree_or_column(self, monkeypatch, rng):
+        from treeprofiles import profiles
+
+        img = random_image(rng, 8, 12, min_side=3)
+        other = RasterImage(np.zeros((img.height + 1, img.width), int), 2)
+        bundle = tree_bundle([img], ProfileTrees.COMPONENT_PAIR)
+        alpha = build_alpha_tree(img)
+        built = []
+        monkeypatch.setattr(profiles, "build_tree",
+                            lambda *args: built.append(args))
+        for bands, alphas in (([], None), ([img, other], None),
+                              ([img, img], [alpha]), ([img], [alpha] * 2)):
+            with pytest.raises(DataError):
+                tree_bundle(bands, ProfileTrees.OMEGA, alphas=alphas)
+        assert built == []
+        out = np.full((img.values.size, 5), -1.0, dtype=np.float32)
+        with pytest.raises(DataError):
+            build_ap(bundle, [], out)
+        with pytest.raises(DataError):
+            build_fp(bundle, [], ["stddev"], out)
+        assert np.all(out == -1.0)
+
+
 def nearest_owner(tree, mask):
     """Each pixel's smallest retained node, one pixel at a time."""
     owners = []
@@ -643,9 +703,9 @@ class TestThresholdsBeyondImageArea:
                 gray = {"selfdual": (2 * int(values.sum()) + n) // (2 * n)}
             expected = {"area": float(n),
                         "stddev": two_pass_std(values.ravel().tolist())}
-            bundle = tree_bundle(img, kind)
-            stacks = (build_ap(bundle, spec),
-                      build_fp(bundle, spec, [Feature.STD_DEV, Feature.AREA]))
+            bundle = tree_bundle([img], kind)
+            stacks = (build_ap(bundle, [spec]), build_fp(
+                bundle, [spec], [Feature.STD_DEV, Feature.AREA]))
             for stack in stacks:
                 for col, desc in zip(stack.data.T, stack.layout):
                     if desc.polarity == "original":
@@ -663,8 +723,8 @@ class TestThresholdsBeyondImageArea:
 class TestProfileStackIo:
     def test_roundtrip(self, tmp_path, rng):
         img = random_image(rng, 8, 8, min_side=4)
-        stack = build_fp(tree_bundle(img, ProfileTrees.COMPONENT_PAIR),
-                         spec_area(2), [Feature.STD_DEV])
+        stack = build_fp(tree_bundle([img], ProfileTrees.COMPONENT_PAIR),
+                         [spec_area(2)], [Feature.STD_DEV])
         stack.save(tmp_path / "p")
         back = ProfileStack.load(tmp_path / "p")
         assert back.dim == stack.dim
