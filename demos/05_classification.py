@@ -45,8 +45,9 @@ bundle = tree_bundle([image], ProfileTrees.COMPONENT_PAIR)
 
 
 def score(matrix, name):
-    model = train_forest(matrix[train_idx], train_y, n_trees=100, seed=SEED)
-    _, oa, kappa = evaluate(predict(model, matrix[test_idx]), test_y)
+    model = train_forest(matrix, train_y, n_trees=100, seed=SEED,
+                         rows=train_idx)
+    _, oa, kappa = evaluate(predict(model, matrix, test_idx), test_y)
     print(f"  {name:<22} dim {matrix.shape[1]:>3}   "
           f"OA {oa * 100:5.1f} %   kappa {kappa:.3f}")
     return oa

@@ -25,13 +25,16 @@
  * of the numpy scatters, filters, folds and gathers (and of numpy's cast to
  * float32).
  *
- * Random forest (classifier).  tp_grow_tree grows one CART tree: it draws
- * the bootstrap resample, then grows nodes in preorder (left subtree
- * first), drawing each split node's candidate features with a partial
- * Fisher-Yates shuffle and searching them for the best Gini split.
- * tp_forest_votes sums the leaf probabilities of the trees over a batch of
- * rows, picked by index from the caller's whole float32 or float64 matrix
- * and read in place, in tree order, until a row's vote is settled.
+ * Random forest (classifier).  tp_rank_rows ranks the training samples
+ * into the feature-major tables below, once per forest.  tp_grow_tree
+ * grows one CART tree on them: it draws the bootstrap resample, then grows
+ * nodes in preorder (left subtree first), drawing each split node's
+ * candidate features with a partial Fisher-Yates shuffle and searching
+ * them for the best Gini split.  tp_forest_votes sums the leaf
+ * probabilities of the trees over a batch of rows, in tree order, until a
+ * row's vote is settled.  Both tp_rank_rows and tp_forest_votes pick their
+ * rows by index from the caller's whole float32 or float64 matrix and read
+ * them in place.
  * tp_best_split and tp_xorshift_fill expose the node search and the
  * generator to the tests.
  *
@@ -201,6 +204,9 @@ enum { OPEN, WALL, REACHED };
  * A cell is marked reached when it is pushed or filled, and only open cells
  * are pushed, so each cell is pushed at most once and the seed stack never
  * holds more than the grid's cell count.
+ * A pixel's row comes from a table of the grid's rows, filled row by row,
+ * and its column from its id minus its row's first id, so no pixel costs a
+ * division.
  * Set i's saturation is written to out[offsets[i]], ...,
  * out[offsets[i + 1] - 1] as ascending row-major pixel ids; n_out must be
  * at least the summed box area.  Returns 0; TP_BAD_INDEX, before any
@@ -211,29 +217,42 @@ int32_t tp_saturate(const int64_t *pix_order, int64_t n_pix,
                     int64_t n_nodes, int64_t width, int64_t height,
                     int64_t *out, int64_t n_out, int64_t *offsets)
 {
+    const int64_t n_grid = width > 0 && height > 0 ? width * height : 0;
+    int32_t *row_of = malloc((size_t)n_grid * sizeof *row_of + 1);
+    if (!row_of)
+        return TP_NO_MEMORY;    /* alloc-fail */
+    for (int64_t y = 0, p = 0; y < height; y++)
+        for (int64_t x = 0; x < width; x++)
+            row_of[p++] = (int32_t)y;
     int64_t cells = 0, grid_cells = 0;
     for (int64_t i = 0; i < n_nodes; i++) {
         const int64_t *b = box + 4 * i;
-        if (lo[i] < 0 || hi[i] < lo[i] || hi[i] > n_pix || b[0] < 0 ||
-            b[2] < b[0] || b[2] >= height || b[1] < 0 || b[3] < b[1] ||
-            b[3] >= width)
-            return TP_BAD_INDEX;
-        for (int64_t j = lo[i]; j < hi[i]; j++) {
+        int bad = lo[i] < 0 || hi[i] < lo[i] || hi[i] > n_pix || b[0] < 0 ||
+                  b[2] < b[0] || b[2] >= height || b[1] < 0 || b[3] < b[1] ||
+                  b[3] >= width;
+        for (int64_t j = lo[i]; j < hi[i] && !bad; j++) {
             const int64_t p = pix_order[j];
-            if (p < 0 || p / width < b[0] || p / width > b[2] ||
-                p % width < b[1] || p % width > b[3])
-                return TP_BAD_INDEX;
+            bad = p < 0 || p >= n_grid || row_of[p] < b[0] ||
+                  row_of[p] > b[2] || p - row_of[p] * width < b[1] ||
+                  p - row_of[p] * width > b[3];
+        }
+        if (bad) {
+            free(row_of);
+            return TP_BAD_INDEX;
         }
         const int64_t bh = b[2] - b[0] + 1, bw = b[3] - b[1] + 1;
         cells += bh * bw;
         if ((bh + 4) * (bw + 4) > grid_cells)
             grid_cells = (bh + 4) * (bw + 4);
     }
-    if (cells > n_out)
+    if (cells > n_out) {
+        free(row_of);
         return TP_CAPACITY;
+    }
     uint8_t *grid = malloc((size_t)grid_cells);  /* malloc(0) may be NULL */
     int64_t *stack = malloc((size_t)grid_cells * sizeof *stack + 1);
     if ((!grid && grid_cells) || !stack) {
+        free(row_of);           /* alloc-fail */
         free(grid);             /* alloc-fail */
         free(stack);            /* alloc-fail */
         return TP_NO_MEMORY;    /* alloc-fail */
@@ -248,8 +267,8 @@ int32_t tp_saturate(const int64_t *pix_order, int64_t n_pix,
         for (int64_t y = 1; y < bh + 3; y++)
             memset(grid + y * gw + 1, OPEN, (size_t)(bw + 2));
         for (int64_t j = lo[i]; j < hi[i]; j++) {
-            const int64_t p = pix_order[j];
-            grid[(p / width - y0 + 2) * gw + p % width - x0 + 2] = WALL;
+            const int64_t p = pix_order[j], y = row_of[p];
+            grid[(y - y0 + 2) * gw + p - y * width - x0 + 2] = WALL;
         }
         int64_t depth = 0;
         grid[gw + 1] = REACHED;
@@ -283,6 +302,7 @@ int32_t tp_saturate(const int64_t *pix_order, int64_t n_pix,
             }
         offsets[i + 1] = count;
     }
+    free(row_of);
     free(grid);
     free(stack);
     return 0;
@@ -608,6 +628,106 @@ static void sort_keys(uint64_t *a, uint64_t *tmp, int64_t m, int bits)
     }
     if (src != a)
         memcpy(a, src, (size_t)m * sizeof *a);
+}
+
+/* Value i of x: a float64 array when wide, else a float32 one. */
+static double value_at(const void *x, int32_t wide, int64_t i)
+{
+    if (wide)
+        return ((const double *)x)[i];
+    return ((const float *)x)[i];
+}
+
+/* 0 when every index rows[0, n) lies in [0, x_rows) and every feature of
+ * the indexed rows of x (n_features values a row) is finite; else
+ * TP_BAD_INDEX, checked first, or TP_NON_FINITE.  No other row is read. */
+static int32_t check_rows(const void *x, int32_t wide, int64_t x_rows,
+                          const int64_t *rows, int64_t n, int32_t n_features)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (rows[i] < 0 || rows[i] >= x_rows)
+            return TP_BAD_INDEX;
+    for (int64_t i = 0; i < n; i++)
+        for (int32_t f = 0; f < n_features; f++)
+            if (!isfinite(value_at(x, wide, rows[i] * n_features + f)))
+                return TP_NON_FINITE;
+    return 0;
+}
+
+/* An unsigned key in the order of the finite doubles: -0.0 takes +0.0's
+ * key, negative values have every bit flipped and the others the sign bit
+ * set. */
+static uint64_t order_key(double v)
+{
+    uint64_t bits;
+    v = v == 0.0 ? 0.0 : v;
+    memcpy(&bits, &v, sizeof bits);
+    return bits >> 63 ? ~bits : bits | (uint64_t)1 << 63;
+}
+
+/* Writes the training tables of the samples rows[0, n), picked by index
+ * from x (x_rows rows of n_features values, float64 when wide, else
+ * float32) and read in place; an index may repeat.  Feature-major, as
+ * tp_grow_tree reads them: rank[f * n + s] is the dense rank of sample s's
+ * value of feature f among that feature's distinct values, level[f * n + r]
+ * the value of rank r, widened to float64 exactly (0.0 past the last rank),
+ * and n_levels[f] the number of ranks.  Values compare as floats, so -0.0
+ * and +0.0 share a rank; a rank's level is the value of its first sample,
+ * in the order of rows.  Each feature's keys are sorted with their sample
+ * ids by a stable LSD radix sort, skipping a digit that every key shares.
+ * Before any table is written, every index is checked, then every indexed
+ * row's features.  Returns 0, TP_BAD_INDEX for an index outside
+ * [0, x_rows), TP_NON_FINITE for a NaN or infinite feature, or
+ * TP_NO_MEMORY. */
+int32_t tp_rank_rows(const void *x, int32_t wide, int64_t x_rows,
+                     const int64_t *rows, int64_t n, int32_t n_features,
+                     int32_t *rank, double *level, int32_t *n_levels)
+{
+    const int32_t status = check_rows(x, wide, x_rows, rows, n, n_features);
+    if (status)
+        return status;
+    struct keyed { uint64_t key; int64_t id; } *pairs =
+        malloc(2 * (size_t)n * sizeof *pairs + 1);
+    if (!pairs)
+        return TP_NO_MEMORY;    /* alloc-fail */
+    for (int32_t f = 0; f < n_features; f++) {
+        struct keyed *src = pairs, *dst = pairs + n, *t;
+        int64_t start[8][257] = {{0}};
+        for (int64_t i = 0; i < n; i++) {
+            const uint64_t key =
+                order_key(value_at(x, wide, rows[i] * n_features + f));
+            src[i].key = key;
+            src[i].id = i;
+            for (int d = 0; d < 8; d++)
+                start[d][((key >> 8 * d) & 255) + 1]++;
+        }
+        for (int d = 0; d < 8 && n > 1; d++) {
+            int64_t *at = start[d];
+            if (at[((src[0].key >> 8 * d) & 255) + 1] == n)
+                continue;  /* one digit value: the pass would move nothing */
+            for (int b = 0; b < 256; b++)
+                at[b + 1] += at[b];
+            for (int64_t i = 0; i < n; i++)
+                dst[at[(src[i].key >> 8 * d) & 255]++] = src[i];
+            t = src;
+            src = dst;
+            dst = t;
+        }
+        int32_t *rank_f = rank + (int64_t)f * n;
+        double *level_f = level + (int64_t)f * n;
+        int64_t r = -1;
+        for (int64_t i = 0; i < n; i++) {
+            if (i == 0 || src[i].key != src[i - 1].key)
+                level_f[++r] = value_at(x, wide,
+                                        rows[src[i].id] * n_features + f);
+            rank_f[src[i].id] = (int32_t)r;
+        }
+        for (int64_t i = r + 1; i < n; i++)
+            level_f[i] = 0.0;
+        n_levels[f] = (int32_t)(r + 1);
+    }
+    free(pairs);
+    return 0;
 }
 
 typedef struct {
@@ -1005,14 +1125,6 @@ static int settled(const double *v, int32_t n_classes, double spread_left,
     return 1;
 }
 
-/* Value i of x: a float64 array when wide, else a float32 one. */
-static double value_at(const void *x, int32_t wide, int64_t i)
-{
-    if (wide)
-        return ((const double *)x)[i];
-    return ((const float *)x)[i];
-}
-
 /* votes[i * n_classes + c] += the class-c probability of the leaf that row
  * rows[i] of x (x_rows rows of n_features values, float64 when wide, else
  * float32) reaches, tree after tree, until the row's votes are settled (see
@@ -1032,13 +1144,10 @@ int32_t tp_forest_votes(const void *x, int32_t wide, int64_t x_rows,
                         const int32_t *right, const double *probs,
                         double *votes, int32_t *summed)
 {
-    for (int64_t i = 0; i < n_rows; i++)
-        if (rows[i] < 0 || rows[i] >= x_rows)
-            return TP_BAD_INDEX;
-    for (int64_t i = 0; i < n_rows; i++)
-        for (int32_t f = 0; f < n_features; f++)
-            if (!isfinite(value_at(x, wide, rows[i] * n_features + f)))
-                return TP_NON_FINITE;
+    const int32_t status = check_rows(x, wide, x_rows, rows, n_rows,
+                                      n_features);
+    if (status)
+        return status;
     double *spread = malloc(2 * ((size_t)n_trees + 1) * sizeof *spread);
     int64_t *active = malloc((size_t)n_rows * sizeof *active + 1);
     if (!spread || !active) {

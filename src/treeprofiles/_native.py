@@ -9,11 +9,12 @@ the tree folds ``tp_accumulate`` and ``tp_propagate``, the one-sweep
 attribute table ``tp_attributes`` (swept over pixel ids, it also gives the
 tree of shapes its side trees' boxes, first pixels and frame contact) and
 filter ladder ``tp_ladder`` (from a tree's attribute values and
-thresholds), and the random forest's tree growth and vote sum.
-``ctypes`` needs no Python headers and no extra package, but the file is
-compiled with ``cc`` on the first call that needs it, never at import, and
-cached under ``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``),
-named by the sha256 of its source and compiler command.  A new build
+thresholds), and the random forest: the ranking of its training rows,
+``tp_rank_rows``, its tree growth and its vote sum.  ``ctypes`` needs no
+Python headers and no extra package, but the file is compiled with ``cc``
+on the first call that needs it, never at import, and cached under
+``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``), named by the
+sha256 of its source and compiler command.  A new build
 removes the library's older builds, and those of the retired
 ``_forest.c``, from that directory.  A failed build or load raises
 :class:`~treeprofiles.errors.BuildError`.
@@ -21,7 +22,8 @@ removes the library's older builds, and those of the retired
 Every entry point is declared in ``_SIGNATURES``: ``ndpointer`` argument
 types check each array's dtype and C contiguity before a pointer is passed.
 The raw pointers, ``tp_ladder``'s float32 output (maybe a column slice)
-and ``tp_forest_votes``' float32 or float64 rows, are checked by callers.
+and the float32 or float64 rows of ``tp_rank_rows`` and
+``tp_forest_votes``, are checked by callers.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ _SIGNATURES = {
     "tp_attributes": (_K, [_I8, _N, _I4, _I8, _N, _N, _I8, _I8]),
     "tp_ladder": (_K, [_I8, _N, _F8, _F8, _N, _K, _I4, _N, _F8, _N, _I8, _P,
                         _N, _N]),
+    "tp_rank_rows": (_K, [_P, _K, _N, _I8, _N, _K, _I4, _F8, _I4]),
     "tp_grow_tree": (_N, [_I4, _F8, _I4, _I4, _N, _K, _K, _K, _U8, _I4,
                           _F8, _I4, _I4, _F8, _N]),
     "tp_best_split": (_K, [_I4, _F8, _I4, _I4, _N, _K, _K, _I4, _N, _I4, _K,

@@ -14,13 +14,16 @@ All randomness comes from the package's xorshift64* generator (see
 i)``, so training is reproducible bit-for-bit across platforms and is
 independent of any scheduling order.
 
-The bootstrap, the per-node feature draws, the split search and the vote sum
-of :func:`predict` run in the package's native kernel (see
-:mod:`treeprofiles._native`), which performs the numpy reference's
-floating-point operations one for one (``tests/oracles.py``), so the model
-bytes are the reference's.  Each feature is ranked once per forest, and a
-feature with one value on the whole training set is skipped without a look
-at the node's samples.  A node searches a candidate by counting its samples
+The ranking of the training rows, the bootstrap, the per-node feature
+draws, the split search and the vote sum of :func:`predict` run in the
+package's native kernel (see :mod:`treeprofiles._native`), which performs
+the numpy reference's floating-point operations one for one
+(``tests/oracles.py``), so the model bytes are the reference's.  Training
+and prediction both pick their rows of the caller's float32 or float64
+matrix by index and read them in place.  Each feature is ranked once per
+forest, by one kernel call over every feature, and a feature with one value
+on the whole training set is skipped without a look at the node's
+samples.  A node searches a candidate by counting its samples
 per (rank, class) when their ranks are dense on the node (more than 16
 samples, at most four ranks per sample), and by sorting them otherwise.  Both visit the same boundaries in
 ascending order with the same class counts, so the Gini values, the
@@ -58,7 +61,7 @@ from .rng import Xorshift64Star, derive_seed
 
 _MAGIC = b"TPFM"
 _VERSION = 1
-# tp_forest_votes' failure codes (TP_* in _kernels.c)
+# tp_rank_rows' and tp_forest_votes' failure codes (TP_* in _kernels.c)
 _NO_MEMORY, _BAD_INDEX, _NON_FINITE = -2, -3, -4
 
 
@@ -105,22 +108,44 @@ class _TrainingSet:
     seed: int
 
 
-def _training_set(x: np.ndarray, y_idx: np.ndarray, n_classes: int,
-                  seed: int) -> _TrainingSet:
-    xt = np.ascontiguousarray(x.T, dtype=np.float64)
-    order = np.argsort(xt, axis=1)
-    ordered = np.take_along_axis(xt, order, axis=1)
-    sorted_rank = np.zeros(xt.shape, dtype=np.int32)
-    np.cumsum(ordered[:, 1:] > ordered[:, :-1], axis=1, out=sorted_rank[:, 1:])
-    rank = np.empty_like(sorted_rank)
-    np.put_along_axis(rank, order, sorted_rank, axis=1)
-    level = np.zeros_like(xt)
-    np.put_along_axis(level, sorted_rank, ordered, axis=1)
-    return _TrainingSet(rank=rank, level=level,
-                        n_levels=sorted_rank[:, -1] + 1,
+def _indexed_rows(x: np.ndarray, rows: np.ndarray | None,
+                  what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as the kernels read it in place: float32, else float64 (copied
+    when it is neither or not C-ordered); and ``rows`` (default: every
+    row) as int64 indices, which the kernels check."""
+    x = np.ascontiguousarray(x, np.float32 if x.dtype == np.float32 else float)
+    rows = np.arange(len(x)) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise DataError(f"{what} rows must be a 1-D array of row indices")
+    return x, np.ascontiguousarray(rows, dtype=np.int64)
+
+
+def _training_set(x: np.ndarray, rows: np.ndarray | None, y_idx: np.ndarray,
+                  n_classes: int, seed: int) -> _TrainingSet:
+    """The tables of samples ``rows`` of ``x`` (default: every row), ranked
+    by ``tp_rank_rows``, which reads the rows in place."""
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise DataError("training needs matching non-empty x (2-D) and y")
+    x, rows = _indexed_rows(x, rows, "training")
+    if np.shape(y_idx) != rows.shape or len(rows) == 0:
+        raise DataError("training needs matching non-empty x (2-D) and y")
+    n, d = len(rows), x.shape[1]
+    rank = np.empty((d, n), dtype=np.int32)
+    level = np.empty((d, n))
+    n_levels = np.empty(d, dtype=np.int32)
+    status = _kernel().tp_rank_rows(x.ctypes.data, x.dtype == np.float64,
+                                    len(x), rows, n, d, rank, level, n_levels)
+    if status == _NO_MEMORY:
+        raise MemoryError("forest kernel: out of memory")
+    if status == _BAD_INDEX:
+        raise DataError(f"training row index outside [0, {len(x)})")
+    if status == _NON_FINITE:
+        raise DataError("training features contain NaN or infinity")
+    return _TrainingSet(rank=rank, level=level, n_levels=n_levels,
                         y_idx=np.ascontiguousarray(y_idx, dtype=np.int32),
-                        n_classes=n_classes,
-                        mtry=math.ceil(math.sqrt(len(xt))), seed=seed)
+                        n_classes=n_classes, mtry=math.ceil(math.sqrt(d)),
+                        seed=seed)
 
 
 def _grow_indexed(data: _TrainingSet, i: int) -> DecisionTree:
@@ -154,31 +179,32 @@ def _usable_cpus() -> int:
 
 
 def train_forest(
-    x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0
+    x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0,
+    rows: np.ndarray | None = None
 ) -> ForestModel:
-    """Grow ``n_trees`` CART trees on bootstrap resamples of (x, y).
+    """Grow ``n_trees`` CART trees on bootstrap resamples of rows ``rows``
+    of ``x`` (default: every row), sample i being row ``rows[i]`` with
+    label ``y[i]``.
 
-    Trees grow on up to ``min(usable CPUs, n_trees)`` threads; the model
-    does not depend on how many.
+    The rows, float32 or float64, are picked by index and read in place,
+    as :func:`predict` reads them, so training on a subset of a matrix
+    copies none of it; an index may repeat.  DataError is raised, in this
+    order, for an index outside ``[0, len(x))``, a NaN or infinite feature
+    in an indexed row (other rows are not read) and fewer than two
+    classes.  Trees grow on up to ``min(usable CPUs, n_trees)`` threads;
+    the model does not depend on how many.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
     if n_trees < 1:
         raise DataError(f"a forest needs at least one tree, got {n_trees}")
-    if x.ndim != 2 or len(x) != len(y) or len(y) == 0:
-        raise DataError("training needs matching non-empty x (2-D) and y")
-    if not np.isfinite(x).all():
-        raise DataError("training features contain NaN or infinity")
-    classes = np.unique(y)
+    classes, y_idx = np.unique(np.asarray(y), return_inverse=True)
+    data = _training_set(x, rows, y_idx, len(classes), seed)
     if len(classes) < 2:
         raise DataError("training needs at least two classes")
-    data = _training_set(x, np.searchsorted(classes, y), len(classes), seed)
-    _kernel()  # loaded here, so no worker thread builds it
     with ThreadPoolExecutor(min(_usable_cpus(), n_trees)) as pool:
         trees = list(pool.map(lambda i: _grow_indexed(data, i),
                               range(n_trees)))
-    return ForestModel(trees=trees, classes=classes, n_features=x.shape[1],
-                       seed=seed)
+    return ForestModel(trees=trees, classes=classes,
+                       n_features=len(data.rank), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +217,8 @@ def _votes(model: ForestModel, x: np.ndarray,
     ``rows`` of ``x`` (default: every row), added in tree order, one thread
     per block of rows, and per row the number of trees summed: a row stops
     once its vote is settled (see ``predict``), so its sum covers the
-    forest's first trees only.  ``x`` is read in place as float32, else
-    as float64 (copied when it is neither or not C-ordered)."""
-    x = np.ascontiguousarray(x, np.float32 if x.dtype == np.float32 else float)
-    rows = np.arange(len(x)) if rows is None else np.asarray(rows)
-    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-        raise DataError("prediction rows must be a 1-D array of row indices")
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    forest's first trees only.  ``x`` is read as ``_indexed_rows`` says."""
+    x, rows = _indexed_rows(x, rows, "prediction")
     trees = model.trees
     offset = np.cumsum([0] + [len(t.feature) for t in trees], dtype=np.int64)
 

@@ -272,7 +272,8 @@ def _fit_eval(matrix: np.ndarray, train: LabelMap, test: LabelMap,
         raise DataError("no labeled training pixels")
     if len(test_idx) == 0:
         raise DataError("no labeled test pixels")
-    model = train_forest(matrix[train_idx], train_y, n_trees=n_trees, seed=seed)
+    model = train_forest(matrix, train_y, n_trees=n_trees, seed=seed,
+                         rows=train_idx)
     return evaluate(predict(model, matrix, test_idx), test_y)
 
 

@@ -5,9 +5,10 @@ data structures; nothing is shared with the library's union-find or
 hole-filling code paths, so agreement between the two is meaningful.  The
 sections at the end keep paths the library replaced (per-node loops,
 per-node hole filling, per-column profile resolution, the cyclic Jacobi
-eigensolver, the numpy random forest, the pixel-sorted and alpha union-find
-builders, the Python Kruskal loop and the ``ndimage.label`` hole fill) as
-exact references for the faster code.
+eigensolver, the numpy random forest and its ranking of the training
+rows, the pixel-sorted and alpha union-find builders, the Python Kruskal
+loop and the ``ndimage.label`` hole fill) as exact references for the
+faster code.
 """
 
 import math
@@ -358,6 +359,28 @@ def grow_indexed_tree(x: np.ndarray, y_idx: np.ndarray, n_classes: int,
     mtry = math.ceil(math.sqrt(x.shape[1]))
     return grow_tree(np.ascontiguousarray(x.T)[:, boot], y_idx[boot],
                      n_classes, mtry, rng)
+
+
+def training_tables(x: np.ndarray, rows: np.ndarray):
+    """(rank, level, n_levels) of samples ``rows`` of ``x``: the numpy
+    ranking the forest ran before ``tp_rank_rows``, with its tie rule fixed
+    by a stable argsort.  Feature-major: each value's dense rank among its
+    feature's distinct values, each rank's value (0.0 past the last rank)
+    and each feature's rank count.  -0.0 and +0.0 compare equal and share a
+    rank, whose level is the value of its first sample in the order of
+    ``rows``."""
+    xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64)[rows].T)
+    order = np.argsort(xt, axis=1, kind="stable")
+    ordered = np.take_along_axis(xt, order, axis=1)
+    first = np.ones(xt.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] > ordered[:, :-1]
+    sorted_rank = np.cumsum(first, axis=1, dtype=np.int32) - 1
+    rank = np.empty_like(sorted_rank)
+    np.put_along_axis(rank, order, sorted_rank, axis=1)
+    level = np.zeros_like(xt)
+    for f in range(len(xt)):
+        level[f, :sorted_rank[f, -1] + 1] = ordered[f, first[f]]
+    return rank, level, sorted_rank[:, -1] + 1
 
 
 def tree_probs(feature, threshold, left, right, probs, x: np.ndarray):

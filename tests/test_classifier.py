@@ -62,7 +62,7 @@ def kernel_split(x, y, n_classes, cands, samples=None):
     """The kernel's search of the node holding rows ``samples`` (default:
     all rows) of a training set on all of ``x``: (feature, threshold) or
     None."""
-    data = classifier._training_set(x, y, n_classes, seed=0)
+    data = classifier._training_set(x, None, y, n_classes, seed=0)
     if samples is None:
         samples = np.arange(len(y))
     samples = np.asarray(samples, dtype=np.int32)
@@ -291,7 +291,8 @@ class TestRepeatedSamples:
                 n_classes = int(rng.integers(2, 5))
                 x, y_idx = random_training_set(rng, n, n_classes)
                 seed = int(rng.integers(0, 2**63))
-                data = classifier._training_set(x, y_idx, n_classes, seed)
+                data = classifier._training_set(x, None, y_idx, n_classes,
+                                                seed)
                 for i in range(3):
                     got = classifier._grow_indexed(data, i)
                     want = oracles.grow_indexed_tree(x, y_idx, n_classes,
@@ -321,7 +322,8 @@ class TestRepeatedSamples:
     def test_distinct_value_counts(self, rng):
         x = np.stack([np.full(50, 2.5), rng.integers(0, 7, size=50) * 1.0,
                       np.arange(50.0)], axis=1)
-        data = classifier._training_set(x, np.arange(50) % 2, 2, seed=0)
+        data = classifier._training_set(x, None, np.arange(50) % 2, 2,
+                                        seed=0)
         assert data.n_levels.dtype == np.int32
         assert data.n_levels.tolist() == [1, len(np.unique(x[:, 1])), 50]
 
@@ -584,6 +586,123 @@ class TestPredictRows:
         assert peak < 2_000_000  # a gather of the rows is 7.68 MB
 
 
+def rank_rows(x, rows, fill=-7):
+    """(status, rank, level, n_levels) of one ``tp_rank_rows`` call on rows
+    ``rows`` of the float32 or float64 matrix ``x``; the tables start as
+    ``fill`` so that a refused call can be seen to write nothing."""
+    rows = np.asarray(rows, dtype=np.int64)
+    d = x.shape[1]
+    rank = np.full((d, len(rows)), fill, dtype=np.int32)
+    level = np.full((d, len(rows)), float(fill))
+    n_levels = np.full(d, fill, dtype=np.int32)
+    status = _native._kernel().tp_rank_rows(
+        x.ctypes.data, x.dtype == np.float64, len(x), rows, len(rows), d,
+        rank, level, n_levels)
+    return status, rank, level, n_levels
+
+
+class TestTrainRows:
+    """``train_forest(x, y, rows=rows)`` trains on rows of ``x`` picked by
+    index and read in place: the model of ``train_forest(x[rows], y)``, with
+    no copy of ``x``, and the same checks on exactly the indexed rows."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_match_gathered_rows(self, rng, monkeypatch, dtype, cpus):
+        x, y = fp_training_set()
+        x = np.vstack([x, rng.normal(size=x.shape)]).astype(dtype)
+        rows = rng.integers(0, len(x), size=300)  # unsorted, repeated
+        rows[:3] = rows[3]
+        y = rng.choice(y, size=len(rows))
+        monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+        model = train_forest(x, y, n_trees=6, seed=3, rows=rows)
+        assert model_to_bytes(model) == model_to_bytes(
+            train_forest(x[rows], y, n_trees=6, seed=3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows(self, rng, bad):
+        x, y = separable_blobs(rng, n_per_class=10)
+        x = np.vstack([x, [[bad, 0.0]]])
+        rows = np.arange(20)
+        model = train_forest(x, y, n_trees=3, seed=0, rows=rows)
+        assert model_to_bytes(model) == model_to_bytes(
+            train_forest(x[:20], y, n_trees=3, seed=0))
+        with pytest.raises(DataError,
+                           match="training features contain NaN or infinity"):
+            train_forest(x, y, n_trees=3, seed=0, rows=rows + 1)
+
+    @pytest.mark.parametrize("bad", [-1, 21])
+    def test_index_out_of_range(self, rng, bad):
+        x, y = separable_blobs(rng, n_per_class=10)
+        x = np.vstack([x, [[np.nan, 0.0]]])  # the index is checked first
+        rows = np.r_[np.arange(18), 20, bad]
+        with pytest.raises(DataError, match=r"training row index outside "
+                                            r"\[0, 21\)"):
+            train_forest(x, y, n_trees=3, rows=rows)
+        for rows in ([[0, 1]], [0.0, 1.0], [True, False]):
+            with pytest.raises(DataError, match="1-D array of row indices"):
+                train_forest(x, y[:2], n_trees=3, rows=rows)
+        with pytest.raises(DataError, match="matching non-empty"):
+            train_forest(x, y, n_trees=3, rows=np.arange(19))
+
+    def test_kernel_checks_before_any_write(self):
+        x = np.array([[0.0, 1.0], [2.0, 3.0], [np.nan, 4.0]])
+        for rows, code in (([1, 0, 3], -3), ([0, -1], -3), ([2, 9], -3),
+                           ([0, 1, 2], -4)):
+            status, rank, level, n_levels = rank_rows(x, rows)
+            assert status == code
+            assert (rank == -7).all() and (level == -7).all()
+            assert (n_levels == -7).all()
+        status, rank, level, n_levels = rank_rows(x, [1, 0, 1])
+        assert status == 0 and n_levels.tolist() == [2, 2]
+        assert rank.tolist() == [[1, 0, 1], [1, 0, 1]]
+        assert level.tolist() == [[0.0, 2.0, 0.0], [1.0, 3.0, 0.0]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernel_matches_oracle(self, rng, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([0.0, -0.0, tiny, -tiny, 2 * tiny, 3.4e38,
+                            -3.4e38, 1.0, -1.0, np.finfo(dtype).tiny])
+        for trial in range(40):
+            n_rows, d = int(rng.integers(1, 120)), int(rng.integers(1, 9))
+            pick = rng.random((n_rows, d))
+            x = np.where(pick < 0.4, rng.choice(special, size=(n_rows, d)),
+                         np.where(pick < 0.7,
+                                  rng.integers(-3, 4, size=(n_rows, d)),
+                                  rng.normal(size=(n_rows, d)) * 1e3))
+            x = x.astype(dtype)
+            rows = rng.integers(0, n_rows, size=int(rng.integers(1, 200)))
+            status, *got = rank_rows(x, rows)
+            assert status == 0
+            for a, b in zip(got, oracles.training_tables(x, rows)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_signed_zeros_share_a_rank(self):
+        # the level of a shared rank is its first sample's zero
+        x = np.array([[0.0], [-0.0], [1.0]])
+        for rows, sign in (([0, 1, 2], False), ([1, 0, 2], True),
+                           ([2, 1, 0, 1], True)):
+            status, rank, level, n_levels = rank_rows(x, rows)
+            assert status == 0 and n_levels.tolist() == [2]
+            assert np.signbit(level[0, 0]) == sign
+            assert rank[0].tolist() == [int(v) for v in x[rows, 0] == 1.0]
+
+    def test_rows_read_in_place(self, rng):
+        big = rng.normal(size=(6_000, 256)).astype(np.float32)
+        rows = rng.permutation(6_000)[:4_000]
+        y = (big[rows, 0] > 0).astype(np.int64)
+        tracemalloc.start()
+        try:
+            train_forest(big, y, n_trees=1, seed=0, rows=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rank and level tables are 12.3 MB; a gather of the rows would
+        # add 4.1 MB
+        assert peak < 14_500_000
+
+
 class TestEvaluate:
     def test_hand_confusion(self):
         pred = np.array([1] * 40 + [2] * 10 + [1] * 20 + [2] * 30)
@@ -703,7 +822,7 @@ class TestKernelMatchesReference:
                 x = x if trial == 60 else np.round(x * 4)
                 y_idx = rng.integers(0, n_classes, size=len(x))
             seed = int(rng.integers(0, 2**63))
-            data = classifier._training_set(x, y_idx, n_classes, seed)
+            data = classifier._training_set(x, None, y_idx, n_classes, seed)
             for i in range(2):
                 got = classifier._grow_indexed(data, i)
                 want = oracles.grow_indexed_tree(x, y_idx, n_classes, seed, i)
@@ -787,7 +906,7 @@ class TestDegenerateSplits:
 
     def test_node_capacity_refused(self):
         x = np.array([[0.0], [1.0]] * 3)
-        data = classifier._training_set(x, np.array([0, 1] * 3), 2, 0)
+        data = classifier._training_set(x, None, np.array([0, 1] * 3), 2, 0)
         arrays = [np.empty(2, np.int32), np.empty(2), np.empty(2, np.int32),
                   np.empty(2, np.int32), np.empty((2, 2))]
         state = np.array([Xorshift64Star(7).state], dtype=np.uint64)
