@@ -11,19 +11,20 @@
  * tp_saturate call, a row-run flood, and paints its shapes largest first in
  * tp_paint_shapes.
  *
- * Tree traversal.  tp_accumulate folds per-node values child to parent and
- * tp_propagate parent to child (hierarchies.accumulate and propagate), each
- * in one sweep over the node ids of a root-first parent array.  The same
- * sweeps build a tree's attribute table in one call from its pixel-to-node
- * map (tp_attributes, for attributes.compute_attributes) and write a filter
- * ladder's columns (tp_ladder, for profiles._profile): from the tree's
- * attribute values and k thresholds, every owner at each threshold in one
- * root-first sweep, then each pixel's table values rounded to nearest float
- * into the caller's float32 matrix.  Integer sums wrap in uint64 as
- * numpy's int64 does, sums, minima, maxima and roundings are exact in any
- * order, and a threshold test is numpy's float64 >=, so both give the bytes
- * of the numpy scatters, filters, folds and gathers (and of numpy's cast to
- * float32).
+ * Tree traversal.  tp_fold folds per-node values child to parent or parent to
+ * child (hierarchies.accumulate and propagate) in one sweep over the node ids
+ * of a root-first parent array.  Node ids are int32 in every traversal entry,
+ * as a Tree stores them, and each entry checks the whole parent array before
+ * its first write.  The same sweeps build a tree's attribute table in one call
+ * from its pixel-to-node map (tp_attributes, for
+ * attributes.compute_attributes) and write a filter ladder's columns
+ * (tp_ladder, for profiles._profile): from the tree's attribute values and k
+ * thresholds, every owner at each threshold in one root-first sweep, then each
+ * pixel's table values rounded to nearest float into the caller's float32
+ * matrix.  Integer sums wrap in uint64 as numpy's int64 does, sums, minima,
+ * maxima and roundings are exact in any order, and a threshold test is numpy's
+ * float64 >=, so both give the bytes of the numpy scatters, filters, folds and
+ * gathers (and of numpy's cast to float32).
  *
  * Random forest (classifier).  tp_rank_rows ranks the training samples
  * into the feature-major tables below, once per forest.  tp_grow_tree
@@ -70,7 +71,7 @@
 #include <string.h>
 
 #define TP_CAPACITY (-1)  /* a tree would outgrow its node arrays */
-#define TP_NO_MEMORY (-2)
+#define TP_NO_MEMORY (-2) /* raised as MemoryError by _native */
 #define TP_BAD_INDEX (-3) /* an index argument out of range */
 #define TP_NON_FINITE (-4) /* a feature read is NaN or infinite */
 
@@ -102,7 +103,7 @@ int64_t tp_kruskal(const int64_t *a, const int64_t *b, const double *weight,
 {
     int64_t *root = malloc((size_t)(3 * n + 1) * sizeof *root);
     if (!root)
-        return TP_NO_MEMORY;
+        return TP_NO_MEMORY;    /* alloc-fail */
     int64_t *top = root + n, *size = top + n;
     for (int64_t i = 0; i < n; i++) {
         root[i] = top[i] = parent[i] = alias[i] = i;
@@ -177,7 +178,7 @@ int32_t tp_counting_sort(const int64_t *key, int64_t n, const int64_t *ids,
             return TP_BAD_INDEX;
     int64_t *start = calloc((size_t)range + 1, sizeof *start);
     if (!start)
-        return TP_NO_MEMORY;
+        return TP_NO_MEMORY;    /* alloc-fail */
     for (int64_t j = 0; j < m; j++)
         start[key[ids[j]] + 1]++;
     for (int64_t k = 0; k < range; k++)
@@ -352,40 +353,8 @@ static void fold(int64_t *to, const int64_t *from, int64_t k, int32_t op)
     }
 }
 
-/* Row i of values (k entries, row-major) folds into row parent[i] for
- * i = n - 1, ..., 1: afterwards each row holds op over its node's subtree.
- * Returns 0; or TP_BAD_INDEX, before any write out of bounds, when
- * parent[0] != 0 or some node i has parent[i] outside [0, i). */
-int32_t tp_accumulate(const int64_t *parent, int64_t n, int64_t *values,
-                      int64_t k, int32_t op)
-{
-    if (n > 0 && parent[0] != 0)
-        return TP_BAD_INDEX;
-    for (int64_t i = n - 1; i > 0; i--) {
-        if (parent[i] < 0 || parent[i] >= i)
-            return TP_BAD_INDEX;
-        fold(values + parent[i] * k, values + i * k, k, op);
-    }
-    return 0;
-}
-
-/* Row parent[i] folds into row i for i = 1, ..., n - 1: afterwards each row
- * holds op over its node's root path.  Same checks as tp_accumulate. */
-int32_t tp_propagate(const int64_t *parent, int64_t n, int64_t *values,
-                     int64_t k, int32_t op)
-{
-    if (n > 0 && parent[0] != 0)
-        return TP_BAD_INDEX;
-    for (int64_t i = 1; i < n; i++) {
-        if (parent[i] < 0 || parent[i] >= i)
-            return TP_BAD_INDEX;
-        fold(values + i * k, values + parent[i] * k, k, op);
-    }
-    return 0;
-}
-
 /* 1 when parent[0] == 0 and parent[i] is in [0, i) for every other node */
-static int root_first(const int64_t *parent, int64_t n)
+static int root_first(const int32_t *parent, int64_t n)
 {
     if (n < 1 || parent[0] != 0)
         return 0;
@@ -393,6 +362,26 @@ static int root_first(const int64_t *parent, int64_t n)
         if (parent[i] < 0 || parent[i] >= i)
             return 0;
     return 1;
+}
+
+/* Folds each row of values (k entries, row-major) into another along the
+ * tree: with up, row i into row parent[i] for i = n - 1, ..., 1, so each row
+ * ends holding op over its node's subtree (hierarchies.accumulate); else
+ * row parent[i] into row i for i = 1, ..., n - 1, so each row holds op over
+ * its node's root path (hierarchies.propagate).  Returns 0, or
+ * TP_BAD_INDEX, before any write, for a parent array that is not
+ * root-first. */
+int32_t tp_fold(const int32_t *parent, int64_t n, int64_t *values,
+                int64_t k, int32_t op, int32_t up)
+{
+    if (n > 0 && !root_first(parent, n))
+        return TP_BAD_INDEX;
+    for (int64_t j = 1; j < n; j++) {
+        const int64_t i = up ? n - j : j;
+        int64_t *node = values + i * k, *above = values + parent[i] * k;
+        fold(up ? above : node, up ? node : above, k, op);
+    }
+    return 0;
 }
 
 /* rows of an attribute table: 7 sums, then the minimum and the maximum of
@@ -417,7 +406,7 @@ static void add(int64_t *to, uint64_t v)
  * i of bbox (n rows of 4 int64) node i's xmin, ymin, xmax and ymax.
  * Returns 0; or TP_BAD_INDEX, before any write, for a parent array that is
  * not root-first or a pixel_node entry outside [0, n). */
-int32_t tp_attributes(const int64_t *parent, int64_t n,
+int32_t tp_attributes(const int32_t *parent, int64_t n,
                       const int32_t *pixel_node, const int64_t *gray,
                       int64_t n_pixels, int64_t width, int64_t *out,
                       int64_t *bbox)
@@ -492,7 +481,7 @@ enum { LADDER_MIN, LADDER_DIRECT };
  * ascending, a rule other than LADDER_MIN and LADDER_DIRECT, a pixel_node
  * entry outside [0, n), a column outside [0, dim) or a stride below dim;
  * or TP_NO_MEMORY. */
-int32_t tp_ladder(const int64_t *parent, int64_t n, const double *values,
+int32_t tp_ladder(const int32_t *parent, int64_t n, const double *values,
                   const double *thresholds, int64_t k, int32_t rule,
                   const int32_t *pixel_node, int64_t n_pixels,
                   const double *tables, int64_t f, const int64_t *cols,
@@ -513,7 +502,7 @@ int32_t tp_ladder(const int64_t *parent, int64_t n, const double *values,
             return TP_BAD_INDEX;
     int32_t *owner = malloc((size_t)(n * k) * sizeof *owner + 1);
     if (!owner)
-        return TP_NO_MEMORY;
+        return TP_NO_MEMORY;    /* alloc-fail */
     for (int64_t t = 0; t < k; t++)
         owner[t] = 0;
     for (int64_t i = 1; i < n; i++) {

@@ -5,25 +5,27 @@ It holds tree building (the Kruskal union-find, the stable counting sort
 ``tp_counting_sort`` behind every sort of tree building, the saturation of
 every holed side-tree node of a tree of shapes in one call by a row-run
 flood, ``tp_saturate``, and the painting of shapes, ``tp_paint_shapes``),
-the tree folds ``tp_accumulate`` and ``tp_propagate``, the one-sweep
-attribute table ``tp_attributes`` (swept over pixel ids, it also gives the
-tree of shapes its side trees' boxes, first pixels and frame contact) and
-filter ladder ``tp_ladder`` (from a tree's attribute values and
-thresholds), and the random forest: the ranking of its training rows,
-``tp_rank_rows``, its tree growth and its vote sum.  ``ctypes`` needs no
-Python headers and no extra package, but the file is compiled with ``cc``
-on the first call that needs it, never at import, and cached under
+the tree fold ``tp_fold`` (child to parent or parent to child), the
+one-sweep attribute table ``tp_attributes`` (swept over pixel ids, it also
+gives the tree of shapes its side trees' boxes, first pixels and frame
+contact) and filter ladder ``tp_ladder`` (from a tree's attribute values
+and thresholds), and the random forest: the ranking of its training rows,
+``tp_rank_rows``, its tree growth and its vote sum.  Node ids are int32,
+as ``Tree`` stores them.  ``ctypes`` needs no Python headers and no extra
+package, but the file is compiled with ``cc`` on the first call that needs
+it, never at import, and cached at ``_target()``, under
 ``$XDG_CACHE_HOME/treeprofiles/`` (default ``~/.cache``), named by the
-sha256 of its source and compiler command.  A new build
-removes the library's older builds, and those of the retired
-``_forest.c``, from that directory.  A failed build or load raises
+sha256 of its source and compiler command; a new build removes the older
+ones there.  A failed build or load raises
 :class:`~treeprofiles.errors.BuildError`.
 
 Every entry point is declared in ``_SIGNATURES``: ``ndpointer`` argument
 types check each array's dtype and C contiguity before a pointer is passed.
 The raw pointers, ``tp_ladder``'s float32 output (maybe a column slice)
 and the float32 or float64 rows of ``tp_rank_rows`` and
-``tp_forest_votes``, are checked by callers.
+``tp_forest_votes``, are checked by callers.  Every entry that returns a
+status or a count raises :class:`MemoryError` when it returns
+``TP_NO_MEMORY``; its other statuses are returned to the caller.
 """
 
 from __future__ import annotations
@@ -51,10 +53,9 @@ _SIGNATURES = {
     "tp_kruskal": (_N, [_I8, _I8, _F8, _N, _I8, _N, _F8, _N, _I8, _F8, _I8]),
     "tp_saturate": (_K, [_I8, _N, _I8, _I8, _I8, _N, _N, _N, _I8, _N, _I8]),
     "tp_paint_shapes": (_K, [_I8, _N, _I8, _I8, _I8, _N, _I4, _N, _I4]),
-    "tp_accumulate": (_K, [_I8, _N, _I8, _N, _K]),
-    "tp_propagate": (_K, [_I8, _N, _I8, _N, _K]),
-    "tp_attributes": (_K, [_I8, _N, _I4, _I8, _N, _N, _I8, _I8]),
-    "tp_ladder": (_K, [_I8, _N, _F8, _F8, _N, _K, _I4, _N, _F8, _N, _I8, _P,
+    "tp_fold": (_K, [_I4, _N, _I8, _N, _K, _K]),
+    "tp_attributes": (_K, [_I4, _N, _I4, _I8, _N, _N, _I8, _I8]),
+    "tp_ladder": (_K, [_I4, _N, _F8, _F8, _N, _K, _I4, _N, _F8, _N, _I8, _P,
                         _N, _N]),
     "tp_rank_rows": (_K, [_P, _K, _N, _I8, _N, _K, _I4, _F8, _I4]),
     "tp_grow_tree": (_N, [_I4, _F8, _I4, _I4, _N, _K, _K, _K, _U8, _I4,
@@ -73,13 +74,17 @@ def _cache_dir() -> Path:
     return Path(base) / "treeprofiles"
 
 
+def _target() -> Path:
+    """Cache path of the kernel built from today's source and flags."""
+    key = _SOURCE.read_bytes() + " ".join(_COMPILE).encode()
+    return _cache_dir() / f"kernels-{hashlib.sha256(key).hexdigest()}.so"
+
+
 def _build() -> Path:
     """Path of the compiled kernel, compiling it into the cache if absent.
     The compiler writes a temporary file that is renamed into place, so
     concurrent builds never expose a partial library."""
-    source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(_COMPILE).encode()).hexdigest()
-    target = _cache_dir() / f"kernels-{digest}.so"
+    target = _target()
     if target.exists():
         return target
     command = " ".join(_COMPILE + ["-o", str(target), str(_SOURCE)])
@@ -101,15 +106,20 @@ def _build() -> Path:
     except OSError as exc:
         raise BuildError(f"cannot build the native kernel: `{command}`: "
                          f"{exc}") from None
-    # older sources or flags, and builds of the retired forest-only _forest.c
-    for pattern in ("kernels-*.so", "forest-*.so"):
-        for stale in target.parent.glob(pattern):
-            if stale != target:
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
+    for stale in target.parent.glob("kernels-*.so"):  # older sources or flags
+        if stale != target:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
     return target
+
+
+def _out_of_memory(status, func, args):
+    """``errcheck`` of the entries that return a status or a count."""
+    if status == -2:  # TP_NO_MEMORY
+        raise MemoryError(f"{func.__name__}: out of memory")
+    return status
 
 
 def _kernel() -> ctypes.CDLL:
@@ -124,5 +134,7 @@ def _kernel() -> ctypes.CDLL:
         for name, (restype, argtypes) in _SIGNATURES.items():
             func = getattr(lib, name)
             func.restype, func.argtypes = restype, argtypes
+            if restype is not None:
+                func.errcheck = _out_of_memory
         _lib = lib
     return _lib

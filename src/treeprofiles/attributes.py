@@ -58,10 +58,8 @@ def _sweep(tree: Tree, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DataError("tree's pixel map does not match the image")
     rows = np.empty((9, n), dtype=np.int64)
     bbox = np.empty((n, 4), dtype=np.int64)
-    if _kernel().tp_attributes(
-            np.ascontiguousarray(tree.parent, dtype=np.int64), n,
-            np.ascontiguousarray(tree.pixel_node, dtype=np.int32), values,
-            len(values), tree.width, rows, bbox):
+    if _kernel().tp_attributes(tree.parent, n, tree.pixel_node, values,
+                               len(values), tree.width, rows, bbox):
         raise DataError("tree is not root-first or a pixel's node is out "
                         "of range")
     return rows, bbox

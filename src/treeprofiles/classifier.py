@@ -62,7 +62,7 @@ from .rng import Xorshift64Star, derive_seed
 _MAGIC = b"TPFM"
 _VERSION = 1
 # tp_rank_rows' and tp_forest_votes' failure codes (TP_* in _kernels.c)
-_NO_MEMORY, _BAD_INDEX, _NON_FINITE = -2, -3, -4
+_BAD_INDEX, _NON_FINITE = -3, -4
 
 
 @dataclass
@@ -136,8 +136,6 @@ def _training_set(x: np.ndarray, rows: np.ndarray | None, y_idx: np.ndarray,
     n_levels = np.empty(d, dtype=np.int32)
     status = _kernel().tp_rank_rows(x.ctypes.data, x.dtype == np.float64,
                                     len(x), rows, n, d, rank, level, n_levels)
-    if status == _NO_MEMORY:
-        raise MemoryError("forest kernel: out of memory")
     if status == _BAD_INDEX:
         raise DataError(f"training row index outside [0, {len(x)})")
     if status == _NON_FINITE:
@@ -163,8 +161,6 @@ def _grow_indexed(data: _TrainingSet, i: int) -> DecisionTree:
         data.rank, data.level, data.n_levels, data.y_idx, n,
         len(data.rank), data.n_classes, data.mtry, state, tree.feature,
         tree.threshold, tree.left, tree.right, tree.probs, cap)
-    if count == -2:
-        raise MemoryError("forest kernel: out of memory")
     if count < 0:
         raise RuntimeError(f"forest kernel: tree {i} outgrew {cap} nodes")
     return DecisionTree(*(a[:count].copy() for a in (
@@ -251,8 +247,6 @@ def _votes(model: ForestModel, x: np.ndarray,
         status = list(pool.map(block, range(blocks)))
     # every block checks its indices, then its rows, then every tree; the
     # first failing check over all blocks is the one a single block names
-    if _NO_MEMORY in status:
-        raise MemoryError("forest kernel: out of memory")
     if _BAD_INDEX in status:
         raise DataError(f"prediction row index outside [0, {len(x)})")
     if _NON_FINITE in status:

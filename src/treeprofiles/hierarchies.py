@@ -14,14 +14,16 @@ only:
   statistic (``node_areas``, ``attributes.compute_attributes``, and from
   that table the gray value a pruned pixel takes) is a sweep over it.
 
-The generic per-node passes go through two kernels, after Higra's
-``accumulate_sequential`` / ``propagate_sequential``: ``accumulate`` folds
-values child to parent (areas, hole counts) and ``propagate`` parent to
-child (pruning, nearest marked ancestor, preorder ranks); attribute tables
-and filter ladders have their own sweeps (``tp_attributes``, ``tp_ladder``).
-Because ``parent[i] < i``, each is one linear sweep over the node ids in the
-native kernel, whatever the tree's depth.  Folds of int64 or bool values by
-sum, min, max, logical and or logical or are exact in any fold order.
+The generic per-node passes go through one native fold, ``tp_fold``, after
+Higra's ``accumulate_sequential`` / ``propagate_sequential``:
+``accumulate`` folds values child to parent (areas, hole counts) and
+``propagate`` parent to child (pruning, nearest marked ancestor, preorder
+ranks); attribute tables and filter ladders have their own sweeps
+(``tp_attributes``, ``tp_ladder``).  Because ``parent[i] < i``, each is one
+linear sweep over the node ids in the native kernel, whatever the tree's
+depth.  ``Tree`` keeps its node ids int32, as every kernel takes them.
+Folds of int64 or bool values by sum, min, max, logical and or logical or
+are exact in any fold order.
 
 Component trees and alpha-trees come from one Kruskal union-find over the
 adjacent pixel pairs (Najman, Cousty & Perret, *Playing with Kruskal*, ISMM
@@ -75,23 +77,33 @@ _FOLD_OPS = {
     np.dtype(np.bool_): {np.minimum: 1, np.maximum: 2, np.logical_and: 1,
                          np.logical_or: 2},
 }
+_NOT_ROOT_FIRST = "parent array is not root-first topological"
 
 
-def _fold(entry: str, parent: np.ndarray, values: np.ndarray,
+def _node_ids(ids, message: str) -> np.ndarray:
+    """``ids`` as C-contiguous int32, as every kernel takes node ids (no copy
+    when they are); DataError(message) for an id that does not fit."""
+    out = np.ascontiguousarray(ids, dtype=np.int32)
+    if out is not ids and not np.array_equal(out, ids):
+        raise DataError(message)
+    return out
+
+
+def _fold(up: bool, parent: np.ndarray, values: np.ndarray,
           ufunc: np.ufunc) -> np.ndarray:
-    """Run the native fold ``entry`` on a copy of ``values``."""
+    """Run the native ``tp_fold`` on a copy of ``values``."""
     values = np.asarray(values)
     op = _FOLD_OPS.get(values.dtype, {}).get(ufunc)
     if op is None:
         raise TypeError(f"cannot fold {values.dtype} values exactly with "
                         f"{getattr(ufunc, '__name__', ufunc)}")
-    parent = np.ascontiguousarray(parent, dtype=np.int64)
+    parent = _node_ids(parent, _NOT_ROOT_FIRST)
     if values.ndim not in (1, 2) or len(values) != len(parent):
         raise ValueError("fold values must be (N,) or (N, k) for N nodes")
     out = np.array(values, dtype=np.int64, order="C")
     k = out.shape[1] if out.ndim == 2 else 1
-    if getattr(_kernel(), entry)(parent, len(parent), out, k, op):
-        raise DataError("parent array is not root-first topological")
+    if _kernel().tp_fold(parent, len(parent), out, k, op, up):
+        raise DataError(_NOT_ROOT_FIRST)
     return out.astype(values.dtype, copy=False)
 
 
@@ -101,7 +113,7 @@ def accumulate(parent: np.ndarray, values: np.ndarray,
     into parents, highest id first: afterwards each node holds ``ufunc``
     (add, minimum, maximum, or logical and/or on bool) over its whole
     subtree.  Returns a new array."""
-    return _fold("tp_accumulate", parent, values, ufunc)
+    return _fold(True, parent, values, ufunc)
 
 
 def propagate(parent: np.ndarray, values: np.ndarray,
@@ -109,7 +121,7 @@ def propagate(parent: np.ndarray, values: np.ndarray,
     """Fold ``values`` from parents into children, lowest id first:
     afterwards each node holds ``ufunc`` over its root path, root first.
     Values and ufuncs as for ``accumulate``.  Returns a new array."""
-    return _fold("tp_propagate", parent, values, ufunc)
+    return _fold(False, parent, values, ufunc)
 
 
 @dataclass
@@ -125,6 +137,8 @@ class Tree:
     pixel_node: np.ndarray       # (H*W,) int32
 
     def __post_init__(self):
+        self.parent = _node_ids(self.parent, _NOT_ROOT_FIRST)
+        self.pixel_node = _node_ids(self.pixel_node, "pixel_node out of range")
         for name in ("parent", "level", "pixel_node"):
             getattr(self, name).setflags(write=False)
 
@@ -182,11 +196,8 @@ def counting_sort(key: np.ndarray, order: np.ndarray | None = None,
     low, high = int(key.min()), int(key.max())
     shifted = np.ascontiguousarray(high - key if descending else key - low,
                                    dtype=np.int64)
-    status = _kernel().tp_counting_sort(shifted, len(shifted), ids, len(ids),
-                                        high - low + 1, out)
-    if status == -2:
-        raise MemoryError("tp_counting_sort: out of memory")
-    if status:
+    if _kernel().tp_counting_sort(shifted, len(shifted), ids, len(ids),
+                                  high - low + 1, out):
         raise IndexError("counting_sort: an id is out of range")
     return out
 
@@ -227,8 +238,6 @@ def kruskal(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
     level = np.empty(cap)
     count = _kernel().tp_kruskal(a, b, weight, len(weight), order, len(order),
                                  leaf_level, n, parent, level, alias)
-    if count == -2:
-        raise MemoryError("tp_kruskal: out of memory")
     if count < 0:
         raise IndexError("kruskal: an edge order entry or endpoint is out "
                          "of range")

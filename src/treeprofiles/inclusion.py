@@ -153,11 +153,10 @@ def _collect_shapes(tree: Tree):
     cells = np.prod(box[holed, 2:] - box[holed, :2] + 1, axis=1).sum()
     sat = np.empty(int(cells), dtype=np.int64)
     offsets = np.empty(len(holed) + 1, dtype=np.int64)
-    status = _kernel().tp_saturate(pix_order, n_pix, lo[holed], hi[holed],
-                                   box[holed], len(holed), tree.width,
-                                   tree.height, sat, len(sat), offsets)
-    if status:
-        raise MemoryError(f"tp_saturate: status {status}")
+    if _kernel().tp_saturate(pix_order, n_pix, lo[holed], hi[holed],
+                             box[holed], len(holed), tree.width, tree.height,
+                             sat, len(sat), offsets):
+        raise IndexError("tp_saturate: an index is out of range")
     area, start = hi - lo, lo.copy()
     area[holed] = np.diff(offsets)
     start[holed] = n_pix + offsets[:-1]

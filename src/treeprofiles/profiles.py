@@ -438,8 +438,6 @@ def _profile(bundle: TreeBundle, specs: Sequence[FilterSpec],
             out[:, first + ladder.index(None):first + len(block):len(ladder)] \
                 = band.values.reshape(-1, 1)
         for side, (tree, table) in enumerate(pair):
-            parent = np.ascontiguousarray(tree.parent, dtype=np.int64)
-            pixel_node = np.ascontiguousarray(tree.pixel_node, dtype=np.int32)
             tables = np.stack([_node_values(tree, table, f) for f in features])
             values = {a: tables[features.index(a)] if a in features else
                       _node_values(tree, table, a) for a in attributes}
@@ -451,15 +449,14 @@ def _profile(bundle: TreeBundle, specs: Sequence[FilterSpec],
                                   for lam in spec.thresholds]
                                  for j in range(len(features))],
                                 dtype=np.int64)
-                status = _kernel().tp_ladder(
-                    parent, tree.node_count, values[spec.attribute.value],
-                    np.array(spec.thresholds, dtype=np.float64),
-                    len(spec.thresholds), _LADDER_RULES[spec.rule],
-                    pixel_node, len(pixel_node), tables, len(features), cols,
-                    out.ctypes.data, out.strides[0] // 4, out.shape[1])
-                if status == -2:
-                    raise MemoryError("tp_ladder: out of memory")
-                if status:
+                if _kernel().tp_ladder(
+                        tree.parent, tree.node_count,
+                        values[spec.attribute.value],
+                        np.array(spec.thresholds, dtype=np.float64),
+                        len(spec.thresholds), _LADDER_RULES[spec.rule],
+                        tree.pixel_node, len(tree.pixel_node), tables,
+                        len(features), cols, out.ctypes.data,
+                        out.strides[0] // 4, out.shape[1]):
                     raise DataError(
                         "filter ladder: tree is not root-first, its "
                         "thresholds are not strictly ascending as float64 "

@@ -1020,3 +1020,88 @@ def fill_holes_label(mask: np.ndarray) -> np.ndarray:
     outside[1:-1, 1:-1] = ~mask
     regions, _ = ndimage.label(outside, structure=np.ones((3, 3), dtype=bool))
     return regions[1:-1, 1:-1] != regions[0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Structural checks at scene size: near-linear, no tree-building code
+# ---------------------------------------------------------------------------
+
+def adjacent_pixel_pairs(width: int, height: int, connectivity: str = "c4"):
+    """Flat ids (a, b) of every unordered pair of adjacent pixels, one
+    array slice per forward offset."""
+    ids = np.arange(width * height).reshape(height, width)
+    a, b = [], []
+    for dy, dx in _offsets(connectivity):
+        if (dy, dx) < (0, 0):
+            continue  # the backward offsets repeat the forward pairs
+        rows = slice(0, height - dy)
+        cols = slice(max(0, -dx), width - max(0, dx))
+        a.append(ids[rows, cols].ravel())
+        b.append(ids[dy:, max(0, dx):width + min(0, dx)].ravel())
+    return np.concatenate(a), np.concatenate(b)
+
+
+def disconnected_nodes(tree, connectivity: str = "c4") -> np.ndarray:
+    """Ids of the nodes whose subtree pixel set is not connected (an empty
+    node counts as not connected), in near-linear time.
+
+    One depth-first walk finishes the nodes children first.  Each adjacent
+    pixel pair is filed at the lowest common ancestor of its two pixels'
+    nodes, found by Tarjan's offline LCA over the same walk, and is unioned
+    in a union-find over the pixels when that node is finished.  A pair
+    filed inside a node's subtree has both pixels there, and every other
+    pair that touches the subtree is unioned after the node, so the unions
+    that joined two sets up to that point are the merges inside its
+    subtree: it is connected when its area minus those merges is 1."""
+    n = tree.node_count
+    parent = tree.parent.tolist()
+    a, b = adjacent_pixel_pairs(tree.width, tree.height, connectivity)
+    node_a, node_b = tree.pixel_node[a].tolist(), tree.pixel_node[b].tolist()
+    a, b = a.tolist(), b.tolist()
+    children = [[] for _ in range(n)]
+    for i in range(1, n):
+        children[parent[i]].append(i)
+    filed = [[] for _ in range(n)]    # pairs to union when a node finishes
+    queries = [[] for _ in range(n)]  # pairs across two nodes, per node
+    for e, (u, w) in enumerate(zip(node_a, node_b)):
+        if u == w:
+            filed[u].append(e)
+        else:
+            queries[u].append(e)
+            queries[w].append(e)
+
+    def find(root, x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    pixel_root = list(range(tree.width * tree.height))
+    # a finished node points to its parent, so a find from a finished node
+    # ends at its lowest unfinished ancestor (Tarjan's offline LCA)
+    node_root = list(range(n))
+    finished = [False] * n
+    area = np.bincount(tree.pixel_node, minlength=n).tolist()
+    merges = [0] * n
+    stack = [(0, False)]
+    while stack:
+        u, expanded = stack.pop()
+        if not expanded:
+            stack.append((u, True))
+            stack.extend((c, False) for c in children[u])
+            continue
+        for e in queries[u]:
+            w = node_b[e] if node_a[e] == u else node_a[e]
+            if finished[w]:
+                filed[find(node_root, w)].append(e)
+        for e in filed[u]:
+            x, y = find(pixel_root, a[e]), find(pixel_root, b[e])
+            if x != y:
+                pixel_root[x] = y
+                merges[u] += 1
+        finished[u] = True
+        if u:
+            p = node_root[u] = parent[u]
+            area[p] += area[u]
+            merges[p] += merges[u]
+    return np.flatnonzero(np.array(area) - np.array(merges) != 1)

@@ -197,8 +197,7 @@ class TestAttributesKernel:
         img = RasterImage(np.arange(12).reshape(3, 4) % 5, levels=5)
         tree = build_max_tree(img)
         n = tree.node_count
-        good = dict(parent=tree.parent.astype(np.int64),
-                    pixel_node=tree.pixel_node.astype(np.int32))
+        good = dict(parent=tree.parent, pixel_node=tree.pixel_node)
         gray = img.values.ravel().astype(np.int64)
 
         def call(**change):

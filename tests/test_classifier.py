@@ -76,6 +76,24 @@ def kernel_split(x, y, n_classes, cands, samples=None):
     return None if row == -1 else (cands[row], thr[0])
 
 
+def test_best_split_refuses_a_sample_outside_the_set():
+    """``tp_best_split`` checks every sample index against [0, n) and
+    returns TP_BAD_INDEX before it writes the threshold."""
+    x = np.array([[0.0], [1.0]] * 3)
+    y = np.array([0, 1] * 3)
+    data = classifier._training_set(x, None, y, 2, seed=0)
+    cands = np.zeros(1, dtype=np.int32)
+    for samples in ([0, 6], [-1, 1], [5, 2**31 - 1]):
+        samples = np.array(samples, dtype=np.int32)
+        thr = np.full(1, -7.0)
+        status = _native._kernel().tp_best_split(
+            data.rank, data.level, data.n_levels, data.y_idx, len(y), 1, 2,
+            samples, len(samples), cands, 1, thr)
+        assert status == -3
+        assert thr[0] == -7.0
+    assert kernel_split(x, y, 2, [0]) == (0, 0.5)
+
+
 class TestTraining:
     def test_separable_blobs(self, rng):
         x, y = separable_blobs(rng)

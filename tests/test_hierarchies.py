@@ -8,6 +8,7 @@ from treeprofiles import (
     DataError,
     FilterRule,
     RasterImage,
+    Tree,
     TreeKind,
     build_alpha_tree,
     build_max_tree,
@@ -307,13 +308,52 @@ class TestTraversalKernels:
         propagate(parent, values, np.add)
         assert np.array_equal(values, before)
 
+    # 2**32 and -2**32 - 1 would wrap to the valid 0 and the invalid -1
     @pytest.mark.parametrize("parent", [
-        [1, 0], [0, 1], [0, 0, 2], [0, -1, 0], [0, 0, 5], [0, 2**40]])
+        [1, 0], [0, 1], [0, 0, 2], [0, -1, 0], [0, 0, 5], [0, 2**40],
+        [0, 2**32], [0, -2**32 - 1]])
     def test_bad_parent_refused(self, parent):
         values = np.arange(len(parent))
         for fold in (accumulate, propagate):
             with pytest.raises(DataError, match="not root-first topological"):
                 fold(np.array(parent), values, np.add)
+        with pytest.raises(DataError, match="not root-first topological"):
+            Tree(kind=TreeKind.MAX_TREE, width=len(parent), height=1,
+                 levels=2, parent=np.array(parent), level=values * 1.0,
+                 pixel_node=values).accumulate(values, np.add)
+
+    def test_tree_stores_node_ids_as_int32(self):
+        built = build_max_tree(center_spot_image())
+        assert built.parent.dtype == built.pixel_node.dtype == np.int32
+        tree = Tree(kind=TreeKind.MAX_TREE, width=3, height=1, levels=3,
+                    parent=np.array([0, 0, 1]), level=np.array([0., 1, 2]),
+                    pixel_node=np.array([0, 2, 1], dtype=np.int16))
+        for ids in (tree.parent, tree.pixel_node):
+            assert ids.dtype == np.int32 and ids.flags.c_contiguous
+            assert not ids.flags.writeable
+        assert tree.accumulate(np.ones(3, np.int64), np.add).tolist() == \
+            [3, 2, 1]
+        # a Tree's int32 arrays reach the kernel as they are
+        same = Tree(kind=tree.kind, width=3, height=1, levels=3,
+                    parent=tree.parent, level=tree.level,
+                    pixel_node=tree.pixel_node)
+        assert same.parent is tree.parent
+        assert same.pixel_node is tree.pixel_node
+        with pytest.raises(DataError, match="pixel_node out of range"):
+            Tree(kind=tree.kind, width=3, height=1, levels=3,
+                 parent=tree.parent, level=tree.level,
+                 pixel_node=np.array([0, 2, 2**32 + 1]))
+
+    @pytest.mark.parametrize("up", [1, 0])
+    def test_kernel_fold_refuses_before_any_write(self, up):
+        # a bad parent at the end, the start and the middle: whichever way
+        # the sweep runs, a write before the check would show
+        for parent in ([0, 0, 0, 3], [1, 0, 0, 1], [0, 0, -1, 1]):
+            values = np.arange(8, dtype=np.int64).reshape(4, 2)
+            status = _kernel().tp_fold(np.array(parent, dtype=np.int32), 4,
+                                       values, 2, 0, up)
+            assert status == -3
+            assert values.tolist() == np.arange(8).reshape(4, 2).tolist()
 
     @pytest.mark.parametrize("values, ufunc", [
         (np.arange(3.0), np.add),

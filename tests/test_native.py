@@ -1,6 +1,7 @@
 """The compiled-kernel loader: the kernel source builds cleanly, a fresh
 cache builds it once and gives the same model bytes, stale builds are
-removed, and a failed build is a one-line CLI error."""
+removed, a failed build is a one-line CLI error, and an out-of-memory
+status of any entry is a MemoryError."""
 
 import hashlib
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treeprofiles import (
@@ -19,6 +21,7 @@ from treeprofiles import (
     train_forest,
 )
 from treeprofiles import _native, cli
+from treeprofiles.hierarchies import counting_sort
 
 from test_classifier import fp_training_set
 
@@ -68,9 +71,9 @@ class TestKernelBuild:
         cache = tmp_path / "treeprofiles"
         cache.mkdir()
         (cache / f"kernels-{'0' * 64}.so").write_bytes(b"stale")
-        (cache / f"forest-{'1' * 64}.so").write_bytes(b"retired name")
         (cache / "other.so").write_bytes(b"kept")
         target = _native._build()
+        assert target == _native._target()
         assert sorted(p.name for p in cache.iterdir()) == \
             sorted([target.name, "other.so"])
 
@@ -90,3 +93,18 @@ class TestKernelBuild:
         assert err.startswith("error: cannot build the native kernel")
         assert " ".join(compiler) in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestOutOfMemory:
+    def test_every_counting_entry_checks_for_it(self):
+        lib = _native._kernel()
+        for name, (restype, _) in _native._SIGNATURES.items():
+            func = getattr(lib, name)
+            assert (getattr(func, "errcheck", None) is
+                    (None if restype is None else _native._out_of_memory)), \
+                name
+
+    def test_out_of_memory_is_a_memory_error(self):
+        # a key range of 2**62 + 1 counters is more than calloc can give
+        with pytest.raises(MemoryError, match="tp_counting_sort: out of mem"):
+            counting_sort(np.array([0, 2**62]))

@@ -523,9 +523,8 @@ class TestLadderKernel:
         table = compute_attributes(tree, img)
         n, npix = tree.node_count, img.values.size
         good = dict(
-            parent=tree.parent.astype(np.int64),
-            thresholds=np.array([2.0, 5.0]), rule=0,
-            pixel_node=tree.pixel_node.astype(np.int32),
+            parent=tree.parent, thresholds=np.array([2.0, 5.0]), rule=0,
+            pixel_node=tree.pixel_node,
             cols=np.array([[0, 1], [2, 3]], dtype=np.int64), stride=4)
         tables = np.stack([tree.level, table.area.astype(np.float64)])
 
@@ -577,7 +576,7 @@ class TestLadderKernel:
         n = len(values)  # a root and its n - 1 children, one pixel each
         out = np.zeros((n, 1), dtype=np.float32)
         status = _kernel().tp_ladder(
-            np.zeros(n, np.int64), n, np.ones(n), np.array([1.0]), 1, 1,
+            np.zeros(n, np.int32), n, np.ones(n), np.array([1.0]), 1, 1,
             np.arange(n, dtype=np.int32), n, values[None], 1,
             np.zeros((1, 1), np.int64), out.ctypes.data, 1, 1)
         assert status == 0
@@ -602,8 +601,8 @@ class TestLadderKernel:
             values[0] = np.nan
             out = np.full((npix, k), -1.0, dtype=np.float32)
             status = _kernel().tp_ladder(
-                tree.parent.astype(np.int64), n, values, thresholds, k,
-                _LADDER_RULES[rule], tree.pixel_node.astype(np.int32), npix,
+                tree.parent, n, values, thresholds, k,
+                _LADDER_RULES[rule], tree.pixel_node, npix,
                 np.arange(n, dtype=np.float64)[None], 1,
                 np.arange(k, dtype=np.int64)[None], out.ctypes.data, k, k)
             assert status == 0
