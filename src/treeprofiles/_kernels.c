@@ -11,20 +11,23 @@
  * tp_saturate call, a row-run flood, and paints its shapes largest first in
  * tp_paint_shapes.
  *
- * Tree traversal.  tp_fold folds per-node values child to parent or parent to
- * child (hierarchies.accumulate and propagate) in one sweep over the node ids
- * of a root-first parent array.  Node ids are int32 in every traversal entry,
- * as a Tree stores them, and each entry checks the whole parent array before
- * its first write.  The same sweeps build a tree's attribute table in one call
- * from its pixel-to-node map (tp_attributes, for
- * attributes.compute_attributes) and write a filter ladder's columns
- * (tp_ladder, for profiles._profile): from the tree's attribute values and k
- * thresholds, every owner at each threshold in one root-first sweep, then each
- * pixel's table values rounded to nearest float into the caller's float32
- * matrix.  Integer sums wrap in uint64 as numpy's int64 does, sums, minima,
- * maxima and roundings are exact in any order, and a threshold test is numpy's
- * float64 >=, so both give the bytes of the numpy scatters, filters, folds and
- * gathers (and of numpy's cast to float32).
+ * Tree traversal.  One merge routine, fold, merges a row of int64 into
+ * another in three runs: sums, then minima, then maxima.  One sweep runs it
+ * over the node ids of a root-first parent array, child to parent or
+ * parent to child.  tp_fold (hierarchies.accumulate and propagate) sweeps
+ * rows of one op; tp_attributes (attributes.compute_attributes) folds each
+ * pixel's row into its node's row of a node-major table of 7 sums, 3
+ * minima and 3 maxima, then sweeps that table child to parent.  tp_ladder
+ * (profiles._profile) writes a filter ladder's columns: from the tree's
+ * attribute values and k thresholds, every owner at each threshold in one
+ * root-first sweep, then each pixel's table values rounded to nearest float
+ * into the caller's float32 matrix.  Node ids are int32 in every traversal
+ * entry, as a Tree stores them, and each entry checks the whole parent
+ * array before its first write.  Integer sums wrap in uint64 as numpy's
+ * int64 does, sums, minima, maxima and roundings are exact in any order, and
+ * a threshold test is numpy's float64 >=, so both give the bytes of the
+ * numpy scatters, filters, folds and gathers (and of numpy's cast to
+ * float32).
  *
  * Random forest (classifier).  tp_rank_rows ranks the training samples
  * into the feature-major tables below, once per forest.  tp_grow_tree
@@ -339,18 +342,19 @@ int32_t tp_paint_shapes(const int64_t *pixels, int64_t n_pixels,
 
 enum { TP_ADD, TP_MIN, TP_MAX };
 
-/* to[j] = op(to[j], from[j]) for j < k; the sum wraps like numpy's */
-static void fold(int64_t *to, const int64_t *from, int64_t k, int32_t op)
+/* Merges row from into row to, k entries in three runs: to[j] += from[j]
+ * (wrapping like numpy's int64) for j < n_add, the minimum for the next
+ * n_min entries, the maximum for the rest. */
+static void fold(int64_t *to, const int64_t *from, int64_t n_add,
+                 int64_t n_min, int64_t k)
 {
-    for (int64_t j = 0; j < k; j++) {
-        const int64_t a = to[j], b = from[j];
-        if (op == TP_ADD)
-            to[j] = (int64_t)((uint64_t)a + (uint64_t)b);
-        else if (op == TP_MIN)
-            to[j] = b < a ? b : a;
-        else
-            to[j] = b > a ? b : a;
-    }
+    int64_t j = 0;
+    for (; j < n_add; j++)
+        to[j] = (int64_t)((uint64_t)to[j] + (uint64_t)from[j]);
+    for (; j < n_add + n_min; j++)
+        to[j] = from[j] < to[j] ? from[j] : to[j];
+    for (; j < k; j++)
+        to[j] = from[j] > to[j] ? from[j] : to[j];
 }
 
 /* 1 when parent[0] == 0 and parent[i] is in [0, i) for every other node */
@@ -364,102 +368,77 @@ static int root_first(const int32_t *parent, int64_t n)
     return 1;
 }
 
-/* Folds each row of values (k entries, row-major) into another along the
- * tree: with up, row i into row parent[i] for i = n - 1, ..., 1, so each row
- * ends holding op over its node's subtree (hierarchies.accumulate); else
- * row parent[i] into row i for i = 1, ..., n - 1, so each row holds op over
- * its node's root path (hierarchies.propagate).  Returns 0, or
- * TP_BAD_INDEX, before any write, for a parent array that is not
+/* Folds each row of values (n rows of k entries, row-major) into another
+ * along a root-first tree: with up, row i into row parent[i] for i = n - 1,
+ * ..., 1, so each row ends holding the fold over its node's subtree; else
+ * row parent[i] into row i for i = 1, ..., n - 1, so each row holds the
+ * fold over its node's root path, root first.  Runs as fold's. */
+static void sweep(const int32_t *parent, int64_t n, int64_t *values,
+                  int64_t n_add, int64_t n_min, int64_t k, int32_t up)
+{
+    for (int64_t j = 1; j < n; j++) {
+        const int64_t i = up ? n - j : j;
+        int64_t *node = values + i * k, *above = values + parent[i] * k;
+        fold(up ? above : node, up ? node : above, n_add, n_min, k);
+    }
+}
+
+/* sweep with one op, TP_ADD, TP_MIN or (any other) TP_MAX, on every entry
+ * (hierarchies.accumulate with up, else hierarchies.propagate).  Returns 0,
+ * or TP_BAD_INDEX, before any write, for a parent array that is not
  * root-first. */
 int32_t tp_fold(const int32_t *parent, int64_t n, int64_t *values,
                 int64_t k, int32_t op, int32_t up)
 {
     if (n > 0 && !root_first(parent, n))
         return TP_BAD_INDEX;
-    for (int64_t j = 1; j < n; j++) {
-        const int64_t i = up ? n - j : j;
-        int64_t *node = values + i * k, *above = values + parent[i] * k;
-        fold(up ? above : node, up ? node : above, k, op);
-    }
+    sweep(parent, n, values, op == TP_ADD ? k : 0, op == TP_MIN ? k : 0, k,
+          up);
     return 0;
 }
 
-/* rows of an attribute table: 7 sums, then the minimum and the maximum of
- * the gray values */
-enum { A_AREA, A_SUM_X, A_SUM_Y, A_SUM_XX, A_SUM_YY, A_GRAY_SUM, A_GRAY_SQ,
-       A_GRAY_MIN, A_GRAY_MAX, A_ROWS };
-
-/* *to += v, wrapping like numpy's int64 */
-static void add(int64_t *to, uint64_t v)
-{
-    *to = (int64_t)((uint64_t)*to + v);
-}
+/* columns of an attribute table row: 7 sums, then 3 minima, then 3 maxima */
+enum { A_SUMS = 7, A_MINS = 3, A_COLS = 13 };
 
 /* The attribute table of an n-node tree over a width-wide image of gray
  * values gray[0, n_pixels), whose pixel p sits directly in node
- * pixel_node[p].  Every node starts from the identities (0 for the sums,
- * INT64_MAX for the minima, -INT64_MAX for the maxima), each pixel is added
- * into its node, then every node i = n - 1, ..., 1 folds into parent[i].
- * So row j of out (A_ROWS rows of n int64, row-major) holds, per node, the
- * area, the sums of x, y, x*x, y*y, g and g*g (wrapping like numpy's
- * int64) and the minimum and maximum of g over its whole subtree, and row
- * i of bbox (n rows of 4 int64) node i's xmin, ymin, xmax and ymax.
- * Returns 0; or TP_BAD_INDEX, before any write, for a parent array that is
- * not root-first or a pixel_node entry outside [0, n). */
+ * pixel_node[p]: out is n rows of A_COLS int64, node-major.  Every row
+ * starts as the identity row (0 for the sums, INT64_MAX for the minima,
+ * -INT64_MAX for the maxima), each pixel (x, y) of gray g folds the row
+ * {1, x, y, x*x, y*y, g, g*g, g, x, y, x, y, g} into its node's, then the
+ * child-to-parent sweep folds every node into its parent.  So row i holds,
+ * over node i's whole subtree, the area, the sums of x, y, x*x, y*y, g and
+ * g*g (wrapping like numpy's int64), the minima of g, x and y and the
+ * maxima of x, y and g: its bounding box xmin, ymin, xmax, ymax is columns
+ * 8 to 11.  Returns 0; or TP_BAD_INDEX, before any write, for a parent
+ * array that is not root-first or a pixel_node entry outside [0, n). */
 int32_t tp_attributes(const int32_t *parent, int64_t n,
                       const int32_t *pixel_node, const int64_t *gray,
-                      int64_t n_pixels, int64_t width, int64_t *out,
-                      int64_t *bbox)
+                      int64_t n_pixels, int64_t width, int64_t *out)
 {
     if (!root_first(parent, n) || width < 1)
         return TP_BAD_INDEX;
     for (int64_t p = 0; p < n_pixels; p++)
         if (pixel_node[p] < 0 || pixel_node[p] >= n)
             return TP_BAD_INDEX;
-    int64_t *row[A_ROWS];
-    for (int r = 0; r < A_ROWS; r++)
-        row[r] = out + r * n;
-    memset(out, 0, (size_t)(A_GRAY_MIN * n) * sizeof *out);
-    for (int64_t i = 0; i < n; i++) {
-        row[A_GRAY_MIN][i] = bbox[4 * i] = bbox[4 * i + 1] = INT64_MAX;
-        row[A_GRAY_MAX][i] = bbox[4 * i + 2] = bbox[4 * i + 3] = -INT64_MAX;
-    }
+    const int64_t lo = INT64_MAX, hi = -INT64_MAX;
+    const int64_t identity[A_COLS] = {0, 0, 0, 0, 0, 0, 0, lo, lo, lo,
+                                      hi, hi, hi};
+    for (int64_t i = 0; i < n; i++)
+        memcpy(out + i * A_COLS, identity, sizeof identity);
     for (int64_t p = 0, x = 0, y = 0; p < n_pixels; p++) {
-        const int64_t i = pixel_node[p], g = gray[p];
-        const uint64_t ux = (uint64_t)x, uy = (uint64_t)y, ug = (uint64_t)g;
-        add(row[A_AREA] + i, 1);
-        add(row[A_SUM_X] + i, ux);
-        add(row[A_SUM_Y] + i, uy);
-        add(row[A_SUM_XX] + i, ux * ux);
-        add(row[A_SUM_YY] + i, uy * uy);
-        add(row[A_GRAY_SUM] + i, ug);
-        add(row[A_GRAY_SQ] + i, ug * ug);
-        int64_t *min = row[A_GRAY_MIN] + i, *max = row[A_GRAY_MAX] + i,
-                *box = bbox + 4 * i;
-        *min = g < *min ? g : *min;
-        *max = g > *max ? g : *max;
-        box[0] = x < box[0] ? x : box[0];
-        box[1] = y < box[1] ? y : box[1];
-        box[2] = x > box[2] ? x : box[2];
-        box[3] = y > box[3] ? y : box[3];
+        const int64_t g = gray[p];
+        const int64_t row[A_COLS] = {
+            1, x, y, (int64_t)((uint64_t)x * (uint64_t)x),
+            (int64_t)((uint64_t)y * (uint64_t)y), g,
+            (int64_t)((uint64_t)g * (uint64_t)g), g, x, y, x, y, g};
+        fold(out + pixel_node[p] * A_COLS, row, A_SUMS, A_MINS, A_COLS);
         if (++x == width) {
             x = 0;
             y++;
         }
     }
-    for (int64_t i = n - 1; i > 0; i--) {
-        const int64_t p = parent[i];
-        for (int r = 0; r < A_GRAY_MIN; r++)
-            add(row[r] + p, (uint64_t)row[r][i]);
-        int64_t *lo[3] = {row[A_GRAY_MIN], bbox, bbox + 1};
-        int64_t *hi[3] = {row[A_GRAY_MAX], bbox + 2, bbox + 3};
-        const int64_t step[3] = {1, 4, 4};
-        for (int k = 0; k < 3; k++) {
-            const int64_t a = step[k] * i, b = step[k] * p;
-            lo[k][b] = lo[k][a] < lo[k][b] ? lo[k][a] : lo[k][b];
-            hi[k][b] = hi[k][a] > hi[k][b] ? hi[k][a] : hi[k][b];
-        }
-    }
+    sweep(parent, n, out, A_SUMS, A_MINS, A_COLS, 1);
     return 0;
 }
 

@@ -6,9 +6,10 @@ It holds tree building (the Kruskal union-find, the stable counting sort
 every holed side-tree node of a tree of shapes in one call by a row-run
 flood, ``tp_saturate``, and the painting of shapes, ``tp_paint_shapes``),
 the tree fold ``tp_fold`` (child to parent or parent to child), the
-one-sweep attribute table ``tp_attributes`` (swept over pixel ids, it also
-gives the tree of shapes its side trees' boxes, first pixels and frame
-contact) and filter ladder ``tp_ladder`` (from a tree's attribute values
+attribute table ``tp_attributes``, one node-major (N, 13) int64 block built
+with ``tp_fold``'s merge and child-to-parent sweep (swept over pixel ids, it
+also gives the tree of shapes its side trees' boxes, first pixels and frame
+contact), the filter ladder ``tp_ladder`` (from a tree's attribute values
 and thresholds), and the random forest: the ranking of its training rows,
 ``tp_rank_rows``, its tree growth and its vote sum.  Node ids are int32,
 as ``Tree`` stores them.  ``ctypes`` needs no Python headers and no extra
@@ -25,7 +26,8 @@ The raw pointers, ``tp_ladder``'s float32 output (maybe a column slice)
 and the float32 or float64 rows of ``tp_rank_rows`` and
 ``tp_forest_votes``, are checked by callers.  Every entry that returns a
 status or a count raises :class:`MemoryError` when it returns
-``TP_NO_MEMORY``; its other statuses are returned to the caller.
+``TP_NO_MEMORY``; its other statuses, ``TP_BAD_INDEX`` and
+``TP_NON_FINITE``, are returned to the caller.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ import numpy as np
 
 from .errors import BuildError
 
+# the kernel's status codes, as _kernels.c #defines them
+TP_NO_MEMORY, TP_BAD_INDEX, TP_NON_FINITE = -2, -3, -4
+
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _COMPILE = ["cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
@@ -54,7 +59,7 @@ _SIGNATURES = {
     "tp_saturate": (_K, [_I8, _N, _I8, _I8, _I8, _N, _N, _N, _I8, _N, _I8]),
     "tp_paint_shapes": (_K, [_I8, _N, _I8, _I8, _I8, _N, _I4, _N, _I4]),
     "tp_fold": (_K, [_I4, _N, _I8, _N, _K, _K]),
-    "tp_attributes": (_K, [_I4, _N, _I4, _I8, _N, _N, _I8, _I8]),
+    "tp_attributes": (_K, [_I4, _N, _I4, _I8, _N, _N, _I8]),
     "tp_ladder": (_K, [_I4, _N, _F8, _F8, _N, _K, _I4, _N, _F8, _N, _I8, _P,
                         _N, _N]),
     "tp_rank_rows": (_K, [_P, _K, _N, _I8, _N, _K, _I4, _F8, _I4]),
@@ -117,7 +122,7 @@ def _build() -> Path:
 
 def _out_of_memory(status, func, args):
     """``errcheck`` of the entries that return a status or a count."""
-    if status == -2:  # TP_NO_MEMORY
+    if status == TP_NO_MEMORY:
         raise MemoryError(f"{func.__name__}: out of memory")
     return status
 

@@ -1,12 +1,14 @@
 """Per-node attributes computed incrementally over any tree.
 
-One native sweep per tree (``tp_attributes``) adds each pixel into the row
-of its node in ``Tree.pixel_node``, then folds every node into its parent,
-highest id first: each node gets the pixel count, spatial moment sums,
-gray-level moment sums, gray extrema and the bounding box of its full
-component (direct pixels plus all descendants).  Gray statistics always
-refer to the source image values, so features read from a pruned tree
-still describe the original pixels inside each component.
+One native sweep per tree (``tp_attributes``) folds each pixel's row into
+the row of its node in ``Tree.pixel_node``, then every node into its
+parent, highest id first, with ``tp_fold``'s merge and sweep.  Its
+node-major (N, 13) int64 block gives each node's full component (direct
+pixels plus all descendants) the pixel count, spatial and gray-level moment
+sums, gray extrema and bounding box; ``AttributeTable``'s fields are views
+of it.  Gray statistics always refer to the source image values, so
+features read from a pruned tree still describe the original pixels inside
+each component.
 
 Moments are accumulated in 64-bit integers, wrapping as numpy's int64 does;
 integer sums, minima and maxima are exact in any order, so the table is the
@@ -29,7 +31,7 @@ from .imagery import RasterImage
 
 @dataclass
 class AttributeTable:
-    """Per-node accumulators; arrays are indexed by node id."""
+    """Per-node accumulators by node id: views of ``_sweep``'s block."""
 
     area: np.ndarray        # int64, pixels
     sum_x: np.ndarray       # int64
@@ -47,37 +49,32 @@ class AttributeTable:
         return len(self.area)
 
 
-def _sweep(tree: Tree, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One ``tp_attributes`` sweep of an int64 value per pixel: a (9, N)
-    block of rows -- area, sums of x, y, x*x, y*y, v, v*v, then the minimum
-    and the maximum of v -- and the (N, 4) bounding boxes (xmin, ymin, xmax,
-    ymax).  The values need not be gray levels: the tree of shapes sweeps
-    pixel ids, whose minimum is a node's first pixel in row-major order."""
+def _sweep(tree: Tree, values: np.ndarray) -> np.ndarray:
+    """One ``tp_attributes`` sweep of an int64 value per pixel: the (N, 13)
+    node-major block whose row i holds node i's area, sums of x, y, x*x,
+    y*y, v, v*v, then the minima of v, x, y and the maxima of x, y, v.  The
+    values need not be gray levels: the tree of shapes sweeps pixel ids,
+    whose minimum is a node's first pixel in row-major order."""
     n = tree.node_count
     if len(tree.pixel_node) != len(values):
         raise DataError("tree's pixel map does not match the image")
-    rows = np.empty((9, n), dtype=np.int64)
-    bbox = np.empty((n, 4), dtype=np.int64)
+    block = np.empty((n, 13), dtype=np.int64)
     if _kernel().tp_attributes(tree.parent, n, tree.pixel_node, values,
-                               len(values), tree.width, rows, bbox):
+                               len(values), tree.width, block):
         raise DataError("tree is not root-first or a pixel's node is out "
                         "of range")
-    return rows, bbox
+    return block
 
 
 def compute_attributes(tree: Tree, image: RasterImage) -> AttributeTable:
     """Accumulate all per-node statistics bottom-up."""
     if (tree.width, tree.height) != (image.width, image.height):
         raise DataError("tree and image dimensions do not match")
-    rows, bbox = _sweep(tree, np.ascontiguousarray(image.values.ravel(),
-                                                   dtype=np.int64))
-    (area, sum_x, sum_y, sum_xx, sum_yy, gray_sum, gray_sum_sq,
-     gray_min, gray_max) = rows
-    return AttributeTable(
-        area=area, sum_x=sum_x, sum_y=sum_y, sum_xx=sum_xx, sum_yy=sum_yy,
-        gray_sum=gray_sum, gray_sum_sq=gray_sum_sq, gray_min=gray_min,
-        gray_max=gray_max, bbox=bbox,
-    )
+    block = _sweep(tree, np.ascontiguousarray(image.values.ravel(),
+                                              dtype=np.int64))
+    # area, the 6 other sums and gray_min are columns 0-7
+    return AttributeTable(*block[:, :8].T, gray_max=block[:, 12],
+                          bbox=block[:, 8:12])
 
 
 def moment_of_inertia_all(table: AttributeTable) -> np.ndarray:

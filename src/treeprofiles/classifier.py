@@ -55,14 +55,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ._native import _kernel
+from ._native import TP_BAD_INDEX, TP_NON_FINITE, _kernel
 from .errors import DataError, FormatError
 from .rng import Xorshift64Star, derive_seed
 
 _MAGIC = b"TPFM"
 _VERSION = 1
-# tp_rank_rows' and tp_forest_votes' failure codes (TP_* in _kernels.c)
-_BAD_INDEX, _NON_FINITE = -3, -4
 
 
 @dataclass
@@ -136,9 +134,9 @@ def _training_set(x: np.ndarray, rows: np.ndarray | None, y_idx: np.ndarray,
     n_levels = np.empty(d, dtype=np.int32)
     status = _kernel().tp_rank_rows(x.ctypes.data, x.dtype == np.float64,
                                     len(x), rows, n, d, rank, level, n_levels)
-    if status == _BAD_INDEX:
+    if status == TP_BAD_INDEX:
         raise DataError(f"training row index outside [0, {len(x)})")
-    if status == _NON_FINITE:
+    if status == TP_NON_FINITE:
         raise DataError("training features contain NaN or infinity")
     return _TrainingSet(rank=rank, level=level, n_levels=n_levels,
                         y_idx=np.ascontiguousarray(y_idx, dtype=np.int32),
@@ -247,9 +245,9 @@ def _votes(model: ForestModel, x: np.ndarray,
         status = list(pool.map(block, range(blocks)))
     # every block checks its indices, then its rows, then every tree; the
     # first failing check over all blocks is the one a single block names
-    if _BAD_INDEX in status:
+    if TP_BAD_INDEX in status:
         raise DataError(f"prediction row index outside [0, {len(x)})")
-    if _NON_FINITE in status:
+    if TP_NON_FINITE in status:
         raise DataError("prediction features contain NaN or infinity")
     if any(status):  # every block checks every tree, so all name the first
         raise DataError(f"tree {min(status) - 1} of the model is malformed")
@@ -347,27 +345,35 @@ def model_to_bytes(model: ForestModel) -> bytes:
 
 
 def model_from_bytes(blob: bytes) -> ForestModel:
+    """The model ``model_to_bytes`` wrote; FormatError, with the byte offset,
+    for another magic or version, a blob cut short or bytes after its last
+    tree."""
     if blob[:4] != _MAGIC:
         raise FormatError("not a forest model file", offset=0)
-    version, n_classes, n_features, seed, n_trees = struct.unpack_from(
-        "<IIIQ I", blob, 4
-    )
+    pos = 4
+
+    def take(dtype, count):
+        nonlocal pos
+        end = pos + np.dtype(dtype).itemsize * count
+        if end > len(blob):
+            raise FormatError(f"model file ends {end - len(blob)} bytes "
+                              f"short", offset=pos)
+        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
+        pos = end
+        return arr
+
+    def scalar(dtype):
+        return int(take(dtype, 1)[0])
+
+    version = scalar("<u4")
     if version != _VERSION:
-        raise FormatError(f"unsupported model version {version}")
-    pos = 4 + struct.calcsize("<IIIQ I")
-    classes = np.frombuffer(blob, dtype="<i8", count=n_classes, offset=pos)
-    pos += n_classes * 8
+        raise FormatError(f"unsupported model version {version}", offset=4)
+    n_classes, n_features = scalar("<u4"), scalar("<u4")
+    seed, n_trees = scalar("<u8"), scalar("<u4")
+    classes = take("<i8", n_classes).astype(np.int64)
     trees = []
     for _ in range(n_trees):
-        (n_nodes,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-
-        def take(dtype, count):
-            nonlocal pos
-            arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
-            pos += arr.nbytes
-            return arr
-
+        n_nodes = scalar("<u4")
         feature = take("<i4", n_nodes).astype(np.int32)
         threshold = take("<f8", n_nodes).astype(np.float64)
         left = take("<i4", n_nodes).astype(np.int32)
@@ -377,8 +383,11 @@ def model_from_bytes(blob: bytes) -> ForestModel:
             feature=feature, threshold=threshold, left=left, right=right,
             probs=probs.reshape(n_nodes, n_classes),
         ))
-    return ForestModel(trees=trees, classes=classes.astype(np.int64),
-                       n_features=n_features, seed=seed)
+    if pos != len(blob):
+        raise FormatError(f"{len(blob) - pos} bytes after the model's last "
+                          f"tree", offset=pos)
+    return ForestModel(trees=trees, classes=classes, n_features=n_features,
+                       seed=seed)
 
 
 def save_model(model: ForestModel, path: str | Path) -> None:

@@ -18,10 +18,12 @@ The generic per-node passes go through one native fold, ``tp_fold``, after
 Higra's ``accumulate_sequential`` / ``propagate_sequential``:
 ``accumulate`` folds values child to parent (areas, hole counts) and
 ``propagate`` parent to child (pruning, nearest marked ancestor, preorder
-ranks); attribute tables and filter ladders have their own sweeps
-(``tp_attributes``, ``tp_ladder``).  Because ``parent[i] < i``, each is one
-linear sweep over the node ids in the native kernel, whatever the tree's
-depth.  ``Tree`` keeps its node ids int32, as every kernel takes them.
+ranks); the attribute table (``tp_attributes``) is the same merge and
+child-to-parent sweep over a row of sums, minima and maxima per node, and
+only the filter ladder (``tp_ladder``) has a sweep of its own.  Because
+``parent[i] < i``, each is one linear sweep over the node ids in the native
+kernel, whatever the tree's depth.  ``Tree`` keeps its node ids int32, as
+every kernel takes them.
 Folds of int64 or bool values by sum, min, max, logical and or logical or
 are exact in any fold order.
 
@@ -157,7 +159,9 @@ class Tree:
     def validate(self) -> None:
         """Cheap structural sanity checks; raises DataError on violation."""
         n = self.node_count
-        if self.parent[0] != 0 or np.any(self.parent[1:] >= np.arange(1, n)):
+        above = self.parent[1:]
+        if self.parent[0] != 0 or \
+                not np.all((above >= 0) & (above < np.arange(1, n))):
             raise DataError("parent array is not root-first topological")
         if np.count_nonzero(self.parent == np.arange(n)) != 1:
             raise DataError("tree must have exactly one root")

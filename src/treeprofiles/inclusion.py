@@ -144,8 +144,8 @@ def _collect_shapes(tree: Tree):
     side trees need no matching."""
     n_pix = tree.width * tree.height
     pix_order, lo, hi = _subtree_pixel_slices(tree)
-    rows, bbox = _sweep(tree, np.arange(n_pix, dtype=np.int64))
-    first, box = rows[7], bbox[:, [1, 0, 3, 2]]
+    block = _sweep(tree, np.arange(n_pix, dtype=np.int64))
+    first, box = block[:, 7], block[:, [9, 8, 11, 10]]
     # the padded image's outer rows and columns are all frame
     inside = (box[:, :2] > 0).all(axis=1) & \
         (box[:, 2] < tree.height - 1) & (box[:, 3] < tree.width - 1)

@@ -1041,48 +1041,35 @@ def adjacent_pixel_pairs(width: int, height: int, connectivity: str = "c4"):
     return np.concatenate(a), np.concatenate(b)
 
 
-def disconnected_nodes(tree, connectivity: str = "c4") -> np.ndarray:
-    """Ids of the nodes whose subtree pixel set is not connected (an empty
-    node counts as not connected), in near-linear time.
+def _find(root: list, x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
 
-    One depth-first walk finishes the nodes children first.  Each adjacent
-    pixel pair is filed at the lowest common ancestor of its two pixels'
-    nodes, found by Tarjan's offline LCA over the same walk, and is unioned
-    in a union-find over the pixels when that node is finished.  A pair
-    filed inside a node's subtree has both pixels there, and every other
-    pair that touches the subtree is unioned after the node, so the unions
-    that joined two sets up to that point are the merges inside its
-    subtree: it is connected when its area minus those merges is 1."""
-    n = tree.node_count
-    parent = tree.parent.tolist()
-    a, b = adjacent_pixel_pairs(tree.width, tree.height, connectivity)
-    node_a, node_b = tree.pixel_node[a].tolist(), tree.pixel_node[b].tolist()
-    a, b = a.tolist(), b.tolist()
+
+def pair_lcas(parent: np.ndarray, node_a, node_b) -> np.ndarray:
+    """The lowest common ancestor of nodes node_a[e] and node_b[e] for every
+    e, by Tarjan's offline LCA over one depth-first walk of the root-first
+    ``parent`` array: a finished node points to its parent, so when a node
+    finishes, a find from an already finished node ends at their LCA."""
+    n = len(parent)
+    parent = parent.tolist()
+    node_a, node_b = np.asarray(node_a).tolist(), np.asarray(node_b).tolist()
     children = [[] for _ in range(n)]
     for i in range(1, n):
         children[parent[i]].append(i)
-    filed = [[] for _ in range(n)]    # pairs to union when a node finishes
+    lca = [-1] * len(node_a)
     queries = [[] for _ in range(n)]  # pairs across two nodes, per node
     for e, (u, w) in enumerate(zip(node_a, node_b)):
         if u == w:
-            filed[u].append(e)
+            lca[e] = u
         else:
             queries[u].append(e)
             queries[w].append(e)
-
-    def find(root, x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    pixel_root = list(range(tree.width * tree.height))
-    # a finished node points to its parent, so a find from a finished node
-    # ends at its lowest unfinished ancestor (Tarjan's offline LCA)
-    node_root = list(range(n))
+    root = list(range(n))
     finished = [False] * n
-    area = np.bincount(tree.pixel_node, minlength=n).tolist()
-    merges = [0] * n
     stack = [(0, False)]
     while stack:
         u, expanded = stack.pop()
@@ -1093,15 +1080,114 @@ def disconnected_nodes(tree, connectivity: str = "c4") -> np.ndarray:
         for e in queries[u]:
             w = node_b[e] if node_a[e] == u else node_a[e]
             if finished[w]:
-                filed[find(node_root, w)].append(e)
+                lca[e] = _find(root, w)
+        finished[u] = True
+        if u:
+            root[u] = parent[u]
+    return np.array(lca, dtype=np.int64)
+
+
+def disconnected_nodes(tree, connectivity: str = "c4") -> np.ndarray:
+    """Ids of the nodes whose subtree pixel set is not connected (an empty
+    node counts as not connected), in near-linear time.
+
+    Each adjacent pixel pair is filed at the lowest common ancestor of its
+    two pixels' nodes (``pair_lcas``) and unioned in a union-find over the
+    pixels when the nodes are visited highest id first, which finishes
+    every child before its parent.  A pair filed inside a node's subtree
+    has both pixels there, and a node visited earlier is either in that
+    subtree or disjoint from it, so the unions that joined two sets up to a
+    node's visit are the merges inside its subtree: it is connected when
+    its area minus those merges is 1."""
+    n = tree.node_count
+    a, b = adjacent_pixel_pairs(tree.width, tree.height, connectivity)
+    lca = pair_lcas(tree.parent, tree.pixel_node[a], tree.pixel_node[b])
+    filed = [[] for _ in range(n)]
+    for e, u in enumerate(lca.tolist()):
+        filed[u].append(e)
+    a, b, parent = a.tolist(), b.tolist(), tree.parent.tolist()
+    pixel_root = list(range(tree.width * tree.height))
+    area = np.bincount(tree.pixel_node, minlength=n).tolist()
+    merges = [0] * n
+    for u in range(n - 1, -1, -1):
         for e in filed[u]:
-            x, y = find(pixel_root, a[e]), find(pixel_root, b[e])
+            x, y = _find(pixel_root, a[e]), _find(pixel_root, b[e])
             if x != y:
                 pixel_root[x] = y
                 merges[u] += 1
-        finished[u] = True
         if u:
-            p = node_root[u] = parent[u]
-            area[p] += area[u]
-            merges[p] += merges[u]
+            area[parent[u]] += area[u]
+            merges[parent[u]] += merges[u]
     return np.flatnonzero(np.array(area) - np.array(merges) != 1)
+
+
+def misleveled_component_pairs(tree, values: np.ndarray,
+                               connectivity: str = "c4") -> np.ndarray:
+    """Indices e into ``adjacent_pixel_pairs`` of the pairs of a max-tree
+    (a min-tree) whose lowest common ancestor is not at the lower (higher)
+    of their two gray values, in near-linear time.  In a component tree
+    that is the level of the smallest node holding both pixels, since a
+    pair joins at the first threshold that takes in both."""
+    flat = np.asarray(values).ravel()
+    a, b = adjacent_pixel_pairs(tree.width, tree.height, connectivity)
+    lca = pair_lcas(tree.parent, tree.pixel_node[a], tree.pixel_node[b])
+    join = np.minimum if tree.kind.value == "max" else np.maximum
+    return np.flatnonzero(tree.level[lca] != join(flat[a], flat[b]))
+
+
+def misleveled_pixels(tree, values: np.ndarray) -> np.ndarray:
+    """Pixels not at their node's level: in a component tree every pixel
+    sits in the node of its own gray level."""
+    return np.flatnonzero(tree.level[tree.pixel_node] !=
+                          np.asarray(values).ravel())
+
+
+def leaky_alpha_nodes(tree, values: np.ndarray,
+                      connectivity: str = "c4") -> np.ndarray:
+    """Ids of the nodes of an alpha-tree left by an adjacent pixel pair that
+    weighs (|gray difference|) at most the node's level, in near-linear
+    time.  A pair leaves exactly the nodes on the paths from its pixels'
+    nodes up to, not including, their lowest common ancestor.  The pairs are
+    taken lightest first, and each one gives its weight to the nodes on
+    those paths that have none yet, found by a union-find that skips a node
+    once given (it points to its parent): each node ends with the least
+    weight leaving it."""
+    flat = np.asarray(values, dtype=np.int64).ravel()
+    a, b = adjacent_pixel_pairs(tree.width, tree.height, connectivity)
+    node_a, node_b = tree.pixel_node[a], tree.pixel_node[b]
+    lca = pair_lcas(tree.parent, node_a, node_b).tolist()
+    weight = np.abs(flat[a] - flat[b])
+    n, parent = tree.node_count, tree.parent.tolist()
+    depth = [0] * n
+    for i in range(1, n):
+        depth[i] = depth[parent[i]] + 1
+    least = [math.inf] * n
+    up = list(range(n))
+    node_a, node_b = node_a.tolist(), node_b.tolist()
+    for e in np.argsort(weight, kind="stable").tolist():
+        stop, w = depth[lca[e]], int(weight[e])
+        for x in (node_a[e], node_b[e]):
+            x = _find(up, x)
+            while depth[x] > stop:
+                least[x] = w
+                up[x] = parent[x]
+                x = _find(up, x)
+    return np.flatnonzero(np.array(least) <= tree.level)
+
+
+def omega_range_inversions(tree, values: np.ndarray) -> np.ndarray:
+    """Ids of the non-root nodes whose gray range (maximum minus minimum over
+    the subtree's pixels) is not strictly below their parent's, in linear
+    time: the extrema are folded children first, highest id first."""
+    flat = np.asarray(values, dtype=np.int64).ravel().tolist()
+    n = tree.node_count
+    low, high = [math.inf] * n, [-math.inf] * n
+    for p, node in enumerate(tree.pixel_node.tolist()):
+        low[node] = min(low[node], flat[p])
+        high[node] = max(high[node], flat[p])
+    parent = tree.parent.tolist()
+    for i in range(n - 1, 0, -1):
+        low[parent[i]] = min(low[parent[i]], low[i])
+        high[parent[i]] = max(high[parent[i]], high[i])
+    span = np.array(high) - np.array(low)
+    return 1 + np.flatnonzero(span[1:] >= span[tree.parent[1:]])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from treeprofiles import (
     build_min_tree,
     build_omega_tree,
     build_tree_of_shapes,
+    build_tree,
     compute_attributes,
     dump_attributes,
+    synthetic_scene,
 )
 from treeprofiles.attributes import moment_of_inertia_all, std_dev_all
 
@@ -202,16 +206,15 @@ class TestAttributesKernel:
 
         def call(**change):
             arrays = {**good, **change}
-            out = np.full((9, n), 7, dtype=np.int64)
-            bbox = np.full((n, 4), 7, dtype=np.int64)
+            out = np.full((n, 13), 7, dtype=np.int64)
             status = _kernel().tp_attributes(
                 arrays["parent"], n, arrays["pixel_node"], gray, len(gray),
-                img.width, out, bbox)
-            return status, out, bbox
+                img.width, out)
+            return status, out
 
-        status, out, bbox = call()
+        status, out = call()
         assert status == 0 and out[0, 0] == 12
-        assert bbox[0].tolist() == [0, 0, 3, 2]
+        assert out[0, 8:12].tolist() == [0, 0, 3, 2]
         parent_loop, parent_root = good["parent"].copy(), good["parent"].copy()
         parent_loop[-1] = n - 1
         parent_root[0] = 1
@@ -220,9 +223,9 @@ class TestAttributesKernel:
         node_low[0] = -1
         for change in (dict(parent=parent_loop), dict(parent=parent_root),
                        dict(pixel_node=node_high), dict(pixel_node=node_low)):
-            status, out, bbox = call(**change)
+            status, out = call(**change)
             assert status == -3
-            assert np.all(out == 7) and np.all(bbox == 7)
+            assert np.all(out == 7)
         # the kernel reads one gray value per pixel_node entry, so a map of
         # another length is refused before the call
         for pixel_node in (tree.pixel_node[:-1], np.append(tree.pixel_node, 0)):
@@ -239,3 +242,34 @@ class TestAttributesKernel:
                     pixel_node=np.array([0, 2, 1], dtype=np.int32))
         with pytest.raises(DataError, match="root-first"):
             compute_attributes(tree, img)
+
+
+# sha256 of the ten AttributeTable fields, each as little-endian int64 in
+# field order, on synthetic_scene(64, 64, seed=3); computed before the
+# table became one node-major block (the tree of shapes has no
+# connectivity option, so its two pins agree)
+GOLDEN_TABLES = {
+    ("max", "c4"): "5f0396ab8e62ccb78d29865f5f97494d58949a687f52fdc2ab9e00632ff8ca08",
+    ("max", "c8"): "2705ced358c2a47911877a6f3088a6b6b16241cd9ac1653663d98ae30cc457c7",
+    ("min", "c4"): "e729da46c2f85216c3476b0f744b038bff9d044a0543ca4287587eadc7c10f22",
+    ("min", "c8"): "89b9be49478c4a5c17a2e0991d0a3517d74d39dafbdfc247a5cc1eb30fc39dc3",
+    ("tos", "c4"): "064154fc2584bfcc1c9845a9a5313e36820d453812a35060af210779d6fd069e",
+    ("tos", "c8"): "064154fc2584bfcc1c9845a9a5313e36820d453812a35060af210779d6fd069e",
+    ("alpha", "c4"): "bee8f061361484dfa0c5b368b66bcbde5281729795280f8b01cdf27c5f6d4fee",
+    ("alpha", "c8"): "b03ff1a2d8830fcd9c8cfb7b047270a8a4acb49aad6c5da0cdc2c0631351243f",
+    ("omega", "c4"): "06229ee39038d0c604819e6bcc7e1982885fbf5f1ea8c4b331c702688e6dc209",
+    ("omega", "c8"): "72bfbd629abf44eb60b937099dd37c4f9d9a037496aa5b63380290e4b0b10ef1",
+}
+TABLE_FIELDS = ("area", "sum_x", "sum_y", "sum_xx", "sum_yy", "gray_sum",
+                "gray_sum_sq", "gray_min", "gray_max", "bbox")
+
+
+def test_golden_tables():
+    img = synthetic_scene(64, 64, seed=3)[0]
+    for (kind, connectivity), want in GOLDEN_TABLES.items():
+        table = compute_attributes(build_tree(img, kind, connectivity), img)
+        digest = hashlib.sha256()
+        for name in TABLE_FIELDS:
+            digest.update(np.ascontiguousarray(getattr(table, name),
+                                               dtype="<i8").tobytes())
+        assert digest.hexdigest() == want, (kind, connectivity)

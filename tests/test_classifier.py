@@ -14,6 +14,7 @@ from treeprofiles import (
     Feature,
     FilterSpec,
     ForestModel,
+    FormatError,
     ProfileTrees,
     build_fp,
     default_area_thresholds,
@@ -807,6 +808,32 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(Exception):
             model_from_bytes(b"XXXX" + bytes(32))
+
+    def test_truncated_or_trailing_blob_is_a_format_error(self, rng):
+        x, y = separable_blobs(rng, n_per_class=20)
+        blob = model_to_bytes(train_forest(x, y, n_trees=2, seed=5))
+        tree = 28 + 8 * 2  # after the header and the two class ids
+        n_nodes = int.from_bytes(blob[tree:tree + 4], "little")
+        # the start of each header field (version, class count, feature
+        # count, seed, tree count), of the class ids, and of the first
+        # tree's node count, feature ids, thresholds, children and leaf
+        # probabilities; a cut one byte into a field names its start
+        starts = [4, 8, 12, 16, 24, 28, tree, tree + 4, tree + 4 + 4 * n_nodes,
+                  tree + 4 + 12 * n_nodes, tree + 4 + 16 * n_nodes,
+                  tree + 4 + 20 * n_nodes]
+        for cut, offset in [(start + 1, start) for start in starts] + \
+                [(10, 8), (40, 28)]:
+            with pytest.raises(FormatError, match="bytes short") as info:
+                model_from_bytes(blob[:cut])
+            assert info.value.offset == offset
+        # 5 bytes short: inside the last field, the last tree's leaf
+        # probabilities
+        with pytest.raises(FormatError, match=" 5 bytes short"):
+            model_from_bytes(blob[:-5])
+        with pytest.raises(FormatError, match="1 bytes after") as info:
+            model_from_bytes(blob + b"\0")
+        assert info.value.offset == len(blob)
+        assert model_to_bytes(model_from_bytes(blob)) == blob
 
 
 def random_training_set(rng, n, n_classes):

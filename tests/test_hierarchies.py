@@ -322,6 +322,15 @@ class TestTraversalKernels:
                  levels=2, parent=np.array(parent), level=values * 1.0,
                  pixel_node=values).accumulate(values, np.add)
 
+    @pytest.mark.parametrize("kind", list(TreeKind))
+    def test_validate_refuses_negative_parent(self, kind):
+        # node 2's parent -1 is below its id, as an upper bound alone allows
+        tree = Tree(kind=kind, width=3, height=1, levels=3,
+                    parent=np.array([0, 0, -1]), level=np.zeros(3),
+                    pixel_node=np.arange(3))
+        with pytest.raises(DataError, match="not root-first topological"):
+            tree.validate()
+
     def test_tree_stores_node_ids_as_int32(self):
         built = build_max_tree(center_spot_image())
         assert built.parent.dtype == built.pixel_node.dtype == np.int32
